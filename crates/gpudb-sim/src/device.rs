@@ -733,7 +733,7 @@ impl Gpu {
             draw_color: self.draw_color,
             early_z: self.early_z,
         };
-        let cost = rasterize(&inputs, &mut self.fb, rects, &self.profile);
+        let cost = rasterize(&inputs, &mut self.fb, rects, &self.profile)?;
         cost.accumulate(&mut self.stats, self.phase);
         self.stats
             .wall

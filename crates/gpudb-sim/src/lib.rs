@@ -10,10 +10,12 @@
 //! * [`texture`] — float textures, the GPU-resident data representation;
 //! * [`buffers`] — color, **24-bit** depth, and 8-bit stencil buffers;
 //! * [`state`] — alpha/stencil/depth/depth-bounds tests and write masks;
-//! * [`program`] — an `ARB_fragment_program`-style ISA with assembler and
-//!   interpreter, plus the paper's builtin programs;
+//! * [`program`] — an `ARB_fragment_program`-style ISA with assembler, a
+//!   per-draw span lowering and a reference interpreter, plus the paper's
+//!   builtin programs;
 //! * [`raster`] / `pipeline` — screen-aligned quad rasterization through
-//!   the authentic per-fragment test sequence, with early-z modeling;
+//!   a per-draw span kernel that keeps the authentic per-fragment test
+//!   sequence, with early-z modeling;
 //! * [`device`] — the stateful [`device::Gpu`] facade with occlusion
 //!   queries and costed transfers;
 //! * [`cost`] / [`stats`] — a cycle cost model calibrated against the

@@ -1,5 +1,5 @@
-//! The per-fragment pipeline: fragment program, then the fixed-function
-//! test sequence in authentic OpenGL order.
+//! The fragment pipeline: fragment program, then the fixed-function test
+//! sequence in authentic OpenGL order.
 //!
 //! Order of operations for each fragment (§3.1 of the paper, plus the
 //! `EXT_depth_bounds_test` specification):
@@ -16,15 +16,36 @@
 //!    `op_zpass`, write depth (if enabled) and color (per mask), and count
 //!    toward any active occlusion query.
 //!
-//! The pipeline operates on an [`FbBand`] — a mutable view over a
-//! contiguous row range of the framebuffer — so that the rasterizer can
-//! process disjoint row bands on parallel host threads, mirroring the
-//! device's parallel pixel pipes.
+//! Two implementations of that sequence live here:
+//!
+//! * [`SpanKernel`], the draw path. It is built once per draw: the bound
+//!   program is lowered ([`crate::program::lower`]) and everything fixed
+//!   for the draw is hoisted out of the pixel loop — the path a fragment
+//!   takes (fixed-function, early-z or late), the quantized quad depth, the
+//!   alpha outcome of the flat color, and the enabled tests. It then runs
+//!   the program over row spans of up to [`LANES`] fragments and the tests
+//!   over the same span.
+//! * [`process_fragment`], the reference semantics: one fragment at a
+//!   time through [`crate::program::interp::execute`]. Only the public
+//!   reference rasterizer and tests reach it; the kernel must match it
+//!   byte for byte.
+//!
+//! The kernel's `shaded`, `early_rejected` and `passed` counts follow the
+//! fate rules of [`process_fragment`], not which lanes it computed, so the
+//! modeled clock is the same whichever implementation ran.
+//!
+//! Both operate on an [`FbBand`] — a mutable view over a contiguous row
+//! range of the framebuffer — so that the rasterizer can process disjoint
+//! row bands on parallel host threads, mirroring the device's parallel
+//! pixel pipes.
 
-use crate::buffers::{dequantize_depth, quantize_depth, Framebuffer};
+use crate::buffers::{dequantize_depth, quantize_depth, Framebuffer, DEPTH_SCALE};
+use crate::cost::DrawCost;
 use crate::program::interp::{execute, FragmentContext, FragmentInput};
 use crate::program::isa::FragmentProgram;
-use crate::state::PipelineState;
+use crate::program::lower::{DrawConstants, Lanes, LoweredProgram, LANES};
+use crate::raster::DrawInputs;
+use crate::state::{AlphaState, CompareFunc, PipelineState, ScissorState, StencilState};
 use crate::texture::Texture;
 
 /// What happened to a fragment, with enough detail for cost accounting.
@@ -253,6 +274,267 @@ pub(crate) fn process_fragment(
                 }
             }
         }
+    }
+}
+
+/// The sequence every fragment of a draw follows, fixed per draw.
+#[derive(Debug)]
+enum Path<'a> {
+    /// No program: flat depth and color.
+    Fixed,
+    /// Early-z: test with the quad depth, then shade the survivors.
+    Early(LoweredProgram<'a>),
+    /// Shade first (the program may discard or replace depth), then test.
+    Late(LoweredProgram<'a>),
+}
+
+/// The stencil, depth-bounds and depth tests with their per-draw
+/// constants hoisted.
+#[derive(Debug, Clone, Copy)]
+struct Tests {
+    stencil: StencilState,
+    /// `reference & value_mask`.
+    stencil_ref: u8,
+    /// Depth bounds scaled to the raw 24-bit domain, if enabled.
+    bounds: Option<(f64, f64)>,
+    depth_test: bool,
+    depth_func: CompareFunc,
+    depth_mask: u32,
+    depth_write: bool,
+}
+
+impl Tests {
+    fn new(state: &PipelineState) -> Tests {
+        let bounds = &state.depth_bounds;
+        Tests {
+            stencil: state.stencil,
+            stencil_ref: state.stencil.reference & state.stencil.value_mask,
+            // `raw / 2^24 >= min` iff `raw >= min * 2^24`: scaling by a
+            // power of two is exact, and an overflow to infinity keeps the
+            // comparison's outcome. Likewise for `max`.
+            bounds: bounds
+                .enabled
+                .then_some((bounds.min * DEPTH_SCALE, bounds.max * DEPTH_SCALE)),
+            depth_test: state.depth.test_enabled,
+            depth_func: state.depth.func,
+            depth_mask: state.depth.compare_mask,
+            depth_write: state.depth.write_enabled,
+        }
+    }
+
+    /// Stencil, depth-bounds and depth tests for one fragment of quantized
+    /// depth `q`, with their stencil and depth side effects (the alpha test
+    /// and the color write are the caller's). Returns whether it passed.
+    #[inline(always)]
+    fn run(&self, stencil: &mut u8, depth: &mut u32, q: u32) -> bool {
+        let st = &self.stencil;
+        if st.enabled && !st.func.eval(self.stencil_ref, *stencil & st.value_mask) {
+            *stencil = st.write(*stencil, st.op_fail);
+            return false;
+        }
+        if let Some((lo, hi)) = self.bounds {
+            if !(lo..=hi).contains(&(*depth as f64)) {
+                return false;
+            }
+        }
+        if self.depth_test
+            && !self
+                .depth_func
+                .eval(q & self.depth_mask, *depth & self.depth_mask)
+        {
+            if st.enabled {
+                *stencil = st.write(*stencil, st.op_zfail);
+            }
+            return false;
+        }
+        if st.enabled {
+            *stencil = st.write(*stencil, st.op_zpass);
+        }
+        if self.depth_write {
+            *depth = q;
+        }
+        true
+    }
+}
+
+/// One draw compiled into a span kernel: the lowered program plus the
+/// fixed-function state hoisted out of the pixel loop.
+#[derive(Debug)]
+pub(crate) struct SpanKernel<'a> {
+    path: Path<'a>,
+    tests: Tests,
+    alpha: AlphaState,
+    /// Whether the flat quad color passes the alpha test.
+    flat_alpha_pass: bool,
+    /// The quad depth, quantized.
+    q_quad: u32,
+    draw_color: [f32; 4],
+    color_mask: [bool; 4],
+    color_any: bool,
+    /// The scissor, which the rasterizer clips each rect against.
+    pub scissor: ScissorState,
+}
+
+impl<'a> SpanKernel<'a> {
+    /// Compile a draw over a `fb_size` framebuffer.
+    pub fn new(inputs: &DrawInputs<'a>, fb_size: (usize, usize)) -> SpanKernel<'a> {
+        let state = inputs.state;
+        let lower = |p: &FragmentProgram| {
+            LoweredProgram::lower(
+                p,
+                &DrawConstants {
+                    textures: inputs.textures,
+                    env: inputs.env,
+                    quad_depth: inputs.quad_depth,
+                    draw_color: inputs.draw_color,
+                    fb_size,
+                },
+            )
+        };
+        // The eligibility rule of `PipelineEnv::early_tests_eligible`.
+        let path = match inputs.program {
+            None => Path::Fixed,
+            Some(p) if inputs.early_z && !p.writes_depth && !p.has_kil && !state.alpha.enabled => {
+                Path::Early(lower(p))
+            }
+            Some(p) => Path::Late(lower(p)),
+        };
+        let mask = state.color_mask;
+        SpanKernel {
+            path,
+            tests: Tests::new(state),
+            alpha: state.alpha,
+            flat_alpha_pass: state.alpha.test(inputs.draw_color[3]),
+            q_quad: quantize_depth(inputs.quad_depth as f64),
+            draw_color: inputs.draw_color,
+            color_mask: [mask.red, mask.green, mask.blue, mask.alpha],
+            color_any: mask.any(),
+            scissor: state.scissor,
+        }
+    }
+
+    /// Working storage for [`SpanKernel::run_span`], one per band thread.
+    pub fn lanes(&self) -> Lanes {
+        match &self.path {
+            Path::Fixed => Lanes::empty(),
+            Path::Early(program) | Path::Late(program) => program.lanes(),
+        }
+    }
+
+    #[inline(always)]
+    fn write_color(&self, stored: &mut [f32; 4], color: [f32; 4]) {
+        for ((s, c), write) in stored.iter_mut().zip(color).zip(self.color_mask) {
+            if write {
+                *s = c;
+            }
+        }
+    }
+
+    /// Run the fragments `(x0..x1, y)` through the pipeline and add their
+    /// accounting to `cost`. The span must lie inside `band` and the
+    /// scissor.
+    pub fn run_span(
+        &self,
+        band: &mut FbBand<'_>,
+        lanes: &mut Lanes,
+        y: usize,
+        (x0, x1): (usize, usize),
+        fb_width: usize,
+        cost: &mut DrawCost,
+    ) {
+        let len = x1.saturating_sub(x0);
+        let start = band.local(y * fb_width + x0);
+        let stencil = &mut band.stencil[start..start + len];
+        let depth = &mut band.depth[start..start + len];
+        let color = &mut band.color[start..start + len];
+        cost.fragments += len as u64;
+        let mut passed = 0u64;
+        match &self.path {
+            Path::Fixed => {
+                // A flat color failing the alpha test discards every
+                // fragment before the stencil stage: nothing is written.
+                if !self.flat_alpha_pass {
+                    return;
+                }
+                for ((s, d), c) in stencil.iter_mut().zip(depth.iter_mut()).zip(color) {
+                    if self.tests.run(s, d, self.q_quad) {
+                        passed += 1;
+                        if self.color_any {
+                            self.write_color(c, self.draw_color);
+                        }
+                    }
+                }
+            }
+            Path::Early(program) => {
+                let mut pass = [false; LANES];
+                for first in (0..len).step_by(LANES) {
+                    let n = (len - first).min(LANES);
+                    let mut survivors = 0u64;
+                    let span = first..first + n;
+                    let (s, d) = (&mut stencil[span.clone()], &mut depth[span]);
+                    for ((p, s), d) in pass[..n].iter_mut().zip(s).zip(d) {
+                        *p = self.tests.run(s, d, self.q_quad);
+                        survivors += u64::from(*p);
+                    }
+                    passed += survivors;
+                    if self.color_any && survivors > 0 {
+                        program.run(lanes, x0 + first, y, n);
+                        let out = program.color(lanes);
+                        for (l, _) in pass[..n].iter().enumerate().filter(|(_, p)| **p) {
+                            let rgba = [out[0][l], out[1][l], out[2][l], out[3][l]];
+                            self.write_color(&mut color[first + l], rgba);
+                        }
+                    }
+                }
+                // Survivors are shaded only when the program has an
+                // observable output; early-z skips the rest.
+                if self.color_any {
+                    cost.shaded += passed;
+                }
+                cost.early_rejected += len as u64 - passed;
+            }
+            Path::Late(program) => {
+                let mut q = [self.q_quad; LANES];
+                let mut live = [true; LANES];
+                for first in (0..len).step_by(LANES) {
+                    let n = (len - first).min(LANES);
+                    program.run(lanes, x0 + first, y, n);
+                    let out = program.color(lanes);
+                    if program.writes_depth() {
+                        for (q, &d) in q[..n].iter_mut().zip(&lanes.depth[..n]) {
+                            *q = quantize_depth(d as f64);
+                        }
+                    }
+                    // Killed lanes and alpha failures are discarded before
+                    // the stencil stage, with no side effects.
+                    for ((live, &killed), &alpha) in live[..n]
+                        .iter_mut()
+                        .zip(&lanes.killed[..n])
+                        .zip(&out[3][..n])
+                    {
+                        *live = !killed && self.alpha.test(alpha);
+                    }
+                    let span = first..first + n;
+                    let (stencil, depth) = (&mut stencil[span.clone()], &mut depth[span]);
+                    for (l, ((s, d), &q)) in stencil
+                        .iter_mut()
+                        .zip(depth.iter_mut())
+                        .zip(&q[..n])
+                        .enumerate()
+                    {
+                        if live[l] && self.tests.run(s, d, q) {
+                            passed += 1;
+                            if self.color_any {
+                                let rgba = [out[0][l], out[1][l], out[2][l], out[3][l]];
+                                self.write_color(&mut color[first + l], rgba);
+                            }
+                        }
+                    }
+                }
+                cost.shaded += len as u64;
+            }
+        }
+        cost.passed += passed;
     }
 }
 
