@@ -22,9 +22,20 @@
 //!   program is lowered ([`crate::program::lower`]) and everything fixed
 //!   for the draw is hoisted out of the pixel loop — the path a fragment
 //!   takes (fixed-function, early-z or late), the quantized quad depth, the
-//!   alpha outcome of the flat color, and the enabled tests. It then runs
+//!   alpha outcome of the flat color, and the test state. It then runs
 //!   the program over row spans of up to [`LANES`] fragments and the tests
-//!   over the same span.
+//!   over the same span as one data-parallel stage ([`TestStage`]):
+//!   compare functions become (less, equal, greater) bits, stencil ops
+//!   byte arithmetic, depth bounds an integer range of stored depths, and
+//!   a disabled test one that always passes. Per fragment the stage
+//!   computes stencil, bounds and depth pass masks with no data-dependent
+//!   branch, blends the stencil and depth side effects from them and sums
+//!   the pass mask. The loop is compiled four times, for whether the
+//!   stencil can change and whether depth is written; the database
+//!   layer's counting passes (all ops `Keep`, no depth write) run as a
+//!   plain compare-and-count loop. The late path first clears the lanes
+//!   that `KIL` or the alpha test discarded; the early path shades the
+//!   survivors afterwards.
 //! * [`process_fragment`], the reference semantics: one fragment at a
 //!   time through [`crate::program::interp::execute`]. Only the public
 //!   reference rasterizer and tests reach it; the kernel must match it
@@ -45,7 +56,7 @@ use crate::program::interp::{execute, FragmentContext, FragmentInput};
 use crate::program::isa::FragmentProgram;
 use crate::program::lower::{DrawConstants, Lanes, LoweredProgram, LANES};
 use crate::raster::DrawInputs;
-use crate::state::{AlphaState, CompareFunc, PipelineState, ScissorState, StencilState};
+use crate::state::{AlphaState, CompareFunc, PipelineState, ScissorState, StencilOp};
 use crate::texture::Texture;
 
 /// What happened to a fragment, with enough detail for cost accounting.
@@ -288,72 +299,214 @@ enum Path<'a> {
     Late(LoweredProgram<'a>),
 }
 
-/// The stencil, depth-bounds and depth tests with their per-draw
-/// constants hoisted.
+/// A compare function as the orderings it accepts: `incoming op stored`
+/// holds iff the pair is less, equal or greater with that bit set. For
+/// totally ordered integers this is [`CompareFunc::eval`] without a
+/// `match` per fragment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CompareBits {
+    lt: bool,
+    eq: bool,
+    gt: bool,
+}
+
+impl CompareBits {
+    fn new(func: CompareFunc) -> CompareBits {
+        CompareBits {
+            lt: func.eval(0, 1),
+            eq: func.eval(0, 0),
+            gt: func.eval(1, 0),
+        }
+    }
+
+    #[inline(always)]
+    fn eval<T: Ord>(self, incoming: T, stored: T) -> bool {
+        (self.lt & (incoming < stored))
+            | (self.eq & (incoming == stored))
+            | (self.gt & (incoming > stored))
+    }
+}
+
+/// A stencil op as byte arithmetic, built once per draw:
+/// `(((s & and) ^ xor) + wrap) +| add -| sub`, where `+` wraps and `+|`,
+/// `-|` saturate. Every [`StencilOp`] is one choice of the five constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpForm {
+    and: u8,
+    xor: u8,
+    wrap: u8,
+    add: u8,
+    sub: u8,
+}
+
+impl OpForm {
+    fn new(op: StencilOp, reference: u8) -> OpForm {
+        let keep = OpForm {
+            and: 0xFF,
+            xor: 0,
+            wrap: 0,
+            add: 0,
+            sub: 0,
+        };
+        match op {
+            StencilOp::Keep => keep,
+            StencilOp::Zero => OpForm { and: 0, ..keep },
+            StencilOp::Replace => OpForm {
+                and: 0,
+                xor: reference,
+                ..keep
+            },
+            StencilOp::Incr => OpForm { add: 1, ..keep },
+            StencilOp::Decr => OpForm { sub: 1, ..keep },
+            StencilOp::Invert => OpForm { xor: 0xFF, ..keep },
+            StencilOp::IncrWrap => OpForm { wrap: 1, ..keep },
+            StencilOp::DecrWrap => OpForm { wrap: 0xFF, ..keep },
+        }
+    }
+
+    #[inline(always)]
+    fn apply(self, s: u8) -> u8 {
+        ((s & self.and) ^ self.xor)
+            .wrapping_add(self.wrap)
+            .saturating_add(self.add)
+            .saturating_sub(self.sub)
+    }
+}
+
+/// The inclusive depth bounds `[min, max]` as an inclusive range of raw
+/// stored depths, so that `lo <= raw && raw <= hi` iff
+/// `min <= raw / 2^24 && raw / 2^24 <= max` for every `u32` raw value.
+///
+/// Scaling by `2^24` is exact (an overflow to infinity keeps the
+/// comparison's outcome) and an integer is `>= x` iff it is `>= ceil(x)`.
+/// A NaN bound or an interval holding no `u32` becomes the empty `(1, 0)`.
+fn raw_bounds(min: f64, max: f64) -> (u32, u32) {
+    let lo = (min * DEPTH_SCALE).ceil();
+    let hi = (max * DEPTH_SCALE).floor();
+    if lo.is_nan() || hi.is_nan() || lo > hi || hi < 0.0 || lo > f64::from(u32::MAX) {
+        return (1, 0);
+    }
+    // Both casts are in range: `lo <= u32::MAX` and `hi >= 0` hold here.
+    (lo.max(0.0) as u32, hi.min(f64::from(u32::MAX)) as u32)
+}
+
+/// The stencil, depth-bounds and depth tests of one draw as a
+/// data-parallel stage. A disabled test becomes one that always passes
+/// (`Always`, bounds `[0, u32::MAX]`), so every fragment takes the same
+/// instructions: the three outcomes are computed as masks, the stencil and
+/// depth side effects blended from them, and the pass mask summed.
 #[derive(Debug, Clone, Copy)]
-struct Tests {
-    stencil: StencilState,
+struct TestStage {
+    stencil_func: CompareBits,
     /// `reference & value_mask`.
     stencil_ref: u8,
-    /// Depth bounds scaled to the raw 24-bit domain, if enabled.
-    bounds: Option<(f64, f64)>,
-    depth_test: bool,
-    depth_func: CompareFunc,
+    value_mask: u8,
+    /// The stencil ops on stencil fail, depth fail and depth pass.
+    ops: [OpForm; 3],
+    write_mask: u8,
+    /// Inclusive raw-domain depth bounds.
+    bounds: (u32, u32),
+    depth_func: CompareBits,
     depth_mask: u32,
+    /// Whether any fragment can change its stored stencil value.
+    stencil_writes: bool,
     depth_write: bool,
 }
 
-impl Tests {
-    fn new(state: &PipelineState) -> Tests {
+impl TestStage {
+    fn new(state: &PipelineState) -> TestStage {
+        let stencil = &state.stencil;
+        let always = CompareBits::new(CompareFunc::Always);
+        let ops = [stencil.op_fail, stencil.op_zfail, stencil.op_zpass];
         let bounds = &state.depth_bounds;
-        Tests {
-            stencil: state.stencil,
-            stencil_ref: state.stencil.reference & state.stencil.value_mask,
-            // `raw / 2^24 >= min` iff `raw >= min * 2^24`: scaling by a
-            // power of two is exact, and an overflow to infinity keeps the
-            // comparison's outcome. Likewise for `max`.
-            bounds: bounds
-                .enabled
-                .then_some((bounds.min * DEPTH_SCALE, bounds.max * DEPTH_SCALE)),
-            depth_test: state.depth.test_enabled,
-            depth_func: state.depth.func,
+        TestStage {
+            stencil_func: if stencil.enabled {
+                CompareBits::new(stencil.func)
+            } else {
+                always
+            },
+            stencil_ref: stencil.reference & stencil.value_mask,
+            value_mask: stencil.value_mask,
+            ops: ops.map(|op| OpForm::new(op, stencil.reference)),
+            write_mask: stencil.write_mask,
+            bounds: if bounds.enabled {
+                raw_bounds(bounds.min, bounds.max)
+            } else {
+                (0, u32::MAX)
+            },
+            depth_func: if state.depth.test_enabled {
+                CompareBits::new(state.depth.func)
+            } else {
+                always
+            },
             depth_mask: state.depth.compare_mask,
+            stencil_writes: stencil.enabled
+                && stencil.write_mask != 0
+                && ops.iter().any(|&op| op != StencilOp::Keep),
             depth_write: state.depth.write_enabled,
         }
     }
 
-    /// Stencil, depth-bounds and depth tests for one fragment of quantized
-    /// depth `q`, with their stencil and depth side effects (the alpha test
-    /// and the color write are the caller's). Returns whether it passed.
+    /// Test a span of fragments of quantized depths `q` against their
+    /// stored `stencil` and `depth`, applying the side effects. On entry
+    /// `pass` holds which fragments are live (a dead one has no effect);
+    /// on return, which passed. Returns how many passed.
     #[inline(always)]
-    fn run(&self, stencil: &mut u8, depth: &mut u32, q: u32) -> bool {
-        let st = &self.stencil;
-        if st.enabled && !st.func.eval(self.stencil_ref, *stencil & st.value_mask) {
-            *stencil = st.write(*stencil, st.op_fail);
-            return false;
+    fn run(&self, stencil: &mut [u8], depth: &mut [u32], q: &[u32], pass: &mut [bool]) -> u64 {
+        match (self.stencil_writes, self.depth_write) {
+            (false, false) => self.run_with::<false, false>(stencil, depth, q, pass),
+            (false, true) => self.run_with::<false, true>(stencil, depth, q, pass),
+            (true, false) => self.run_with::<true, false>(stencil, depth, q, pass),
+            (true, true) => self.run_with::<true, true>(stencil, depth, q, pass),
         }
-        if let Some((lo, hi)) = self.bounds {
-            if !(lo..=hi).contains(&(*depth as f64)) {
-                return false;
-            }
-        }
-        if self.depth_test
-            && !self
+    }
+
+    /// [`TestStage::run`] with the side effects that can happen fixed at
+    /// compile time: with neither, the loop only compares and counts.
+    #[inline(always)]
+    fn run_with<const STENCIL_WRITES: bool, const DEPTH_WRITE: bool>(
+        &self,
+        stencil: &mut [u8],
+        depth: &mut [u32],
+        q: &[u32],
+        pass: &mut [bool],
+    ) -> u64 {
+        // A `u32` count keeps four lanes per 128-bit vector; a span holds
+        // far fewer than `u32::MAX` fragments.
+        let mut passed = 0u32;
+        let n = pass.len();
+        let (stencil, depth, q) = (&mut stencil[..n], &mut depth[..n], &q[..n]);
+        for l in 0..n {
+            let (stored_s, stored_d, q) = (stencil[l], depth[l], q[l]);
+            let stencil_pass = self
+                .stencil_func
+                .eval(self.stencil_ref, stored_s & self.value_mask);
+            let bounds_pass = (stored_d >= self.bounds.0) & (stored_d <= self.bounds.1);
+            let depth_pass = self
                 .depth_func
-                .eval(q & self.depth_mask, *depth & self.depth_mask)
-        {
-            if st.enabled {
-                *stencil = st.write(*stencil, st.op_zfail);
+                .eval(q & self.depth_mask, stored_d & self.depth_mask);
+            let live = pass[l];
+            let tested = live & stencil_pass & bounds_pass;
+            let passes = tested & depth_pass;
+            pass[l] = passes;
+            passed += passes as u32;
+            if STENCIL_WRITES {
+                // A byte of ones where the outcome holds; a fragment in
+                // none of them (dead, or out of bounds) keeps its value.
+                let fail = 0xFF * (live & !stencil_pass) as u8;
+                let zfail = 0xFF * (tested & !depth_pass) as u8;
+                let zpass = 0xFF * passes as u8;
+                let new = (self.ops[0].apply(stored_s) & fail)
+                    | (self.ops[1].apply(stored_s) & zfail)
+                    | (self.ops[2].apply(stored_s) & zpass)
+                    | (stored_s & !(fail | zfail | zpass));
+                stencil[l] = (new & self.write_mask) | (stored_s & !self.write_mask);
             }
-            return false;
+            if DEPTH_WRITE {
+                depth[l] = if passes { q } else { stored_d };
+            }
         }
-        if st.enabled {
-            *stencil = st.write(*stencil, st.op_zpass);
-        }
-        if self.depth_write {
-            *depth = q;
-        }
-        true
+        u64::from(passed)
     }
 }
 
@@ -362,12 +515,12 @@ impl Tests {
 #[derive(Debug)]
 pub(crate) struct SpanKernel<'a> {
     path: Path<'a>,
-    tests: Tests,
+    tests: TestStage,
     alpha: AlphaState,
     /// Whether the flat quad color passes the alpha test.
     flat_alpha_pass: bool,
-    /// The quad depth, quantized.
-    q_quad: u32,
+    /// The quad depth, quantized, in every lane.
+    q_quad: [u32; LANES],
     draw_color: [f32; 4],
     color_mask: [bool; 4],
     color_any: bool,
@@ -402,10 +555,10 @@ impl<'a> SpanKernel<'a> {
         let mask = state.color_mask;
         SpanKernel {
             path,
-            tests: Tests::new(state),
+            tests: TestStage::new(state),
             alpha: state.alpha,
             flat_alpha_pass: state.alpha.test(inputs.draw_color[3]),
-            q_quad: quantize_depth(inputs.quad_depth as f64),
+            q_quad: [quantize_depth(inputs.quad_depth as f64); LANES],
             draw_color: inputs.draw_color,
             color_mask: [mask.red, mask.green, mask.blue, mask.alpha],
             color_any: mask.any(),
@@ -448,58 +601,43 @@ impl<'a> SpanKernel<'a> {
         let depth = &mut band.depth[start..start + len];
         let color = &mut band.color[start..start + len];
         cost.fragments += len as u64;
+        // A flat color failing the alpha test discards every fragment
+        // before the stencil stage: nothing is written.
+        if matches!(self.path, Path::Fixed) && !self.flat_alpha_pass {
+            return;
+        }
         let mut passed = 0u64;
-        match &self.path {
-            Path::Fixed => {
-                // A flat color failing the alpha test discards every
-                // fragment before the stencil stage: nothing is written.
-                if !self.flat_alpha_pass {
-                    return;
-                }
-                for ((s, d), c) in stencil.iter_mut().zip(depth.iter_mut()).zip(color) {
-                    if self.tests.run(s, d, self.q_quad) {
-                        passed += 1;
-                        if self.color_any {
-                            self.write_color(c, self.draw_color);
+        let mut pass = [true; LANES];
+        let mut q = self.q_quad;
+        for first in (0..len).step_by(LANES) {
+            let n = (len - first).min(LANES);
+            let span = first..first + n;
+            let (stencil, depth) = (&mut stencil[span.clone()], &mut depth[span.clone()]);
+            let (pass, color) = (&mut pass[..n], &mut color[span]);
+            let survivors = match &self.path {
+                Path::Fixed => {
+                    pass.fill(true);
+                    let survivors = self.tests.run(stencil, depth, &q[..n], pass);
+                    if self.color_any {
+                        for (c, &p) in color.iter_mut().zip(&*pass) {
+                            if p {
+                                self.write_color(c, self.draw_color);
+                            }
                         }
                     }
+                    survivors
                 }
-            }
-            Path::Early(program) => {
-                let mut pass = [false; LANES];
-                for first in (0..len).step_by(LANES) {
-                    let n = (len - first).min(LANES);
-                    let mut survivors = 0u64;
-                    let span = first..first + n;
-                    let (s, d) = (&mut stencil[span.clone()], &mut depth[span]);
-                    for ((p, s), d) in pass[..n].iter_mut().zip(s).zip(d) {
-                        *p = self.tests.run(s, d, self.q_quad);
-                        survivors += u64::from(*p);
-                    }
-                    passed += survivors;
+                Path::Early(program) => {
+                    pass.fill(true);
+                    let survivors = self.tests.run(stencil, depth, &q[..n], pass);
                     if self.color_any && survivors > 0 {
                         program.run(lanes, x0 + first, y, n);
-                        let out = program.color(lanes);
-                        for (l, _) in pass[..n].iter().enumerate().filter(|(_, p)| **p) {
-                            let rgba = [out[0][l], out[1][l], out[2][l], out[3][l]];
-                            self.write_color(&mut color[first + l], rgba);
-                        }
+                        self.write_program_color(program, lanes, color, pass);
                     }
+                    survivors
                 }
-                // Survivors are shaded only when the program has an
-                // observable output; early-z skips the rest.
-                if self.color_any {
-                    cost.shaded += passed;
-                }
-                cost.early_rejected += len as u64 - passed;
-            }
-            Path::Late(program) => {
-                let mut q = [self.q_quad; LANES];
-                let mut live = [true; LANES];
-                for first in (0..len).step_by(LANES) {
-                    let n = (len - first).min(LANES);
+                Path::Late(program) => {
                     program.run(lanes, x0 + first, y, n);
-                    let out = program.color(lanes);
                     if program.writes_depth() {
                         for (q, &d) in q[..n].iter_mut().zip(&lanes.depth[..n]) {
                             *q = quantize_depth(d as f64);
@@ -507,41 +645,186 @@ impl<'a> SpanKernel<'a> {
                     }
                     // Killed lanes and alpha failures are discarded before
                     // the stencil stage, with no side effects.
-                    for ((live, &killed), &alpha) in live[..n]
-                        .iter_mut()
-                        .zip(&lanes.killed[..n])
-                        .zip(&out[3][..n])
+                    let alpha = &program.color(lanes)[3][..n];
+                    for ((live, &killed), &alpha) in
+                        pass.iter_mut().zip(&lanes.killed[..n]).zip(alpha)
                     {
                         *live = !killed && self.alpha.test(alpha);
                     }
-                    let span = first..first + n;
-                    let (stencil, depth) = (&mut stencil[span.clone()], &mut depth[span]);
-                    for (l, ((s, d), &q)) in stencil
-                        .iter_mut()
-                        .zip(depth.iter_mut())
-                        .zip(&q[..n])
-                        .enumerate()
-                    {
-                        if live[l] && self.tests.run(s, d, q) {
-                            passed += 1;
-                            if self.color_any {
-                                let rgba = [out[0][l], out[1][l], out[2][l], out[3][l]];
-                                self.write_color(&mut color[first + l], rgba);
-                            }
-                        }
+                    let survivors = self.tests.run(stencil, depth, &q[..n], pass);
+                    if self.color_any {
+                        self.write_program_color(program, lanes, color, pass);
                     }
+                    survivors
                 }
-                cost.shaded += len as u64;
+            };
+            passed += survivors;
+        }
+        match self.path {
+            Path::Fixed => {}
+            // Survivors are shaded only when the program has an observable
+            // output; early-z skips the rest.
+            Path::Early(_) => {
+                if self.color_any {
+                    cost.shaded += passed;
+                }
+                cost.early_rejected += len as u64 - passed;
             }
+            Path::Late(_) => cost.shaded += len as u64,
         }
         cost.passed += passed;
+    }
+
+    /// Write the program's output color to the passing lanes of a span.
+    #[inline(always)]
+    fn write_program_color(
+        &self,
+        program: &LoweredProgram<'_>,
+        lanes: &Lanes,
+        color: &mut [[f32; 4]],
+        pass: &[bool],
+    ) {
+        let out = program.color(lanes);
+        for (l, (c, &p)) in color.iter_mut().zip(pass).enumerate() {
+            if p {
+                self.write_color(c, [out[0][l], out[1][l], out[2][l], out[3][l]]);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{CompareFunc, StencilOp};
+    use crate::buffers::DEPTH_MAX;
+    use crate::state::{DepthBoundsState, StencilState};
+
+    const FUNCS: [CompareFunc; 8] = [
+        CompareFunc::Never,
+        CompareFunc::Less,
+        CompareFunc::Equal,
+        CompareFunc::LessEqual,
+        CompareFunc::Greater,
+        CompareFunc::NotEqual,
+        CompareFunc::GreaterEqual,
+        CompareFunc::Always,
+    ];
+
+    #[test]
+    fn op_forms_match_stencil_write() {
+        let ops = [
+            StencilOp::Keep,
+            StencilOp::Zero,
+            StencilOp::Replace,
+            StencilOp::Incr,
+            StencilOp::Decr,
+            StencilOp::Invert,
+            StencilOp::IncrWrap,
+            StencilOp::DecrWrap,
+        ];
+        for op in ops {
+            for reference in [0, 1, 2, 0x7F, 0x80, 0xA5, 0xFF] {
+                let form = OpForm::new(op, reference);
+                for write_mask in [0xFF, 0x0F, 0x01, 0x00, 0x5A] {
+                    let st = StencilState {
+                        reference,
+                        write_mask,
+                        ..Default::default()
+                    };
+                    for stored in 0..=u8::MAX {
+                        // The write-mask merge of `TestStage::run_with`.
+                        let new = form.apply(stored);
+                        let merged = (new & write_mask) | (stored & !write_mask);
+                        assert_eq!(
+                            merged,
+                            st.write(stored, op),
+                            "{op:?} ref {reference} mask {write_mask:#x} stored {stored}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compare_bits_match_compare_func() {
+        let edges = [0, 1, DEPTH_MAX - 1, DEPTH_MAX, DEPTH_MAX + 1, u32::MAX];
+        for func in FUNCS {
+            let bits = CompareBits::new(func);
+            for a in edges {
+                for b in edges {
+                    assert_eq!(bits.eval(a, b), func.eval(a, b), "{func:?} {a} {b}");
+                }
+            }
+            for a in [0u8, 1, 2, 0xFF] {
+                for b in [0u8, 1, 2, 0xFF] {
+                    assert_eq!(bits.eval(a, b), func.eval(a, b), "{func:?} {a} {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn raw_bounds_match_float_test() {
+        let step = 1.0 / DEPTH_SCALE;
+        let k = 0x5A_5A5A_u32;
+        let grid = f64::from(k) * step;
+        let bounds = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            -1.0,
+            -step / 2.0,
+            -0.0,
+            0.0,
+            step / 2.0,
+            step,
+            0.25,
+            0.5,
+            grid,
+            grid - step / 2.0,
+            grid + step / 2.0,
+            1.0 - step,
+            1.0 - step / 2.0,
+            1.0,
+            1.5,
+            f64::from(u32::MAX) * step,
+            (f64::from(u32::MAX) + 0.5) * step,
+            256.0,
+            1e300,
+        ];
+        let raws = [
+            0,
+            1,
+            k - 1,
+            k,
+            k + 1,
+            1 << 22,
+            1 << 23,
+            DEPTH_MAX - 1,
+            DEPTH_MAX,
+            DEPTH_MAX + 1,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for min in bounds {
+            for max in bounds {
+                let test = DepthBoundsState {
+                    enabled: true,
+                    min,
+                    max,
+                };
+                let (lo, hi) = raw_bounds(min, max);
+                for raw in raws {
+                    assert_eq!(
+                        lo <= raw && raw <= hi,
+                        test.test(dequantize_depth(raw)),
+                        "[{min}, {max}] raw {raw}"
+                    );
+                }
+            }
+        }
+    }
 
     fn env_fixed(state: &PipelineState) -> PipelineEnv<'_> {
         PipelineEnv {

@@ -100,23 +100,29 @@ pub struct DrawInputs<'a> {
 }
 
 /// Minimum total fragment count before the rasterizer fans out across
-/// host threads (below this, thread startup dominates).
+/// host threads (below this, thread startup dominates), for draws with a
+/// fragment program and for fixed-function draws.
 ///
-/// Measured with the span kernel on a shared 2-vCPU x86-64 VM: full-quad
-/// draws of 512-pixel rows, median of interleaved one- and two-band draws,
-/// as the ratio two-band / one-band time, for two runs:
+/// Measured with the data-parallel test stage on a shared 2-vCPU x86-64
+/// VM: full-quad draws of 512-pixel rows over a 0/1 stencil selection,
+/// median of 201 interleaved one- and two-band draws, as the ratio
+/// two-band / one-band time, for two runs:
 ///
 /// | fragments | copy-to-depth | fixed compare | semi-linear | TestBit    |
 /// |-----------|---------------|---------------|-------------|------------|
-/// | 16k       | 1.02, 0.84    | 1.09, 0.84    | 0.98, 1.00  | 0.99, 0.75 |
-/// | 32k       | 0.75, 0.69    | 0.91, 0.99    | 0.80, 0.73  | 0.81, 0.68 |
-/// | 64k       | 0.65, 0.61    | 0.90, 0.79    | 0.77, 0.57  | 0.73, 0.66 |
-/// | 128k      | 0.64, 0.69    | 0.74, 0.71    | 0.68, 0.62  | 0.59, 0.65 |
+/// | 16k       | 0.78, 0.89    | 2.09, 2.03    | 0.86, 0.83  | 1.12, 0.92 |
+/// | 32k       | 0.66, 0.77    | 1.32, 1.75    | 0.75, 0.75  | 0.74, 0.72 |
+/// | 64k       | 0.60, 0.56    | 1.08, 0.91    | 0.59, 0.58  | 0.63, 0.61 |
+/// | 128k      | 0.61, 0.57    | 0.90, 0.87    | 0.57, 0.58  | 0.64, 0.56 |
 ///
-/// One band took 230–330 µs at 16k and 0.17–0.65 ms at 32k. At 16k a
-/// split is a wash; from 32k program passes gain 20–30% and fixed-function
-/// passes break even, so splitting starts at 32k.
-const PARALLEL_THRESHOLD: usize = 1 << 15;
+/// One band took 33–38 µs for a fixed compare at 16k (~2.2 ns/fragment)
+/// and 170–320 µs for a program pass; a second band adds ~40 µs of thread
+/// start-up. Program passes gain from 32k; fixed-function passes lose up
+/// to 2× below 64k and break even there. So a draw with a program splits
+/// from 32k fragments and one without from 64k.
+const PROGRAM_PARALLEL_THRESHOLD: usize = 1 << 15;
+/// See [`PROGRAM_PARALLEL_THRESHOLD`].
+const FIXED_PARALLEL_THRESHOLD: usize = 1 << 16;
 
 /// Host threads available for row bands, looked up once per process (on
 /// Linux each lookup reads cgroup files).
@@ -194,11 +200,12 @@ pub fn rasterize(
 ) -> GpuResult<DrawCost> {
     check_rects(fb, rects)?;
     let area: usize = rects.iter().map(Rect::area).sum();
-    let bands = if area < PARALLEL_THRESHOLD {
-        1
+    let threshold = if inputs.program.is_some() {
+        PROGRAM_PARALLEL_THRESHOLD
     } else {
-        host_threads()
+        FIXED_PARALLEL_THRESHOLD
     };
+    let bands = if area < threshold { 1 } else { host_threads() };
     Ok(rasterize_in_bands(inputs, fb, rects, profile, bands))
 }
 
@@ -376,9 +383,10 @@ mod tests {
     #[test]
     fn row_bands_match_reference() {
         // Bands split the framebuffer at row boundaries that fall inside
-        // rects; every band count must leave the reference's bytes.
-        use crate::program::builtin;
-        use crate::state::CompareFunc;
+        // rects; every band count must leave the reference's bytes, for a
+        // program pass and for the database layer's fixed-function passes.
+        use crate::program::{assemble, builtin};
+        use crate::state::{ColorMask, CompareFunc, StencilOp};
         let (w, h) = (37, 11);
         let data = (0..w * h).map(|i| ((i * 7919) % 1000) as f32).collect();
         let texture = Texture::from_data(w, h, crate::TextureFormat::R, data).unwrap();
@@ -386,38 +394,93 @@ mod tests {
         let mut env = [[0.0f32; 4]; 32];
         env[builtin::ENV_SCALE] = [1.0 / 1000.0, 0.0, 0.0, 0.0];
         env[builtin::ENV_CHANNEL] = builtin::channel_selector(0);
-        let program = builtin::copy_to_depth();
-        let mut state = PipelineState::default();
-        state.depth.test_enabled = true;
-        state.depth.func = CompareFunc::Less;
-        state.stencil.enabled = true;
-        state.stencil.op_zpass = crate::StencilOp::Incr;
-        let inputs = DrawInputs {
-            state: &state,
-            program: Some(&program),
-            textures: &textures,
-            env: &env,
-            quad_depth: 0.0,
-            draw_color: [1.0; 4],
-            early_z: true,
+        let copy = builtin::copy_to_depth();
+        let shade = assemble(
+            "!!ARBfp1.0
+             TEX R0, fragment.texcoord[0], texture[0], 2D;
+             MUL result.color, R0, program.env[0].x;
+             END",
+        )
+        .unwrap();
+
+        let mut copy_state = PipelineState::default();
+        copy_state.depth.test_enabled = true;
+        copy_state.depth.func = CompareFunc::Less;
+        copy_state.stencil.enabled = true;
+        copy_state.stencil.op_zpass = StencilOp::Incr;
+        // The database layer's passes draw over a 0/1 selection in the
+        // stencil buffer with color writes off.
+        let mut selected = PipelineState {
+            color_mask: ColorMask::NONE,
+            ..Default::default()
         };
+        selected.stencil.enabled = true;
+        selected.stencil.func = CompareFunc::Equal;
+        selected.stencil.reference = 1;
+        selected.depth.write_enabled = false;
+        // Routine 4.5's per-bit pass: stencil Equal/Keep, depth GEqual.
+        let mut kth = selected.clone();
+        kth.depth.test_enabled = true;
+        kth.depth.func = CompareFunc::GreaterEqual;
+        // A selection pass: mark the records passing the depth test.
+        let mut select = kth.clone();
+        select.stencil.func = CompareFunc::Always;
+        select.stencil.op_zfail = StencilOp::Zero;
+        select.stencil.op_zpass = StencilOp::Replace;
+        // Routine 4.4's range pass.
+        let mut bounds = select.clone();
+        bounds.depth.test_enabled = false;
+        bounds.depth_bounds.enabled = true;
+        bounds.depth_bounds.min = 0.25;
+        bounds.depth_bounds.max = 0.5;
+        // Early-z shading of the selected records that pass a depth test.
+        let mut early = kth.clone();
+        early.color_mask = ColorMask::default();
+        let draws: [(&PipelineState, Option<&FragmentProgram>, f32); 5] = [
+            (&copy_state, Some(&copy), 0.0),
+            (&kth, None, 0.375),
+            (&select, None, 0.625),
+            (&bounds, None, 0.5),
+            (&early, Some(&shade), 0.5),
+        ];
+
         let profile = HardwareProfile::geforce_fx_5900();
         let mut start = Framebuffer::new(w, h);
-        start.depth.clear(0.5);
+        for i in 0..w * h {
+            start.depth.set_raw(i, ((i * 104_729) % (1 << 24)) as u32);
+            start.stencil.set(i, ((i * 31) % 7 % 2) as u8);
+        }
         let layouts = [
             Rect::covering_prefix(w * h - 5, w),
             // Only some middle rows are covered: bands split those.
             vec![Rect::new(3, 4, 20, 5), Rect::new(0, 6, 37, 1)],
             vec![Rect::new(2, 2, 0, 9)],
         ];
-        for rects in &layouts {
-            let mut reference = start.clone();
-            let expected = rasterize_reference(&inputs, &mut reference, rects, &profile).unwrap();
-            for bands in [1, 2, 3, 4, 11, 16] {
-                let mut fb = start.clone();
-                let cost = rasterize_in_bands(&inputs, &mut fb, rects, &profile, bands);
-                assert_eq!(cost, expected, "{bands} bands, {rects:?}");
-                assert_eq!(fb, reference, "{bands} bands, {rects:?}");
+        for (d, &(state, program, quad_depth)) in draws.iter().enumerate() {
+            let inputs = DrawInputs {
+                state,
+                program,
+                textures: &textures,
+                env: &env,
+                quad_depth,
+                draw_color: [1.0; 4],
+                early_z: true,
+            };
+            for rects in &layouts {
+                let mut reference = start.clone();
+                let expected =
+                    rasterize_reference(&inputs, &mut reference, rects, &profile).unwrap();
+                // Some fragments pass and some fail, so the masks matter.
+                if expected.fragments > 0 {
+                    assert!(expected.passed > 0, "draw {d}, {rects:?}");
+                    assert!(expected.passed < expected.fragments, "draw {d}, {rects:?}");
+                }
+                for bands in [1, 2, 3, 4, 11, 16] {
+                    let mut fb = start.clone();
+                    let cost = rasterize_in_bands(&inputs, &mut fb, rects, &profile, bands);
+                    assert_eq!(cost, expected, "draw {d}, {bands} bands, {rects:?}");
+                    assert_eq!(fb, reference, "draw {d}, {bands} bands, {rects:?}");
+                }
             }
         }
     }

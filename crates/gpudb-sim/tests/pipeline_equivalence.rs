@@ -528,6 +528,235 @@ proptest! {
     }
 }
 
+/// The path a draw takes through the kernel, as the kernel picks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum DrawPath {
+    Fixed,
+    Early,
+    Late,
+}
+
+/// A draw in the states the database layer uses: a 0/1 (sometimes 2)
+/// selection in the stencil buffer, stencil ops from {Keep, Replace, Zero,
+/// Incr} and often all `Keep`, color writes usually off, depth writes and
+/// depth bounds on or off. Half of the stencil-enabled draws can never
+/// change the stencil, so the compare-and-count loop runs as often as the
+/// loops with side effects.
+struct DatabaseDraw {
+    width: usize,
+    height: usize,
+    state: PipelineState,
+    program: Option<FragmentProgram>,
+    early_z: bool,
+    quad_depth: f32,
+    fb: Framebuffer,
+    rects: Vec<Rect>,
+}
+
+impl DatabaseDraw {
+    fn new(seed: u64) -> DatabaseDraw {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Up to a few 64-fragment spans per row.
+        let width = rng.gen_range(1..200);
+        let height = rng.gen_range(1..6);
+        let early_z = rng.gen_bool(0.5);
+        let (program, early_z, alpha_test) = match rng.gen_range(0..6) {
+            0 | 1 => (None, early_z, false),
+            // No KIL, no depth write: shaded after the tests under early-z.
+            2 | 3 => {
+                let shade = "!!ARBfp1.0
+                             TEX R0, fragment.texcoord[0], texture[0], 2D;
+                             MOV result.color, R0;
+                             END";
+                (Some(assemble(shade).unwrap()), true, false)
+            }
+            // Shaded before the tests: a depth write, KIL, or TestBit's
+            // Accumulator pass (alpha >= 0.5).
+            4 => match rng.gen_range(0..2) {
+                0 => (Some(builtin::copy_to_depth()), early_z, false),
+                _ => (
+                    Some(builtin::semilinear(CompareFunc::GreaterEqual)),
+                    early_z,
+                    false,
+                ),
+            },
+            _ => (Some(builtin::test_bit()), early_z, true),
+        };
+        let ops = [
+            StencilOp::Keep,
+            StencilOp::Replace,
+            StencilOp::Zero,
+            StencilOp::Incr,
+        ];
+        let (op_fail, op_zfail, op_zpass) = if rng.gen_bool(0.5) {
+            (StencilOp::Keep, StencilOp::Keep, StencilOp::Keep)
+        } else {
+            (
+                pick(&mut rng, &ops),
+                pick(&mut rng, &ops),
+                pick(&mut rng, &ops),
+            )
+        };
+        let grid = |rng: &mut StdRng| {
+            let any = dequantize_depth(quantize_depth(rng.gen_range(0.0f64..1.0)));
+            pick(rng, &[0.0, 0.25, 0.5, 0.75, 1.0, any])
+        };
+        // A TestBit-style single-bit depth compare mask.
+        let bit = 1 << rng.gen_range(0..24);
+        let state = PipelineState {
+            alpha: AlphaState {
+                enabled: alpha_test,
+                func: CompareFunc::GreaterEqual,
+                reference: 0.5,
+            },
+            stencil: StencilState {
+                enabled: rng.gen_bool(0.8),
+                func: pick(
+                    &mut rng,
+                    &[
+                        CompareFunc::Equal,
+                        CompareFunc::Always,
+                        CompareFunc::NotEqual,
+                    ],
+                ),
+                reference: rng.gen_range(0..3),
+                value_mask: pick(&mut rng, &[0xFF, 0xFF, 0x01]),
+                write_mask: pick(&mut rng, &[0xFF, 0xFF, 0x01]),
+                op_fail,
+                op_zfail,
+                op_zpass,
+            },
+            depth: DepthState {
+                test_enabled: rng.gen_bool(0.8),
+                func: pick(&mut rng, &FUNCS),
+                write_enabled: rng.gen_bool(0.5),
+                compare_mask: pick(&mut rng, &[DEPTH_MAX, DEPTH_MAX, bit]),
+            },
+            depth_bounds: DepthBoundsState {
+                enabled: rng.gen_bool(0.4),
+                min: grid(&mut rng),
+                max: grid(&mut rng),
+            },
+            scissor: ScissorState::default(),
+            color_mask: if rng.gen_bool(0.6) {
+                ColorMask::NONE
+            } else {
+                ColorMask::default()
+            },
+        };
+        let mut fb = Framebuffer::new(width, height);
+        for i in 0..width * height {
+            fb.color.set(i, [value(&mut rng), 0.0, 0.0, 1.0]);
+            let stored = grid(&mut rng);
+            fb.depth.set_raw(i, quantize_depth(stored));
+            fb.stencil.set(i, pick(&mut rng, &[0, 1, 0, 1, 2]));
+        }
+        let rects = Rect::covering_prefix(rng.gen_range(0..=width * height), width);
+        DatabaseDraw {
+            width,
+            height,
+            quad_depth: grid(&mut rng) as f32,
+            state,
+            program,
+            early_z,
+            fb,
+            rects,
+        }
+    }
+
+    /// Which path and which test-stage specialization (stencil can
+    /// change, depth is written) the kernel runs this draw with.
+    fn class(&self) -> (DrawPath, bool, bool) {
+        let st = &self.state.stencil;
+        let path = match &self.program {
+            None => DrawPath::Fixed,
+            Some(p)
+                if self.early_z && !p.writes_depth && !p.has_kil && !self.state.alpha.enabled =>
+            {
+                DrawPath::Early
+            }
+            Some(_) => DrawPath::Late,
+        };
+        let stencil_writes = st.enabled
+            && st.write_mask != 0
+            && [st.op_fail, st.op_zfail, st.op_zpass]
+                .iter()
+                .any(|&op| op != StencilOp::Keep);
+        (path, stencil_writes, self.state.depth.write_enabled)
+    }
+}
+
+fn run_database_case(seed: u64) {
+    let draw = DatabaseDraw::new(seed);
+    let (width, height) = (draw.width, draw.height);
+    let data = (0..width * height)
+        .map(|i| ((i * 7919 + seed as usize) % 1000) as f32)
+        .collect();
+    let texture = Texture::from_data(width, height, TextureFormat::R, data).unwrap();
+    let bound = [Some(&texture)];
+    let mut env = [[0.0f32; 4]; 32];
+    env[builtin::ENV_SCALE] = [1.0 / 1000.0, 0.0, 0.0, 0.0];
+    env[builtin::ENV_CHANNEL] = builtin::channel_selector(0);
+    env[builtin::ENV_COEFF] = [1.0, 0.0, 0.0, 0.0];
+    env[builtin::ENV_CONST] = [500.0; 4];
+    let inputs = DrawInputs {
+        state: &draw.state,
+        program: draw.program.as_ref(),
+        textures: &bound,
+        env: &env,
+        quad_depth: draw.quad_depth,
+        draw_color: [1.0, 0.5, 0.25, 1.0],
+        early_z: draw.early_z,
+    };
+    assert_equivalent(&inputs, &draw.fb, &draw.rects, &|| {
+        format!(
+            "seed {seed}, {width}x{height}, {:?}, rects {:?}\nstate {:?}",
+            draw.class(),
+            draw.rects,
+            draw.state
+        )
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn kernel_matches_reference_on_database_states(seed in any::<u64>()) {
+        run_database_case(seed);
+    }
+}
+
+/// The database-state generator reaches every path at least 200 times and
+/// every test-stage specialization at least 150 times in 1024 draws, and
+/// each pairing of the two at least 30 times.
+#[test]
+fn database_states_cover_every_path_and_specialization() {
+    let mut counts = std::collections::BTreeMap::new();
+    for seed in 0..1024 {
+        *counts.entry(DatabaseDraw::new(seed).class()).or_insert(0) += 1;
+    }
+    assert_eq!(counts.len(), 12, "{counts:?}");
+    assert!(counts.values().all(|&n| n >= 30), "{counts:?}");
+    let paths = [DrawPath::Fixed, DrawPath::Early, DrawPath::Late];
+    for path in paths {
+        let n: usize = counts
+            .iter()
+            .filter(|(c, _)| c.0 == path)
+            .map(|(_, n)| n)
+            .sum();
+        assert!(n >= 200, "{path:?}: {n} of 1024");
+    }
+    for spec in [(false, false), (false, true), (true, false), (true, true)] {
+        let n: usize = counts
+            .iter()
+            .filter(|(c, _)| (c.1, c.2) == spec)
+            .map(|(_, n)| n)
+            .sum();
+        assert!(n >= 150, "{spec:?}: {n} of 1024");
+    }
+}
+
 /// The paper's programs under the states the database layer draws them
 /// with, on a framebuffer wide enough for several spans per row.
 #[test]
