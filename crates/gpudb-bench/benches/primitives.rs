@@ -5,11 +5,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpudb_bench::harness::Workload;
 use gpudb_core::boolean::{eval_cnf_select, GpuCnf, GpuPredicate};
-use gpudb_core::predicate::{compare_select, copy_to_depth};
+use gpudb_core::ops::encode_depth_f64;
+use gpudb_core::predicate::{compare_select, comparison_pass, copy_to_depth, OcclusionMode};
 use gpudb_core::range::range_select;
+use gpudb_core::selection::SELECTED;
 use gpudb_core::semilinear::semilinear_select;
 use gpudb_data::selectivity::{range_for_selectivity, threshold_for_ge};
-use gpudb_sim::CompareFunc;
+use gpudb_sim::state::ColorMask;
+use gpudb_sim::{CompareFunc, StencilOp};
 use std::time::Duration;
 
 const SIZES: [usize; 3] = [4_096, 16_384, 65_536];
@@ -135,12 +138,110 @@ fn bench_semilinear(c: &mut Criterion) {
     group.finish();
 }
 
+/// One pass of each hot kind over the paper's 1M records (a 1000x1000
+/// record grid), drawn at the device level in the state the database
+/// layer draws it with, so the throughput reads as host fragments/s of
+/// that pass alone:
+///
+/// * `copy_to_depth`: §5.4's copy program (texture fetch, channel `DP4`,
+///   normalize, depth write);
+/// * `kth_count`: Routine 4.5's per-bit compare-and-count pass over a
+///   random 0/1 stencil selection (stencil `Equal`/`Keep`, depth `GEqual`,
+///   occlusion count);
+/// * `stencil_select`: a predicate's selection pass (stencil `Always`,
+///   `Replace` on depth pass);
+/// * `depth_bounds`: Routine 4.4's range pass;
+/// * `semilinear`: Routine 4.2's program pass with `KIL`.
+fn bench_passes_1m(c: &mut Criterion) {
+    let mut group = c.benchmark_group("passes_1m");
+    group.sample_size(20);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
+    let n = 1_000_000;
+    let mut w = Workload::tcpip(n).unwrap();
+    let values = w.dataset.columns[0].values.clone();
+    let (median, _) = threshold_for_ge(&values, 0.5).unwrap();
+    let (low, high, _) = range_for_selectivity(&values, 0.5).unwrap();
+    // A selection of about half the records, by another column.
+    let (other, _) = threshold_for_ge(&w.dataset.columns[1].values, 0.5).unwrap();
+    let table = &w.table;
+    compare_select(&mut w.gpu, table, 1, CompareFunc::GreaterEqual, other).unwrap();
+    group.throughput(Throughput::Elements(n as u64));
+
+    group.bench_function("copy_to_depth", |b| {
+        b.iter(|| copy_to_depth(&mut w.gpu, table, 0).unwrap())
+    });
+    group.bench_function("kth_count", |b| {
+        w.gpu.reset_state();
+        w.gpu
+            .set_stencil_func(true, CompareFunc::Equal, SELECTED, 0xFF);
+        w.gpu
+            .set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Keep);
+        b.iter(|| {
+            comparison_pass(
+                &mut w.gpu,
+                table,
+                CompareFunc::GreaterEqual,
+                median,
+                OcclusionMode::Sync,
+            )
+            .unwrap()
+        })
+    });
+    group.bench_function("stencil_select", |b| {
+        w.gpu.reset_state();
+        w.gpu
+            .set_stencil_func(true, CompareFunc::Always, SELECTED, 0xFF);
+        w.gpu
+            .set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Replace);
+        b.iter(|| {
+            comparison_pass(
+                &mut w.gpu,
+                table,
+                CompareFunc::GreaterEqual,
+                median,
+                OcclusionMode::Async,
+            )
+            .unwrap()
+        })
+    });
+    group.bench_function("depth_bounds", |b| {
+        w.gpu.reset_state();
+        w.gpu.set_color_mask(ColorMask::NONE);
+        w.gpu.set_depth_test(false, CompareFunc::Always);
+        w.gpu.set_depth_write(false);
+        w.gpu
+            .set_depth_bounds(true, encode_depth_f64(low), encode_depth_f64(high))
+            .unwrap();
+        w.gpu
+            .set_stencil_func(true, CompareFunc::Always, SELECTED, 0xFF);
+        w.gpu
+            .set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Replace);
+        b.iter(|| {
+            w.gpu.begin_occlusion_query().unwrap();
+            w.gpu
+                .draw_quad(table.rects(), encode_depth_f64(low) as f32)
+                .unwrap();
+            w.gpu.end_occlusion_query_async().unwrap()
+        })
+    });
+    let coeffs = [0.375f32, -1.25, 2.5, 0.8125];
+    group.bench_function("semilinear", |b| {
+        b.iter(|| {
+            semilinear_select(&mut w.gpu, table, &coeffs, CompareFunc::GreaterEqual, 1e5).unwrap()
+        })
+    });
+    w.gpu.reset_state();
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_copy,
     bench_predicate,
     bench_range,
     bench_multiattr,
-    bench_semilinear
+    bench_semilinear,
+    bench_passes_1m
 );
 criterion_main!(benches);

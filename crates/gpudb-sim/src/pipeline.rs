@@ -24,17 +24,24 @@
 //!   takes (fixed-function, early-z or late), the quantized quad depth, the
 //!   alpha outcome of the flat color, and the test state. It then runs
 //!   the program over row spans of up to [`LANES`] fragments and the tests
-//!   over the same span as one data-parallel stage ([`TestStage`]):
-//!   compare functions become (less, equal, greater) bits, stencil ops
-//!   byte arithmetic, depth bounds an integer range of stored depths, and
-//!   a disabled test one that always passes. Per fragment the stage
-//!   computes stencil, bounds and depth pass masks with no data-dependent
-//!   branch, blends the stencil and depth side effects from them and sums
-//!   the pass mask. The loop is compiled four times, for whether the
-//!   stencil can change and whether depth is written; the database
-//!   layer's counting passes (all ops `Keep`, no depth write) run as a
-//!   plain compare-and-count loop. The late path first clears the lanes
-//!   that `KIL` or the alpha test discarded; the early path shades the
+//!   over the same span as one data-parallel stage ([`TestStage`]). With a
+//!   fixed reference every compare is one wrapping interval test of the
+//!   stored value ([`Interval`]): the stencil test always, the depth test
+//!   whenever the incoming depth is the quad depth, the depth bounds as
+//!   an integer range of stored depths, a disabled test as the full range.
+//!   Only a program-written depth is compared per lane, as (less, equal,
+//!   greater) bits. Stencil ops are byte arithmetic. Per fragment the
+//!   stage computes stencil, bounds and depth pass masks with no
+//!   data-dependent branch, blends the stencil and depth side effects from
+//!   them and sums the pass mask. The loop is specialized on the test form
+//!   (per-lane depth, quad depth, or a draw whose tests cannot fail, which
+//!   compares nothing), whether the stencil can change, whether depth is
+//!   written, and whether a pass mask is kept: a draw that shades and
+//!   colors nothing after the tests runs over the whole row with no mask,
+//!   so the database layer's counting passes (all ops `Keep`, no depth
+//!   write) are a plain compare-and-count loop and its copy pass a depth
+//!   copy. The late path first clears the lanes that `KIL` or the alpha
+//!   test discarded, when the draw has either; the early path shades the
 //!   survivors afterwards.
 //! * [`process_fragment`], the reference semantics: one fragment at a
 //!   time through [`crate::program::interp::execute`]. Only the public
@@ -50,12 +57,14 @@
 //! row bands on parallel host threads, mirroring the device's parallel
 //! pixel pipes.
 
-use crate::buffers::{dequantize_depth, quantize_depth, Framebuffer, DEPTH_SCALE};
+use crate::buffers::{
+    dequantize_depth, quantize_depth, quantize_depth_f32, Framebuffer, DEPTH_SCALE,
+};
 use crate::cost::DrawCost;
 use crate::program::interp::{execute, FragmentContext, FragmentInput};
 use crate::program::isa::FragmentProgram;
 use crate::program::lower::{DrawConstants, Lanes, LoweredProgram, LANES};
-use crate::raster::DrawInputs;
+use crate::raster::{DrawInputs, DrawPath, KernelShape};
 use crate::state::{AlphaState, CompareFunc, PipelineState, ScissorState, StencilOp};
 use crate::texture::Texture;
 
@@ -302,7 +311,8 @@ enum Path<'a> {
 /// A compare function as the orderings it accepts: `incoming op stored`
 /// holds iff the pair is less, equal or greater with that bit set. For
 /// totally ordered integers this is [`CompareFunc::eval`] without a
-/// `match` per fragment.
+/// `match` per fragment. Only the depth test of a program-written depth
+/// needs it; every other test has a fixed reference ([`Interval`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CompareBits {
     lt: bool,
@@ -320,10 +330,73 @@ impl CompareBits {
     }
 
     #[inline(always)]
-    fn eval<T: Ord>(self, incoming: T, stored: T) -> bool {
+    fn eval(self, incoming: u32, stored: u32) -> bool {
         (self.lt & (incoming < stored))
             | (self.eq & (incoming == stored))
             | (self.gt & (incoming > stored))
+    }
+}
+
+/// A compare against a fixed reference as an interval of stored values:
+/// `x` passes iff `(x -wrap lo) <= span`, flipped by `invert`. With the
+/// reference fixed, every [`CompareFunc`] is one such form over `x` in
+/// `0..=u32::MAX`, so each test costs a subtract and one unsigned compare
+/// whatever its function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Interval {
+    lo: u32,
+    span: u32,
+    invert: bool,
+}
+
+impl Interval {
+    const ALWAYS: Interval = Interval {
+        lo: 0,
+        span: u32::MAX,
+        invert: false,
+    };
+    const NEVER: Interval = Interval {
+        invert: true,
+        ..Interval::ALWAYS
+    };
+
+    /// The inclusive range `[lo, hi]`, empty when `lo > hi`.
+    fn between(lo: u32, hi: u32) -> Interval {
+        if lo > hi {
+            return Interval::NEVER;
+        }
+        Interval {
+            lo,
+            span: hi - lo,
+            invert: false,
+        }
+    }
+
+    /// The stored values `x` for which `func.eval(reference, x)` holds.
+    fn of(func: CompareFunc, reference: u32) -> Interval {
+        let r = reference;
+        match func {
+            CompareFunc::Never => Interval::NEVER,
+            CompareFunc::Always => Interval::ALWAYS,
+            CompareFunc::Less => r
+                .checked_add(1)
+                .map_or(Interval::NEVER, |lo| Interval::between(lo, u32::MAX)),
+            CompareFunc::LessEqual => Interval::between(r, u32::MAX),
+            CompareFunc::Greater => r
+                .checked_sub(1)
+                .map_or(Interval::NEVER, |hi| Interval::between(0, hi)),
+            CompareFunc::GreaterEqual => Interval::between(0, r),
+            CompareFunc::Equal => Interval::between(r, r),
+            CompareFunc::NotEqual => Interval {
+                invert: true,
+                ..Interval::between(r, r)
+            },
+        }
+    }
+
+    #[inline(always)]
+    fn contains(self, x: u32) -> bool {
+        (x.wrapping_sub(self.lo) <= self.span) ^ self.invert
     }
 }
 
@@ -390,81 +463,153 @@ fn raw_bounds(min: f64, max: f64) -> (u32, u32) {
     (lo.max(0.0) as u32, hi.min(f64::from(u32::MAX)) as u32)
 }
 
+/// How [`TestStage::run_with`] evaluates the tests, fixed per draw.
+///
+/// Every fragment brings its own (program-written) depth, compared with
+/// [`CompareBits`]; the stencil and bounds tests are intervals.
+const LANE_DEPTH: u8 = 0;
+/// Every fragment has the quad depth, so all three tests are intervals of
+/// stored values.
+const QUAD_DEPTH: u8 = 1;
+/// No test can fail: nothing is compared and every live fragment passes.
+/// A written depth is the lane's own ([`TestStage::new`] picks this form
+/// for a quad-depth draw only when it does not write depth).
+const UNFAILING: u8 = 2;
+
 /// The stencil, depth-bounds and depth tests of one draw as a
-/// data-parallel stage. A disabled test becomes one that always passes
-/// (`Always`, bounds `[0, u32::MAX]`), so every fragment takes the same
-/// instructions: the three outcomes are computed as masks, the stencil and
-/// depth side effects blended from them, and the pass mask summed.
+/// data-parallel stage. A disabled test becomes one that always passes, so
+/// every fragment takes the same instructions: the three outcomes are
+/// computed as masks, the stencil and depth side effects blended from them,
+/// and the pass mask summed.
 #[derive(Debug, Clone, Copy)]
 struct TestStage {
-    stencil_func: CompareBits,
-    /// `reference & value_mask`.
-    stencil_ref: u8,
+    /// The stencil test, on `stored & value_mask`.
+    stencil: Interval,
     value_mask: u8,
     /// The stencil ops on stencil fail, depth fail and depth pass.
     ops: [OpForm; 3],
     write_mask: u8,
-    /// Inclusive raw-domain depth bounds.
-    bounds: (u32, u32),
+    /// The depth bounds test, on the raw stored depth.
+    bounds: Interval,
+    /// The depth test of the quad depth, on `stored & depth_mask`.
+    depth: Interval,
+    /// The depth test of a per-lane depth.
     depth_func: CompareBits,
     depth_mask: u32,
+    /// The quantized quad depth.
+    quad: u32,
+    /// [`LANE_DEPTH`], [`QUAD_DEPTH`] or [`UNFAILING`].
+    form: u8,
     /// Whether any fragment can change its stored stencil value.
     stencil_writes: bool,
     depth_write: bool,
 }
 
 impl TestStage {
-    fn new(state: &PipelineState) -> TestStage {
-        let stencil = &state.stencil;
-        let always = CompareBits::new(CompareFunc::Always);
-        let ops = [stencil.op_fail, stencil.op_zfail, stencil.op_zpass];
-        let bounds = &state.depth_bounds;
+    /// The tests of `state` for fragments at the quantized quad depth
+    /// `quad`, or at their own depth when `lane_depth`.
+    fn new(state: &PipelineState, quad: u32, lane_depth: bool) -> TestStage {
+        let st = &state.stencil;
+        let ops = [st.op_fail, st.op_zfail, st.op_zpass];
+        let stencil = if st.enabled {
+            Interval::of(st.func, u32::from(st.reference & st.value_mask))
+        } else {
+            Interval::ALWAYS
+        };
+        let bounds = if state.depth_bounds.enabled {
+            let (lo, hi) = raw_bounds(state.depth_bounds.min, state.depth_bounds.max);
+            Interval::between(lo, hi)
+        } else {
+            Interval::ALWAYS
+        };
+        let depth_func = if state.depth.test_enabled {
+            state.depth.func
+        } else {
+            CompareFunc::Always
+        };
+        let depth_mask = state.depth.compare_mask;
+        let depth = Interval::of(depth_func, quad & depth_mask);
+        let depth_write = state.depth.write_enabled;
+        // The unfailing form writes each lane's own depth, so a quad-depth
+        // draw takes it only when it writes no depth.
+        let depth_always = if lane_depth {
+            depth_func == CompareFunc::Always
+        } else {
+            depth == Interval::ALWAYS && !depth_write
+        };
+        let form = if stencil == Interval::ALWAYS && bounds == Interval::ALWAYS && depth_always {
+            UNFAILING
+        } else if lane_depth {
+            LANE_DEPTH
+        } else {
+            QUAD_DEPTH
+        };
         TestStage {
-            stencil_func: if stencil.enabled {
-                CompareBits::new(stencil.func)
-            } else {
-                always
-            },
-            stencil_ref: stencil.reference & stencil.value_mask,
-            value_mask: stencil.value_mask,
-            ops: ops.map(|op| OpForm::new(op, stencil.reference)),
-            write_mask: stencil.write_mask,
-            bounds: if bounds.enabled {
-                raw_bounds(bounds.min, bounds.max)
-            } else {
-                (0, u32::MAX)
-            },
-            depth_func: if state.depth.test_enabled {
-                CompareBits::new(state.depth.func)
-            } else {
-                always
-            },
-            depth_mask: state.depth.compare_mask,
-            stencil_writes: stencil.enabled
-                && stencil.write_mask != 0
+            stencil,
+            value_mask: st.value_mask,
+            ops: ops.map(|op| OpForm::new(op, st.reference)),
+            write_mask: st.write_mask,
+            bounds,
+            depth,
+            depth_func: CompareBits::new(depth_func),
+            depth_mask,
+            quad,
+            form,
+            stencil_writes: st.enabled
+                && st.write_mask != 0
                 && ops.iter().any(|&op| op != StencilOp::Keep),
-            depth_write: state.depth.write_enabled,
+            depth_write,
         }
     }
 
-    /// Test a span of fragments of quantized depths `q` against their
-    /// stored `stencil` and `depth`, applying the side effects. On entry
-    /// `pass` holds which fragments are live (a dead one has no effect);
-    /// on return, which passed. Returns how many passed.
+    /// Test a span of fragments against their stored `stencil` and
+    /// `depth`, applying the side effects, and return how many passed.
+    /// `q` holds the fragments' quantized depths when they are their own.
+    ///
+    /// `MASKED`: on entry `pass` holds which fragments are live (a dead one
+    /// has no effect) and on return which passed. Otherwise every fragment
+    /// of `stencil` is live and no mask is kept.
     #[inline(always)]
-    fn run(&self, stencil: &mut [u8], depth: &mut [u32], q: &[u32], pass: &mut [bool]) -> u64 {
+    fn run<const MASKED: bool>(
+        &self,
+        stencil: &mut [u8],
+        depth: &mut [u32],
+        q: &[u32],
+        pass: &mut [bool],
+    ) -> u64 {
+        match self.form {
+            LANE_DEPTH => self.run_form::<MASKED, LANE_DEPTH>(stencil, depth, q, pass),
+            QUAD_DEPTH => self.run_form::<MASKED, QUAD_DEPTH>(stencil, depth, q, pass),
+            _ => self.run_form::<MASKED, UNFAILING>(stencil, depth, q, pass),
+        }
+    }
+
+    #[inline(always)]
+    fn run_form<const MASKED: bool, const FORM: u8>(
+        &self,
+        stencil: &mut [u8],
+        depth: &mut [u32],
+        q: &[u32],
+        pass: &mut [bool],
+    ) -> u64 {
+        let (s, d, q, p) = (stencil, depth, q, pass);
         match (self.stencil_writes, self.depth_write) {
-            (false, false) => self.run_with::<false, false>(stencil, depth, q, pass),
-            (false, true) => self.run_with::<false, true>(stencil, depth, q, pass),
-            (true, false) => self.run_with::<true, false>(stencil, depth, q, pass),
-            (true, true) => self.run_with::<true, true>(stencil, depth, q, pass),
+            (false, false) => self.run_with::<MASKED, FORM, false, false>(s, d, q, p),
+            (false, true) => self.run_with::<MASKED, FORM, false, true>(s, d, q, p),
+            (true, false) => self.run_with::<MASKED, FORM, true, false>(s, d, q, p),
+            (true, true) => self.run_with::<MASKED, FORM, true, true>(s, d, q, p),
         }
     }
 
-    /// [`TestStage::run`] with the side effects that can happen fixed at
-    /// compile time: with neither, the loop only compares and counts.
-    #[inline(always)]
-    fn run_with<const STENCIL_WRITES: bool, const DEPTH_WRITE: bool>(
+    /// [`TestStage::run`] with the test form and the side effects that
+    /// can happen fixed at compile time: a quad-depth pass with neither
+    /// side effect only subtracts, compares and counts.
+    fn run_with<
+        const MASKED: bool,
+        const FORM: u8,
+        const STENCIL_WRITES: bool,
+        const DEPTH_WRITE: bool,
+    >(
         &self,
         stencil: &mut [u8],
         depth: &mut [u32],
@@ -474,21 +619,34 @@ impl TestStage {
         // A `u32` count keeps four lanes per 128-bit vector; a span holds
         // far fewer than `u32::MAX` fragments.
         let mut passed = 0u32;
-        let n = pass.len();
-        let (stencil, depth, q) = (&mut stencil[..n], &mut depth[..n], &q[..n]);
+        let n = if MASKED { pass.len() } else { stencil.len() };
+        let own_depth = FORM == LANE_DEPTH || (FORM == UNFAILING && DEPTH_WRITE);
+        let (stencil, depth) = (&mut stencil[..n], &mut depth[..n]);
+        let q = &q[..if own_depth { n } else { 0 }];
         for l in 0..n {
-            let (stored_s, stored_d, q) = (stencil[l], depth[l], q[l]);
-            let stencil_pass = self
-                .stencil_func
-                .eval(self.stencil_ref, stored_s & self.value_mask);
-            let bounds_pass = (stored_d >= self.bounds.0) & (stored_d <= self.bounds.1);
-            let depth_pass = self
-                .depth_func
-                .eval(q & self.depth_mask, stored_d & self.depth_mask);
-            let live = pass[l];
+            let (stored_s, stored_d) = (stencil[l], depth[l]);
+            let incoming = if own_depth { q[l] } else { self.quad };
+            let (stencil_pass, bounds_pass, depth_pass) = if FORM == UNFAILING {
+                (true, true, true)
+            } else {
+                let depth_pass = if FORM == LANE_DEPTH {
+                    self.depth_func
+                        .eval(incoming & self.depth_mask, stored_d & self.depth_mask)
+                } else {
+                    self.depth.contains(stored_d & self.depth_mask)
+                };
+                (
+                    self.stencil.contains(u32::from(stored_s & self.value_mask)),
+                    self.bounds.contains(stored_d),
+                    depth_pass,
+                )
+            };
+            let live = !MASKED || pass[l];
             let tested = live & stencil_pass & bounds_pass;
             let passes = tested & depth_pass;
-            pass[l] = passes;
+            if MASKED {
+                pass[l] = passes;
+            }
             passed += passes as u32;
             if STENCIL_WRITES {
                 // A byte of ones where the outcome holds; a fragment in
@@ -503,7 +661,7 @@ impl TestStage {
                 stencil[l] = (new & self.write_mask) | (stored_s & !self.write_mask);
             }
             if DEPTH_WRITE {
-                depth[l] = if passes { q } else { stored_d };
+                depth[l] = if passes { incoming } else { stored_d };
             }
         }
         u64::from(passed)
@@ -517,10 +675,11 @@ pub(crate) struct SpanKernel<'a> {
     path: Path<'a>,
     tests: TestStage,
     alpha: AlphaState,
+    /// Whether some lanes may be dead before the tests: a late-path
+    /// program with `KIL`, or the alpha test on a late-path draw.
+    live_test: bool,
     /// Whether the flat quad color passes the alpha test.
     flat_alpha_pass: bool,
-    /// The quad depth, quantized, in every lane.
-    q_quad: [u32; LANES],
     draw_color: [f32; 4],
     color_mask: [bool; 4],
     color_any: bool,
@@ -532,6 +691,13 @@ impl<'a> SpanKernel<'a> {
     /// Compile a draw over a `fb_size` framebuffer.
     pub fn new(inputs: &DrawInputs<'a>, fb_size: (usize, usize)) -> SpanKernel<'a> {
         let state = inputs.state;
+        let mask = state.color_mask;
+        let color_mask = [mask.red, mask.green, mask.blue, mask.alpha];
+        // The result components the draw reads: those the color mask
+        // writes, and alpha under the alpha test.
+        let color_reads = (0..4)
+            .filter(|&c| color_mask[c] || (c == 3 && state.alpha.enabled))
+            .fold(0, |m, c| m | 1 << c);
         let lower = |p: &FragmentProgram| {
             LoweredProgram::lower(
                 p,
@@ -541,6 +707,7 @@ impl<'a> SpanKernel<'a> {
                     quad_depth: inputs.quad_depth,
                     draw_color: inputs.draw_color,
                     fb_size,
+                    color_reads,
                 },
             )
         };
@@ -552,17 +719,44 @@ impl<'a> SpanKernel<'a> {
             }
             Some(p) => Path::Late(lower(p)),
         };
-        let mask = state.color_mask;
+        let lane_depth = matches!(&path, Path::Late(p) if p.writes_depth());
+        let live_test = matches!(path, Path::Late(_))
+            && (inputs.program.is_some_and(|p| p.has_kil) || state.alpha.enabled);
+        let quad = quantize_depth(inputs.quad_depth as f64);
         SpanKernel {
             path,
-            tests: TestStage::new(state),
+            tests: TestStage::new(state, quad, lane_depth),
             alpha: state.alpha,
+            live_test,
             flat_alpha_pass: state.alpha.test(inputs.draw_color[3]),
-            q_quad: [quantize_depth(inputs.quad_depth as f64); LANES],
             draw_color: inputs.draw_color,
-            color_mask: [mask.red, mask.green, mask.blue, mask.alpha],
+            color_mask,
             color_any: mask.any(),
             scissor: state.scissor,
+        }
+    }
+
+    /// Whether the tests run with no pass mask: nothing is shaded or
+    /// colored after them and every fragment is live.
+    fn mask_free(&self) -> bool {
+        !self.color_any && !self.live_test
+    }
+
+    /// How the draw was compiled.
+    pub fn shape(&self) -> KernelShape {
+        let (path, program) = match &self.path {
+            Path::Fixed => (DrawPath::Fixed, None),
+            Path::Early(p) => (DrawPath::Early, Some(p)),
+            Path::Late(p) => (DrawPath::Late, Some(p)),
+        };
+        KernelShape {
+            path,
+            stencil_writes: self.tests.stencil_writes,
+            depth_write: self.tests.depth_write,
+            mask_free: self.mask_free(),
+            unfailing: self.tests.form == UNFAILING,
+            texel_dots: program.map_or(0, |p| p.texel_dots()),
+            depth_forwarded: program.is_some_and(|p| p.depth_forwarded()),
         }
     }
 
@@ -606,60 +800,13 @@ impl<'a> SpanKernel<'a> {
         if matches!(self.path, Path::Fixed) && !self.flat_alpha_pass {
             return;
         }
-        let mut passed = 0u64;
-        let mut pass = [true; LANES];
-        let mut q = self.q_quad;
-        for first in (0..len).step_by(LANES) {
-            let n = (len - first).min(LANES);
-            let span = first..first + n;
-            let (stencil, depth) = (&mut stencil[span.clone()], &mut depth[span.clone()]);
-            let (pass, color) = (&mut pass[..n], &mut color[span]);
-            let survivors = match &self.path {
-                Path::Fixed => {
-                    pass.fill(true);
-                    let survivors = self.tests.run(stencil, depth, &q[..n], pass);
-                    if self.color_any {
-                        for (c, &p) in color.iter_mut().zip(&*pass) {
-                            if p {
-                                self.write_color(c, self.draw_color);
-                            }
-                        }
-                    }
-                    survivors
-                }
-                Path::Early(program) => {
-                    pass.fill(true);
-                    let survivors = self.tests.run(stencil, depth, &q[..n], pass);
-                    if self.color_any && survivors > 0 {
-                        program.run(lanes, x0 + first, y, n);
-                        self.write_program_color(program, lanes, color, pass);
-                    }
-                    survivors
-                }
-                Path::Late(program) => {
-                    program.run(lanes, x0 + first, y, n);
-                    if program.writes_depth() {
-                        for (q, &d) in q[..n].iter_mut().zip(&lanes.depth[..n]) {
-                            *q = quantize_depth(d as f64);
-                        }
-                    }
-                    // Killed lanes and alpha failures are discarded before
-                    // the stencil stage, with no side effects.
-                    let alpha = &program.color(lanes)[3][..n];
-                    for ((live, &killed), &alpha) in
-                        pass.iter_mut().zip(&lanes.killed[..n]).zip(alpha)
-                    {
-                        *live = !killed && self.alpha.test(alpha);
-                    }
-                    let survivors = self.tests.run(stencil, depth, &q[..n], pass);
-                    if self.color_any {
-                        self.write_program_color(program, lanes, color, pass);
-                    }
-                    survivors
-                }
-            };
-            passed += survivors;
-        }
+        let passed = match &self.path {
+            // Only counts and stencil/depth writes: the whole row at once.
+            Path::Fixed | Path::Early(_) if self.mask_free() => {
+                self.tests.run::<false>(stencil, depth, &[], &mut [])
+            }
+            _ => self.run_chunks(lanes, y, x0, stencil, depth, color),
+        };
         match self.path {
             Path::Fixed => {}
             // Survivors are shaded only when the program has an observable
@@ -673,6 +820,80 @@ impl<'a> SpanKernel<'a> {
             Path::Late(_) => cost.shaded += len as u64,
         }
         cost.passed += passed;
+    }
+
+    /// [`SpanKernel::run_span`] over chunks of up to [`LANES`] fragments,
+    /// for draws that run a program or keep a pass mask.
+    fn run_chunks(
+        &self,
+        lanes: &mut Lanes,
+        y: usize,
+        x0: usize,
+        stencil: &mut [u8],
+        depth: &mut [u32],
+        color: &mut [[f32; 4]],
+    ) -> u64 {
+        let mut passed = 0u64;
+        let mut pass = [true; LANES];
+        let mut q = [0u32; LANES];
+        for first in (0..stencil.len()).step_by(LANES) {
+            let n = (stencil.len() - first).min(LANES);
+            let span = first..first + n;
+            let (stencil, depth) = (&mut stencil[span.clone()], &mut depth[span.clone()]);
+            let (pass, color) = (&mut pass[..n], &mut color[span]);
+            passed += match &self.path {
+                Path::Fixed => {
+                    pass.fill(true);
+                    let survivors = self.tests.run::<true>(stencil, depth, &[], pass);
+                    for (c, &p) in color.iter_mut().zip(&*pass) {
+                        if p {
+                            self.write_color(c, self.draw_color);
+                        }
+                    }
+                    survivors
+                }
+                Path::Early(program) => {
+                    pass.fill(true);
+                    let survivors = self.tests.run::<true>(stencil, depth, &[], pass);
+                    if survivors > 0 {
+                        program.run(lanes, x0 + first, y, n);
+                        self.write_program_color(program, lanes, color, pass);
+                    }
+                    survivors
+                }
+                Path::Late(program) => {
+                    program.run(lanes, x0 + first, y, n);
+                    let q = &mut q[..n];
+                    if program.writes_depth() {
+                        for (q, &d) in q.iter_mut().zip(&lanes.depth[..n]) {
+                            *q = quantize_depth_f32(d);
+                        }
+                    }
+                    if self.mask_free() {
+                        self.tests.run::<false>(stencil, depth, q, &mut [])
+                    } else {
+                        if self.live_test {
+                            // Killed lanes and alpha failures are discarded
+                            // before the stencil stage, with no side effects.
+                            let alpha = &program.color(lanes)[3][..n];
+                            for ((live, &killed), &alpha) in
+                                pass.iter_mut().zip(&lanes.killed[..n]).zip(alpha)
+                            {
+                                *live = !killed && self.alpha.test(alpha);
+                            }
+                        } else {
+                            pass.fill(true);
+                        }
+                        let survivors = self.tests.run::<true>(stencil, depth, q, pass);
+                        if self.color_any {
+                            self.write_program_color(program, lanes, color, pass);
+                        }
+                        survivors
+                    }
+                }
+            };
+        }
+        passed
     }
 
     /// Write the program's output color to the passing lanes of a span.
@@ -746,22 +967,133 @@ mod tests {
         }
     }
 
+    const EDGES: [u32; 6] = [0, 1, DEPTH_MAX - 1, DEPTH_MAX, DEPTH_MAX + 1, u32::MAX];
+
     #[test]
     fn compare_bits_match_compare_func() {
-        let edges = [0, 1, DEPTH_MAX - 1, DEPTH_MAX, DEPTH_MAX + 1, u32::MAX];
         for func in FUNCS {
             let bits = CompareBits::new(func);
-            for a in edges {
-                for b in edges {
-                    assert_eq!(bits.eval(a, b), func.eval(a, b), "{func:?} {a} {b}");
-                }
-            }
-            for a in [0u8, 1, 2, 0xFF] {
-                for b in [0u8, 1, 2, 0xFF] {
+            for a in EDGES {
+                for b in EDGES {
                     assert_eq!(bits.eval(a, b), func.eval(a, b), "{func:?} {a} {b}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn stencil_intervals_match_compare_func() {
+        // Every function, reference and stored byte, as `TestStage` builds
+        // and applies the stencil test.
+        for func in FUNCS {
+            for value_mask in [0xFF, 0x01, 0x00] {
+                for reference in 0..=u8::MAX {
+                    let state = PipelineState {
+                        stencil: StencilState {
+                            enabled: true,
+                            func,
+                            reference,
+                            value_mask,
+                            ..Default::default()
+                        },
+                        ..Default::default()
+                    };
+                    let stage = TestStage::new(&state, 0, false);
+                    for stored in 0..=u8::MAX {
+                        assert_eq!(
+                            stage.stencil.contains(u32::from(stored & stage.value_mask)),
+                            state.stencil.test(stored),
+                            "{func:?} ref {reference} mask {value_mask:#x} stored {stored}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn depth_intervals_match_compare_func() {
+        // The quad-depth form for every edge pair under full, 24-bit and
+        // empty compare masks.
+        for func in FUNCS {
+            for compare_mask in [u32::MAX, DEPTH_MAX, 0] {
+                for quad in EDGES {
+                    let mut state = PipelineState::default();
+                    state.depth.test_enabled = true;
+                    state.depth.func = func;
+                    state.depth.compare_mask = compare_mask;
+                    let stage = TestStage::new(&state, quad, false);
+                    for stored in EDGES {
+                        assert_eq!(
+                            stage.depth.contains(stored & stage.depth_mask),
+                            func.eval(quad & compare_mask, stored & compare_mask),
+                            "{func:?} mask {compare_mask:#x} quad {quad} stored {stored}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_intervals_hold_nothing() {
+        let empty = [
+            // r < x with r at the top of the domain.
+            Interval::of(CompareFunc::Less, u32::MAX),
+            // r > x with r = 0.
+            Interval::of(CompareFunc::Greater, 0),
+            Interval::of(CompareFunc::Never, 7),
+            Interval::between(1, 0),
+            Interval::between(u32::MAX, 0),
+        ];
+        for interval in empty {
+            assert_eq!(interval, Interval::NEVER);
+            for x in EDGES {
+                assert!(!interval.contains(x), "{interval:?} {x}");
+            }
+        }
+        // Bounds holding no stored depth stay empty through `raw_bounds`.
+        let step = 1.0 / DEPTH_SCALE;
+        for (min, max) in [(0.5, 0.25), (0.25 + step / 4.0, 0.25 + step / 2.0)] {
+            let (lo, hi) = raw_bounds(min, max);
+            assert_eq!(Interval::between(lo, hi), Interval::NEVER, "[{min}, {max}]");
+        }
+        assert_eq!(Interval::of(CompareFunc::Always, 9), Interval::ALWAYS);
+        assert!(EDGES.iter().all(|&x| Interval::ALWAYS.contains(x)));
+    }
+
+    #[test]
+    fn unfailing_form_needs_every_test_to_pass() {
+        // The copy pass: stencil and bounds off, depth test off, depth
+        // written from the program.
+        let mut copy = PipelineState::default();
+        copy.depth.test_enabled = false;
+        copy.depth.write_enabled = true;
+        assert_eq!(TestStage::new(&copy, 0, true).form, UNFAILING);
+        // At the quad depth, a written depth keeps the quad form.
+        assert_eq!(TestStage::new(&copy, 0, false).form, QUAD_DEPTH);
+        copy.depth.write_enabled = false;
+        assert_eq!(TestStage::new(&copy, 0, false).form, UNFAILING);
+        // A stencil `Always` that replaces still cannot fail.
+        let mut semilinear = copy.clone();
+        semilinear.stencil.enabled = true;
+        semilinear.stencil.func = CompareFunc::Always;
+        semilinear.stencil.op_zpass = StencilOp::Replace;
+        assert_eq!(TestStage::new(&semilinear, 0, false).form, UNFAILING);
+        // Any test that can fail keeps the compares.
+        let mut kth = copy.clone();
+        kth.depth.test_enabled = true;
+        kth.depth.func = CompareFunc::GreaterEqual;
+        assert_eq!(TestStage::new(&kth, 1, false).form, QUAD_DEPTH);
+        assert_eq!(TestStage::new(&kth, 1, true).form, LANE_DEPTH);
+        // `0 <= stored` holds for every stored depth: nothing can fail.
+        let mut at_zero = kth.clone();
+        at_zero.depth.func = CompareFunc::LessEqual;
+        assert_eq!(TestStage::new(&at_zero, 0, false).form, UNFAILING);
+        assert_eq!(TestStage::new(&at_zero, 0, true).form, LANE_DEPTH);
+        let mut bounds = copy;
+        bounds.depth_bounds.enabled = true;
+        assert_eq!(TestStage::new(&bounds, 0, true).form, LANE_DEPTH);
     }
 
     #[test]

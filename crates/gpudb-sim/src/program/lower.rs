@@ -21,6 +21,21 @@
 //! Each instruction computes only the components it writes, reading all of
 //! its sources before writing its destination, as the interpreter does.
 //!
+//! The lowered program is then rewritten for the draw:
+//!
+//! * liveness: walking back from what the draw reads — the color channels
+//!   it writes, alpha under the alpha test, the last depth written, and
+//!   every `KIL` operand — instructions whose results nothing reads are
+//!   dropped and the rest narrowed to the components read (semi-linear's
+//!   `MOV result.color, R0` goes under a `NONE` color mask);
+//! * a trailing `MOV result.depth, Rn.c` folds into the instruction just
+//!   before it when that computes `Rn.c`: it writes the depth directly;
+//! * `TEX t, pixel; DP4 d, t, k` with `t` read whole, unswizzled and
+//!   unnegated, `k` constant, and `t` dead after the `DP4`, becomes one
+//!   texel-dot step reading the interleaved texels directly. The
+//!   copy-to-depth program lowers to a texel dot and a `MUL` into the
+//!   depth.
+//!
 //! Exactness: the kernel must reproduce the interpreter bit for bit.
 //!
 //! * Arithmetic keeps the interpreter's f32 operation order: left-associated
@@ -30,8 +45,10 @@
 //!   indexes texel `(x, y)` directly, since `floor(x as f32 + 0.5) == x`
 //!   for every `x < 2^23`; any other coordinate keeps the floor and
 //!   clamp-to-edge path.
+//! * The texel dot sums `((t0*k0 + t1*k1) + t2*k2) + t3*k3`, the `DP4`'s
+//!   order, over the texel values `TEX` would return.
 //! * Lanes killed by `KIL` keep computing; the caller must ignore their
-//!   depth and color.
+//!   depth and color, and color channels the draw does not read.
 
 use super::isa::{DstReg, FragmentProgram, Instruction, Opcode, SrcOperand, SrcReg};
 use crate::texture::Texture;
@@ -78,12 +95,14 @@ const ZERO_SRC: Src = Src {
 };
 
 /// A lowered destination.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dst {
     /// Register slot (a temp or the result color) under a write mask.
     Reg { slot: usize, mask: u8 },
-    /// `result.depth`: the z channel, whatever the mask.
-    Depth,
+    /// `result.depth`, taken from component `comp` of the result: z for a
+    /// `result.depth` destination (whatever its mask), or the component a
+    /// forwarded `MOV result.depth` read.
+    Depth { comp: usize },
 }
 
 /// Texture coordinate source of a lowered `TEX`.
@@ -101,7 +120,7 @@ enum Step<'a> {
     Alu {
         op: Opcode,
         dst: Dst,
-        /// Components computed: the write mask, or z for `result.depth`.
+        /// Components computed: the write mask, or the depth component.
         comps: u8,
         /// Per source, per result component.
         srcs: Box<[[Src; 4]; 3]>,
@@ -116,6 +135,42 @@ enum Step<'a> {
         /// The distinct source components tested.
         src: Vec<Src>,
     },
+    /// `TEX t, pixel; DP4 dst, t, k` with `t` dead after the `DP4`: the dot
+    /// of each lane's texel with the constants `k`, broadcast to `dst`.
+    TexDot {
+        dst: Dst,
+        texture: Option<&'a Texture>,
+        k: [f32; 4],
+    },
+}
+
+impl Step<'_> {
+    /// The step's destination, if it writes one.
+    fn dst(&self) -> Option<Dst> {
+        match self {
+            Step::Alu { dst, .. } | Step::Tex { dst, .. } | Step::TexDot { dst, .. } => Some(*dst),
+            Step::Kil { .. } => None,
+        }
+    }
+
+    /// Visit every source component the step reads.
+    fn for_each_read(&self, mut f: impl FnMut(Src)) {
+        match self {
+            Step::Alu {
+                op, comps, srcs, ..
+            } => {
+                for src in srcs.iter() {
+                    each(reads(*op, *comps)).for_each(|c| f(src[c]));
+                }
+            }
+            Step::Tex {
+                coord: TexCoord::Lanes(xy),
+                ..
+            } => xy.iter().copied().for_each(f),
+            Step::Kil { src } => src.iter().copied().for_each(f),
+            Step::Tex { .. } | Step::TexDot { .. } => {}
+        }
+    }
 }
 
 /// Per-span working storage for one lowered program. Each band thread owns
@@ -131,7 +186,7 @@ pub(crate) struct Lanes {
 }
 
 /// A fragment program lowered against one draw's environment, textures,
-/// quad depth and flat color.
+/// quad depth, flat color and color reads.
 #[derive(Debug)]
 pub(crate) struct LoweredProgram<'a> {
     steps: Vec<Step<'a>>,
@@ -143,6 +198,7 @@ pub(crate) struct LoweredProgram<'a> {
     uses_py: bool,
     has_kil: bool,
     writes_depth: bool,
+    depth_forwarded: bool,
     /// Final output color per component (never negated).
     color: [Col; 4],
 }
@@ -159,6 +215,9 @@ pub(crate) struct DrawConstants<'a> {
     pub draw_color: [f32; 4],
     /// Framebuffer width and height.
     pub fb_size: (usize, usize),
+    /// The `result.color` components the draw reads (a 4-bit mask): those
+    /// it writes to the framebuffer, and alpha under the alpha test.
+    pub color_reads: u8,
 }
 
 /// Component indices set in a 4-bit mask.
@@ -197,18 +256,14 @@ struct Lowerer<'a, 'p> {
     consts: Vec<f32>,
     /// (temp register index, slot) pairs.
     temp_slots: Vec<(usize, usize)>,
-    /// Components written so far, per slot.
-    written: Vec<u8>,
+    slots: usize,
     color_slot: Option<usize>,
-    zero_init: Vec<(usize, usize)>,
-    uses_px: bool,
-    uses_py: bool,
 }
 
 impl<'a> Lowerer<'a, '_> {
     fn new_slot(&mut self) -> usize {
-        self.written.push(0);
-        self.written.len() - 1
+        self.slots += 1;
+        self.slots - 1
     }
 
     fn temp_slot(&mut self, index: usize) -> usize {
@@ -244,21 +299,15 @@ impl<'a> Lowerer<'a, '_> {
         let sign = if operand.negate { SIGN } else { 0 };
         let value = match operand.reg {
             SrcReg::Temp(i) => {
-                let slot = self.temp_slot(i);
-                if self.written[slot] & (1 << raw) == 0 && !self.zero_init.contains(&(slot, raw)) {
-                    self.zero_init.push((slot, raw));
-                }
                 return Src {
-                    col: Col::Reg { slot, comp: raw },
+                    col: Col::Reg {
+                        slot: self.temp_slot(i),
+                        comp: raw,
+                    },
                     sign,
                 };
             }
             SrcReg::TexCoord(_) | SrcReg::Position if raw < 2 => {
-                if raw == 0 {
-                    self.uses_px = true;
-                } else {
-                    self.uses_py = true;
-                }
                 return Src {
                     col: Col::Reg {
                         slot: INPUT,
@@ -291,7 +340,7 @@ impl<'a> Lowerer<'a, '_> {
     fn dst(&mut self, reg: DstReg, mask: u8) -> (Dst, u8) {
         let mask = mask & 0b1111;
         let slot = match reg {
-            DstReg::ResultDepth => return (Dst::Depth, 0b0100),
+            DstReg::ResultDepth => return (Dst::Depth { comp: 2 }, 0b0100),
             DstReg::Temp(i) => self.temp_slot(i),
             DstReg::ResultColor => match self.color_slot {
                 Some(slot) => slot,
@@ -305,12 +354,6 @@ impl<'a> Lowerer<'a, '_> {
         (Dst::Reg { slot, mask }, mask)
     }
 
-    fn mark_written(&mut self, dst: Dst) {
-        if let Dst::Reg { slot, mask } = dst {
-            self.written[slot] |= mask;
-        }
-    }
-
     fn step(&mut self, inst: &Instruction) -> Step<'a> {
         match inst {
             Instruction::Alu { op, dst, srcs } => {
@@ -320,7 +363,6 @@ impl<'a> Lowerer<'a, '_> {
                 for (slot, src) in lowered.iter_mut().zip(srcs) {
                     *slot = self.src_comps(src.as_ref(), read);
                 }
-                self.mark_written(lowered_dst);
                 Step::Alu {
                     op: *op,
                     dst: lowered_dst,
@@ -333,26 +375,15 @@ impl<'a> Lowerer<'a, '_> {
                 let [x, y, _, _] = self.src_comps(Some(coord), 0b0011);
                 let pixel_exact = self.draw.fb_size.0 <= PIXEL_EXACT_DIM
                     && self.draw.fb_size.1 <= PIXEL_EXACT_DIM;
-                let px = Src {
-                    col: Col::Reg {
-                        slot: INPUT,
-                        comp: 0,
-                    },
+                let pixel = |comp| Src {
+                    col: Col::Reg { slot: INPUT, comp },
                     sign: 0,
                 };
-                let py = Src {
-                    col: Col::Reg {
-                        slot: INPUT,
-                        comp: 1,
-                    },
-                    sign: 0,
-                };
-                let coord = if pixel_exact && x == px && y == py {
+                let coord = if pixel_exact && x == pixel(0) && y == pixel(1) {
                     TexCoord::Pixel
                 } else {
                     TexCoord::Lanes([x, y])
                 };
-                self.mark_written(lowered_dst);
                 Step::Tex {
                     dst: lowered_dst,
                     comps,
@@ -373,6 +404,153 @@ impl<'a> Lowerer<'a, '_> {
     }
 }
 
+/// Fold a trailing `MOV result.depth, Rn.c` into the step before it when
+/// that step computes `Rn.c`: it then writes component `c` of its result
+/// to the depth instead. `Rn` is a temp (sources never read the result
+/// color), so nothing reads it after the last instruction. Returns whether
+/// it folded.
+fn forward_depth(steps: &mut Vec<Step<'_>>) -> bool {
+    let [.., prev, Step::Alu {
+        op: Opcode::Mov,
+        dst: Dst::Depth { .. },
+        srcs,
+        ..
+    }] = steps.as_mut_slice()
+    else {
+        return false;
+    };
+    let Src {
+        col: Col::Reg { slot, comp },
+        sign: 0,
+    } = srcs[0][2]
+    else {
+        return false;
+    };
+    let (Step::Alu { dst, comps, .. } | Step::Tex { dst, comps, .. }) = prev else {
+        return false;
+    };
+    match *dst {
+        Dst::Reg { slot: s, mask } if s == slot && mask & (1 << comp) != 0 => {
+            *dst = Dst::Depth { comp };
+            *comps = 1 << comp;
+            steps.pop();
+            true
+        }
+        _ => false,
+    }
+}
+
+/// `TEX t, pixel; DP4 dst, t, k` as one [`Step::TexDot`], when the `DP4`
+/// reads the whole texel unswizzled and unnegated, `k` is constant, and
+/// nothing reads `t` after the `DP4` (`live`: per slot, the components
+/// read later, less those the `DP4` rewrites).
+fn fuse<'a>(tex: &Step<'a>, dp4: &Step<'a>, consts: &[f32], live: &[u8]) -> Option<Step<'a>> {
+    let Step::Tex {
+        dst: Dst::Reg {
+            slot: t,
+            mask: 0b1111,
+        },
+        coord: TexCoord::Pixel,
+        texture,
+        ..
+    } = *tex
+    else {
+        return None;
+    };
+    let Step::Alu {
+        op: Opcode::Dp4,
+        dst,
+        srcs,
+        ..
+    } = dp4
+    else {
+        return None;
+    };
+    let texel = (0..4).all(|comp| {
+        srcs[0][comp]
+            == Src {
+                col: Col::Reg { slot: t, comp },
+                sign: 0,
+            }
+    });
+    let mut k = [0.0; 4];
+    for (k, src) in k.iter_mut().zip(&srcs[1]) {
+        let Col::Const(i) = src.col else {
+            return None;
+        };
+        // Constants carry their negation folded in.
+        *k = consts[i];
+    }
+    (texel && live[t] == 0).then_some(Step::TexDot {
+        dst: *dst,
+        texture,
+        k,
+    })
+}
+
+/// Narrow a destination to the components read after it (`live`, then
+/// updated to before it) and return whether any is. Only the last depth
+/// write is read.
+fn narrow(dst: &mut Dst, live: &mut [u8], depth_live: &mut bool) -> bool {
+    match dst {
+        Dst::Depth { .. } => std::mem::replace(depth_live, false),
+        Dst::Reg { slot, mask } => {
+            let read = *mask & live[*slot];
+            live[*slot] &= !*mask;
+            *mask = read;
+            read != 0
+        }
+    }
+}
+
+/// Liveness: walking back from the outputs the draw reads (`color_reads`
+/// of the result color, the last depth written) and the `KIL`s, drop the
+/// steps whose results nothing reads, narrow the rest to the components
+/// read, and fuse `TEX; DP4` pairs ([`fuse`]).
+fn prune<'a>(
+    mut steps: Vec<Step<'a>>,
+    slots: usize,
+    color: Option<(usize, u8)>,
+    consts: &[f32],
+) -> Vec<Step<'a>> {
+    // Per slot, the components some later step or output reads.
+    let mut live = vec![0u8; slots];
+    if let Some((slot, reads)) = color {
+        live[slot] = reads;
+    }
+    let mut depth_live = true;
+    let mut kept = Vec::with_capacity(steps.len());
+    while let Some(mut step) = steps.pop() {
+        let keep = match &mut step {
+            Step::Kil { .. } => true,
+            Step::Alu { dst, comps, .. } | Step::Tex { dst, comps, .. } => {
+                let keep = narrow(dst, &mut live, &mut depth_live);
+                if let Dst::Reg { mask, .. } = dst {
+                    *comps = *mask;
+                }
+                keep
+            }
+            Step::TexDot { dst, .. } => narrow(dst, &mut live, &mut depth_live),
+        };
+        if !keep {
+            continue;
+        }
+        if let Some(fused) = steps.last().and_then(|tex| fuse(tex, &step, consts, &live)) {
+            // The `TEX` result dies here: `live` already holds none of it.
+            steps.pop();
+            step = fused;
+        }
+        step.for_each_read(|src| {
+            if let Col::Reg { slot, comp } = src.col {
+                live[slot] |= 1 << comp;
+            }
+        });
+        kept.push(step);
+    }
+    kept.reverse();
+    kept
+}
+
 impl<'a> LoweredProgram<'a> {
     /// Lower `program` against one draw's constants.
     pub fn lower(program: &FragmentProgram, draw: &DrawConstants<'a>) -> LoweredProgram<'a> {
@@ -381,45 +559,63 @@ impl<'a> LoweredProgram<'a> {
             draw,
             consts: vec![0.0],
             temp_slots: Vec::new(),
-            written: vec![0b0011],
+            slots: INPUT + 1,
             color_slot: None,
-            zero_init: Vec::new(),
-            uses_px: false,
-            uses_py: false,
         };
-        let steps: Vec<Step<'a>> = program
+        let mut steps: Vec<Step<'a>> = program
             .instructions
             .iter()
             .map(|inst| lowerer.step(inst))
             .collect();
+        let depth_forwarded = forward_depth(&mut steps);
+        let color_slot = lowerer.color_slot;
+        let steps = prune(
+            steps,
+            lowerer.slots,
+            color_slot.map(|slot| (slot, draw.color_reads)),
+            &lowerer.consts,
+        );
+
+        // Temp components read before any write start at 0, as in the
+        // interpreter's zeroed register file; the pixel centre is filled
+        // only where read.
+        let mut written = vec![0u8; lowerer.slots];
+        let mut zero_init = Vec::new();
+        let mut uses = [false; 2];
+        for step in &steps {
+            step.for_each_read(|src| match src.col {
+                Col::Reg { slot: INPUT, comp } => uses[comp] = true,
+                Col::Reg { slot, comp } => {
+                    if written[slot] & (1 << comp) == 0 && !zero_init.contains(&(slot, comp)) {
+                        zero_init.push((slot, comp));
+                    }
+                }
+                Col::Const(_) => {}
+            });
+            if let Some(Dst::Reg { slot, mask }) = step.dst() {
+                written[slot] |= mask;
+            }
+        }
         // Color components no instruction writes keep the flat quad color.
         let mut color = [Col::Const(ZERO); 4];
         for (c, out) in color.iter_mut().enumerate() {
-            *out = match lowerer.color_slot {
-                Some(slot) if lowerer.written[slot] & (1 << c) != 0 => Col::Reg { slot, comp: c },
+            *out = match color_slot {
+                Some(slot) if written[slot] & (1 << c) != 0 => Col::Reg { slot, comp: c },
                 _ => lowerer.constant(draw.draw_color[c]).col,
             };
         }
         LoweredProgram {
             has_kil: steps.iter().any(|s| matches!(s, Step::Kil { .. })),
-            writes_depth: steps.iter().any(|s| {
-                matches!(
-                    s,
-                    Step::Alu {
-                        dst: Dst::Depth,
-                        ..
-                    } | Step::Tex {
-                        dst: Dst::Depth,
-                        ..
-                    }
-                )
-            }),
+            writes_depth: steps
+                .iter()
+                .any(|s| matches!(s.dst(), Some(Dst::Depth { .. }))),
+            depth_forwarded,
             steps,
             consts: lowerer.consts,
-            slots: lowerer.written.len(),
-            zero_init: lowerer.zero_init,
-            uses_px: lowerer.uses_px,
-            uses_py: lowerer.uses_py,
+            slots: lowerer.slots,
+            zero_init,
+            uses_px: uses[0],
+            uses_py: uses[1],
             color,
         }
     }
@@ -439,7 +635,21 @@ impl<'a> LoweredProgram<'a> {
         self.writes_depth
     }
 
-    /// The output color columns after [`LoweredProgram::run`].
+    /// How many `TEX; DP4` pairs were fused into texel-dot steps.
+    pub fn texel_dots(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| matches!(s, Step::TexDot { .. }))
+            .count()
+    }
+
+    /// Whether a trailing `MOV result.depth` was folded into its producer.
+    pub fn depth_forwarded(&self) -> bool {
+        self.depth_forwarded
+    }
+
+    /// The output color columns after [`LoweredProgram::run`]. Components
+    /// the draw does not read may hold stale values.
     pub fn color<'l>(&self, lanes: &'l Lanes) -> [&'l Column; 4] {
         self.color.map(|col| lanes.col(col))
     }
@@ -482,6 +692,10 @@ impl<'a> LoweredProgram<'a> {
                     lanes.store(*dst, false, n);
                 }
                 Step::Kil { src } => lanes.kil(src, n),
+                Step::TexDot { dst, texture, k } => {
+                    lanes.tex_dot(*texture, *k, x0, y, n);
+                    lanes.store(*dst, true, n);
+                }
             }
         }
     }
@@ -508,6 +722,37 @@ fn floor(x: f32) -> f32 {
         // Already integral, infinite or NaN: libm returns `x`, quieted.
         x + 0.0
     }
+}
+
+/// `DP4` of a texel with constants: `((t0*k0 + t1*k1) + t2*k2) + t3*k3`,
+/// the interpreter's left-associated sum.
+#[inline(always)]
+fn dot(t: [f32; 4], k: [f32; 4]) -> f32 {
+    t[0] * k[0] + t[1] * k[1] + t[2] * k[2] + t[3] * k[3]
+}
+
+/// [`Lanes::tex_dot`] for a texture of `CH` channels: lanes past the right
+/// edge read the edge texel, rows past the bottom the last row, and missing
+/// channels expand to 0 (alpha to 1), as [`Texture::fetch`].
+#[inline(always)]
+fn dot_texels<const CH: usize>(out: &mut [f32], t: &Texture, k: [f32; 4], x0: usize, y: usize) {
+    let (w, h, data) = (t.width(), t.height(), t.data());
+    let texel = |i: usize| {
+        let mut v = [0.0, 0.0, 0.0, 1.0];
+        v[..CH].copy_from_slice(&data[i * CH..(i + 1) * CH]);
+        v
+    };
+    let row = y.min(h - 1) * w;
+    let inside = out.len().min(w.saturating_sub(x0));
+    if inside > 0 {
+        let texels = &data[(row + x0) * CH..(row + x0 + inside) * CH];
+        for (o, i) in out[..inside].iter_mut().zip(texels.chunks_exact(CH)) {
+            let mut v = [0.0, 0.0, 0.0, 1.0];
+            v[..CH].copy_from_slice(i);
+            *o = dot(v, k);
+        }
+    }
+    out[inside..].fill(dot(texel(row + w - 1), k));
 }
 
 /// A column read together with its sign mask.
@@ -682,6 +927,23 @@ impl Lanes {
         }
     }
 
+    /// The dot product of each lane's texel `(x0 + l, y)` with `k` into
+    /// `res[0]`: a pixel-coordinate `TEX` and a `DP4` with constants, read
+    /// straight from the interleaved texels, in the `DP4`'s order.
+    fn tex_dot(&mut self, texture: Option<&Texture>, k: [f32; 4], x0: usize, y: usize, n: usize) {
+        let out = &mut self.res[0][..n];
+        let Some(t) = texture else {
+            out.fill(dot([0.0, 0.0, 0.0, 1.0], k));
+            return;
+        };
+        match t.format().channels() {
+            1 => dot_texels::<1>(out, t, k, x0, y),
+            2 => dot_texels::<2>(out, t, k, x0, y),
+            3 => dot_texels::<3>(out, t, k, x0, y),
+            _ => dot_texels::<4>(out, t, k, x0, y),
+        }
+    }
+
     fn kil(&mut self, src: &[Src], n: usize) {
         let Lanes {
             regs,
@@ -709,10 +971,180 @@ impl Lanes {
                     regs[slot][c][..n].copy_from_slice(&res[from][..n]);
                 }
             }
-            Dst::Depth => {
-                let from = if broadcast { 0 } else { 2 };
+            Dst::Depth { comp } => {
+                let from = if broadcast { 0 } else { comp };
                 depth[..n].copy_from_slice(&res[from][..n]);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::{assemble, builtin};
+    use crate::state::CompareFunc;
+    use crate::texture::TextureFormat;
+
+    fn lower_with<'a>(
+        program: &FragmentProgram,
+        textures: &'a [Option<&'a Texture>],
+        env: &'a [[f32; 4]],
+        color_reads: u8,
+    ) -> LoweredProgram<'a> {
+        LoweredProgram::lower(
+            program,
+            &DrawConstants {
+                textures,
+                env,
+                quad_depth: 0.5,
+                draw_color: [1.0; 4],
+                fb_size: (8, 8),
+                color_reads,
+            },
+        )
+    }
+
+    /// The lowered steps by kind: `TEX`, `TEXDOT`, `KIL` or the opcode.
+    fn kinds(program: &LoweredProgram<'_>) -> Vec<String> {
+        program
+            .steps
+            .iter()
+            .map(|s| match s {
+                Step::Alu { op, .. } => format!("{op:?}"),
+                Step::Tex { .. } => "TEX".into(),
+                Step::Kil { .. } => "KIL".into(),
+                Step::TexDot { .. } => "TEXDOT".into(),
+            })
+            .collect()
+    }
+
+    fn with_texture(f: impl FnOnce(&[Option<&Texture>], &[[f32; 4]])) {
+        let texture = Texture::from_data(8, 8, TextureFormat::Rgba, vec![0.5; 256]).unwrap();
+        let env = [[0.25, -1.0, 2.0, 0.5]; 8];
+        f(&[Some(&texture)], &env);
+    }
+
+    #[test]
+    fn liveness_drops_what_no_output_reads() {
+        with_texture(|textures, env| {
+            // Semilinear under a `NONE` color mask: `MOV result.color, R0`
+            // is dead, so R0 dies at the `DP4` and the pair fuses.
+            let semilinear = builtin::semilinear(CompareFunc::GreaterEqual);
+            let colorless = lower_with(&semilinear, textures, env, 0);
+            assert_eq!(kinds(&colorless), ["TEXDOT", "Sub", "Sge", "Sub", "KIL"]);
+            // Written colors keep the `MOV`, and R0 stays live past the `DP4`.
+            let colored = lower_with(&semilinear, textures, env, 0b0111);
+            assert_eq!(
+                kinds(&colored),
+                ["TEX", "Dp4", "Sub", "Sge", "Sub", "KIL", "Mov"]
+            );
+            let Step::Alu { comps, .. } = colored.steps[6] else {
+                panic!("{:?}", colored.steps[6]);
+            };
+            assert_eq!(comps, 0b0111, "narrowed to the written channels");
+
+            // The alpha test reads alpha; `KIL` reads its operand.
+            let program = assemble(
+                "!!ARBfp1.0
+                 TEX R0, fragment.texcoord[0], texture[0], 2D;
+                 MUL R1, R0, program.env[0];
+                 ADD R2.x, R0.y, 1.0;
+                 KIL R2.x;
+                 MOV result.color, R1;
+                 END",
+            )
+            .unwrap();
+            let alpha = lower_with(&program, textures, env, 0b1000);
+            assert_eq!(kinds(&alpha), ["TEX", "Mul", "Add", "KIL", "Mov"]);
+            let Step::Alu { comps, .. } = alpha.steps[1] else {
+                panic!("{:?}", alpha.steps[1]);
+            };
+            assert_eq!(comps, 0b1000, "only alpha of R1 is read");
+            let Step::Tex { comps, .. } = alpha.steps[0] else {
+                panic!("{:?}", alpha.steps[0]);
+            };
+            assert_eq!(comps, 0b1010, "R0.w for the color, R0.y for KIL");
+            let nothing = lower_with(&program, textures, env, 0);
+            assert_eq!(kinds(&nothing), ["TEX", "Add", "KIL"]);
+        });
+    }
+
+    #[test]
+    fn copy_to_depth_fuses_and_forwards() {
+        with_texture(|textures, env| {
+            let copy = lower_with(&builtin::copy_to_depth(), textures, env, 0);
+            assert_eq!(kinds(&copy), ["TEXDOT", "Mul"]);
+            assert_eq!(copy.texel_dots(), 1);
+            assert!(copy.depth_forwarded() && copy.writes_depth());
+            let Step::Alu { dst, comps, .. } = copy.steps[1] else {
+                panic!("{:?}", copy.steps[1]);
+            };
+            assert_eq!((dst, comps), (Dst::Depth { comp: 0 }, 0b0001));
+            // Nothing reads the pixel centre or a temp before writing it.
+            assert!(!copy.uses_px && !copy.uses_py && copy.zero_init.is_empty());
+        });
+    }
+
+    #[test]
+    fn depth_forwarding_needs_the_adjacent_producer() {
+        with_texture(|textures, env| {
+            let forwarded = |body: &str| {
+                let source = format!("!!ARBfp1.0\n{body}\nEND");
+                let program = assemble(&source).unwrap();
+                lower_with(&program, textures, env, 0).depth_forwarded()
+            };
+            assert!(forwarded(
+                "MUL R1, fragment.position, 2.0; MOV result.depth, R1.y;"
+            ));
+            // `R1.y` was written before the instruction ahead of the `MOV`.
+            assert!(!forwarded(
+                "MOV R1, fragment.position; MUL R1.x, R1.y, 2.0; MOV result.depth, R1.y;"
+            ));
+            // Negated, not last, or not adjacent.
+            assert!(!forwarded(
+                "MUL R1, fragment.position, 2.0; MOV result.depth, -R1.y;"
+            ));
+            assert!(!forwarded(
+                "MUL R1, fragment.position, 2.0; MOV result.depth, R1.y; MOV result.color, R1;"
+            ));
+            assert!(!forwarded(
+                "MUL R1, fragment.position, 2.0; ADD R2, R1, 1.0; MOV result.depth, R1.y;"
+            ));
+        });
+    }
+
+    #[test]
+    fn fusion_needs_a_whole_dead_constant_texel_dot() {
+        with_texture(|textures, env| {
+            let fused = |body: &str| {
+                let source = format!(
+                    "!!ARBfp1.0
+                     TEX R0, fragment.texcoord[0], texture[0], 2D;
+                     {body}
+                     MOV result.depth, R1.x;
+                     END"
+                );
+                lower_with(&assemble(&source).unwrap(), textures, env, 0).texel_dots()
+            };
+            assert_eq!(fused("DP4 R1.x, R0, program.env[1];"), 1);
+            assert_eq!(fused("DP4 R1.x, R0, -program.env[1].wzyx;"), 1);
+            // The texel overwritten by the dot itself is dead too.
+            assert_eq!(fused("DP4 R0.x, R0, program.env[1]; MOV R1.x, R0.x;"), 1);
+            // Swizzled, negated, or read again afterwards: no fusion.
+            assert_eq!(fused("DP4 R1.x, R0.wzyx, program.env[1];"), 0);
+            assert_eq!(fused("DP4 R1.x, R0.xyzx, program.env[1];"), 0);
+            assert_eq!(fused("DP4 R1.x, -R0, program.env[1];"), 0);
+            assert_eq!(
+                fused("DP4 R1.x, R0, program.env[1]; ADD R1.x, R1.x, R0.y;"),
+                0
+            );
+            assert_eq!(
+                fused("DP4 R0.x, R0, program.env[1]; ADD R1.x, R0.x, R0.y;"),
+                0
+            );
+            // A non-constant second operand.
+            assert_eq!(fused("DP4 R1.x, R0, fragment.texcoord[0];"), 0);
+        });
     }
 }

@@ -99,30 +99,75 @@ pub struct DrawInputs<'a> {
     pub early_z: bool,
 }
 
+/// The sequence every fragment of a draw follows through the span kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum DrawPath {
+    /// No program: flat depth and color.
+    Fixed,
+    /// Early-z: test with the quad depth, then shade the survivors.
+    Early,
+    /// Shade first (the program may discard or replace depth), then test.
+    Late,
+}
+
+/// How the draw path compiles one draw, for tests and diagnostics: which
+/// specialization of the test stage runs and which rewrites the program
+/// lowering applied. It never changes what a draw computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct KernelShape {
+    /// The path the fragments take.
+    pub path: DrawPath,
+    /// Whether some fragment can change its stored stencil value.
+    pub stencil_writes: bool,
+    /// Whether passing fragments write depth.
+    pub depth_write: bool,
+    /// Whether the tests run with no pass mask (nothing is shaded or
+    /// colored after them and every fragment is live).
+    pub mask_free: bool,
+    /// Whether no test can fail, so none is evaluated.
+    pub unfailing: bool,
+    /// `TEX; DP4` pairs fused into one texel-dot step.
+    pub texel_dots: usize,
+    /// Whether a trailing `MOV result.depth` was folded into the
+    /// instruction that computed its value.
+    pub depth_forwarded: bool,
+}
+
+/// The [`KernelShape`] [`rasterize`] compiles `inputs` into on a
+/// `fb_size` framebuffer.
+pub fn kernel_shape(inputs: &DrawInputs<'_>, fb_size: (usize, usize)) -> KernelShape {
+    SpanKernel::new(inputs, fb_size).shape()
+}
+
 /// Minimum total fragment count before the rasterizer fans out across
 /// host threads (below this, thread startup dominates), for draws with a
 /// fragment program and for fixed-function draws.
 ///
-/// Measured with the data-parallel test stage on a shared 2-vCPU x86-64
-/// VM: full-quad draws of 512-pixel rows over a 0/1 stencil selection,
-/// median of 201 interleaved one- and two-band draws, as the ratio
-/// two-band / one-band time, for two runs:
+/// Measured with the interval-form test stage and the fused copy program
+/// on a shared 2-vCPU x86-64 VM: full-quad draws of 512-pixel rows over a
+/// 0/1 stencil selection, in the database layer's states, 201 interleaved
+/// one- and two-band draws per cell; the ratio of the two-band to the
+/// one-band median, median of three runs:
 ///
-/// | fragments | copy-to-depth | fixed compare | semi-linear | TestBit    |
-/// |-----------|---------------|---------------|-------------|------------|
-/// | 16k       | 0.78, 0.89    | 2.09, 2.03    | 0.86, 0.83  | 1.12, 0.92 |
-/// | 32k       | 0.66, 0.77    | 1.32, 1.75    | 0.75, 0.75  | 0.74, 0.72 |
-/// | 64k       | 0.60, 0.56    | 1.08, 0.91    | 0.59, 0.58  | 0.63, 0.61 |
-/// | 128k      | 0.61, 0.57    | 0.90, 0.87    | 0.57, 0.58  | 0.64, 0.56 |
+/// | fragments | copy-to-depth | compare-and-count | stencil select | semi-linear | TestBit |
+/// |-----------|---------------|-------------------|----------------|-------------|---------|
+/// | 16k       | 1.22          | 3.18              | 1.63           | 0.97        | 0.99    |
+/// | 32k       | 0.96          | 1.64              | 1.03           | 0.83        | 0.94    |
+/// | 64k       | 0.79          | 1.11              | 0.81           | 0.73        | 0.74    |
+/// | 128k      | 0.69          | 0.89              | 0.90           | 0.76        | 0.67    |
+/// | 256k      | 0.64          | 0.85              | 0.67           | 0.62        | 0.60    |
 ///
-/// One band took 33–38 µs for a fixed compare at 16k (~2.2 ns/fragment)
-/// and 170–320 µs for a program pass; a second band adds ~40 µs of thread
-/// start-up. Program passes gain from 32k; fixed-function passes lose up
-/// to 2× below 64k and break even there. So a draw with a program splits
-/// from 32k fragments and one without from 64k.
+/// One band took 10–11 µs for a compare-and-count pass at 16k (~0.7
+/// ns/fragment), 0.7–0.9 ms for a stencil select at 256k (~3 ns) and
+/// 47–66 µs for a copy at 16k (~3.5 ns); a second band adds 40–60 µs of
+/// thread start-up. Program passes gain from 32k. Fixed-function passes
+/// lose up to 3× below 64k, the compare-and-count pass (the most frequent,
+/// one per bit of Routine 4.5) still loses at 64k and gains from 128k. So
+/// a draw with a program splits from 32k fragments and one without from
+/// 128k.
 const PROGRAM_PARALLEL_THRESHOLD: usize = 1 << 15;
 /// See [`PROGRAM_PARALLEL_THRESHOLD`].
-const FIXED_PARALLEL_THRESHOLD: usize = 1 << 16;
+const FIXED_PARALLEL_THRESHOLD: usize = 1 << 17;
 
 /// Host threads available for row bands, looked up once per process (on
 /// Linux each lookup reads cgroup files).

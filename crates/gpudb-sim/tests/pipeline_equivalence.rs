@@ -14,10 +14,12 @@ use gpudb_sim::cost::{DrawCost, HardwareProfile};
 use gpudb_sim::program::builtin;
 use gpudb_sim::program::parser::assemble;
 use gpudb_sim::program::FragmentProgram;
-use gpudb_sim::raster::{rasterize, rasterize_reference, DrawInputs};
+use gpudb_sim::raster::{
+    kernel_shape, rasterize, rasterize_reference, DrawInputs, DrawPath, KernelShape,
+};
 use gpudb_sim::state::{
     AlphaState, ColorMask, CompareFunc, DepthBoundsState, DepthState, PipelineState, ScissorState,
-    StencilOp, StencilState,
+    StencilOp, StencilState, DEPTH_COMPARE_MASK_ALL,
 };
 use gpudb_sim::{Rect, Texture, TextureFormat};
 use proptest::prelude::*;
@@ -155,6 +157,27 @@ fn tex_coord(rng: &mut StdRng) -> String {
     }
 }
 
+/// A `DP4` reading the texel just fetched into `R{temp}`: usually whole
+/// and with constants, as the lowering fuses it when the temp then dies;
+/// sometimes swizzled, negated or against a varying operand.
+fn texel_dot(rng: &mut StdRng, temp: usize) -> String {
+    let texel = match rng.gen_range(0..6) {
+        0 => format!(
+            "R{temp}{}",
+            pick(rng, &[".xzyw", ".xyzx", ".xxyy", ".wzyx"])
+        ),
+        1 => format!("-R{temp}"),
+        _ => format!("R{temp}"),
+    };
+    let other = match rng.gen_range(0..6) {
+        0 => source(rng),
+        1 => literal(rng),
+        _ => format!("program.env[{}]{}", rng.gen_range(0..4), swizzle(rng)),
+    };
+    let (dst, _) = destination(rng);
+    format!("DP4 {dst}, {texel}, {other};\n")
+}
+
 fn random_program(rng: &mut StdRng) -> String {
     let mut src = format!("!!ARBfp1.0\nPARAM k = {};\n", literal(rng));
     // Seed R0..R2 with texel data so later arithmetic sees varied values;
@@ -165,6 +188,9 @@ fn random_program(rng: &mut StdRng) -> String {
                 "TEX R{temp}, fragment.texcoord[0], texture[{}], 2D;\n",
                 rng.gen_range(0..TEXTURE_UNITS)
             ));
+            if rng.gen_bool(0.4) {
+                src.push_str(&texel_dot(rng, temp));
+            }
         }
     }
     let mut last_temp = None;
@@ -528,20 +554,63 @@ proptest! {
     }
 }
 
-/// The path a draw takes through the kernel, as the kernel picks it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum DrawPath {
-    Fixed,
-    Early,
-    Late,
+/// Shading programs the early path runs after the tests: a plain texel
+/// copy, and `DP4`s of the fetched texel that fuse (the texel dies at the
+/// `DP4`) or do not (the texel is read again, swizzled or negated).
+const EARLY_PROGRAMS: [&str; 5] = [
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     MOV result.color, R0;",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 result.color, R0, program.env[2];",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1.x, R0, program.env[2];
+     MUL result.color, R1.x, R0;",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1.x, R0.xzyw, program.env[2];
+     MOV result.color, R1.x;",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1.x, -R0, program.env[2];
+     MOV result.color, R1.xxxx;",
+];
+
+/// Depth-writing programs beside the copy: the depth `MOV` follows its
+/// producer (forwarded) or not (another instruction between, another
+/// component written, a `MOV` after it), after a whole or a swizzled
+/// texel dot.
+const DEPTH_PROGRAMS: [&str; 4] = [
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1.x, R0.xzyw, program.env[1];
+     MUL R1.x, R1.x, program.env[0].x;
+     MOV result.depth, R1.x;",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1.x, R0, program.env[1];
+     MUL R1.y, R1.x, program.env[0].x;
+     MOV result.depth, R1.x;",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1.x, R0, program.env[1];
+     MUL R2.x, R1.x, program.env[0].x;
+     ADD R3.x, R1.x, R0.x;
+     MOV result.depth, R2.x;",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1, R0, program.env[1];
+     MUL R1.yz, R1, program.env[0].x;
+     MOV result.depth, R1.y;
+     MOV result.color, R1;",
+];
+
+fn assemble_body(body: &str) -> FragmentProgram {
+    assemble(&format!("!!ARBfp1.0\n{body}\nEND")).unwrap()
 }
 
 /// A draw in the states the database layer uses: a 0/1 (sometimes 2)
 /// selection in the stencil buffer, stencil ops from {Keep, Replace, Zero,
 /// Incr} and often all `Keep`, color writes usually off, depth writes and
-/// depth bounds on or off. Half of the stencil-enabled draws can never
-/// change the stencil, so the compare-and-count loop runs as often as the
-/// loops with side effects.
+/// depth bounds on or off, references and quad depths at the ends of their
+/// ranges, empty and inverted bounds. Half of the stencil-enabled draws can
+/// never change the stencil, so the compare-and-count loop runs as often
+/// as the loops with side effects. The copy and semi-linear programs are
+/// often drawn in exactly the database layer's state for them, where no
+/// test can fail.
 struct DatabaseDraw {
     width: usize,
     height: usize,
@@ -551,6 +620,8 @@ struct DatabaseDraw {
     quad_depth: f32,
     fb: Framebuffer,
     rects: Vec<Rect>,
+    texture: Texture,
+    env: [[f32; 4]; 32],
 }
 
 impl DatabaseDraw {
@@ -560,27 +631,28 @@ impl DatabaseDraw {
         let width = rng.gen_range(1..200);
         let height = rng.gen_range(1..6);
         let early_z = rng.gen_bool(0.5);
-        let (program, early_z, alpha_test) = match rng.gen_range(0..6) {
+        let (program, early_z, alpha_test) = match rng.gen_range(0..8) {
             0 | 1 => (None, early_z, false),
             // No KIL, no depth write: shaded after the tests under early-z.
-            2 | 3 => {
-                let shade = "!!ARBfp1.0
-                             TEX R0, fragment.texcoord[0], texture[0], 2D;
-                             MOV result.color, R0;
-                             END";
-                (Some(assemble(shade).unwrap()), true, false)
-            }
+            2 | 3 => (
+                Some(assemble_body(pick(&mut rng, &EARLY_PROGRAMS))),
+                true,
+                false,
+            ),
             // Shaded before the tests: a depth write, KIL, or TestBit's
             // Accumulator pass (alpha >= 0.5).
-            4 => match rng.gen_range(0..2) {
-                0 => (Some(builtin::copy_to_depth()), early_z, false),
-                _ => (
-                    Some(builtin::semilinear(CompareFunc::GreaterEqual)),
-                    early_z,
-                    false,
-                ),
-            },
-            _ => (Some(builtin::test_bit()), early_z, true),
+            4 => (Some(builtin::copy_to_depth()), early_z, false),
+            5 => (
+                Some(builtin::semilinear(CompareFunc::GreaterEqual)),
+                early_z,
+                false,
+            ),
+            6 => (Some(builtin::test_bit()), early_z, true),
+            _ => (
+                Some(assemble_body(pick(&mut rng, &DEPTH_PROGRAMS))),
+                early_z,
+                false,
+            ),
         };
         let ops = [
             StencilOp::Keep,
@@ -601,9 +673,23 @@ impl DatabaseDraw {
             let any = dequantize_depth(quantize_depth(rng.gen_range(0.0f64..1.0)));
             pick(rng, &[0.0, 0.25, 0.5, 0.75, 1.0, any])
         };
-        // A TestBit-style single-bit depth compare mask.
+        let step = 1.0 / (1u64 << 24) as f64;
+        let (bound_lo, bound_hi) = match rng.gen_range(0..6) {
+            // Inverted.
+            0 => (0.75, 0.25),
+            // Between two adjacent stored depths: holds none of them.
+            1 => {
+                let at = grid(&mut rng).min(0.75);
+                (at + step / 4.0, at + step / 2.0)
+            }
+            _ => (grid(&mut rng), grid(&mut rng)),
+        };
+        // A TestBit-style single-bit depth compare mask, or any mask as
+        // `Gpu::set_depth_compare_mask` stores it.
         let bit = 1 << rng.gen_range(0..24);
-        let state = PipelineState {
+        let any_mask = rng.gen::<u32>() & DEPTH_COMPARE_MASK_ALL;
+        let any_u8: u8 = rng.gen();
+        let mut state = PipelineState {
             alpha: AlphaState {
                 enabled: alpha_test,
                 func: CompareFunc::GreaterEqual,
@@ -617,10 +703,13 @@ impl DatabaseDraw {
                         CompareFunc::Equal,
                         CompareFunc::Always,
                         CompareFunc::NotEqual,
+                        CompareFunc::Equal,
+                        CompareFunc::Never,
+                        CompareFunc::Less,
                     ],
                 ),
-                reference: rng.gen_range(0..3),
-                value_mask: pick(&mut rng, &[0xFF, 0xFF, 0x01]),
+                reference: pick(&mut rng, &[0, 1, 2, 255]),
+                value_mask: pick(&mut rng, &[0xFF, 0xFF, 0x01, 0x00, 0xFE, any_u8]),
                 write_mask: pick(&mut rng, &[0xFF, 0xFF, 0x01]),
                 op_fail,
                 op_zfail,
@@ -630,12 +719,12 @@ impl DatabaseDraw {
                 test_enabled: rng.gen_bool(0.8),
                 func: pick(&mut rng, &FUNCS),
                 write_enabled: rng.gen_bool(0.5),
-                compare_mask: pick(&mut rng, &[DEPTH_MAX, DEPTH_MAX, bit]),
+                compare_mask: pick(&mut rng, &[DEPTH_MAX, DEPTH_MAX, bit, any_mask]),
             },
             depth_bounds: DepthBoundsState {
                 enabled: rng.gen_bool(0.4),
-                min: grid(&mut rng),
-                max: grid(&mut rng),
+                min: bound_lo,
+                max: bound_hi,
             },
             scissor: ScissorState::default(),
             color_mask: if rng.gen_bool(0.6) {
@@ -644,77 +733,82 @@ impl DatabaseDraw {
                 ColorMask::default()
             },
         };
+        if matches!(&program, Some(p) if p.writes_depth || p.has_kil) && rng.gen_bool(0.5) {
+            // The database layer's copy and semi-linear states: stencil
+            // off (copy) or `Always`/`Replace` (semi-linear), no bounds, no
+            // depth test, color off.
+            state.stencil.func = CompareFunc::Always;
+            state.stencil.enabled = !program.as_ref().unwrap().writes_depth;
+            state.depth_bounds.enabled = false;
+            state.depth.test_enabled = false;
+            state.color_mask = ColorMask::NONE;
+        }
         let mut fb = Framebuffer::new(width, height);
         for i in 0..width * height {
             fb.color.set(i, [value(&mut rng), 0.0, 0.0, 1.0]);
             let stored = grid(&mut rng);
             fb.depth.set_raw(i, quantize_depth(stored));
-            fb.stencil.set(i, pick(&mut rng, &[0, 1, 0, 1, 2]));
+            fb.stencil.set(i, pick(&mut rng, &[0, 1, 0, 1, 2, 255]));
         }
         let rects = Rect::covering_prefix(rng.gen_range(0..=width * height), width);
+        let any = grid(&mut rng) as f32;
+        let top = (DEPTH_MAX as f64 / (1u64 << 24) as f64) as f32;
+        let quad_depth = pick(&mut rng, &[any, any, any, 0.0, top, -0.25, 1.25]);
+        let data = (0..width * height * 4)
+            .map(|i| ((i * 7919 + seed as usize) % 1000) as f32)
+            .collect();
+        let texture = Texture::from_data(width, height, TextureFormat::Rgba, data).unwrap();
+        let mut env = [[0.0f32; 4]; 32];
+        env[builtin::ENV_SCALE] = [1.0 / 1000.0, 0.0, 0.0, 0.0];
+        env[builtin::ENV_CHANNEL] = builtin::channel_selector(rng.gen_range(0..4));
+        env[builtin::ENV_COEFF] = [1.0, -0.5, 0.25, 0.0];
+        env[builtin::ENV_CONST] = [500.0; 4];
         DatabaseDraw {
             width,
             height,
-            quad_depth: grid(&mut rng) as f32,
+            quad_depth,
             state,
             program,
             early_z,
             fb,
             rects,
+            texture,
+            env,
         }
     }
 
-    /// Which path and which test-stage specialization (stencil can
-    /// change, depth is written) the kernel runs this draw with.
-    fn class(&self) -> (DrawPath, bool, bool) {
-        let st = &self.state.stencil;
-        let path = match &self.program {
-            None => DrawPath::Fixed,
-            Some(p)
-                if self.early_z && !p.writes_depth && !p.has_kil && !self.state.alpha.enabled =>
-            {
-                DrawPath::Early
-            }
-            Some(_) => DrawPath::Late,
-        };
-        let stencil_writes = st.enabled
-            && st.write_mask != 0
-            && [st.op_fail, st.op_zfail, st.op_zpass]
-                .iter()
-                .any(|&op| op != StencilOp::Keep);
-        (path, stencil_writes, self.state.depth.write_enabled)
+    fn with_inputs<R>(&self, f: impl FnOnce(&DrawInputs<'_>) -> R) -> R {
+        let bound = [Some(&self.texture)];
+        f(&DrawInputs {
+            state: &self.state,
+            program: self.program.as_ref(),
+            textures: &bound,
+            env: &self.env,
+            quad_depth: self.quad_depth,
+            draw_color: [1.0, 0.5, 0.25, 1.0],
+            early_z: self.early_z,
+        })
+    }
+
+    /// How the kernel compiles this draw.
+    fn shape(&self) -> KernelShape {
+        self.with_inputs(|inputs| kernel_shape(inputs, (self.width, self.height)))
     }
 }
 
 fn run_database_case(seed: u64) {
     let draw = DatabaseDraw::new(seed);
-    let (width, height) = (draw.width, draw.height);
-    let data = (0..width * height)
-        .map(|i| ((i * 7919 + seed as usize) % 1000) as f32)
-        .collect();
-    let texture = Texture::from_data(width, height, TextureFormat::R, data).unwrap();
-    let bound = [Some(&texture)];
-    let mut env = [[0.0f32; 4]; 32];
-    env[builtin::ENV_SCALE] = [1.0 / 1000.0, 0.0, 0.0, 0.0];
-    env[builtin::ENV_CHANNEL] = builtin::channel_selector(0);
-    env[builtin::ENV_COEFF] = [1.0, 0.0, 0.0, 0.0];
-    env[builtin::ENV_CONST] = [500.0; 4];
-    let inputs = DrawInputs {
-        state: &draw.state,
-        program: draw.program.as_ref(),
-        textures: &bound,
-        env: &env,
-        quad_depth: draw.quad_depth,
-        draw_color: [1.0, 0.5, 0.25, 1.0],
-        early_z: draw.early_z,
-    };
-    assert_equivalent(&inputs, &draw.fb, &draw.rects, &|| {
-        format!(
-            "seed {seed}, {width}x{height}, {:?}, rects {:?}\nstate {:?}",
-            draw.class(),
-            draw.rects,
-            draw.state
-        )
+    draw.with_inputs(|inputs| {
+        assert_equivalent(inputs, &draw.fb, &draw.rects, &|| {
+            format!(
+                "seed {seed}, {}x{}, {:?}, rects {:?}\nstate {:?}",
+                draw.width,
+                draw.height,
+                draw.shape(),
+                draw.rects,
+                draw.state
+            )
+        })
     });
 }
 
@@ -727,33 +821,46 @@ proptest! {
     }
 }
 
-/// The database-state generator reaches every path at least 200 times and
-/// every test-stage specialization at least 150 times in 1024 draws, and
-/// each pairing of the two at least 30 times.
+/// In 1024 draws the database-state generator reaches every path at least
+/// 200 times, every test-stage specialization (stencil can change, depth
+/// is written) at least 150 times and each pairing of the two at least 30
+/// times. The mask-free and cannot-fail test forms, the texel-dot fusion
+/// and the depth `MOV` forwarding each compile at least 100 times, and at
+/// least 100 program draws keep every `TEX` unfused.
 #[test]
 fn database_states_cover_every_path_and_specialization() {
-    let mut counts = std::collections::BTreeMap::new();
-    for seed in 0..1024 {
-        *counts.entry(DatabaseDraw::new(seed).class()).or_insert(0) += 1;
+    let shapes: Vec<KernelShape> = (0..1024)
+        .map(|seed| DatabaseDraw::new(seed).shape())
+        .collect();
+    let count = |f: &dyn Fn(&KernelShape) -> bool| shapes.iter().filter(|s| f(s)).count();
+    let mut pairs = std::collections::BTreeMap::new();
+    for s in &shapes {
+        *pairs
+            .entry((s.path, s.stencil_writes, s.depth_write))
+            .or_insert(0) += 1;
     }
-    assert_eq!(counts.len(), 12, "{counts:?}");
-    assert!(counts.values().all(|&n| n >= 30), "{counts:?}");
-    let paths = [DrawPath::Fixed, DrawPath::Early, DrawPath::Late];
-    for path in paths {
-        let n: usize = counts
-            .iter()
-            .filter(|(c, _)| c.0 == path)
-            .map(|(_, n)| n)
-            .sum();
+    assert_eq!(pairs.len(), 12, "{pairs:?}");
+    assert!(pairs.values().all(|&n| n >= 30), "{pairs:?}");
+    for path in [DrawPath::Fixed, DrawPath::Early, DrawPath::Late] {
+        let n = count(&|s| s.path == path);
         assert!(n >= 200, "{path:?}: {n} of 1024");
     }
     for spec in [(false, false), (false, true), (true, false), (true, true)] {
-        let n: usize = counts
-            .iter()
-            .filter(|(c, _)| (c.1, c.2) == spec)
-            .map(|(_, n)| n)
-            .sum();
+        let n = count(&|s| (s.stencil_writes, s.depth_write) == spec);
         assert!(n >= 150, "{spec:?}: {n} of 1024");
+    }
+    let rewrites = [
+        ("mask-free", count(&|s| s.mask_free)),
+        ("cannot fail", count(&|s| s.unfailing)),
+        ("texel dot", count(&|s| s.texel_dots > 0)),
+        ("depth forwarded", count(&|s| s.depth_forwarded)),
+        (
+            "unfused program",
+            count(&|s| s.path != DrawPath::Fixed && s.texel_dots == 0),
+        ),
+    ];
+    for (name, n) in rewrites {
+        assert!(n >= 100, "{name}: {n} of 1024");
     }
 }
 
