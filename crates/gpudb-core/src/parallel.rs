@@ -1,11 +1,11 @@
-//! Sharded multi-device parallel execution.
+//! Sharded multi-device parallel execution: the partition coordinator.
 //!
 //! Following the partition-parallel designs of tile-based GPU analytics
 //! engines, a query is executed by splitting the table into contiguous
 //! row-range shards, giving every shard its own simulated device (own
-//! modeled clock, own framebuffer), running the selection and aggregate
-//! passes on real OS threads, and merging per-shard partial results
-//! exactly:
+//! modeled clock, own framebuffer, own recovery ladder), driving the
+//! shards' selection and aggregate passes from one coordinator, and
+//! merging per-shard partial results exactly:
 //!
 //! * selection bitmaps concatenate in shard order;
 //! * `COUNT`/`SUM` add, `AVG` divides the merged sum by the merged count,
@@ -19,16 +19,20 @@
 //!
 //! The merged result is therefore byte-identical to single-device
 //! execution at every shard count — the property the
-//! `sharded_equivalence` differential suite pins down.
+//! `sharded_equivalence` differential suite pins down. The same
+//! coordinator is the out-of-core rung of
+//! [`crate::resilience::execute_resilient`]: after an allocation failure
+//! it re-runs the query over [`RetryPolicy::oom_chunks`] partitions.
 //!
 //! ## Determinism
 //!
-//! Worker threads run concurrently but all communication is gathered in
-//! shard-index order, every shard device starts its modeled clock at
-//! `t = 0`, and the modeled merge cost ([`merge_cost_ns`]) is a pure
-//! function of the shard and aggregate counts. Results, per-shard
-//! metrics, and modeled costs are reproducible bit-for-bit regardless of
-//! OS scheduling.
+//! The coordinator calls each shard's worker directly on the calling
+//! thread, in shard order, so determinism holds by construction: there
+//! is no scheduling to leak into any result. Every shard device starts
+//! its modeled clock at `t = 0`, and the modeled merge cost
+//! ([`merge_cost_ns`]) is a pure function of the shard and aggregate
+//! counts. Host parallelism comes from inside each draw: the simulator
+//! rasterizes large draws in row bands on every host core.
 //!
 //! ## Resilience
 //!
@@ -39,7 +43,6 @@
 //! remainder of the query if a fault lands mid-aggregate. A fault on one
 //! shard never disturbs the others.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 
 use crate::aggregate;
@@ -49,17 +52,15 @@ use crate::metrics::{self, MetricsRecord, PhaseNanos};
 use crate::predicate::{comparison_pass, copy_to_depth, OcclusionMode};
 use crate::query::ast::{Aggregate, BoolExpr, Query};
 use crate::query::executor::{
-    execute_selection, plan_operator, AggValue, ExecuteOptions, QueryOutput,
+    execute_selection, lint_plans, plan_operator, AggValue, ExecuteOptions, QueryOutput,
 };
 use crate::query::planner::plan_selection;
-use crate::resilience::{marker_record, ResiliencePath, RetryPolicy};
+use crate::resilience::{marker_record, ResiliencePath, RetryPolicy, RetryStep};
 use crate::selection::{Selection, SELECTED};
 use crate::table::GpuTable;
 use crate::timing::OpTiming;
-use gpudb_lint::{Linter, Severity};
-use gpudb_obs::{merge_shard_trees, SpanCollector, SpanTree};
+use gpudb_obs::{merge_shard_trees, SpanCollector};
 use gpudb_sim::span::SpanKind;
-use gpudb_sim::trace::PassPlan;
 use gpudb_sim::{CompareFunc, FaultClass, FaultInjector, Gpu, Phase, RecordMode, StencilOp};
 
 /// Modeled cost of one merge step, in nanoseconds. The coordinator's
@@ -184,159 +185,20 @@ pub fn execute_sharded_with_faults(
     let ranges = plan_shards(n, opts.shards);
     faults.resize_with(ranges.len(), || None);
     let wall_start = Instant::now();
+    let mut workers: Vec<Worker> = ranges
+        .iter()
+        .zip(faults)
+        .map(|(&(start, end), fault)| Worker::new(host.slice(start, end), query, opts, fault))
+        .collect();
 
-    std::thread::scope(|scope| {
-        let mut links: Vec<Link> = Vec::with_capacity(ranges.len());
-        for (&(start, end), fault) in ranges.iter().zip(faults.drain(..)) {
-            let (req_tx, req_rx) = channel::<Req>();
-            let (resp_tx, resp_rx) = channel::<Resp>();
-            let slice = host.slice(start, end);
-            let filter = query.filter.clone();
-            let options = opts.options;
-            let policy = opts.policy.clone();
-            let width = opts.device_width;
-            scope.spawn(move || {
-                let worker = Worker::new(slice, filter, options, policy, width, fault);
-                worker_main(worker, req_rx, resp_tx);
-            });
-            links.push((req_tx, resp_rx));
-        }
-        coordinate(host, query, &ranges, links, wall_start)
-    })
-}
-
-// ---------------------------------------------------------------------
-// Coordinator <-> worker protocol
-// ---------------------------------------------------------------------
-
-/// A request from the coordinator to one shard worker.
-#[derive(Debug, Clone)]
-enum Req {
-    /// Open an aggregate window (span + metrics). No response.
-    BeginAgg {
-        label: String,
-        /// Merged matched count, recorded as the aggregate's input size.
-        input: u64,
-    },
-    /// Close the aggregate window; responds `Ack` (lint result).
-    EndAgg,
-    /// Partial sum of a column over the shard's selection.
-    Sum(usize),
-    /// Partial MIN/MAX of a column over the shard's selection.
-    Extremum { column: usize, is_min: bool },
-    /// Copy a column to depth in preparation for a global bit descent.
-    BeginDescent(usize),
-    /// One descent step: count selected records with value `>= m`.
-    CountGe(u32),
-    /// Tear down and return the shard's ledger.
-    Finish,
-}
-
-/// A response from a shard worker.
-enum Resp {
-    /// Selection finished (or failed): matched count and mask.
-    Ready(EngineResult<ShardInit>),
-    /// A partial count or sum.
-    Value(EngineResult<u64>),
-    /// A partial extremum; `None` when the shard selected no records.
-    Extremum(EngineResult<Option<u32>>),
-    /// Acknowledgement for `BeginDescent` / `EndAgg`.
-    Ack(EngineResult<()>),
-    /// The shard's final ledger.
-    Done(Box<ShardDone>),
-}
-
-/// Phase-1 result: the shard's selection outcome.
-struct ShardInit {
-    matched: u64,
-    mask: Vec<bool>,
-}
-
-/// Everything a worker reports when finishing.
-struct ShardDone {
-    path: ResiliencePath,
-    attempts: u32,
-    retries: u32,
-    degradations: Vec<String>,
-    metrics: Vec<MetricsRecord>,
-    timing: OpTiming,
-    modeled_ns: u64,
-    trace: Option<SpanTree>,
-}
-
-type Link = (Sender<Req>, Receiver<Resp>);
-
-fn disconnected() -> EngineError {
-    EngineError::InvalidQuery("shard worker disconnected".into())
-}
-
-fn protocol_error() -> EngineError {
-    EngineError::InvalidQuery("unexpected shard response".into())
-}
-
-fn recv(rx: &Receiver<Resp>) -> EngineResult<Resp> {
-    rx.recv().map_err(|_| disconnected())
-}
-
-fn broadcast(links: &[Link], req: &Req) -> EngineResult<()> {
-    for (tx, _) in links {
-        tx.send(req.clone()).map_err(|_| disconnected())?;
-    }
-    Ok(())
-}
-
-/// Broadcast a request and sum the per-shard `Value` responses in shard
-/// order.
-fn gather_sum(links: &[Link], req: Req) -> EngineResult<u64> {
-    broadcast(links, &req)?;
-    let mut total = 0u64;
-    for (_, rx) in links {
-        match recv(rx)? {
-            Resp::Value(v) => total += v?,
-            _ => return Err(protocol_error()),
-        }
-    }
-    Ok(total)
-}
-
-/// Broadcast a request and gather per-shard `Ack` responses.
-fn gather_acks(links: &[Link], req: Req) -> EngineResult<()> {
-    broadcast(links, &req)?;
-    for (_, rx) in links {
-        match recv(rx)? {
-            Resp::Ack(r) => r?,
-            _ => return Err(protocol_error()),
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Coordinator
-// ---------------------------------------------------------------------
-
-fn coordinate(
-    host: &HostTable,
-    query: &Query,
-    ranges: &[(usize, usize)],
-    links: Vec<Link>,
-    wall_start: Instant,
-) -> EngineResult<ShardedOutput> {
-    let n = host.record_count();
-
-    // Phase 1: every shard plans and executes its own selection; gather
-    // outcomes in shard order so errors surface deterministically.
+    // Phase 1: every shard plans and executes its own selection, in
+    // shard order, so the first failing shard's error surfaces.
     let mut matched_total = 0u64;
     let mut mask = Vec::with_capacity(n);
-    for (_, rx) in &links {
-        match recv(rx)? {
-            Resp::Ready(init) => {
-                let init = init?;
-                matched_total += init.matched;
-                mask.extend_from_slice(&init.mask);
-            }
-            _ => return Err(protocol_error()),
-        }
+    for worker in &mut workers {
+        worker.run_selection()?;
+        matched_total += worker.matched;
+        mask.extend_from_slice(&worker.mask);
     }
 
     // Phase 2: aggregates, strictly in SELECT order — validation errors
@@ -345,42 +207,41 @@ fn coordinate(
     let mut rows = Vec::with_capacity(query.aggregates.len());
     for agg in &query.aggregates {
         let label = agg.label();
-        broadcast(
-            &links,
-            &Req::BeginAgg {
-                label: label.clone(),
-                input: matched_total,
-            },
-        )?;
-        let value = merge_aggregate(host, agg, matched_total, &links)?;
-        gather_acks(&links, Req::EndAgg)?;
+        for worker in &mut workers {
+            worker.begin_agg(&label, matched_total);
+        }
+        let value = merge_aggregate(host, agg, matched_total, &mut workers)?;
+        for worker in &mut workers {
+            worker.end_agg()?;
+        }
         rows.push((label, value));
     }
 
-    // Finish: collect per-shard ledgers, again in shard order.
-    broadcast(&links, &Req::Finish)?;
+    // Finish: collect per-shard ledgers in shard order.
     let mut all_metrics: Vec<MetricsRecord> = Vec::new();
     let mut timing = OpTiming::default();
-    let mut shards = Vec::with_capacity(links.len());
+    let mut shards = Vec::with_capacity(workers.len());
     let mut traces = Vec::new();
-    for ((_, rx), &(start, end)) in links.iter().zip(ranges) {
-        let done = match recv(rx)? {
-            Resp::Done(d) => *d,
-            _ => return Err(protocol_error()),
-        };
-        all_metrics.extend(done.metrics);
-        timing = timing.plus(&done.timing);
-        if let Some(tree) = done.trace {
+    for (mut worker, &(start, end)) in workers.into_iter().zip(&ranges) {
+        if let Some(tree) = worker
+            .gpu
+            .take_span_sink()
+            .and_then(SpanCollector::recover)
+            .map(SpanCollector::finish)
+        {
             traces.push(tree);
         }
+        let modeled = worker.gpu.stats().modeled;
+        timing = timing.plus(&OpTiming::from_phases(&modeled, 0.0));
+        all_metrics.extend(worker.metrics);
         shards.push(ShardRun {
             start,
             records: end - start,
-            path: done.path,
-            attempts: done.attempts,
-            retries: done.retries,
-            degradations: done.degradations,
-            modeled_ns: done.modeled_ns,
+            path: worker.path,
+            attempts: worker.attempts,
+            retries: worker.retries,
+            degradations: worker.degradations,
+            modeled_ns: (modeled.total().max(0.0) * 1e9).round() as u64,
         });
     }
     all_metrics.push(marker_record("parallel/merge", n as u64));
@@ -422,20 +283,29 @@ fn merge_aggregate(
     host: &HostTable,
     agg: &Aggregate,
     matched: u64,
-    links: &[Link],
+    workers: &mut [Worker],
 ) -> EngineResult<AggValue> {
     Ok(match agg {
         Aggregate::Count => AggValue::Count(matched),
         Aggregate::Sum(col) => {
             let idx = host.column_index(col)?;
-            AggValue::Sum(gather_sum(links, Req::Sum(idx))?)
+            AggValue::Sum(
+                workers
+                    .iter_mut()
+                    .map(|w| w.op_sum(idx))
+                    .sum::<EngineResult<u64>>()?,
+            )
         }
         Aggregate::Avg(col) => {
             let idx = host.column_index(col)?;
             if matched == 0 {
                 return Err(EngineError::EmptyInput);
             }
-            AggValue::Avg(gather_sum(links, Req::Sum(idx))? as f64 / matched as f64)
+            let sum = workers
+                .iter_mut()
+                .map(|w| w.op_sum(idx))
+                .sum::<EngineResult<u64>>()?;
+            AggValue::Avg(sum as f64 / matched as f64)
         }
         Aggregate::Min(col) | Aggregate::Max(col) => {
             let idx = host.column_index(col)?;
@@ -443,20 +313,9 @@ fn merge_aggregate(
                 return Err(EngineError::InvalidK { k: 1, available: 0 });
             }
             let is_min = matches!(agg, Aggregate::Min(_));
-            broadcast(
-                links,
-                &Req::Extremum {
-                    column: idx,
-                    is_min,
-                },
-            )?;
             let mut best: Option<u32> = None;
-            for (_, rx) in links {
-                let partial = match recv(rx)? {
-                    Resp::Extremum(v) => v?,
-                    _ => return Err(protocol_error()),
-                };
-                best = match (best, partial) {
+            for worker in workers.iter_mut() {
+                best = match (best, worker.op_extremum(idx, is_min)?) {
                     (Some(a), Some(b)) => Some(if is_min { a.min(b) } else { a.max(b) }),
                     (a, b) => a.or(b),
                 };
@@ -474,7 +333,7 @@ fn merge_aggregate(
                     available: matched,
                 });
             }
-            AggValue::Value(descend(host, links, idx, *k)?)
+            AggValue::Value(descend(host, workers, idx, *k)?)
         }
         Aggregate::KthSmallest(col, k) => {
             let idx = host.column_index(col)?;
@@ -484,7 +343,7 @@ fn merge_aggregate(
                     available: matched,
                 });
             }
-            AggValue::Value(descend(host, links, idx, matched as usize + 1 - k)?)
+            AggValue::Value(descend(host, workers, idx, matched as usize + 1 - k)?)
         }
         Aggregate::Median(col) => {
             let idx = host.column_index(col)?;
@@ -492,7 +351,7 @@ fn merge_aggregate(
                 return Err(EngineError::EmptyInput);
             }
             let rank = (matched as usize).div_ceil(2);
-            AggValue::Value(descend(host, links, idx, matched as usize + 1 - rank)?)
+            AggValue::Value(descend(host, workers, idx, matched as usize + 1 - rank)?)
         }
         Aggregate::Percentile(col, p) => {
             let idx = host.column_index(col)?;
@@ -501,7 +360,7 @@ fn merge_aggregate(
             }
             let rank =
                 ((p.clamp(0.0, 1.0) * matched as f64).ceil() as usize).clamp(1, matched as usize);
-            AggValue::Value(descend(host, links, idx, matched as usize + 1 - rank)?)
+            AggValue::Value(descend(host, workers, idx, matched as usize + 1 - rank)?)
         }
     })
 }
@@ -514,8 +373,10 @@ fn merge_aggregate(
 /// The bit width is derived from the full column's maximum — the same
 /// `32 - leading_zeros(max)` that [`crate::table::ColumnMeta`] stores —
 /// so the descent runs the identical bit sequence as one device would.
-fn descend(host: &HostTable, links: &[Link], column: usize, k: usize) -> EngineResult<u32> {
-    gather_acks(links, Req::BeginDescent(column))?;
+fn descend(host: &HostTable, workers: &mut [Worker], column: usize, k: usize) -> EngineResult<u32> {
+    for worker in workers.iter_mut() {
+        worker.op_begin_descent(column)?;
+    }
     let max = host
         .column_values(column)?
         .iter()
@@ -526,7 +387,10 @@ fn descend(host: &HostTable, links: &[Link], column: usize, k: usize) -> EngineR
     let mut x = 0u32;
     for i in (0..bits).rev() {
         let m = x + (1 << i);
-        let count = gather_sum(links, Req::CountGe(m))?;
+        let count = workers
+            .iter_mut()
+            .map(|w| w.op_count_ge(column, m))
+            .sum::<EngineResult<u64>>()?;
         if count > (k - 1) as u64 {
             x = m;
         }
@@ -549,7 +413,8 @@ enum Backend {
     Cpu,
 }
 
-/// An open aggregate measurement window (counter snapshot at BeginAgg).
+/// An open aggregate measurement window (counter snapshot at
+/// [`Worker::begin_agg`]).
 struct AggWindow {
     label: String,
     input: u64,
@@ -557,62 +422,23 @@ struct AggWindow {
     modeled: gpudb_sim::PhaseTimes,
 }
 
-struct Worker {
+/// One shard: its own device, modeled clock and recovery ladder. The
+/// coordinator drives every worker directly, in shard order.
+struct Worker<'q> {
     gpu: Gpu,
     slice: HostTable,
-    filter: Option<BoolExpr>,
-    fuse: bool,
-    validate: bool,
-    policy: RetryPolicy,
+    filter: Option<&'q BoolExpr>,
+    options: ExecuteOptions,
+    policy: &'q RetryPolicy,
     backend: Backend,
     mask: Vec<bool>,
     matched: u64,
-    descent_column: Option<usize>,
     path: ResiliencePath,
     attempts: u32,
     retries: u32,
     degradations: Vec<String>,
     metrics: Vec<MetricsRecord>,
     window: Option<AggWindow>,
-}
-
-fn worker_main(mut worker: Worker, reqs: Receiver<Req>, resps: Sender<Resp>) {
-    let init = worker.run_selection();
-    let failed = init.is_err();
-    let _ = resps.send(Resp::Ready(init));
-    if failed {
-        // The coordinator aborts on a failed shard; nothing more to serve.
-        return;
-    }
-    while let Ok(req) = reqs.recv() {
-        match req {
-            Req::BeginAgg { label, input } => worker.begin_agg(label, input),
-            Req::EndAgg => {
-                let r = worker.end_agg();
-                let _ = resps.send(Resp::Ack(r));
-            }
-            Req::Sum(column) => {
-                let r = worker.op_sum(column);
-                let _ = resps.send(Resp::Value(r));
-            }
-            Req::Extremum { column, is_min } => {
-                let r = worker.op_extremum(column, is_min);
-                let _ = resps.send(Resp::Extremum(r));
-            }
-            Req::BeginDescent(column) => {
-                let r = worker.op_begin_descent(column);
-                let _ = resps.send(Resp::Ack(r));
-            }
-            Req::CountGe(m) => {
-                let r = worker.op_count_ge(m);
-                let _ = resps.send(Resp::Value(r));
-            }
-            Req::Finish => {
-                let _ = resps.send(Resp::Done(Box::new(worker.finish())));
-                return;
-            }
-        }
-    }
 }
 
 /// Restrict a descent comparison pass to the shard's selection — the
@@ -626,54 +452,29 @@ fn arm_mask(gpu: &mut Gpu, masked: bool) {
     }
 }
 
-/// Lint recorded plans; the first error-severity diagnostic fails the
-/// shard with [`EngineError::PlanValidation`].
-fn lint_plans(plans: &[PassPlan]) -> EngineResult<()> {
-    let linter = Linter::new();
-    for plan in plans {
-        let errors: Vec<String> = linter
-            .lint(plan)
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(ToString::to_string)
-            .collect();
-        if !errors.is_empty() {
-            return Err(EngineError::PlanValidation {
-                operator: plan.label.clone(),
-                diagnostics: errors,
-            });
-        }
-    }
-    Ok(())
-}
-
-impl Worker {
+impl<'q> Worker<'q> {
     fn new(
         slice: HostTable,
-        filter: Option<BoolExpr>,
-        options: ExecuteOptions,
-        policy: RetryPolicy,
-        width: usize,
+        query: &'q Query,
+        opts: &'q ShardOptions,
         fault: Option<FaultInjector>,
-    ) -> Worker {
-        let mut gpu = GpuTable::device_for(slice.record_count(), width);
+    ) -> Worker<'q> {
+        let mut gpu = GpuTable::device_for(slice.record_count(), opts.device_width);
         if let Some(injector) = fault {
             gpu.attach_fault_injector(injector);
         }
-        if let Some(level) = options.trace {
+        if let Some(level) = opts.options.trace {
             gpu.attach_span_sink(Box::new(SpanCollector::new(level)));
         }
         Worker {
             gpu,
             slice,
-            filter,
-            fuse: options.fuse_passes,
-            validate: options.validate_plans,
-            policy,
+            filter: query.filter.as_ref(),
+            options: opts.options,
+            policy: &opts.policy,
             backend: Backend::Cpu,
             mask: Vec::new(),
             matched: 0,
-            descent_column: None,
             path: ResiliencePath::Gpu,
             attempts: 0,
             retries: 0,
@@ -699,17 +500,12 @@ impl Worker {
     /// modeled backoff, fall back to the CPU oracle on resource/device
     /// faults or retry exhaustion (when the policy allows), surface
     /// logic errors untouched.
-    fn run_selection(&mut self) -> EngineResult<ShardInit> {
+    fn run_selection(&mut self) -> EngineResult<()> {
         let max_attempts = self.policy.max_attempts.max(1);
         loop {
             self.attempts += 1;
             let error = match self.selection_attempt() {
-                Ok(()) => {
-                    return Ok(ShardInit {
-                        matched: self.matched,
-                        mask: self.mask.clone(),
-                    })
-                }
+                Ok(()) => return Ok(()),
                 Err(e) => e,
             };
             self.drop_recording();
@@ -717,23 +513,15 @@ impl Worker {
                 FaultClass::Logic => return Err(error),
                 FaultClass::Transient if self.attempts < max_attempts => {
                     self.retries += 1;
-                    let pause = self.policy.base_backoff_s
-                        * self
-                            .policy
-                            .multiplier
-                            .powi(self.retries.saturating_sub(1) as i32);
-                    let records = self.slice.record_count() as u64;
-                    let ((), record) = metrics::observe(
+                    let step = RetryStep::charge(
                         &mut self.gpu,
-                        "resilience/retry-backoff",
-                        records,
-                        |gpu| gpu.charge_backoff(pause),
+                        self.policy,
+                        self.retries,
+                        self.slice.record_count() as u64,
+                        &error,
                     );
-                    self.metrics.push(record);
-                    self.degradations.push(format!(
-                        "transient fault ({error}); retry {} after {pause:.6}s modeled backoff",
-                        self.retries
-                    ));
+                    self.metrics.push(step.record);
+                    self.degradations.push(step.degradation);
                 }
                 FaultClass::Transient => {
                     let exhausted = EngineError::RetriesExhausted {
@@ -792,12 +580,13 @@ impl Worker {
         &mut self,
         table: &GpuTable,
     ) -> EngineResult<(Option<Selection>, u64, Vec<bool>, MetricsRecord)> {
-        let plan = plan_selection(table, self.filter.as_ref())?;
-        if self.validate {
+        let plan = plan_selection(table, self.filter)?;
+        let validate = self.options.validate_plans;
+        if validate {
             self.gpu.enable_tracing(RecordMode::RecordAndExecute);
         }
         self.gpu.span_begin(SpanKind::Stage, "selection");
-        let fuse = self.fuse;
+        let fuse = self.options.fuse_passes;
         let (result, record) = metrics::observe(
             &mut self.gpu,
             plan_operator(&plan),
@@ -805,7 +594,7 @@ impl Worker {
             |gpu| execute_selection(gpu, table, &plan, fuse),
         );
         self.gpu.span_end();
-        let lint = if self.validate {
+        let lint = if validate {
             let plans = self.gpu.take_plans();
             self.gpu.disable_tracing();
             lint_plans(&plans)
@@ -822,8 +611,8 @@ impl Worker {
     }
 
     /// Answer the whole shard from the CPU oracle.
-    fn cpu_fallback(&mut self) -> EngineResult<ShardInit> {
-        let bitmap = cpu_oracle::filter_mask(&self.slice, self.filter.as_ref())?;
+    fn cpu_fallback(&mut self) -> EngineResult<()> {
+        let bitmap = cpu_oracle::filter_mask(&self.slice, self.filter)?;
         let records = self.slice.record_count();
         self.mask = (0..records).map(|i| bitmap.get(i)).collect();
         self.matched = bitmap.count_ones() as u64;
@@ -831,10 +620,7 @@ impl Worker {
         self.path = ResiliencePath::Cpu;
         self.metrics
             .push(marker_record("parallel/shard-cpu", records as u64));
-        Ok(ShardInit {
-            matched: self.matched,
-            mask: self.mask.clone(),
-        })
+        Ok(())
     }
 
     /// Degrade the rest of this shard's query to the CPU, or surface the
@@ -856,23 +642,26 @@ impl Worker {
         Ok(())
     }
 
-    fn begin_agg(&mut self, label: String, input: u64) {
+    /// Open an aggregate window (span + metrics); `input` is the merged
+    /// matched count, recorded as the aggregate's input size.
+    fn begin_agg(&mut self, label: &str, input: u64) {
         self.gpu
             .span_begin(SpanKind::Stage, &format!("aggregate:{label}"));
-        if self.validate && matches!(self.backend, Backend::Gpu { .. }) {
+        if self.options.validate_plans && matches!(self.backend, Backend::Gpu { .. }) {
             self.gpu.enable_tracing(RecordMode::RecordAndExecute);
             self.gpu.begin_plan(&format!("agg/{label}"));
         }
         self.gpu
             .span_begin(SpanKind::Operator, &format!("agg/{label}"));
         self.window = Some(AggWindow {
-            label,
+            label: label.to_string(),
             input,
             counters: self.gpu.stats().counters(),
             modeled: self.gpu.stats().modeled,
         });
     }
 
+    /// Close the aggregate window and lint what it recorded.
     fn end_agg(&mut self) -> EngineResult<()> {
         self.gpu.span_end(); // operator
         let lint = if self.gpu.is_recording() {
@@ -897,56 +686,63 @@ impl Worker {
         lint
     }
 
-    fn op_sum(&mut self, column: usize) -> EngineResult<u64> {
-        if self.matched == 0 {
-            return Ok(0);
-        }
-        let gpu_result = match &self.backend {
-            Backend::Gpu { table, selection } => Some(aggregate::sum(
-                &mut self.gpu,
-                table,
-                column,
-                selection.as_ref(),
-            )),
-            Backend::Cpu => None,
+    /// Run `op` on the shard device when the data is resident there.
+    /// `None` means the CPU answers: the shard had already degraded, or
+    /// `op` faulted and the shard degrades now.
+    fn on_device<T>(
+        &mut self,
+        op: impl FnOnce(&mut Gpu, &GpuTable, Option<&Selection>) -> EngineResult<T>,
+    ) -> EngineResult<Option<T>> {
+        let result = match &self.backend {
+            Backend::Gpu { table, selection } => op(&mut self.gpu, table, selection.as_ref()),
+            Backend::Cpu => return Ok(None),
         };
-        match gpu_result {
-            Some(Ok(v)) => return Ok(v),
-            Some(Err(e)) => self.degrade_or(e)?,
-            None => {}
+        match result {
+            Ok(v) => Ok(Some(v)),
+            Err(e) => self.degrade_or(e).map(|()| None),
         }
+    }
+
+    /// The shard's selected values of `column`, from the host slice.
+    fn selected_values(&self, column: usize) -> EngineResult<impl Iterator<Item = u32> + '_> {
         let values = self.slice.column_values(column)?;
         Ok(values
             .iter()
             .zip(&self.mask)
             .filter(|&(_, &selected)| selected)
-            .map(|(&v, _)| v as u64)
-            .sum())
+            .map(|(&v, _)| v))
     }
 
+    /// Partial sum of a column over the shard's selection.
+    fn op_sum(&mut self, column: usize) -> EngineResult<u64> {
+        if self.matched == 0 {
+            return Ok(0);
+        }
+        if let Some(sum) =
+            self.on_device(|gpu, table, sel| aggregate::sum(gpu, table, column, sel))?
+        {
+            return Ok(sum);
+        }
+        Ok(self.selected_values(column)?.map(u64::from).sum())
+    }
+
+    /// Partial MIN/MAX of a column over the shard's selection; `None`
+    /// when the shard selected no records.
     fn op_extremum(&mut self, column: usize, is_min: bool) -> EngineResult<Option<u32>> {
         if self.matched == 0 {
             return Ok(None);
         }
-        let gpu_result = match &self.backend {
-            Backend::Gpu { table, selection } => Some(if is_min {
-                aggregate::min(&mut self.gpu, table, column, selection.as_ref())
+        let on_device = self.on_device(|gpu, table, sel| {
+            if is_min {
+                aggregate::min(gpu, table, column, sel)
             } else {
-                aggregate::max(&mut self.gpu, table, column, selection.as_ref())
-            }),
-            Backend::Cpu => None,
-        };
-        match gpu_result {
-            Some(Ok(v)) => return Ok(Some(v)),
-            Some(Err(e)) => self.degrade_or(e)?,
-            None => {}
+                aggregate::max(gpu, table, column, sel)
+            }
+        })?;
+        if on_device.is_some() {
+            return Ok(on_device);
         }
-        let values = self.slice.column_values(column)?;
-        let selected = values
-            .iter()
-            .zip(&self.mask)
-            .filter(|&(_, &selected)| selected)
-            .map(|(&v, _)| v);
+        let selected = self.selected_values(column)?;
         Ok(if is_min {
             selected.min()
         } else {
@@ -954,74 +750,38 @@ impl Worker {
         })
     }
 
+    /// Copy a column to depth in preparation for a global bit descent.
     fn op_begin_descent(&mut self, column: usize) -> EngineResult<()> {
-        self.descent_column = Some(column);
         if self.matched == 0 {
             // An all-filtered shard contributes zero to every count; the
             // copy-to-depth would be dead work.
             return Ok(());
         }
-        let gpu_result = match &self.backend {
-            Backend::Gpu { table, .. } => Some(copy_to_depth(&mut self.gpu, table, column)),
-            Backend::Cpu => None,
-        };
-        match gpu_result {
-            Some(Ok(())) | None => Ok(()),
-            Some(Err(e)) => self.degrade_or(e),
-        }
+        self.on_device(|gpu, table, _| copy_to_depth(gpu, table, column))?;
+        Ok(())
     }
 
-    fn op_count_ge(&mut self, m: u32) -> EngineResult<u64> {
+    /// One descent step: count selected records of `column` (already in
+    /// depth on the device) with value `>= m`.
+    fn op_count_ge(&mut self, column: usize, m: u32) -> EngineResult<u64> {
         if self.matched == 0 {
             return Ok(0);
         }
-        let gpu_result = match &self.backend {
-            Backend::Gpu { table, selection } => {
-                self.gpu.set_phase(Phase::Compute);
-                arm_mask(&mut self.gpu, selection.is_some());
-                Some(comparison_pass(
-                    &mut self.gpu,
-                    table,
-                    CompareFunc::GreaterEqual,
-                    m,
-                    OcclusionMode::Sync,
-                ))
-            }
-            Backend::Cpu => None,
-        };
-        match gpu_result {
-            Some(Ok(count)) => return Ok(count),
-            Some(Err(e)) => self.degrade_or(e)?,
-            None => {}
+        let on_device = self.on_device(|gpu, table, sel| {
+            gpu.set_phase(Phase::Compute);
+            arm_mask(gpu, sel.is_some());
+            comparison_pass(
+                gpu,
+                table,
+                CompareFunc::GreaterEqual,
+                m,
+                OcclusionMode::Sync,
+            )
+        })?;
+        if let Some(count) = on_device {
+            return Ok(count);
         }
-        let column = self
-            .descent_column
-            .ok_or_else(|| EngineError::InvalidQuery("descent step before BeginDescent".into()))?;
-        let values = self.slice.column_values(column)?;
-        Ok(values
-            .iter()
-            .zip(&self.mask)
-            .filter(|&(&v, &selected)| selected && v >= m)
-            .count() as u64)
-    }
-
-    fn finish(mut self) -> ShardDone {
-        let trace = self
-            .gpu
-            .take_span_sink()
-            .and_then(SpanCollector::recover)
-            .map(SpanCollector::finish);
-        let modeled = self.gpu.stats().modeled;
-        ShardDone {
-            path: self.path,
-            attempts: self.attempts,
-            retries: self.retries,
-            degradations: self.degradations,
-            metrics: self.metrics,
-            timing: OpTiming::from_phases(&modeled, 0.0),
-            modeled_ns: (modeled.total().max(0.0) * 1e9).round() as u64,
-            trace,
-        }
+        Ok(self.selected_values(column)?.filter(|&v| v >= m).count() as u64)
     }
 }
 

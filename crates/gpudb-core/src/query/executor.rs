@@ -14,6 +14,7 @@ use crate::timing::{measure, OpTiming};
 use gpudb_lint::{Linter, Severity};
 use gpudb_obs::{Span, SpanCollector, SpanTree, TraceLevel};
 use gpudb_sim::span::SpanKind;
+use gpudb_sim::trace::PassPlan;
 use gpudb_sim::{Gpu, RecordMode};
 
 /// One aggregate's result value.
@@ -194,8 +195,15 @@ fn execute_validated(
     let plans = gpu.take_plans();
     gpu.disable_tracing();
     let output = result?;
+    lint_plans(&plans)?;
+    Ok(output)
+}
+
+/// Lint recorded pass plans; the first plan with an error-severity
+/// diagnostic fails with [`EngineError::PlanValidation`].
+pub(crate) fn lint_plans(plans: &[PassPlan]) -> EngineResult<()> {
     let linter = Linter::new();
-    for plan in &plans {
+    for plan in plans {
         let errors: Vec<String> = linter
             .lint(plan)
             .iter()
@@ -209,7 +217,7 @@ fn execute_validated(
             });
         }
     }
-    Ok(output)
+    Ok(())
 }
 
 /// The untraced execution path shared by [`execute`] and

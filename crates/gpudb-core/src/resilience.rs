@@ -12,12 +12,15 @@
 //!   ([`Gpu::charge_backoff`]) so recovery cost is deterministic and
 //!   visible in metrics. Exhausted retries wrap the last error in
 //!   [`EngineError::RetriesExhausted`].
-//! - **Resource** (video-memory allocation failure): degrade to chunked
-//!   out-of-core execution — the table is re-uploaded in
-//!   [`RetryPolicy::oom_chunks`] slices and decomposable aggregates
-//!   (COUNT/SUM/AVG/MIN/MAX) are combined across chunks. Holistic
-//!   aggregates (median, k-th, percentile) are not chunk-decomposable
-//!   and skip to the CPU rung.
+//! - **Resource** (video-memory allocation failure): degrade to
+//!   out-of-core execution — the partition coordinator of
+//!   [`crate::parallel`] re-runs the query over
+//!   [`RetryPolicy::oom_chunks`] row partitions, each on a fresh
+//!   chunk-sized device of the caller's width, and merges them exactly.
+//!   Its distributed Routine 4.5 descent covers the holistic aggregates
+//!   (median, k-th, percentile) too. The rung's modeled cost is the sum
+//!   of the partitions' clocks; faults still pending on the caller's
+//!   device do not reach it.
 //! - **Device** (reset, persistent faults): answer on the CPU via
 //!   [`crate::cpu_oracle`], whose operators route through `gpudb-cpu`'s
 //!   optimized baselines and agree with the GPU path result-for-result
@@ -35,8 +38,9 @@
 use crate::cpu_oracle::{self, HostTable};
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{self, MetricsRecord, PhaseNanos};
-use crate::query::ast::{Aggregate, Query};
-use crate::query::executor::{self, AggValue, ExecuteOptions, QueryOutput};
+use crate::parallel::{execute_sharded, ShardOptions};
+use crate::query::ast::Query;
+use crate::query::executor::{self, ExecuteOptions, QueryOutput};
 use crate::timing::OpTiming;
 use gpudb_sim::{FaultClass, Gpu, WorkCounters};
 
@@ -50,7 +54,7 @@ pub struct RetryPolicy {
     pub base_backoff_s: f64,
     /// Backoff growth factor per retry.
     pub multiplier: f64,
-    /// Number of slices for the out-of-core degradation rung.
+    /// Number of row partitions for the out-of-core degradation rung.
     pub oom_chunks: usize,
     /// Whether Device-class faults and exhausted retries may fall back
     /// to the CPU oracle. When `false` the typed error is returned
@@ -117,136 +121,142 @@ pub fn execute_resilient(
     policy: &RetryPolicy,
 ) -> EngineResult<ResilientOutput> {
     let max_attempts = policy.max_attempts.max(1);
-    let mut attempts = 0u32;
-    let mut retries = 0u32;
-    let mut backoff_s = 0.0f64;
-    let mut degradations = Vec::new();
+    let mut report = ResilienceReport {
+        path: ResiliencePath::Gpu,
+        attempts: 0,
+        retries: 0,
+        backoff_s: 0.0,
+        degradations: Vec::new(),
+    };
     let mut resilience_metrics: Vec<MetricsRecord> = Vec::new();
 
     loop {
-        attempts += 1;
+        report.attempts += 1;
         let error = match gpu_attempt(gpu, host, query, options) {
             Ok(mut output) => {
                 output.metrics.extend(resilience_metrics);
-                return Ok(ResilientOutput {
-                    output,
-                    report: ResilienceReport {
-                        path: ResiliencePath::Gpu,
-                        attempts,
-                        retries,
-                        backoff_s,
-                        degradations,
-                    },
-                });
+                return Ok(ResilientOutput { output, report });
             }
             Err(e) => e,
         };
 
         match error.fault_class() {
             FaultClass::Logic => return Err(error),
-            FaultClass::Transient if attempts < max_attempts => {
-                retries += 1;
-                let pause = policy.base_backoff_s
-                    * policy.multiplier.powi(retries.saturating_sub(1) as i32);
-                let ((), record) = metrics::observe(
+            FaultClass::Transient if report.attempts < max_attempts => {
+                report.retries += 1;
+                let step = RetryStep::charge(
                     gpu,
-                    "resilience/retry-backoff",
+                    policy,
+                    report.retries,
                     host.record_count() as u64,
-                    |gpu| gpu.charge_backoff(pause),
+                    &error,
                 );
-                resilience_metrics.push(record);
-                backoff_s += pause;
-                degradations.push(format!(
-                    "transient fault ({error}); retry {retries} after {pause:.6}s modeled backoff"
-                ));
+                report.backoff_s += step.pause_s;
+                resilience_metrics.push(step.record);
+                report.degradations.push(step.degradation);
             }
             FaultClass::Transient => {
                 let exhausted = EngineError::RetriesExhausted {
-                    attempts,
+                    attempts: report.attempts,
                     last: Box::new(error),
                 };
                 if !policy.cpu_fallback {
                     return Err(exhausted);
                 }
-                degradations.push(format!("{exhausted}; answering on the CPU"));
-                return cpu_rung(
-                    host,
-                    query,
-                    attempts,
-                    retries,
-                    backoff_s,
-                    degradations,
-                    resilience_metrics,
-                );
+                report
+                    .degradations
+                    .push(format!("{exhausted}; answering on the CPU"));
+                return cpu_rung(host, query, report, resilience_metrics);
             }
             FaultClass::Resource => {
-                degradations.push(format!(
+                report.degradations.push(format!(
                     "resource fault ({error}); degrading to out-of-core execution \
                      in {} chunks",
                     policy.oom_chunks.max(1)
                 ));
-                if query_is_chunkable(query) {
-                    match execute_out_of_core(gpu, host, query, options, policy.oom_chunks) {
-                        Ok(mut output) => {
-                            output.metrics.extend(resilience_metrics);
-                            return Ok(ResilientOutput {
-                                output,
-                                report: ResilienceReport {
-                                    path: ResiliencePath::OutOfCore,
-                                    attempts,
-                                    retries,
-                                    backoff_s,
-                                    degradations,
-                                },
-                            });
+                // The partition coordinator, one chunk-sized device per
+                // partition: faults still pending on `gpu` never reach it.
+                let opts = ShardOptions {
+                    shards: policy.oom_chunks,
+                    device_width: gpu.width(),
+                    options,
+                    policy: policy.clone(),
+                };
+                match execute_sharded(host, query, &opts) {
+                    Ok(sharded) => {
+                        let mut output = sharded.output;
+                        for (i, shard) in sharded.report.shards.into_iter().enumerate() {
+                            report.degradations.extend(
+                                shard
+                                    .degradations
+                                    .into_iter()
+                                    .map(|d| format!("partition {i}: {d}")),
+                            );
                         }
-                        Err(e) if e.fault_class() == FaultClass::Logic => return Err(e),
-                        Err(e) => {
-                            if !policy.cpu_fallback {
-                                return Err(e);
-                            }
-                            degradations.push(format!(
-                                "out-of-core rung failed ({e}); answering on the CPU"
-                            ));
-                        }
+                        output.metrics.push(marker_record(
+                            "resilience/out-of-core",
+                            host.record_count() as u64,
+                        ));
+                        output.metrics.extend(resilience_metrics);
+                        report.path = ResiliencePath::OutOfCore;
+                        return Ok(ResilientOutput { output, report });
                     }
-                } else {
-                    degradations.push(
-                        "holistic aggregate is not chunk-decomposable; answering on the CPU"
-                            .to_string(),
-                    );
-                    if !policy.cpu_fallback {
-                        return Err(error);
+                    Err(e) if e.fault_class() == FaultClass::Logic || !policy.cpu_fallback => {
+                        return Err(e)
                     }
+                    Err(e) => report.degradations.push(format!(
+                        "out-of-core rung failed ({e}); answering on the CPU"
+                    )),
                 }
-                if !policy.cpu_fallback {
-                    return Err(error);
-                }
-                return cpu_rung(
-                    host,
-                    query,
-                    attempts,
-                    retries,
-                    backoff_s,
-                    degradations,
-                    resilience_metrics,
-                );
+                return cpu_rung(host, query, report, resilience_metrics);
             }
             FaultClass::Device => {
                 if !policy.cpu_fallback {
                     return Err(error);
                 }
-                degradations.push(format!("device fault ({error}); answering on the CPU"));
-                return cpu_rung(
-                    host,
-                    query,
-                    attempts,
-                    retries,
-                    backoff_s,
-                    degradations,
-                    resilience_metrics,
-                );
+                report
+                    .degradations
+                    .push(format!("device fault ({error}); answering on the CPU"));
+                return cpu_rung(host, query, report, resilience_metrics);
             }
+        }
+    }
+}
+
+/// One transient-fault retry of the recovery ladder, shared by
+/// [`execute_resilient`] and each shard's ladder in
+/// [`crate::parallel`]: the modeled pause, its metrics record and its
+/// log line.
+pub(crate) struct RetryStep {
+    /// Modeled pause, seconds: `base_backoff_s · multiplier^(retry−1)`.
+    pub(crate) pause_s: f64,
+    /// The `resilience/retry-backoff` record of the charged pause.
+    pub(crate) record: MetricsRecord,
+    /// The ladder's log line for this retry.
+    pub(crate) degradation: String,
+}
+
+impl RetryStep {
+    /// Charge retry number `retry` (1-based) after `error` to `gpu`'s
+    /// modeled clock; `records` is the record's input size.
+    pub(crate) fn charge(
+        gpu: &mut Gpu,
+        policy: &RetryPolicy,
+        retry: u32,
+        records: u64,
+        error: &EngineError,
+    ) -> RetryStep {
+        let pause_s =
+            policy.base_backoff_s * policy.multiplier.powi(retry.saturating_sub(1) as i32);
+        let ((), record) = metrics::observe(gpu, "resilience/retry-backoff", records, |gpu| {
+            gpu.charge_backoff(pause_s)
+        });
+        RetryStep {
+            pause_s,
+            record,
+            degradation: format!(
+                "transient fault ({error}); retry {retry} after {pause_s:.6}s modeled backoff"
+            ),
         }
     }
 }
@@ -266,180 +276,12 @@ fn gpu_attempt(
     Ok(output)
 }
 
-/// Whether every aggregate combines across chunks. COUNT/SUM/AVG/MIN/MAX
-/// do; order statistics (median, k-th, percentile) need the whole domain.
-fn query_is_chunkable(query: &Query) -> bool {
-    query.aggregates.iter().all(|agg| {
-        matches!(
-            agg,
-            Aggregate::Count
-                | Aggregate::Sum(_)
-                | Aggregate::Avg(_)
-                | Aggregate::Min(_)
-                | Aggregate::Max(_)
-        )
-    })
-}
-
-/// How each aggregate of the original SELECT list is reassembled from
-/// per-chunk partials.
-enum Reassemble {
-    Count,
-    /// Sum over per-chunk sums at `sums[idx]`.
-    Sum(usize),
-    /// Sum at `sums[idx]` divided by the total matched count.
-    Avg(usize),
-    /// Fold over per-chunk extrema at `extrema[idx]`.
-    Extremum(usize),
-}
-
-/// Out-of-core degradation: execute the query over `chunks` host slices,
-/// each uploaded separately, and combine the decomposable partials. The
-/// caller has already checked [`query_is_chunkable`].
-fn execute_out_of_core(
-    gpu: &mut Gpu,
-    host: &HostTable,
-    query: &Query,
-    options: ExecuteOptions,
-    chunks: usize,
-) -> EngineResult<QueryOutput> {
-    let n = host.record_count();
-    let chunk_records = n.div_ceil(chunks.max(1)).max(1);
-
-    // Per-chunk basis: COUNT plus one SUM per SUM/AVG aggregate, and a
-    // second pass of MIN/MAX aggregates for chunks with matches (MIN/MAX
-    // over an empty chunk is a typed error, not zero).
-    let mut basis = vec![Aggregate::Count];
-    let mut extrema_aggs: Vec<Aggregate> = Vec::new();
-    let mut plan: Vec<Reassemble> = Vec::new();
-    for agg in &query.aggregates {
-        match agg {
-            Aggregate::Count => plan.push(Reassemble::Count),
-            Aggregate::Sum(c) => {
-                plan.push(Reassemble::Sum(basis.len() - 1));
-                basis.push(Aggregate::Sum(c.clone()));
-            }
-            Aggregate::Avg(c) => {
-                plan.push(Reassemble::Avg(basis.len() - 1));
-                basis.push(Aggregate::Sum(c.clone()));
-            }
-            Aggregate::Min(_) | Aggregate::Max(_) => {
-                plan.push(Reassemble::Extremum(extrema_aggs.len()));
-                extrema_aggs.push(agg.clone());
-            }
-            _ => unreachable!("query_is_chunkable checked"),
-        }
-    }
-
-    let mut matched_total = 0u64;
-    let mut sums = vec![0u64; basis.len() - 1];
-    let mut extrema: Vec<Option<u32>> = vec![None; extrema_aggs.len()];
-    let mut all_metrics: Vec<MetricsRecord> = Vec::new();
-    let mut timing = OpTiming::default();
-
-    let with_filter = |aggs: Vec<Aggregate>| match query.filter.clone() {
-        Some(f) => Query::filtered(aggs, f),
-        None => Query::aggregate_all(aggs),
-    };
-
-    // `0..n.max(1)`: an empty table still runs one empty chunk so schema
-    // and plan validation fire exactly as they would on the full table.
-    let mut start = 0usize;
-    while start < n.max(1) {
-        let chunk = host.slice(start, start + chunk_records);
-        let table = chunk.upload(gpu)?;
-        let result = (|| -> EngineResult<()> {
-            let out =
-                executor::execute_with_options(gpu, &table, &with_filter(basis.clone()), options)?;
-            matched_total += out.matched;
-            for (row, sum) in out.rows.iter().skip(1).zip(sums.iter_mut()) {
-                if let (_, AggValue::Sum(v)) = row {
-                    *sum += v;
-                }
-            }
-            accumulate_timing(&mut timing, &out.timing);
-            all_metrics.extend(out.metrics);
-            if out.matched > 0 && !extrema_aggs.is_empty() {
-                let out2 = executor::execute_with_options(
-                    gpu,
-                    &table,
-                    &with_filter(extrema_aggs.clone()),
-                    options,
-                )?;
-                for ((slot, agg), row) in extrema.iter_mut().zip(&extrema_aggs).zip(&out2.rows) {
-                    if let (_, AggValue::Value(v)) = row {
-                        *slot = Some(match (*slot, agg) {
-                            (None, _) => *v,
-                            (Some(cur), Aggregate::Min(_)) => cur.min(*v),
-                            (Some(cur), _) => cur.max(*v),
-                        });
-                    }
-                }
-                accumulate_timing(&mut timing, &out2.timing);
-                all_metrics.extend(out2.metrics);
-            }
-            Ok(())
-        })();
-        let freed = table.free(gpu);
-        result?;
-        freed?;
-        start += chunk_records;
-    }
-
-    let mut rows = Vec::with_capacity(query.aggregates.len());
-    for (agg, step) in query.aggregates.iter().zip(&plan) {
-        let value = match step {
-            Reassemble::Count => AggValue::Count(matched_total),
-            Reassemble::Sum(i) => AggValue::Sum(sums[*i]),
-            Reassemble::Avg(i) => {
-                if matched_total == 0 {
-                    return Err(EngineError::EmptyInput);
-                }
-                AggValue::Avg(sums[*i] as f64 / matched_total as f64)
-            }
-            Reassemble::Extremum(i) => {
-                AggValue::Value(extrema[*i].ok_or(EngineError::InvalidK {
-                    k: 1,
-                    available: matched_total,
-                })?)
-            }
-        };
-        rows.push((agg.label(), value));
-    }
-
-    all_metrics.push(marker_record("resilience/out-of-core", n as u64));
-    Ok(QueryOutput {
-        matched: matched_total,
-        selectivity: if n == 0 {
-            0.0
-        } else {
-            matched_total as f64 / n as f64
-        },
-        rows,
-        timing,
-        metrics: all_metrics,
-        trace: None,
-    })
-}
-
-fn accumulate_timing(total: &mut OpTiming, delta: &OpTiming) {
-    total.upload += delta.upload;
-    total.copy += delta.copy;
-    total.compute += delta.compute;
-    total.readback += delta.readback;
-    total.other += delta.other;
-    total.wall += delta.wall;
-}
-
 /// Final rung: the CPU oracle. No device work, so the metrics record is
 /// a zero-cost marker and timing is all zeros.
 fn cpu_rung(
     host: &HostTable,
     query: &Query,
-    attempts: u32,
-    retries: u32,
-    backoff_s: f64,
-    degradations: Vec<String>,
+    mut report: ResilienceReport,
     mut resilience_metrics: Vec<MetricsRecord>,
 ) -> EngineResult<ResilientOutput> {
     let oracle = cpu_oracle::execute(host, query)?;
@@ -447,6 +289,7 @@ fn cpu_rung(
         "resilience/cpu-fallback",
         host.record_count() as u64,
     ));
+    report.path = ResiliencePath::Cpu;
     Ok(ResilientOutput {
         output: QueryOutput {
             matched: oracle.matched,
@@ -456,13 +299,7 @@ fn cpu_rung(
             metrics: resilience_metrics,
             trace: None,
         },
-        report: ResilienceReport {
-            path: ResiliencePath::Cpu,
-            attempts,
-            retries,
-            backoff_s,
-            degradations,
-        },
+        report,
     })
 }
 
@@ -481,7 +318,7 @@ pub(crate) fn marker_record(operator: &str, input_records: u64) -> MetricsRecord
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::ast::BoolExpr;
+    use crate::query::ast::{Aggregate, BoolExpr};
     use crate::table::GpuTable;
     use gpudb_sim::CompareFunc;
     use gpudb_sim::{FaultEvent, FaultInjector, FaultKind, GpuError};
@@ -667,26 +504,160 @@ mod tests {
             .any(|m| m.operator == "resilience/out-of-core"));
     }
 
-    #[test]
-    fn allocation_failure_with_holistic_aggregate_uses_cpu() {
-        let host = host();
-        let query = Query::aggregate_all(vec![Aggregate::Median("b".into())]);
-        let mut gpu = device(&host);
+    /// Run `query` with an allocation failure striking the caller's
+    /// device at t=0, so the ladder takes the out-of-core rung.
+    fn run_after_oom(
+        host: &HostTable,
+        query: &Query,
+        policy: &RetryPolicy,
+    ) -> EngineResult<ResilientOutput> {
+        let mut gpu = device(host);
         gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
             at_ns: 0,
             kind: FaultKind::AllocationFail,
         }]));
-        let resilient = execute_resilient(
-            &mut gpu,
+        execute_resilient(&mut gpu, host, query, ExecuteOptions::default(), policy)
+    }
+
+    /// The out-of-core rung answers exactly as the CPU oracle does: the
+    /// same rows, or the same typed error.
+    fn assert_rung_matches_oracle(host: &HostTable, query: &Query, policy: &RetryPolicy) {
+        match (
+            run_after_oom(host, query, policy),
+            cpu_oracle::execute(host, query),
+        ) {
+            (Ok(r), Ok(o)) => {
+                assert_eq!(r.report.path, ResiliencePath::OutOfCore, "{query:?}");
+                assert!(
+                    o.agrees_with(r.output.matched, &r.output.rows),
+                    "{query:?}: {:?} vs oracle {:?}",
+                    r.output.rows,
+                    o.rows
+                );
+            }
+            (Err(e), Err(oe)) => assert_eq!(e.to_string(), oe.to_string(), "{query:?}"),
+            (r, o) => panic!("{query:?}: rung {r:?} vs oracle {o:?}"),
+        }
+    }
+
+    #[test]
+    fn allocation_failure_with_holistic_aggregate_goes_out_of_core() {
+        let host = host();
+        for agg in [
+            Aggregate::Median("b".into()),
+            Aggregate::KthLargest("b".into(), 3),
+            Aggregate::KthSmallest("b".into(), 5),
+            Aggregate::Percentile("b".into(), 0.9),
+        ] {
+            for query in [
+                Query::aggregate_all(vec![agg.clone()]),
+                Query::filtered(
+                    vec![Aggregate::Count, agg.clone()],
+                    BoolExpr::pred("a", CompareFunc::Greater, 20),
+                ),
+            ] {
+                let resilient = run_after_oom(&host, &query, &RetryPolicy::default()).unwrap();
+                // The distributed descent answers on the device.
+                assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
+                assert!(!resilient
+                    .output
+                    .metrics
+                    .iter()
+                    .any(|m| m.operator == "resilience/cpu-fallback"));
+                let oracle = cpu_oracle::execute(&host, &query).unwrap();
+                assert!(
+                    oracle.agrees_with(resilient.output.matched, &resilient.output.rows),
+                    "{query:?}"
+                );
+            }
+        }
+    }
+
+    fn every_aggregate() -> Vec<Aggregate> {
+        vec![
+            Aggregate::Count,
+            Aggregate::Sum("b".into()),
+            Aggregate::Avg("b".into()),
+            Aggregate::Min("b".into()),
+            Aggregate::Max("b".into()),
+            Aggregate::Median("b".into()),
+            Aggregate::KthLargest("a".into(), 2),
+            Aggregate::KthSmallest("a".into(), 1),
+            Aggregate::Percentile("a".into(), 0.25),
+        ]
+    }
+
+    #[test]
+    fn out_of_core_rung_on_empty_table_matches_oracle() {
+        let host = HostTable::new("t", vec![("a", Vec::new()), ("b", Vec::new())]).unwrap();
+        let policy = RetryPolicy::default();
+        assert_rung_matches_oracle(
+            &host,
+            &Query::aggregate_all(vec![Aggregate::Count]),
+            &policy,
+        );
+        // Each aggregate alone, so every typed error gets compared.
+        for agg in every_aggregate() {
+            assert_rung_matches_oracle(&host, &Query::aggregate_all(vec![agg]), &policy);
+        }
+    }
+
+    #[test]
+    fn out_of_core_rung_with_more_chunks_than_records_matches_oracle() {
+        let host = HostTable::new("t", vec![("a", vec![9, 2, 7]), ("b", vec![4, 8, 1])]).unwrap();
+        let policy = RetryPolicy {
+            oom_chunks: 8,
+            ..RetryPolicy::default()
+        };
+        let all = Query::aggregate_all(every_aggregate());
+        assert_rung_matches_oracle(&host, &all, &policy);
+        let filtered = Query::filtered(
+            every_aggregate(),
+            BoolExpr::pred("a", CompareFunc::Greater, 5),
+        );
+        assert_rung_matches_oracle(&host, &filtered, &policy);
+        // A selection that empties some partitions but not others, and one
+        // that empties all of them.
+        for cut in [8, 100] {
+            for agg in every_aggregate() {
+                let query =
+                    Query::filtered(vec![agg], BoolExpr::pred("a", CompareFunc::Greater, cut));
+                assert_rung_matches_oracle(&host, &query, &policy);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_core_cost_is_the_sum_of_partition_clocks() {
+        let host = host();
+        let query = Query::filtered(
+            every_aggregate(),
+            BoolExpr::pred("a", CompareFunc::Less, 50),
+        );
+        let policy = RetryPolicy::default();
+        let resilient = run_after_oom(&host, &query, &policy).unwrap();
+        assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
+        // The same partitions on the same chunk-sized devices.
+        let partitions = execute_sharded(
             &host,
             &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
+            &ShardOptions {
+                shards: policy.oom_chunks,
+                device_width: device(&host).width(),
+                options: ExecuteOptions::default(),
+                policy: policy.clone(),
+            },
         )
         .unwrap();
-        assert_eq!(resilient.report.path, ResiliencePath::Cpu);
-        let oracle = cpu_oracle::execute(&host, &query).unwrap();
-        assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
+        assert_eq!(partitions.report.shards.len(), policy.oom_chunks);
+        let partition_ns: u64 = partitions.report.shards.iter().map(|s| s.modeled_ns).sum();
+        let total_ns = resilient.output.timing.total() * 1e9;
+        assert!(partition_ns > 0);
+        // Each partition's clock is rounded to whole nanoseconds.
+        assert!(
+            (total_ns - partition_ns as f64).abs() <= policy.oom_chunks as f64,
+            "rung {total_ns} ns vs partitions {partition_ns} ns"
+        );
     }
 
     #[test]

@@ -48,9 +48,9 @@ pub struct Gpu {
     fault_injector: Option<FaultInjector>,
 }
 
-// Devices cross thread boundaries in sharded multi-device execution —
-// one worker thread owns each shard's `Gpu`. Keep the device `Send`
-// (the `SpanSink` trait object carries a `Send` bound for this reason).
+// Keep the device `Send` so a caller may hand each device of a
+// multi-device run to its own thread (the `SpanSink` trait object
+// carries a `Send` bound for this reason).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Gpu>();

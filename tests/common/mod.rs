@@ -77,7 +77,7 @@ pub fn query_shapes(seed: u64) -> Vec<Query> {
             },
         ),
         // 5. Order statistics (Routine 4.5) — holistic, so the OOM rung
-        // must hand these to the CPU.
+        // answers them through the distributed bit descent.
         Query::filtered(
             vec![
                 Aggregate::Median("a".into()),
