@@ -1,12 +1,12 @@
 //! Ablation studies for the design choices the paper argues for.
 
-use crate::harness::{Workload, GRID_WIDTH, SEED};
+use crate::harness::{ms, Workload, GRID_WIDTH, SEED};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::aggregate::{kth_largest, mipmap_sum, sum};
 use gpudb_core::boolean::{eval_cnf_general_select, GpuCnf, GpuPredicate};
+use gpudb_core::metrics::observe;
 use gpudb_core::range::range_select;
 use gpudb_core::table::GpuTable;
-use gpudb_core::timing::measure;
 use gpudb_core::EngineResult;
 use gpudb_data::selectivity::range_for_selectivity;
 use gpudb_sim::{CompareFunc, HardwareProfile};
@@ -31,8 +31,8 @@ pub fn mipmap(scale: Scale) -> EngineResult<FigureResult> {
         let error = (reduction.sum - exact as f64).abs();
         worst_error = worst_error.max(error);
 
-        acc_series.push(records as f64, acc_timing.total() * 1e3);
-        mip_series.push(records as f64, reduction.modeled_seconds * 1e3);
+        acc_series.push(records as f64, ms(acc_timing.total()));
+        mip_series.push(records as f64, ms(reduction.modeled_ns));
         err_series.push(records as f64, error);
     }
 
@@ -76,8 +76,8 @@ pub fn range_vs_cnf(scale: Scale) -> EngineResult<FigureResult> {
             w.time(|gpu, table| eval_cnf_general_select(gpu, table, &cnf).unwrap());
         assert_eq!(count_a, count_b, "the two protocols must agree");
 
-        bounds_series.push(records as f64, bounds_timing.total() * 1e3);
-        cnf_series.push(records as f64, cnf_timing.total() * 1e3);
+        bounds_series.push(records as f64, ms(bounds_timing.total()));
+        cnf_series.push(records as f64, ms(cnf_timing.total()));
     }
 
     let ratio = cnf_series.last_y() / bounds_series.last_y();
@@ -110,10 +110,10 @@ pub fn sync_overhead(scale: Scale) -> EngineResult<FigureResult> {
         let height = records.div_ceil(width).max(1);
         let mut gpu = gpudb_sim::Gpu::new(profile, width, height);
         let table = GpuTable::upload(&mut gpu, "t", &[("a", &values)])?;
-        let (_, timing) = measure(&mut gpu, |gpu| {
+        let (_, record) = observe(&mut gpu, "kth_largest", records as u64, |gpu| {
             kth_largest(gpu, &table, 0, records / 2, None).unwrap()
         });
-        Ok(timing.compute_only() * 1e3)
+        Ok(ms(record.modeled_ns.compute_only()))
     };
 
     let real = run_with(HardwareProfile::geforce_fx_5900())?;
@@ -188,11 +188,11 @@ pub fn early_z(scale: Scale) -> EngineResult<FigureResult> {
         gpu.draw_quad(table.rects(), gpudb_core::ops::encode_depth(median_value))
             .map_err(gpudb_core::EngineError::from)?;
         let shaded = gpu.stats().fragments_shaded;
-        let ms = gpu.stats().modeled_total() * 1e3;
+        let modeled_ms = ms(gpu.stats().modeled.total());
         gpu.bind_program(None);
         gpu.reset_state();
         gpu.set_early_z(true);
-        Ok((ms, shaded))
+        Ok((modeled_ms, shaded))
     };
 
     let (on_ms, on_shaded) = measure_with(true)?;
@@ -246,16 +246,17 @@ pub fn wishlist(scale: Scale) -> EngineResult<FigureResult> {
         );
         let table = GpuTable::upload(&mut gpu, "t", &[("a", &values)])?;
 
-        let (standard, standard_timing) =
-            measure(&mut gpu, |gpu| sum(gpu, &table, 0, None).unwrap());
-        let (masked, masked_timing) = measure(&mut gpu, |gpu| {
+        let n = records as u64;
+        let (standard, standard_record) =
+            observe(&mut gpu, "sum", n, |gpu| sum(gpu, &table, 0, None).unwrap());
+        let (masked, masked_record) = observe(&mut gpu, "sum_with_depth_mask", n, |gpu| {
             gpudb_core::aggregate::sum_with_depth_mask(gpu, &table, 0, None).unwrap()
         });
         assert_eq!(standard, expected);
         assert_eq!(masked, expected);
 
-        standard_series.push(records as f64, standard_timing.total() * 1e3);
-        masked_series.push(records as f64, masked_timing.total() * 1e3);
+        standard_series.push(records as f64, ms(standard_record.modeled_total_ns()));
+        masked_series.push(records as f64, ms(masked_record.modeled_total_ns()));
         cpu_series.push(records as f64, cpu.sum_seconds(records) * 1e3);
     }
 
@@ -320,7 +321,7 @@ pub fn data_independence(scale: Scale) -> EngineResult<FigureResult> {
         let height = records.div_ceil(width).max(1);
         let mut gpu = gpudb_sim::Gpu::geforce_fx_5900(width, height);
         let table = GpuTable::upload(&mut gpu, "t", &[("a", values)])?;
-        let (gpu_value, timing) = measure(&mut gpu, |gpu| {
+        let (gpu_value, record) = observe(&mut gpu, "kth_largest", records as u64, |gpu| {
             kth_largest(gpu, &table, 0, records / 2, None).unwrap()
         });
 
@@ -328,7 +329,7 @@ pub fn data_independence(scale: Scale) -> EngineResult<FigureResult> {
             gpudb_cpu::quickselect::kth_largest_instrumented(values, records / 2);
         assert_eq!(Some(gpu_value), cpu_value);
 
-        let g = timing.total() * 1e3;
+        let g = ms(record.modeled_total_ns());
         let c = cpu.select_seconds(&stats) * 1e3;
         gpu_series.push((i + 1) as f64, g);
         cpu_series.push((i + 1) as f64, c);

@@ -7,7 +7,7 @@
 //! census workload and checks that the speedup factors agree with the
 //! TCP/IP ones within a modest tolerance.
 
-use crate::harness::{cpu_model, speedup, Workload, SEED};
+use crate::harness::{cpu_model, ms, speedup, Workload, SEED};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::predicate::compare_select;
 use gpudb_core::range::range_select;
@@ -37,8 +37,8 @@ fn factors_for(dataset: gpudb_data::Dataset, column: usize) -> EngineResult<Fact
         w.time(|gpu, table| range_select(gpu, table, column, low, high).unwrap());
 
     Ok(Factors {
-        predicate_total: speedup(cpu.scan_seconds(records), pred_timing.total()),
-        range_total: speedup(cpu.range_seconds(records), range_timing.total()),
+        predicate_total: speedup(cpu.scan_seconds(records) * 1e3, ms(pred_timing.total())),
+        range_total: speedup(cpu.range_seconds(records) * 1e3, ms(range_timing.total())),
     })
 }
 

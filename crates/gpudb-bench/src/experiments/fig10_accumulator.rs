@@ -4,7 +4,7 @@
 //! primitive where the paper's GPU loses, due to the missing integer
 //! arithmetic (§6.2.3).
 
-use crate::harness::{cpu_model, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::aggregate::sum;
 use gpudb_core::EngineResult;
@@ -24,7 +24,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let (cpu_sum, cpu_secs) = wall_seconds(3, || gpudb_cpu::aggregate::sum(&values));
         assert_eq!(gpu_sum, cpu_sum, "SUM mismatch at {records} records");
 
-        gpu_series.push(records as f64, timing.total() * 1e3);
+        gpu_series.push(records as f64, ms(timing.total()));
         cpu_modeled.push(records as f64, cpu.sum_seconds(records) * 1e3);
         cpu_wall.push(records as f64, cpu_secs * 1e3);
     }

@@ -3,7 +3,7 @@
 //! increase in the time taken to perform the copy operation as a function
 //! of the number of records."
 
-use crate::harness::Workload;
+use crate::harness::{ms, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::predicate::copy_to_depth;
 use gpudb_core::EngineResult;
@@ -15,11 +15,15 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
 
     for records in scale.sweep() {
         let mut w = Workload::tcpip(records)?;
+        let wall_before = w.gpu.stats().wall.total();
         let ((), timing) = w.time(|gpu, table| {
             copy_to_depth(gpu, table, 0).unwrap();
         });
-        modeled.push(records as f64, timing.copy * 1e3);
-        wall.push(records as f64, timing.wall * 1e3);
+        modeled.push(records as f64, ms(timing.copy_to_depth));
+        wall.push(
+            records as f64,
+            (w.gpu.stats().wall.total() - wall_before) * 1e3,
+        );
     }
 
     // Linearity check on the *marginal* cost between successive sizes:

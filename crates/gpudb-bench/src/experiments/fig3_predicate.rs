@@ -5,7 +5,7 @@
 //! faster than a compiler-optimized SIMD implementation." The overall
 //! (with-copy) timings are "nearly 3 times faster".
 
-use crate::harness::{cpu_model, speedup, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, speedup, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::predicate::compare_select;
 use gpudb_core::EngineResult;
@@ -35,8 +35,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         });
         assert_eq!(bm.count_ones() as u64, count, "GPU/CPU result mismatch");
 
-        gpu_total.push(records as f64, timing.total() * 1e3);
-        gpu_compute.push(records as f64, timing.compute_only() * 1e3);
+        gpu_total.push(records as f64, ms(timing.total()));
+        gpu_compute.push(records as f64, ms(timing.compute_only()));
         cpu_modeled.push(records as f64, cpu.scan_seconds(records) * 1e3);
         cpu_wall.push(records as f64, cpu_secs * 1e3);
     }

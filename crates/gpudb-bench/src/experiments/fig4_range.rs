@@ -3,7 +3,7 @@
 //! computation time, the GPU is nearly 40 times faster"; overall "the GPU
 //! is nearly 5.5 times faster".
 
-use crate::harness::{cpu_model, speedup, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, speedup, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::range::range_select;
 use gpudb_core::EngineResult;
@@ -29,8 +29,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let (bm, cpu_secs) = wall_seconds(3, || gpudb_cpu::cnf::eval_range(&values, low, high));
         assert_eq!(bm.count_ones() as u64, count, "GPU/CPU result mismatch");
 
-        gpu_total.push(records as f64, timing.total() * 1e3);
-        gpu_compute.push(records as f64, timing.compute_only() * 1e3);
+        gpu_total.push(records as f64, ms(timing.total()));
+        gpu_compute.push(records as f64, ms(timing.compute_only()));
         cpu_modeled.push(records as f64, cpu.range_seconds(records) * 1e3);
         cpu_wall.push(records as f64, cpu_secs * 1e3);
     }

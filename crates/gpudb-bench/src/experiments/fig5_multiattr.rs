@@ -5,7 +5,7 @@
 //! implementation. If we consider only the computational times [...] the
 //! GPU is nearly 20 times faster."
 
-use crate::harness::{cpu_model, speedup, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, speedup, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::boolean::{eval_cnf_select, GpuCnf, GpuPredicate};
 use gpudb_core::EngineResult;
@@ -48,8 +48,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let (bm, cpu_secs) = wall_seconds(3, || gpudb_cpu::cnf::eval_cnf(&refs, &cpu_cnf));
         assert_eq!(bm.count_ones() as u64, count, "GPU/CPU result mismatch");
 
-        gpu_total.push(attrs as f64, timing.total() * 1e3);
-        gpu_compute.push(attrs as f64, timing.compute_only() * 1e3);
+        gpu_total.push(attrs as f64, ms(timing.total()));
+        gpu_compute.push(attrs as f64, ms(timing.compute_only()));
         cpu_modeled.push(attrs as f64, cpu.cnf_seconds(records, attrs, attrs) * 1e3);
         cpu_wall.push(attrs as f64, cpu_secs * 1e3);
     }

@@ -3,7 +3,7 @@
 //! order of magnitude faster than the CPU-based implementation." (§5.8:
 //! "the GPU timings are 9 times faster".)
 
-use crate::harness::{cpu_model, speedup, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, speedup, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::semilinear::semilinear_select;
 use gpudb_core::EngineResult;
@@ -40,7 +40,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         });
         assert_eq!(bm.count_ones() as u64, count, "GPU/CPU result mismatch");
 
-        gpu_series.push(records as f64, timing.total() * 1e3);
+        gpu_series.push(records as f64, ms(timing.total()));
         cpu_modeled.push(records as f64, cpu.semilinear_seconds(records, 4) * 1e3);
         cpu_wall.push(records as f64, cpu_secs * 1e3);
     }

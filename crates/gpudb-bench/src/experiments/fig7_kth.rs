@@ -5,7 +5,7 @@
 //! algorithm are nearly twice as fast in comparison to the CPU
 //! implementation", and compute-only "3 times faster than QuickSelect".
 
-use crate::harness::{cpu_model, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::aggregate::kth_largest;
 use gpudb_core::EngineResult;
@@ -34,8 +34,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
             wall_seconds(3, || quickselect::kth_largest_instrumented(&values, k));
         assert_eq!(Some(gpu_value), cpu_value, "k = {k}: GPU/CPU disagree");
 
-        gpu_total.push(k as f64, timing.total() * 1e3);
-        gpu_compute.push(k as f64, timing.compute_only() * 1e3);
+        gpu_total.push(k as f64, ms(timing.total()));
+        gpu_compute.push(k as f64, ms(timing.compute_only()));
         cpu_modeled.push(k as f64, cpu.select_seconds(&stats) * 1e3);
         cpu_wall.push(k as f64, cpu_secs * 1e3);
     }

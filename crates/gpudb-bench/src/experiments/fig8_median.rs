@@ -3,7 +3,7 @@
 //! the GPU is nearly twice as fast as QuickSelect on the CPU. Considering
 //! only the computational times [...] nearly 2.5 times faster."
 
-use crate::harness::{cpu_model, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::aggregate::median;
 use gpudb_core::EngineResult;
@@ -28,8 +28,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         });
         assert_eq!(Some(gpu_value), cpu_value, "median mismatch at {records}");
 
-        gpu_total.push(records as f64, timing.total() * 1e3);
-        gpu_compute.push(records as f64, timing.compute_only() * 1e3);
+        gpu_total.push(records as f64, ms(timing.total()));
+        gpu_compute.push(records as f64, ms(timing.compute_only()));
         cpu_modeled.push(records as f64, cpu.select_seconds(&stats) * 1e3);
         cpu_wall.push(records as f64, cpu_secs * 1e3);
     }

@@ -5,7 +5,7 @@
 //! while the CPU baseline must first copy "the valid data into an array"
 //! before running QuickSelect.
 
-use crate::harness::{cpu_model, wall_seconds, Workload};
+use crate::harness::{cpu_model, ms, wall_seconds, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::aggregate::median;
 use gpudb_core::predicate::compare_select;
@@ -53,8 +53,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         assert_eq!(extracted, selected_count);
         assert_eq!(Some(gpu_value), cpu_value, "masked median mismatch");
 
-        gpu_masked.push(records as f64, masked_timing.total() * 1e3);
-        gpu_full.push(records as f64, full_timing.total() * 1e3);
+        gpu_masked.push(records as f64, ms(masked_timing.total()));
+        gpu_full.push(records as f64, ms(full_timing.total()));
         cpu_modeled.push(
             records as f64,
             (cpu.extract_seconds(records) + cpu.select_seconds(&stats)) * 1e3,

@@ -3,7 +3,7 @@
 //! data values scattered over a 1000×1000 frame-buffer, we can obtain the
 //! number of selected values within 0.25 ms."
 
-use crate::harness::Workload;
+use crate::harness::{ms, Workload};
 use crate::report::{FigureResult, Scale, Series};
 use gpudb_core::predicate::compare_select;
 use gpudb_core::EngineResult;
@@ -32,15 +32,10 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
     // count once the query has been issued. We measure the synchronous
     // result fetch (readback phase) separately from the counting pass's
     // fill time.
-    let (standalone_count, timing) = {
-        let before = w.gpu.stats().modeled;
-        let count = selection.count(&mut w.gpu)?;
-        let delta = w.gpu.stats().modeled.since(&before);
-        (count, delta)
-    };
-    assert_eq!(piggyback_count, standalone_count);
-    let retrieval_ms = timing.get(gpudb_sim::Phase::Readback) * 1e3;
-    let full_pass_ms = timing.total() * 1e3;
+    let (standalone_count, timing) = w.time(|gpu, _| selection.count(gpu));
+    assert_eq!(piggyback_count, standalone_count?);
+    let retrieval_ms = ms(timing.readback);
+    let full_pass_ms = ms(timing.total());
 
     let mut retrieval = Series::new("count retrieval / pipeline drain (modeled)");
     retrieval.push(records as f64, retrieval_ms);

@@ -2,10 +2,10 @@
 //! its §2.2 assessment that Purcell-style bitonic sorting "can be quite
 //! slow for database operations on large databases".
 
-use crate::harness::{wall_seconds, SEED};
+use crate::harness::{ms, wall_seconds, SEED};
 use crate::report::{FigureResult, Scale, Series};
+use gpudb_core::metrics::observe;
 use gpudb_core::sort::sort_values;
-use gpudb_core::timing::measure;
 use gpudb_core::EngineResult;
 use gpudb_data::tcpip;
 use gpudb_sim::Gpu;
@@ -36,12 +36,14 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let height = n.next_power_of_two().div_ceil(width).max(1);
         let mut gpu = Gpu::geforce_fx_5900(width, height);
 
-        let (outcome, timing) = measure(&mut gpu, |gpu| sort_values(gpu, values).unwrap());
+        let (outcome, record) = observe(&mut gpu, "sort", n as u64, |gpu| {
+            sort_values(gpu, values).unwrap()
+        });
         let (mut expected, cpu_secs) = wall_seconds(3, || values.to_vec());
         let (_, sort_secs) = wall_seconds(1, || expected.sort_unstable());
         assert_eq!(outcome.sorted, expected, "GPU sort mismatch at n = {n}");
 
-        gpu_series.push(n as f64, timing.total() * 1e3);
+        gpu_series.push(n as f64, ms(record.modeled_total_ns()));
         pass_series.push(n as f64, outcome.passes as f64);
         cpu_series.push(n as f64, (cpu_secs + sort_secs) * 1e3);
     }

@@ -1,11 +1,11 @@
 //! Shared experiment plumbing: workload setup and timing helpers.
 
+use gpudb_core::metrics::observe;
 use gpudb_core::table::GpuTable;
-use gpudb_core::timing::{measure, OpTiming};
 use gpudb_core::EngineResult;
 use gpudb_cpu::CpuCostModel;
 use gpudb_data::{tcpip, Dataset};
-use gpudb_sim::Gpu;
+use gpudb_sim::{Gpu, PhaseNanos};
 
 /// Grid width used for experiment tables (the paper's layout is
 /// 1000-wide).
@@ -52,10 +52,13 @@ impl Workload {
         self.dataset.column_slices()
     }
 
-    /// Run a GPU op and return its value and modeled timing.
-    pub fn time<T>(&mut self, op: impl FnOnce(&mut Gpu, &GpuTable) -> T) -> (T, OpTiming) {
+    /// Run a GPU op over the whole table and return its value and
+    /// modeled time by phase.
+    pub fn time<T>(&mut self, op: impl FnOnce(&mut Gpu, &GpuTable) -> T) -> (T, PhaseNanos) {
         let table = &self.table;
-        measure(&mut self.gpu, |gpu| op(gpu, table))
+        let n = table.record_count() as u64;
+        let (value, record) = observe(&mut self.gpu, "experiment", n, |gpu| op(gpu, table));
+        (value, record.modeled_ns)
     }
 }
 
@@ -79,6 +82,11 @@ pub fn cpu_model() -> CpuCostModel {
     CpuCostModel::xeon_2004()
 }
 
+/// Modeled nanoseconds as milliseconds, the unit every figure plots.
+pub fn ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
+}
+
 /// Format a speedup factor for `observed` strings.
 pub fn speedup(cpu_s: f64, gpu_s: f64) -> f64 {
     cpu_s / gpu_s
@@ -97,14 +105,15 @@ mod tests {
     }
 
     #[test]
-    fn time_reports_modeled_seconds() {
+    fn time_reports_modeled_nanoseconds() {
         let mut w = Workload::tcpip(2000).unwrap();
         let (count, timing) = w.time(|gpu, table| {
             gpudb_core::predicate::compare_count(gpu, table, 0, gpudb_sim::CompareFunc::Greater, 0)
                 .unwrap()
         });
         assert!(count > 0);
-        assert!(timing.total() > 0.0);
+        assert!(timing.total() > 0);
+        assert_eq!(timing.upload, 0, "the table was uploaded before");
     }
 
     #[test]

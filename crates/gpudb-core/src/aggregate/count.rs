@@ -60,6 +60,6 @@ mod tests {
         gpu.reset_stats();
         sel.count(&mut gpu).unwrap();
         let readback = gpu.stats().modeled.get(gpudb_sim::Phase::Readback);
-        assert!(readback <= 0.25e-3, "readback {readback}s");
+        assert!(readback <= 250_000, "readback {readback} ns");
     }
 }

@@ -935,7 +935,7 @@ mod tests {
         ]);
         let modeled = |fused: bool| {
             let (mut gpu, t) = setup(&[("a", &a)]);
-            let (result, timing) = crate::timing::measure(&mut gpu, |gpu| {
+            let (result, record) = crate::metrics::observe(&mut gpu, "cnf", 60, |gpu| {
                 if fused {
                     eval_cnf_select(gpu, &t, &cnf)
                 } else {
@@ -943,7 +943,7 @@ mod tests {
                 }
             });
             result.unwrap();
-            timing.total()
+            record.modeled_total_ns()
         };
         let fused = modeled(true);
         let unfused = modeled(false);

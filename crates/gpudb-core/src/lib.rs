@@ -21,11 +21,11 @@
 //!   primitives (the §7 OLAP future work);
 //! * [`stream`] — sliding-window continuous queries (§7: "continuous
 //!   queries over streams");
-//! * [`timing`] — per-operation modeled timing breakdowns matching the
-//!   paper's "with copy" / "computation only" split;
 //! * [`metrics`] — structured per-operator metrics records (work
-//!   counters + modeled phase times) backing the perf-regression
-//!   harness in `gpudb-bench`;
+//!   counters + the device's integer-nanosecond phase times, with the
+//!   paper's "with copy" / "computation only" split) backing the
+//!   perf-regression harness in `gpudb-bench`; [`metrics::observe`] is
+//!   the one way to measure an operation;
 //! * [`cpu_oracle`] — a device-free reference engine with exact GPU
 //!   parity (results and errors alike), backing the fault-injection
 //!   chaos suite and the CPU rung of the recovery ladder;
@@ -79,7 +79,6 @@ pub mod semilinear;
 pub mod sort;
 pub mod stream;
 pub mod table;
-pub mod timing;
 
 pub use boolean::{GpuClause, GpuCnf, GpuDnf, GpuPredicate, GpuTerm};
 pub use cpu_oracle::{HostTable, OracleOutput};
@@ -92,7 +91,6 @@ pub use parallel::{
 pub use resilience::{ResiliencePath, ResilienceReport, ResilientOutput, RetryPolicy};
 pub use selection::Selection;
 pub use table::GpuTable;
-pub use timing::OpTiming;
 
 // Re-export the device-facing types users need alongside this crate.
 pub use gpudb_sim::{CompareFunc, Gpu};

@@ -16,82 +16,8 @@
 
 use crate::error::EngineResult;
 use gpudb_sim::span::SpanKind;
-use gpudb_sim::{Gpu, PhaseTimes, WorkCounters};
+use gpudb_sim::{Gpu, PhaseNanos, WorkCounters};
 use serde::{Deserialize, Serialize};
-
-/// Modeled time split by phase, in integer nanoseconds. Rounding the
-/// simulator's f64 seconds to whole nanoseconds keeps the serialized form
-/// exact and diff-friendly without losing meaningful precision (the model
-/// resolves microseconds at best).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseNanos {
-    /// Host → device upload.
-    pub upload: u64,
-    /// Attribute copy into the depth buffer (§5.4).
-    pub copy_to_depth: u64,
-    /// Computation passes.
-    pub compute: u64,
-    /// Occlusion/result readback.
-    pub readback: u64,
-    /// Unattributed time.
-    pub other: u64,
-}
-
-impl PhaseNanos {
-    /// Convert a phase-time delta (seconds) to whole nanoseconds.
-    ///
-    /// Rounding each phase independently can make [`PhaseNanos::total`]
-    /// disagree with the rounded whole-delta by a few nanoseconds, so the
-    /// phases are reconciled by largest remainder: floor each phase, then
-    /// hand out the nanoseconds still missing from the rounded total to
-    /// the phases with the largest fractional parts (ties broken by phase
-    /// order, deterministically). `total()` therefore always equals the
-    /// rounded sum of the phase times.
-    pub fn from_phases(delta: &PhaseTimes) -> PhaseNanos {
-        use gpudb_sim::stats::ALL_PHASES;
-        // Guard against tiny negative deltas from float cancellation.
-        let raw: [f64; 5] = ALL_PHASES.map(|p| (delta.get(p) * 1e9).max(0.0));
-        let mut ns: [u64; 5] = raw.map(|v| v as u64); // truncation == floor for v >= 0
-        let target = (delta.total().max(0.0) * 1e9).round() as u64;
-        let assigned: u64 = ns.iter().sum();
-        let mut order: [usize; 5] = [0, 1, 2, 3, 4];
-        order.sort_by(|&a, &b| {
-            let frac = |i: usize| raw[i] - raw[i] as u64 as f64;
-            // Fractions are finite (clamped to >= 0 above), but never
-            // panic on a comparison: fall back to index order.
-            frac(b)
-                .partial_cmp(&frac(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        for i in 0..target.saturating_sub(assigned) as usize {
-            ns[order[i % 5]] += 1;
-        }
-        PhaseNanos {
-            upload: ns[0],
-            copy_to_depth: ns[1],
-            compute: ns[2],
-            readback: ns[3],
-            other: ns[4],
-        }
-    }
-
-    /// Total modeled nanoseconds across phases.
-    pub fn total(&self) -> u64 {
-        self.upload + self.copy_to_depth + self.compute + self.readback + self.other
-    }
-
-    /// Component-wise sum.
-    pub fn plus(&self, other: &PhaseNanos) -> PhaseNanos {
-        PhaseNanos {
-            upload: self.upload + other.upload,
-            copy_to_depth: self.copy_to_depth + other.copy_to_depth,
-            compute: self.compute + other.compute,
-            readback: self.readback + other.readback,
-            other: self.other + other.other,
-        }
-    }
-}
 
 /// One operator execution: its name, input size, the architectural work
 /// it generated, and the modeled time that work costs on the paper's 2004
@@ -145,7 +71,7 @@ pub fn observe<T>(
         operator,
         input_records,
         counters: stats.counters().since(&counters_before),
-        modeled_ns: PhaseNanos::from_phases(&stats.modeled.since(&modeled_before)),
+        modeled_ns: stats.modeled.since(&modeled_before),
     };
     (result, record)
 }
@@ -380,7 +306,7 @@ pub mod ops {
 mod tests {
     use super::*;
     use crate::table::GpuTable;
-    use gpudb_sim::{CompareFunc, Phase};
+    use gpudb_sim::CompareFunc;
 
     fn setup(n: u32) -> (Gpu, GpuTable, Vec<u32>) {
         let values: Vec<u32> = (0..n).map(|i| (i * 37) % 500).collect();
@@ -436,63 +362,6 @@ mod tests {
         let mut merged = MetricsLog::new();
         merged.extend(log.clone());
         assert_eq!(merged, log);
-    }
-
-    #[test]
-    fn phase_nanos_round_trip_and_sum() {
-        let mut phases = PhaseTimes::default();
-        phases.add(Phase::Compute, 1.5e-3);
-        phases.add(Phase::Readback, 2.5e-6);
-        let ns = PhaseNanos::from_phases(&phases);
-        assert_eq!(ns.compute, 1_500_000);
-        assert_eq!(ns.readback, 2_500);
-        assert_eq!(ns.total(), 1_502_500);
-        let doubled = ns.plus(&ns);
-        assert_eq!(doubled.total(), 3_005_000);
-    }
-
-    #[test]
-    fn phase_nanos_total_matches_rounded_delta() {
-        // The historical bug: per-phase rounding drifted from the rounded
-        // whole-delta. 0.4 ns + 0.4 ns rounds per-phase to 0 + 0 but the
-        // 0.8 ns total rounds to 1.
-        let mut phases = PhaseTimes::default();
-        phases.add(Phase::Compute, 0.4e-9);
-        phases.add(Phase::Readback, 0.4e-9);
-        let ns = PhaseNanos::from_phases(&phases);
-        assert_eq!(ns.total(), 1);
-        // The missing nanosecond goes to a phase that has time, not to a
-        // zero phase.
-        assert_eq!(ns.upload, 0);
-        assert_eq!(ns.other, 0);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-        #[test]
-        fn phase_nanos_total_is_the_rounded_phase_sum(
-            upload in 0.0f64..1e-2,
-            copy in 0.0f64..1e-2,
-            compute in 0.0f64..1e-2,
-            readback in 0.0f64..1e-2,
-            o in 0.0f64..1e-2,
-        ) {
-            let mut phases = PhaseTimes::default();
-            phases.add(Phase::Upload, upload);
-            phases.add(Phase::CopyToDepth, copy);
-            phases.add(Phase::Compute, compute);
-            phases.add(Phase::Readback, readback);
-            phases.add(Phase::Other, o);
-            let ns = PhaseNanos::from_phases(&phases);
-            proptest::prop_assert_eq!(ns.total(), (phases.total() * 1e9).round() as u64);
-            // Each phase is within 1 ns of its independent rounding.
-            let near = |v: u64, s: f64| v.abs_diff((s * 1e9).round() as u64) <= 1;
-            proptest::prop_assert!(near(ns.upload, upload));
-            proptest::prop_assert!(near(ns.copy_to_depth, copy));
-            proptest::prop_assert!(near(ns.compute, compute));
-            proptest::prop_assert!(near(ns.readback, readback));
-            proptest::prop_assert!(near(ns.other, o));
-        }
     }
 
     #[test]

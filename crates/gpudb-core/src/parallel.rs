@@ -43,12 +43,10 @@
 //! remainder of the query if a fault lands mid-aggregate. A fault on one
 //! shard never disturbs the others.
 
-use std::time::Instant;
-
 use crate::aggregate;
 use crate::cpu_oracle::{self, HostTable};
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::{self, MetricsRecord, PhaseNanos};
+use crate::metrics::{self, MetricsRecord};
 use crate::predicate::{comparison_pass, copy_to_depth, OcclusionMode};
 use crate::query::ast::{Aggregate, BoolExpr, Query};
 use crate::query::executor::{
@@ -58,10 +56,11 @@ use crate::query::planner::plan_selection;
 use crate::resilience::{marker_record, ResiliencePath, RetryPolicy, RetryStep};
 use crate::selection::{Selection, SELECTED};
 use crate::table::GpuTable;
-use crate::timing::OpTiming;
 use gpudb_obs::{merge_shard_trees, SpanCollector};
 use gpudb_sim::span::SpanKind;
-use gpudb_sim::{CompareFunc, FaultClass, FaultInjector, Gpu, Phase, RecordMode, StencilOp};
+use gpudb_sim::{
+    CompareFunc, FaultClass, FaultInjector, Gpu, Phase, PhaseNanos, RecordMode, StencilOp,
+};
 
 /// Modeled cost of one merge step, in nanoseconds. The coordinator's
 /// merge work is `shards * (aggregates + 1)` steps: one bitmap-count
@@ -184,7 +183,6 @@ pub fn execute_sharded_with_faults(
     let n = host.record_count();
     let ranges = plan_shards(n, opts.shards);
     faults.resize_with(ranges.len(), || None);
-    let wall_start = Instant::now();
     let mut workers: Vec<Worker> = ranges
         .iter()
         .zip(faults)
@@ -219,7 +217,7 @@ pub fn execute_sharded_with_faults(
 
     // Finish: collect per-shard ledgers in shard order.
     let mut all_metrics: Vec<MetricsRecord> = Vec::new();
-    let mut timing = OpTiming::default();
+    let mut timing = PhaseNanos::default();
     let mut shards = Vec::with_capacity(workers.len());
     let mut traces = Vec::new();
     for (mut worker, &(start, end)) in workers.into_iter().zip(&ranges) {
@@ -232,7 +230,7 @@ pub fn execute_sharded_with_faults(
             traces.push(tree);
         }
         let modeled = worker.gpu.stats().modeled;
-        timing = timing.plus(&OpTiming::from_phases(&modeled, 0.0));
+        timing = timing.plus(&modeled);
         all_metrics.extend(worker.metrics);
         shards.push(ShardRun {
             start,
@@ -241,14 +239,13 @@ pub fn execute_sharded_with_faults(
             attempts: worker.attempts,
             retries: worker.retries,
             degradations: worker.degradations,
-            modeled_ns: (modeled.total().max(0.0) * 1e9).round() as u64,
+            modeled_ns: modeled.total(),
         });
     }
     all_metrics.push(marker_record("parallel/merge", n as u64));
 
     let merge_ns = merge_cost_ns(shards.len(), query.aggregates.len());
     let merged_ns = shards.iter().map(|s| s.modeled_ns).max().unwrap_or(0) + merge_ns;
-    timing.wall = wall_start.elapsed().as_secs_f64();
     let trace = if traces.is_empty() {
         None
     } else {
@@ -419,7 +416,7 @@ struct AggWindow {
     label: String,
     input: u64,
     counters: gpudb_sim::WorkCounters,
-    modeled: gpudb_sim::PhaseTimes,
+    modeled: PhaseNanos,
 }
 
 /// One shard: its own device, modeled clock and recovery ladder. The
@@ -673,12 +670,11 @@ impl<'q> Worker<'q> {
         };
         if let Some(window) = self.window.take() {
             let counters = self.gpu.stats().counters().since(&window.counters);
-            let modeled = self.gpu.stats().modeled.since(&window.modeled);
             self.metrics.push(MetricsRecord {
                 operator: format!("agg/{}", window.label),
                 input_records: window.input,
                 counters,
-                modeled_ns: PhaseNanos::from_phases(&modeled),
+                modeled_ns: self.gpu.stats().modeled.since(&window.modeled),
             });
         }
         self.gpu.span_end(); // stage

@@ -250,8 +250,8 @@ mod tests {
         gpu.reset_stats();
         compare_count(&mut gpu, &t, 0, Less, 50).unwrap();
         let stats = gpu.stats();
-        assert!(stats.modeled.get(Phase::CopyToDepth) > 0.0);
-        assert!(stats.modeled.get(Phase::Compute) > 0.0);
+        assert!(stats.modeled.get(Phase::CopyToDepth) > 0);
+        assert!(stats.modeled.get(Phase::Compute) > 0);
         assert!(
             stats.modeled.get(Phase::CopyToDepth) > stats.modeled.get(Phase::Compute),
             "the copy (5-cycle program) must dominate the fixed-function compare"

@@ -10,12 +10,11 @@ use crate::range::range_select;
 use crate::selection::Selection;
 use crate::semilinear::semilinear_select;
 use crate::table::GpuTable;
-use crate::timing::{measure, OpTiming};
 use gpudb_lint::{Linter, Severity};
 use gpudb_obs::{Span, SpanCollector, SpanTree, TraceLevel};
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::trace::PassPlan;
-use gpudb_sim::{Gpu, RecordMode};
+use gpudb_sim::{Gpu, PhaseNanos, RecordMode};
 
 /// One aggregate's result value.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +38,9 @@ pub struct QueryOutput {
     pub selectivity: f64,
     /// `(label, value)` pairs in SELECT-list order.
     pub rows: Vec<(String, AggValue)>,
-    /// Modeled device timing for the whole query.
-    pub timing: OpTiming,
+    /// Modeled device time for the whole query, by phase, on the
+    /// device's integer-nanosecond clock.
+    pub timing: PhaseNanos,
     /// One deterministic metrics record per executed plan stage (the
     /// selection, then each aggregate in SELECT-list order).
     pub metrics: Vec<MetricsRecord>,
@@ -229,37 +229,49 @@ fn execute_inner(
     options: ExecuteOptions,
 ) -> EngineResult<QueryOutput> {
     let plan = plan_selection(table, query.filter.as_ref())?;
-    let total_records = table.record_count() as u64;
-    let mut records: Vec<MetricsRecord> = Vec::with_capacity(1 + query.aggregates.len());
     gpu.span_begin(SpanKind::Query, "query");
-    let (result, timing) = measure(gpu, |gpu| -> EngineResult<_> {
-        gpu.span_begin(SpanKind::Stage, "selection");
-        let (sel_result, sel_record) =
-            metrics::observe(gpu, plan_operator(&plan), total_records, |gpu| {
-                execute_selection(gpu, table, &plan, options.fuse_passes)
+    let before = gpu.stats().modeled;
+    let result = run_stages(gpu, table, query, &plan, options);
+    let timing = gpu.stats().modeled.since(&before);
+    gpu.span_end();
+    Ok(QueryOutput { timing, ..result? })
+}
+
+/// Run the selection stage, then each aggregate stage in SELECT-list
+/// order, each under [`metrics::observe`] (one record per stage). The
+/// caller measures the whole query's `timing`.
+fn run_stages(
+    gpu: &mut Gpu,
+    table: &GpuTable,
+    query: &Query,
+    plan: &SelectionPlan,
+    options: ExecuteOptions,
+) -> EngineResult<QueryOutput> {
+    let total_records = table.record_count() as u64;
+    let mut records = Vec::with_capacity(1 + query.aggregates.len());
+    gpu.span_begin(SpanKind::Stage, "selection");
+    let (sel_result, sel_record) =
+        metrics::observe(gpu, plan_operator(plan), total_records, |gpu| {
+            execute_selection(gpu, table, plan, options.fuse_passes)
+        });
+    gpu.span_end();
+    let (selection, matched) = sel_result?;
+    records.push(sel_record);
+    let sel_ref = selection.as_ref();
+    let mut rows = Vec::with_capacity(query.aggregates.len());
+    for agg in &query.aggregates {
+        // Aggregates consume the selected records, so their input
+        // size is the match count, not the table size.
+        let stage = format!("aggregate:{}", agg.label());
+        gpu.span_begin(SpanKind::Stage, &stage);
+        let (value_result, agg_record) =
+            metrics::observe(gpu, format!("agg/{}", agg.label()), matched, |gpu| {
+                compute_aggregate(gpu, table, agg, matched, sel_ref)
             });
         gpu.span_end();
-        let (selection, matched) = sel_result?;
-        records.push(sel_record);
-        let sel_ref = selection.as_ref();
-        let mut rows = Vec::with_capacity(query.aggregates.len());
-        for agg in &query.aggregates {
-            // Aggregates consume the selected records, so their input
-            // size is the match count, not the table size.
-            let stage = format!("aggregate:{}", agg.label());
-            gpu.span_begin(SpanKind::Stage, &stage);
-            let (value_result, agg_record) =
-                metrics::observe(gpu, format!("agg/{}", agg.label()), matched, |gpu| {
-                    compute_aggregate(gpu, table, agg, matched, sel_ref)
-                });
-            gpu.span_end();
-            rows.push((agg.label(), value_result?));
-            records.push(agg_record);
-        }
-        Ok((matched, rows))
-    });
-    gpu.span_end();
-    let (matched, rows) = result?;
+        rows.push((agg.label(), value_result?));
+        records.push(agg_record);
+    }
     let selectivity = if table.record_count() == 0 {
         0.0
     } else {
@@ -269,7 +281,7 @@ fn execute_inner(
         matched,
         selectivity,
         rows,
-        timing,
+        timing: PhaseNanos::default(),
         metrics: records,
         trace: None,
     })
@@ -426,7 +438,7 @@ fn fmt_pct(part: u64, total: u64) -> String {
 
 /// Non-zero phases of a record, e.g.
 /// `phases[copy-to-depth 0.123456 ms · compute 0.045000 ms]`.
-fn phases_line(ns: &crate::metrics::PhaseNanos) -> String {
+fn phases_line(ns: &PhaseNanos) -> String {
     let parts: Vec<String> = [
         ("upload", ns.upload),
         ("copy-to-depth", ns.copy_to_depth),
@@ -602,7 +614,7 @@ mod tests {
             out.value("MAX(a)"),
             Some(&AggValue::Value(*a.iter().max().unwrap()))
         );
-        assert!(out.timing.total() > 0.0);
+        assert!(out.timing.total() > 0);
     }
 
     #[test]
@@ -824,8 +836,7 @@ mod tests {
         assert!(out.metrics[2].counters.draw_calls > 0);
         // Stage modeled times are a partition of the query's total.
         let stage_ns: u64 = out.metrics.iter().map(|r| r.modeled_total_ns()).sum();
-        let total_ns = (out.timing.total() * 1e9).round() as u64;
-        assert!(stage_ns.abs_diff(total_ns) <= out.metrics.len() as u64);
+        assert_eq!(stage_ns, out.timing.total());
     }
 
     #[test]
@@ -921,13 +932,8 @@ mod tests {
             },
         )
         .unwrap();
-        // Identical results, metrics and modeled timing either way
-        // (wall is real elapsed time, the one nondeterministic field).
-        let modeled = |mut out: QueryOutput| {
-            out.timing.wall = 0.0;
-            out
-        };
-        assert_eq!(modeled(validated), modeled(plain));
+        // Identical results, metrics and modeled timing either way.
+        assert_eq!(validated, plain);
     }
 
     #[test]
@@ -1028,9 +1034,9 @@ mod tests {
             assert_eq!(op.kind, SpanKind::Operator);
             assert_eq!(op.name, record.operator);
             assert_eq!(op.counters, record.counters);
-            // Span duration and record total both derive from the modeled
-            // clock; rounding at different boundaries may differ by 1 ns.
-            assert!(op.duration_ns().abs_diff(record.modeled_total_ns()) <= 1);
+            // Span duration and record total are both deltas of the
+            // integer modeled clock.
+            assert_eq!(op.duration_ns(), record.modeled_total_ns());
         }
         // The selection's operator span contains device leaf spans.
         let sel_op = &query_span.children[0].children[0];
@@ -1060,7 +1066,6 @@ mod tests {
                 },
             )
             .unwrap();
-            out.timing.wall = 0.0;
             out.trace = None;
             out
         };

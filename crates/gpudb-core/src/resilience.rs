@@ -37,12 +37,11 @@
 
 use crate::cpu_oracle::{self, HostTable};
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::{self, MetricsRecord, PhaseNanos};
+use crate::metrics::{self, MetricsRecord};
 use crate::parallel::{execute_sharded, ShardOptions};
 use crate::query::ast::Query;
 use crate::query::executor::{self, ExecuteOptions, QueryOutput};
-use crate::timing::OpTiming;
-use gpudb_sim::{FaultClass, Gpu, WorkCounters};
+use gpudb_sim::{FaultClass, Gpu, PhaseNanos, WorkCounters};
 
 /// Knobs for the recovery ladder.
 #[derive(Debug, Clone)]
@@ -50,8 +49,8 @@ pub struct RetryPolicy {
     /// Maximum GPU attempts for transient faults (including the first);
     /// clamped to at least 1.
     pub max_attempts: u32,
-    /// Modeled backoff before the first retry, in seconds.
-    pub base_backoff_s: f64,
+    /// Modeled backoff before the first retry, in nanoseconds.
+    pub base_backoff_ns: u64,
     /// Backoff growth factor per retry.
     pub multiplier: f64,
     /// Number of row partitions for the out-of-core degradation rung.
@@ -67,7 +66,7 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
-            base_backoff_s: 1e-3,
+            base_backoff_ns: 1_000_000,
             multiplier: 2.0,
             oom_chunks: 4,
             cpu_fallback: true,
@@ -95,8 +94,9 @@ pub struct ResilienceReport {
     pub attempts: u32,
     /// Retries after transient faults.
     pub retries: u32,
-    /// Total modeled backoff charged, in seconds.
-    pub backoff_s: f64,
+    /// Total modeled backoff charged, in nanoseconds: always the sum of
+    /// the `resilience/retry-backoff` records.
+    pub backoff_ns: u64,
     /// Human-readable ladder steps, in order.
     pub degradations: Vec<String>,
 }
@@ -125,7 +125,7 @@ pub fn execute_resilient(
         path: ResiliencePath::Gpu,
         attempts: 0,
         retries: 0,
-        backoff_s: 0.0,
+        backoff_ns: 0,
         degradations: Vec::new(),
     };
     let mut resilience_metrics: Vec<MetricsRecord> = Vec::new();
@@ -151,7 +151,7 @@ pub fn execute_resilient(
                     host.record_count() as u64,
                     &error,
                 );
-                report.backoff_s += step.pause_s;
+                report.backoff_ns = report.backoff_ns.saturating_add(step.pause_ns);
                 resilience_metrics.push(step.record);
                 report.degradations.push(step.degradation);
             }
@@ -228,8 +228,10 @@ pub fn execute_resilient(
 /// [`crate::parallel`]: the modeled pause, its metrics record and its
 /// log line.
 pub(crate) struct RetryStep {
-    /// Modeled pause, seconds: `base_backoff_s · multiplier^(retry−1)`.
-    pub(crate) pause_s: f64,
+    /// Modeled pause charged, nanoseconds: `base_backoff_ns ·
+    /// multiplier^(retry−1)` rounded once, 0 when that is negative or
+    /// NaN, and clamped where the clock saturates.
+    pub(crate) pause_ns: u64,
     /// The `resilience/retry-backoff` record of the charged pause.
     pub(crate) record: MetricsRecord,
     /// The ladder's log line for this retry.
@@ -246,13 +248,18 @@ impl RetryStep {
         records: u64,
         error: &EngineError,
     ) -> RetryStep {
-        let pause_s =
-            policy.base_backoff_s * policy.multiplier.powi(retry.saturating_sub(1) as i32);
-        let ((), record) = metrics::observe(gpu, "resilience/retry-backoff", records, |gpu| {
-            gpu.charge_backoff(pause_s)
-        });
+        let growth = policy
+            .multiplier
+            .powi(i32::try_from(retry.saturating_sub(1)).unwrap_or(i32::MAX));
+        // The saturating cast charges nothing for a negative or NaN pause.
+        let pause = (policy.base_backoff_ns as f64 * growth).round() as u64;
+        let (pause_ns, record) =
+            metrics::observe(gpu, "resilience/retry-backoff", records, |gpu| {
+                gpu.charge_backoff(pause)
+            });
+        let pause_s = pause_ns as f64 * 1e-9;
         RetryStep {
-            pause_s,
+            pause_ns,
             record,
             degradation: format!(
                 "transient fault ({error}); retry {retry} after {pause_s:.6}s modeled backoff"
@@ -295,7 +302,7 @@ fn cpu_rung(
             matched: oracle.matched,
             selectivity: oracle.selectivity,
             rows: oracle.rows,
-            timing: OpTiming::default(),
+            timing: PhaseNanos::default(),
             metrics: resilience_metrics,
             trace: None,
         },
@@ -403,7 +410,7 @@ mod tests {
         .unwrap();
         assert_eq!(resilient.report.path, ResiliencePath::Gpu);
         assert_eq!(resilient.report.retries, 1);
-        assert!(resilient.report.backoff_s > 0.0);
+        assert!(resilient.report.backoff_ns > 0);
         assert!(resilient
             .output
             .metrics
@@ -412,6 +419,74 @@ mod tests {
 
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
+    }
+
+    /// Two lost occlusion queries under `multiplier`: the query recovers
+    /// on its third attempt, and the reported backoff is exactly what the
+    /// `resilience/retry-backoff` records (clock deltas) charged.
+    fn two_retries_with_multiplier(multiplier: f64) -> ResilienceReport {
+        let host = host();
+        let mut gpu = device(&host);
+        let lost = FaultEvent {
+            at_ns: 0,
+            kind: FaultKind::OcclusionLoss,
+        };
+        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![lost; 2]));
+        let policy = RetryPolicy {
+            multiplier,
+            ..RetryPolicy::default()
+        };
+        let query = count_sum_query();
+        let resilient =
+            execute_resilient(&mut gpu, &host, &query, ExecuteOptions::default(), &policy).unwrap();
+        assert_eq!(resilient.report.retries, 2);
+        let charged: u64 = resilient
+            .output
+            .metrics
+            .iter()
+            .filter(|m| m.operator == "resilience/retry-backoff")
+            .map(MetricsRecord::modeled_total_ns)
+            .sum();
+        assert_eq!(resilient.report.backoff_ns, charged);
+        resilient.report
+    }
+
+    #[test]
+    fn negative_backoff_is_charged_and_reported_as_zero() {
+        // 1 ms, then 1 ms · (−1): the second pause charges nothing, and
+        // the report agrees with the clock instead of netting to zero.
+        let report = two_retries_with_multiplier(-1.0);
+        assert_eq!(report.backoff_ns, 1_000_000);
+        assert!(report.degradations[0].ends_with("retry 1 after 0.001000s modeled backoff"));
+        assert!(report.degradations[1].ends_with("retry 2 after 0.000000s modeled backoff"));
+    }
+
+    #[test]
+    fn nan_backoff_is_charged_and_reported_alike() {
+        let report = two_retries_with_multiplier(f64::NAN);
+        assert!(report.backoff_ns <= 1_000_000, "{}", report.backoff_ns);
+    }
+
+    #[test]
+    fn overlong_backoff_saturates_the_clock_without_panicking() {
+        let host = host();
+        let mut gpu = device(&host);
+        host.upload(&mut gpu).unwrap();
+        let start = gpu.stats().modeled.total();
+        assert!(start > 0);
+        let error = EngineError::Gpu(GpuError::OcclusionQueryLost);
+        let policy = RetryPolicy::default();
+        let mut reported = 0u64;
+        // 1 ms · 2^99 overflows u64 ns; the last two find the clock full.
+        for retry in [100, u32::MAX, 1] {
+            let before = gpu.stats().modeled.total();
+            let step = RetryStep::charge(&mut gpu, &policy, retry, 64, &error);
+            assert_eq!(step.pause_ns, gpu.stats().modeled.total() - before);
+            assert_eq!(step.record.modeled_total_ns(), step.pause_ns);
+            reported = reported.saturating_add(step.pause_ns);
+        }
+        assert_eq!(gpu.stats().modeled.total(), u64::MAX);
+        assert_eq!(reported, u64::MAX - start);
     }
 
     #[test]
@@ -651,13 +726,8 @@ mod tests {
         .unwrap();
         assert_eq!(partitions.report.shards.len(), policy.oom_chunks);
         let partition_ns: u64 = partitions.report.shards.iter().map(|s| s.modeled_ns).sum();
-        let total_ns = resilient.output.timing.total() * 1e9;
         assert!(partition_ns > 0);
-        // Each partition's clock is rounded to whole nanoseconds.
-        assert!(
-            (total_ns - partition_ns as f64).abs() <= policy.oom_chunks as f64,
-            "rung {total_ns} ns vs partitions {partition_ns} ns"
-        );
+        assert_eq!(resilient.output.timing.total(), partition_ns);
     }
 
     #[test]

@@ -362,6 +362,6 @@ mod tests {
     fn upload_attributed_to_upload_phase() {
         let mut gpu = GpuTable::device_for(10, 4);
         let _t = small_table(&mut gpu);
-        assert!(gpu.stats().modeled.get(Phase::Upload) > 0.0);
+        assert!(gpu.stats().modeled.get(Phase::Upload) > 0);
     }
 }

@@ -103,8 +103,9 @@ impl HardwareProfile {
         }
     }
 
-    /// Seconds to push `fragments` through the fixed-function path while
-    /// `shaded` of them additionally execute `program_cycles` each.
+    /// Seconds of fill to push `fragments` through the fixed-function
+    /// path while `shaded` of them additionally execute `program_cycles`
+    /// each.
     ///
     /// The fragment processors are the throughput bottleneck: a fragment
     /// with an n-cycle program occupies its pipe for
@@ -112,21 +113,26 @@ impl HardwareProfile {
     /// tests are pipelined behind shading, so a pure fixed-function
     /// fragment costs `fixed_fragment_cycles` and a shaded fragment costs
     /// its program cycles (never less than the fixed path).
-    pub fn raster_seconds(&self, fragments: u64, shaded: u64, program_cycles: u32) -> f64 {
+    pub(crate) fn fill_seconds(&self, fragments: u64, shaded: u64, program_cycles: u32) -> f64 {
         let fixed_only = fragments.saturating_sub(shaded) as f64 * self.fixed_fragment_cycles;
         let shaded_cost =
             shaded as f64 * f64::max(self.fixed_fragment_cycles, program_cycles as f64);
         (fixed_only + shaded_cost) / (self.pixel_pipes as f64 * self.core_clock_hz)
     }
 
-    /// Seconds to upload `bytes` host → device.
-    pub fn upload_seconds(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.upload_bytes_per_sec
+    /// Nanoseconds of fill alone, without the draw-call overhead.
+    pub fn raster_ns(&self, fragments: u64, shaded: u64, program_cycles: u32) -> u64 {
+        ns(self.fill_seconds(fragments, shaded, program_cycles))
     }
 
-    /// Seconds to read `bytes` back device → host.
-    pub fn readback_seconds(&self, bytes: u64) -> f64 {
-        self.readback_latency_s + bytes as f64 / self.readback_bytes_per_sec
+    /// Nanoseconds to upload `bytes` host → device.
+    pub fn upload_ns(&self, bytes: u64) -> u64 {
+        ns(bytes as f64 / self.upload_bytes_per_sec)
+    }
+
+    /// Nanoseconds to read `bytes` back device → host.
+    pub fn readback_ns(&self, bytes: u64) -> u64 {
+        ns(self.readback_latency_s + bytes as f64 / self.readback_bytes_per_sec)
     }
 
     /// Static per-fragment cycle cost of a program under this profile.
@@ -135,9 +141,17 @@ impl HardwareProfile {
     }
 }
 
+/// Round a modeled duration to whole nanoseconds: the one rounding each
+/// charge gets before it joins the integer clock
+/// ([`PhaseNanos`](crate::stats::PhaseNanos)).
+/// Negative and NaN durations charge nothing; an overlong one saturates.
+pub(crate) fn ns(seconds: f64) -> u64 {
+    (seconds * 1e9).round() as u64
+}
+
 /// A single draw call's accounting, produced by the rasterizer and consumed
 /// by both [`GpuStats`] and callers that want per-pass numbers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DrawCost {
     /// Fragments generated (post-scissor).
     pub fragments: u64,
@@ -149,8 +163,8 @@ pub struct DrawCost {
     pub passed: u64,
     /// Program instructions executed.
     pub instructions: u64,
-    /// Modeled seconds for this pass.
-    pub modeled_seconds: f64,
+    /// Modeled nanoseconds for this pass.
+    pub modeled_ns: u64,
 }
 
 impl DrawCost {
@@ -162,7 +176,7 @@ impl DrawCost {
         stats.fragments_passed += self.passed;
         stats.program_instructions += self.instructions;
         stats.draw_calls += 1;
-        stats.modeled.add(phase, self.modeled_seconds);
+        stats.modeled.add(phase, self.modeled_ns);
     }
 }
 
@@ -175,8 +189,8 @@ mod tests {
     fn quad_fill_rate_matches_paper_anchor() {
         // §6.2.2: a 1000×1000 fixed-function quad renders in 0.278 ms.
         let hw = HardwareProfile::geforce_fx_5900();
-        let t = hw.raster_seconds(1_000_000, 0, 0);
-        assert!((t - 0.278e-3).abs() < 1e-6, "got {} s", t);
+        let t = hw.raster_ns(1_000_000, 0, 0);
+        assert_eq!(t, 277_778, "10^6 / (8 · 450 MHz), to the nearest ns");
     }
 
     #[test]
@@ -185,11 +199,11 @@ mod tests {
         // synchronization). Our model: 19 * (0.278 ms + draw overhead +
         // occlusion sync) ≈ 6.6 ms.
         let hw = HardwareProfile::geforce_fx_5900();
-        let per_pass = hw.raster_seconds(1_000_000, 0, 0)
-            + hw.draw_call_overhead_s
-            + hw.occlusion_sync_latency_s;
-        let total = 19.0 * per_pass;
-        assert!((total - 6.6e-3).abs() < 0.3e-3, "got {} s", total);
+        let per_pass = hw.raster_ns(1_000_000, 0, 0)
+            + ns(hw.draw_call_overhead_s)
+            + ns(hw.occlusion_sync_latency_s);
+        let total = 19 * per_pass;
+        assert!(total.abs_diff(6_600_000) < 300_000, "got {total} ns");
     }
 
     #[test]
@@ -203,8 +217,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(hw.program_cycles(&prog), 5);
-        let t_shaded = hw.raster_seconds(1_000_000, 1_000_000, 5);
-        let t_fixed = hw.raster_seconds(1_000_000, 0, 0);
+        let t_shaded = hw.fill_seconds(1_000_000, 1_000_000, 5);
+        let t_fixed = hw.fill_seconds(1_000_000, 0, 0);
         assert!((t_shaded / t_fixed - 5.0).abs() < 1e-9);
     }
 
@@ -212,7 +226,7 @@ mod tests {
     fn early_rejected_fragments_cost_fixed_path_only() {
         let hw = HardwareProfile::geforce_fx_5900();
         // half the fragments early-rejected: they pay 1 cycle, not 5.
-        let t = hw.raster_seconds(1_000_000, 500_000, 5);
+        let t = hw.fill_seconds(1_000_000, 500_000, 5);
         let expected = (500_000.0 * 1.0 + 500_000.0 * 5.0) / (8.0 * 450e6);
         assert!((t - expected).abs() < 1e-12);
     }
@@ -228,8 +242,7 @@ mod tests {
     fn upload_uses_agp_bandwidth() {
         let hw = HardwareProfile::geforce_fx_5900();
         // 1M records × 4 bytes ≈ 1.9 ms at 2.1 GB/s.
-        let t = hw.upload_seconds(4_000_000);
-        assert!((t - 4e6 / 2.1e9).abs() < 1e-12);
+        assert_eq!(hw.upload_ns(4_000_000), 1_904_762);
     }
 
     #[test]
@@ -238,7 +251,17 @@ mod tests {
         // use an AGP8x bus to transfer data from the CPU to the GPU and the
         // PCI bus from the GPU to the CPU").
         let hw = HardwareProfile::geforce_fx_5900();
-        assert!(hw.readback_seconds(4_000_000) > hw.upload_seconds(4_000_000));
+        assert!(hw.readback_ns(4_000_000) > hw.upload_ns(4_000_000));
+    }
+
+    #[test]
+    fn charges_round_once_to_whole_nanoseconds() {
+        assert_eq!(ns(1.4e-9), 1);
+        assert_eq!(ns(1.5e-9), 2);
+        assert_eq!(ns(10e-6), 10_000);
+        assert_eq!(ns(-1.0), 0, "negative durations charge nothing");
+        assert_eq!(ns(f64::NAN), 0);
+        assert_eq!(ns(1e30), u64::MAX, "overlong durations saturate");
     }
 
     #[test]
@@ -259,7 +282,7 @@ mod tests {
             early_rejected: 40,
             passed: 30,
             instructions: 300,
-            modeled_seconds: 1e-3,
+            modeled_ns: 1_000_000,
         };
         dc.accumulate(&mut stats, Phase::Compute);
         dc.accumulate(&mut stats, Phase::Compute);
@@ -269,6 +292,6 @@ mod tests {
         assert_eq!(stats.fragments_passed, 60);
         assert_eq!(stats.program_instructions, 600);
         assert_eq!(stats.draw_calls, 2);
-        assert!((stats.modeled.get(Phase::Compute) - 2e-3).abs() < 1e-12);
+        assert_eq!(stats.modeled.get(Phase::Compute), 2_000_000);
     }
 }

@@ -3,7 +3,7 @@
 //! OpenGL context on a GeForce FX 5900 Ultra.
 
 use crate::buffers::Framebuffer;
-use crate::cost::{DrawCost, HardwareProfile};
+use crate::cost::{ns, DrawCost, HardwareProfile};
 use crate::error::{GpuError, GpuResult};
 use crate::fault::{FaultInjector, FaultKind, FaultStats};
 use crate::program::isa::{FragmentProgram, NUM_PARAMS, NUM_TEXTURE_UNITS};
@@ -187,7 +187,7 @@ impl Gpu {
 
     /// Attach a span sink. The device will open leaf spans around every
     /// costed operation and emit instant events for cheap calls, all
-    /// timestamped on the modeled clock ([`Gpu::modeled_clock_ns`]) so the
+    /// timestamped on the modeled clock (`stats().modeled.total()`) so the
     /// resulting trace is deterministic. Attaching a sink never changes
     /// results, statistics, or modeled cost.
     pub fn attach_span_sink(&mut self, sink: Box<dyn SpanSink>) {
@@ -204,12 +204,6 @@ impl Gpu {
         self.span_sink.is_some()
     }
 
-    /// The modeled clock: cumulative modeled cost in nanoseconds, rounded
-    /// to the nearest integer. Deterministic, unlike wall clock.
-    pub fn modeled_clock_ns(&self) -> u64 {
-        (self.stats.modeled.total() * 1e9).round() as u64
-    }
-
     /// Open a span on the attached sink (no-op without one). Higher layers
     /// use this for query / plan-stage / operator spans; the device itself
     /// opens the pass / readback / upload leaves.
@@ -217,7 +211,7 @@ impl Gpu {
         if self.span_sink.is_none() {
             return;
         }
-        let clock = self.modeled_clock_ns();
+        let clock = self.stats.modeled.total();
         let counters = self.stats.counters();
         if let Some(sink) = &mut self.span_sink {
             sink.begin_span(kind, name, clock, &counters);
@@ -230,7 +224,7 @@ impl Gpu {
         if self.span_sink.is_none() {
             return;
         }
-        let clock = self.modeled_clock_ns();
+        let clock = self.stats.modeled.total();
         let counters = self.stats.counters();
         if let Some(sink) = &mut self.span_sink {
             sink.end_span(clock, &counters);
@@ -242,7 +236,7 @@ impl Gpu {
         if self.span_sink.is_none() {
             return;
         }
-        let clock = self.modeled_clock_ns();
+        let clock = self.stats.modeled.total();
         if let Some(sink) = &mut self.span_sink {
             sink.instant(name, detail, clock);
         }
@@ -288,7 +282,7 @@ impl Gpu {
         if self.record_only() {
             return None;
         }
-        let now = self.modeled_clock_ns();
+        let now = self.stats.modeled.total();
         let fired = self.fault_injector.as_mut()?.poll(kind, now)?;
         if fired == FaultKind::DeviceReset {
             self.perform_device_reset();
@@ -385,7 +379,7 @@ impl Gpu {
         self.stats.bytes_uploaded += bytes as u64;
         self.stats
             .modeled
-            .add(self.phase, self.profile.upload_seconds(bytes as u64));
+            .add(self.phase, self.profile.upload_ns(bytes as u64));
         self.span_end();
         self.stats
             .wall
@@ -440,7 +434,7 @@ impl Gpu {
         self.stats.bytes_uploaded += bytes;
         self.stats
             .modeled
-            .add(self.phase, self.profile.upload_seconds(bytes));
+            .add(self.phase, self.profile.upload_ns(bytes));
         self.span_end();
         Ok(())
     }
@@ -629,7 +623,7 @@ impl Gpu {
         self.fb.color.clear(rgba);
         self.stats
             .modeled
-            .add(self.phase, self.profile.draw_call_overhead_s);
+            .add(self.phase, ns(self.profile.draw_call_overhead_s));
         self.span_instant("clear:color", "");
     }
 
@@ -642,7 +636,7 @@ impl Gpu {
         self.fb.depth.clear(depth);
         self.stats
             .modeled
-            .add(self.phase, self.profile.draw_call_overhead_s);
+            .add(self.phase, ns(self.profile.draw_call_overhead_s));
         self.span_instant("clear:depth", "");
     }
 
@@ -655,7 +649,7 @@ impl Gpu {
         self.fb.stencil.clear(value);
         self.stats
             .modeled
-            .add(self.phase, self.profile.draw_call_overhead_s);
+            .add(self.phase, ns(self.profile.draw_call_overhead_s));
         self.span_instant("clear:stencil", "");
     }
 
@@ -781,7 +775,7 @@ impl Gpu {
         self.stats.occlusion_readbacks += 1;
         self.stats
             .modeled
-            .add(Phase::Readback, self.profile.occlusion_sync_latency_s);
+            .add(Phase::Readback, ns(self.profile.occlusion_sync_latency_s));
         self.span_end();
         // The drain was paid either way; the result may still be lost in
         // flight. The query is consumed, so re-running the counting pass
@@ -959,7 +953,7 @@ impl Gpu {
         self.span_begin(SpanKind::Pass, "copy:color-to-texture");
         self.stats
             .modeled
-            .add(self.phase, self.profile.raster_seconds(fragments, 0, 0));
+            .add(self.phase, self.profile.raster_ns(fragments, 0, 0));
         self.span_end();
         Ok(())
     }
@@ -968,7 +962,7 @@ impl Gpu {
         self.stats.bytes_read_back += bytes;
         self.stats
             .modeled
-            .add(Phase::Readback, self.profile.readback_seconds(bytes));
+            .add(Phase::Readback, self.profile.readback_ns(bytes));
     }
 
     /// Direct framebuffer access for in-crate helpers and white-box tests.
@@ -977,11 +971,12 @@ impl Gpu {
         &self.fb
     }
 
-    /// Add modeled seconds to a phase, for in-crate helpers that model
-    /// composite operations (e.g. the mipmap pyramid).
-    pub(crate) fn add_modeled(&mut self, phase: Phase, seconds: f64) {
-        self.stats.modeled.add(phase, seconds);
+    /// Charge modeled nanoseconds to a phase, for in-crate helpers that
+    /// model composite operations (e.g. the mipmap pyramid); returns the
+    /// nanoseconds actually charged.
+    pub(crate) fn add_modeled(&mut self, phase: Phase, nanos: u64) -> u64 {
         self.stats.draw_calls += 1;
+        self.stats.modeled.add(phase, nanos)
     }
 
     /// Charge a retry backoff to the modeled clock ([`Phase::Other`]).
@@ -989,12 +984,14 @@ impl Gpu {
     /// The resilience layer sleeps on the *modeled* clock, never wall
     /// clock, so chaos runs stay deterministic; advancing the clock also
     /// lets a backoff carry the schedule past a burst of pending faults.
-    /// No draw call is counted — nothing was submitted.
-    pub fn charge_backoff(&mut self, seconds: f64) {
-        self.stats.modeled.add(Phase::Other, seconds.max(0.0));
+    /// No draw call is counted — nothing was submitted. Returns the
+    /// nanoseconds actually charged: `nanos`, unless the clock saturates.
+    pub fn charge_backoff(&mut self, nanos: u64) -> u64 {
+        let charged = self.stats.modeled.add(Phase::Other, nanos);
         if self.span_sink.is_some() {
             self.span_instant("resilience:backoff", "");
         }
+        charged
     }
 }
 
@@ -1191,9 +1188,9 @@ mod tests {
         gpu.set_phase(Phase::Compute);
         gpu.draw_full_quad(0.5).unwrap();
         let stats = gpu.stats();
-        assert!(stats.modeled.get(Phase::Upload) > 0.0);
-        assert!(stats.modeled.get(Phase::Compute) > 0.0);
-        assert_eq!(stats.modeled.get(Phase::CopyToDepth), 0.0);
+        assert!(stats.modeled.get(Phase::Upload) > 0);
+        assert!(stats.modeled.get(Phase::Compute) > 0);
+        assert_eq!(stats.modeled.get(Phase::CopyToDepth), 0);
         assert_eq!(stats.draw_calls, 1);
         assert_eq!(stats.bytes_uploaded, 4);
     }
@@ -1390,7 +1387,7 @@ mod tests {
         assert!(sink.clocks[1] > sink.clocks[0], "upload charged");
         assert_eq!(
             *sink.clocks.last().unwrap(),
-            gpu.modeled_clock_ns(),
+            gpu.stats().modeled.total(),
             "final end matches the device clock"
         );
     }
@@ -1407,7 +1404,7 @@ mod tests {
             gpu.begin_occlusion_query().unwrap();
             gpu.draw_full_quad(0.5).unwrap();
             let count = gpu.end_occlusion_query().unwrap();
-            (count, gpu.stats().counters(), gpu.modeled_clock_ns())
+            (count, gpu.stats().counters(), gpu.stats().modeled.total())
         };
         assert_eq!(run(false), run(true));
     }
@@ -1494,7 +1491,7 @@ mod tests {
         gpu.set_depth_test(true, CompareFunc::Always);
         gpu.set_depth_write(true);
         gpu.draw_full_quad(0.25).unwrap();
-        let clock_before = gpu.modeled_clock_ns();
+        let clock_before = gpu.stats().modeled.total();
         let vram_floor = gpu.framebuffer().byte_size();
         assert!(clock_before > 0);
 
@@ -1518,7 +1515,7 @@ mod tests {
             .all(|&d| d == crate::buffers::DEPTH_MAX));
         // The modeled clock survives (monotonic across the reset: the
         // failed readback itself charged its transfer before the fault).
-        assert!(gpu.modeled_clock_ns() >= clock_before);
+        assert!(gpu.stats().modeled.total() >= clock_before);
         assert_eq!(gpu.fault_stats().device_resets, 1);
     }
 
@@ -1541,10 +1538,14 @@ mod tests {
     fn charge_backoff_advances_clock_without_draw_calls() {
         let mut gpu = Gpu::geforce_fx_5900(2, 2);
         let calls = gpu.stats().draw_calls;
-        gpu.charge_backoff(1e-3);
-        assert_eq!(gpu.modeled_clock_ns(), 1_000_000);
+        assert_eq!(gpu.charge_backoff(1_000_000), 1_000_000);
+        assert_eq!(gpu.stats().modeled.total(), 1_000_000);
         assert_eq!(gpu.stats().draw_calls, calls);
-        assert_eq!(gpu.stats().modeled.get(Phase::Other), 1e-3);
+        assert_eq!(gpu.stats().modeled.get(Phase::Other), 1_000_000);
+        // An overlong backoff saturates the clock instead of panicking.
+        assert_eq!(gpu.charge_backoff(u64::MAX), u64::MAX - 1_000_000);
+        assert_eq!(gpu.stats().modeled.total(), u64::MAX);
+        assert_eq!(gpu.charge_backoff(1), 0);
     }
 
     #[test]
@@ -1553,6 +1554,6 @@ mod tests {
         gpu.read_depth_buffer().unwrap();
         let stats = gpu.stats();
         assert_eq!(stats.bytes_read_back, 400);
-        assert!(stats.modeled.get(Phase::Readback) > 0.0);
+        assert!(stats.modeled.get(Phase::Readback) > 0);
     }
 }

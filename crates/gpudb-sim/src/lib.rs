@@ -84,6 +84,6 @@ pub use mipmap::MipmapReduction;
 pub use raster::Rect;
 pub use span::{SpanKind, SpanSink};
 pub use state::{CompareFunc, StencilOp};
-pub use stats::{GpuStats, Phase, PhaseTimes, WorkCounters};
+pub use stats::{GpuStats, Phase, PhaseNanos, PhaseTimes, WorkCounters};
 pub use texture::{Texture, TextureFormat, TextureId};
 pub use trace::{DeviceCaps, DrawPass, PassOp, PassPlan, ProgramInfo, RecordMode, TraceRecorder};

@@ -10,6 +10,7 @@
 //! ablation benchmark can quantify those problems against the paper's
 //! preferred bitwise `Accumulator`.
 
+use crate::cost::ns;
 use crate::device::Gpu;
 use crate::error::GpuResult;
 use crate::stats::Phase;
@@ -27,8 +28,8 @@ pub struct MipmapReduction {
     pub levels: u32,
     /// Total texels written across all levels.
     pub texels_written: u64,
-    /// Modeled seconds for the full pyramid build + 1-texel readback.
-    pub modeled_seconds: f64,
+    /// Modeled nanoseconds for the full pyramid build + 1-texel readback.
+    pub modeled_ns: u64,
 }
 
 /// Per-level shader: 4 texture fetches + 3 adds + 1 multiply.
@@ -63,7 +64,7 @@ impl Gpu {
 
         let mut levels = 0u32;
         let mut texels_written = 0u64;
-        let mut modeled = 0.0f64;
+        let mut modeled = 0u64;
         let profile = self.profile().clone();
 
         while width > 1 || height > 1 {
@@ -86,9 +87,11 @@ impl Gpu {
             }
             let fragments = (next_w * next_h) as u64;
             texels_written += fragments;
-            modeled += profile.raster_seconds(fragments, fragments, LEVEL_PROGRAM_CYCLES)
-                * write_penalty
-                + profile.draw_call_overhead_s;
+            // Each level is one render-to-texture pass, rounded to whole
+            // nanoseconds on its own.
+            let fill_s = profile.fill_seconds(fragments, fragments, LEVEL_PROGRAM_CYCLES);
+            modeled =
+                modeled.saturating_add(ns(fill_s * write_penalty + profile.draw_call_overhead_s));
             level = next;
             width = next_w;
             height = next_h;
@@ -96,8 +99,8 @@ impl Gpu {
         }
 
         // Read back the single top-level texel.
-        modeled += profile.readback_seconds(4);
-        self.add_modeled(Phase::Compute, modeled);
+        modeled = modeled.saturating_add(profile.readback_ns(4));
+        let modeled = self.add_modeled(Phase::Compute, modeled);
 
         let average = level[0];
         Ok(MipmapReduction {
@@ -105,7 +108,7 @@ impl Gpu {
             sum: average as f64 * texel_count,
             levels,
             texels_written,
-            modeled_seconds: modeled,
+            modeled_ns: modeled,
         })
     }
 }
@@ -167,7 +170,7 @@ mod tests {
         let id = upload(&mut gpu, 8, 8, vec![1.0; 64]);
         let fast = gpu.mipmap_sum(id, 0, 1.0).unwrap();
         let slow = gpu.mipmap_sum(id, 0, 4.0).unwrap();
-        assert!(slow.modeled_seconds > fast.modeled_seconds);
+        assert!(slow.modeled_ns > fast.modeled_ns);
         assert_eq!(fast.sum, slow.sum);
     }
 

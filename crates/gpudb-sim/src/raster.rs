@@ -12,7 +12,7 @@
 //! fixed-function tests and the fragment-program interpreter on its own.
 
 use crate::buffers::Framebuffer;
-use crate::cost::{DrawCost, HardwareProfile};
+use crate::cost::{ns, DrawCost, HardwareProfile};
 use crate::error::{GpuError, GpuResult};
 use crate::pipeline::{process_fragment, FbBand, FragmentFate, PipelineEnv, SpanKernel};
 use crate::program::isa::FragmentProgram;
@@ -195,8 +195,10 @@ fn check_rects(fb: &Framebuffer, rects: &[Rect]) -> GpuResult<()> {
 fn finish_cost(mut cost: DrawCost, inputs: &DrawInputs<'_>, profile: &HardwareProfile) -> DrawCost {
     let program_cycles = inputs.program.map_or(0, |p| p.cycle_cost);
     cost.instructions = cost.shaded * inputs.program.map_or(0, |p| p.len() as u64);
-    cost.modeled_seconds = profile.raster_seconds(cost.fragments, cost.shaded, program_cycles)
-        + profile.draw_call_overhead_s;
+    cost.modeled_ns = ns(
+        profile.fill_seconds(cost.fragments, cost.shaded, program_cycles)
+            + profile.draw_call_overhead_s,
+    );
     cost
 }
 

@@ -60,54 +60,121 @@ impl Phase {
     }
 }
 
-/// Modeled time split by phase, in seconds.
+/// Modeled time split by phase, in integer nanoseconds — the device's
+/// modeled clock. Every charge (a draw, an upload, a readback, a sync
+/// drain, a mipmap level, a retry backoff) is rounded to whole
+/// nanoseconds once, where it is charged, so interval deltas and sums of
+/// deltas are exact: per-stage records always add up to the query total.
+///
+/// The clock saturates instead of overflowing: a charge that would push
+/// [`PhaseNanos::total`] past `u64::MAX` is clamped to the room left, so
+/// `total()` never wraps and a delta of it equals what was charged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PhaseNanos {
+    /// Host → device upload.
+    pub upload: u64,
+    /// Attribute copy into the depth buffer (§5.4).
+    pub copy_to_depth: u64,
+    /// Computation passes.
+    pub compute: u64,
+    /// Occlusion/result readback.
+    pub readback: u64,
+    /// Unattributed time.
+    pub other: u64,
+}
+
+impl PhaseNanos {
+    fn phases(&self) -> [u64; 5] {
+        [
+            self.upload,
+            self.copy_to_depth,
+            self.compute,
+            self.readback,
+            self.other,
+        ]
+    }
+
+    /// Charge `ns` to a phase, clamped so the total cannot overflow;
+    /// returns the nanoseconds actually charged.
+    pub fn add(&mut self, phase: Phase, ns: u64) -> u64 {
+        let charged = ns.min(u64::MAX - self.total());
+        let slot = match phase {
+            Phase::Upload => &mut self.upload,
+            Phase::CopyToDepth => &mut self.copy_to_depth,
+            Phase::Compute => &mut self.compute,
+            Phase::Readback => &mut self.readback,
+            Phase::Other => &mut self.other,
+        };
+        *slot += charged;
+        charged
+    }
+
+    /// Modeled nanoseconds attributed to a phase.
+    pub fn get(&self, phase: Phase) -> u64 {
+        self.phases()[phase.index()]
+    }
+
+    /// Total modeled nanoseconds across phases.
+    pub fn total(&self) -> u64 {
+        self.phases().into_iter().fold(0, u64::saturating_add)
+    }
+
+    /// Total excluding the copy-to-depth phase — the paper's "considering
+    /// only computation time" number.
+    pub fn compute_only(&self) -> u64 {
+        self.total() - self.copy_to_depth
+    }
+
+    /// Component-wise difference (`self - earlier`), for interval
+    /// measurements around an operation; `earlier` should be an older
+    /// snapshot of the same (monotonic) clock, and a phase that went
+    /// backwards (a stats reset in between) reads as zero.
+    pub fn since(&self, earlier: &PhaseNanos) -> PhaseNanos {
+        PhaseNanos {
+            upload: self.upload.saturating_sub(earlier.upload),
+            copy_to_depth: self.copy_to_depth.saturating_sub(earlier.copy_to_depth),
+            compute: self.compute.saturating_sub(earlier.compute),
+            readback: self.readback.saturating_sub(earlier.readback),
+            other: self.other.saturating_sub(earlier.other),
+        }
+    }
+
+    /// Component-wise sum, for aggregating operations (saturating).
+    pub fn plus(&self, other: &PhaseNanos) -> PhaseNanos {
+        PhaseNanos {
+            upload: self.upload.saturating_add(other.upload),
+            copy_to_depth: self.copy_to_depth.saturating_add(other.copy_to_depth),
+            compute: self.compute.saturating_add(other.compute),
+            readback: self.readback.saturating_add(other.readback),
+            other: self.other.saturating_add(other.other),
+        }
+    }
+}
+
+/// Host wall-clock seconds spent simulating, split by phase. Reported for
+/// transparency only; it is not a claim about 2004 hardware and never
+/// feeds the modeled clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimes {
     seconds: [f64; 5],
 }
 
 impl PhaseTimes {
-    /// Add modeled seconds to a phase.
+    /// Add host seconds to a phase.
     #[inline]
     pub fn add(&mut self, phase: Phase, seconds: f64) {
         self.seconds[phase.index()] += seconds;
     }
 
-    /// Modeled seconds attributed to a phase.
+    /// Host seconds attributed to a phase.
     #[inline]
     pub fn get(&self, phase: Phase) -> f64 {
         self.seconds[phase.index()]
     }
 
-    /// Total modeled seconds across phases.
+    /// Total host seconds across phases.
     pub fn total(&self) -> f64 {
         self.seconds.iter().sum()
-    }
-
-    /// Total excluding the copy-to-depth phase — the paper's
-    /// "considering only computation time" comparison still includes the
-    /// compute and readback phases, just not the copy.
-    pub fn total_without_copy(&self) -> f64 {
-        self.total() - self.get(Phase::CopyToDepth)
-    }
-
-    /// Component-wise difference (`self - earlier`), for interval
-    /// measurements around an operation.
-    pub fn since(&self, earlier: &PhaseTimes) -> PhaseTimes {
-        let mut seconds = [0.0; 5];
-        for (i, s) in seconds.iter_mut().enumerate() {
-            *s = self.seconds[i] - earlier.seconds[i];
-        }
-        PhaseTimes { seconds }
-    }
-
-    /// Component-wise sum.
-    pub fn plus(&self, other: &PhaseTimes) -> PhaseTimes {
-        let mut seconds = [0.0; 5];
-        for (i, s) in seconds.iter_mut().enumerate() {
-            *s = self.seconds[i] + other.seconds[i];
-        }
-        PhaseTimes { seconds }
     }
 }
 
@@ -134,10 +201,10 @@ pub struct GpuStats {
     pub bytes_uploaded: u64,
     /// Bytes read back device → host.
     pub bytes_read_back: u64,
-    /// Modeled time by phase.
-    pub modeled: PhaseTimes,
-    /// Wall-clock seconds actually spent simulating, by phase (reported for
-    /// transparency; not a claim about 2004 hardware).
+    /// Modeled time by phase: the device's integer-nanosecond clock.
+    pub modeled: PhaseNanos,
+    /// Host wall-clock seconds actually spent simulating, by phase
+    /// (reported for transparency; not a claim about 2004 hardware).
     pub wall: PhaseTimes,
 }
 
@@ -147,9 +214,9 @@ impl GpuStats {
         *self = GpuStats::default();
     }
 
-    /// Total modeled seconds.
+    /// Total modeled seconds, derived from the integer clock.
     pub fn modeled_total(&self) -> f64 {
-        self.modeled.total()
+        self.modeled.total() as f64 * 1e-9
     }
 
     /// Snapshot of just the architectural work counters (no times), for
@@ -235,7 +302,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phase_times_accumulate_and_diff() {
+    fn phase_nanos_accumulate_and_diff() {
+        let mut t = PhaseNanos::default();
+        t.add(Phase::Upload, 1_000);
+        t.add(Phase::Compute, 2_000);
+        t.add(Phase::Compute, 500);
+        t.add(Phase::CopyToDepth, 4_000);
+        assert_eq!(t.get(Phase::Upload), 1_000);
+        assert_eq!(t.get(Phase::Compute), 2_500);
+        assert_eq!(t.total(), 7_500);
+        assert_eq!(t.compute_only(), 3_500);
+
+        let mut later = t;
+        later.add(Phase::Readback, 250);
+        let delta = later.since(&t);
+        assert_eq!(delta.get(Phase::Readback), 250);
+        assert_eq!(delta.get(Phase::Compute), 0);
+        assert_eq!(delta.total(), 250);
+        assert_eq!(t.plus(&delta), later);
+        // A clock that went backwards (stats reset) reads as zero.
+        assert_eq!(PhaseNanos::default().since(&t), PhaseNanos::default());
+    }
+
+    #[test]
+    fn phase_nanos_saturate_instead_of_overflowing() {
+        let mut t = PhaseNanos::default();
+        assert_eq!(t.add(Phase::Compute, 10), 10);
+        assert_eq!(t.add(Phase::Other, u64::MAX), u64::MAX - 10);
+        assert_eq!(t.total(), u64::MAX);
+        assert_eq!(t.add(Phase::Readback, 1), 0, "a full clock charges nothing");
+        assert_eq!(t.total(), u64::MAX);
+        assert_eq!(t.plus(&t).total(), u64::MAX);
+    }
+
+    #[test]
+    fn phase_times_accumulate_host_seconds() {
         let mut t = PhaseTimes::default();
         t.add(Phase::Upload, 1.0);
         t.add(Phase::Compute, 2.0);
@@ -243,34 +344,6 @@ mod tests {
         assert_eq!(t.get(Phase::Upload), 1.0);
         assert_eq!(t.get(Phase::Compute), 2.5);
         assert_eq!(t.total(), 3.5);
-
-        let mut later = t;
-        later.add(Phase::Readback, 0.25);
-        let delta = later.since(&t);
-        assert_eq!(delta.get(Phase::Readback), 0.25);
-        assert_eq!(delta.get(Phase::Compute), 0.0);
-        assert_eq!(delta.total(), 0.25);
-    }
-
-    #[test]
-    fn total_without_copy() {
-        let mut t = PhaseTimes::default();
-        t.add(Phase::CopyToDepth, 5.0);
-        t.add(Phase::Compute, 1.0);
-        t.add(Phase::Readback, 0.5);
-        assert_eq!(t.total_without_copy(), 1.5);
-    }
-
-    #[test]
-    fn plus_adds_componentwise() {
-        let mut a = PhaseTimes::default();
-        a.add(Phase::Upload, 1.0);
-        let mut b = PhaseTimes::default();
-        b.add(Phase::Upload, 2.0);
-        b.add(Phase::Other, 3.0);
-        let c = a.plus(&b);
-        assert_eq!(c.get(Phase::Upload), 3.0);
-        assert_eq!(c.get(Phase::Other), 3.0);
     }
 
     #[test]
@@ -279,7 +352,7 @@ mod tests {
             draw_calls: 7,
             ..Default::default()
         };
-        s.modeled.add(Phase::Compute, 1.0);
+        s.modeled.add(Phase::Compute, 1_000);
         s.reset();
         assert_eq!(s, GpuStats::default());
     }

@@ -370,7 +370,7 @@ fn cost_bits(c: &DrawCost) -> [u64; 6] {
         c.early_rejected,
         c.passed,
         c.instructions,
-        c.modeled_seconds.to_bits(),
+        c.modeled_ns,
     ]
 }
 

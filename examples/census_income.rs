@@ -31,8 +31,8 @@ fn run(gpu: &mut Gpu, table: &GpuTable, sql: &str) -> EngineResult<()> {
          ({:.3} ms compute-only)]",
         out.matched,
         out.selectivity * 100.0,
-        out.timing.total() * 1e3,
-        out.timing.compute_only() * 1e3
+        out.timing.total() as f64 / 1e6,
+        out.timing.compute_only() as f64 / 1e6
     );
     Ok(())
 }

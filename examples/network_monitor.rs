@@ -10,6 +10,7 @@
 //! cargo run --release --example network_monitor [record_count]
 //! ```
 
+use gpudb::core::metrics::observe;
 use gpudb::cpu;
 use gpudb::data::{selectivity, tcpip};
 use gpudb::prelude::*;
@@ -38,7 +39,8 @@ fn main() -> EngineResult<()> {
 
     // --- 1. Heavy-hitter flows: data_count above its 95th percentile ---
     let threshold = selectivity::percentile(raw[0], 0.95).unwrap();
-    let ((sel, count), t) = measure(&mut gpu, |gpu| {
+    let n = records as u64;
+    let ((sel, count), t) = observe(&mut gpu, "heavy-hitters", n, |gpu| {
         compare_select(gpu, &table, 0, CompareFunc::GreaterEqual, threshold).unwrap()
     });
     let cpu_count = cpu::scan::count_u32(raw[0], cpu::CmpOp::Ge, threshold) as u64;
@@ -46,8 +48,8 @@ fn main() -> EngineResult<()> {
     println!(
         "\n[heavy hitters] data_count >= {threshold}: {count} flows \
          (modeled GPU {:.3} ms, {:.3} ms compute-only)",
-        t.total() * 1e3,
-        t.compute_only() * 1e3
+        t.modeled_ms(),
+        t.modeled_ns.compute_only() as f64 / 1e6
     );
     let worst = aggregate::max(&mut gpu, &table, 3, Some(&sel))?;
     println!("  max retransmissions among heavy hitters: {worst}");
@@ -58,7 +60,7 @@ fn main() -> EngineResult<()> {
         GpuPredicate::new(3, CompareFunc::GreaterEqual, 4), // retransmitting
         GpuPredicate::new(2, CompareFunc::GreaterEqual, 1000), // busy
     ]);
-    let ((_, unhealthy), t) = measure(&mut gpu, |gpu| {
+    let ((_, unhealthy), t) = observe(&mut gpu, "health", n, |gpu| {
         gpudb::core::boolean::eval_cnf_select(gpu, &table, &cnf).unwrap()
     });
     let cpu_cnf = cpu::Cnf::all_of(vec![
@@ -72,12 +74,12 @@ fn main() -> EngineResult<()> {
         "\n[health] lossy AND retransmitting AND busy: {unhealthy} flows \
          ({:.2}% selectivity, modeled {:.3} ms)",
         100.0 * unhealthy as f64 / records as f64,
-        t.total() * 1e3
+        t.modeled_ms()
     );
 
     // --- 3. Range query on flow_rate at 60% selectivity (Figure 4 setup) ---
     let (low, high, achieved) = selectivity::range_for_selectivity(raw[2], 0.6).unwrap();
-    let ((_, in_range), t) = measure(&mut gpu, |gpu| {
+    let ((_, in_range), t) = observe(&mut gpu, "range", n, |gpu| {
         range_select(gpu, &table, 2, low, high).unwrap()
     });
     assert_eq!(
@@ -88,11 +90,11 @@ fn main() -> EngineResult<()> {
         "\n[range] flow_rate in [{low}, {high}] (target 60%, achieved {:.1}%): \
          {in_range} flows, modeled {:.3} ms in ONE depth-bounds pass",
         achieved * 100.0,
-        t.total() * 1e3
+        t.modeled_ms()
     );
 
     // --- 4. Order statistics without sorting (Figures 7-8) ---
-    let (median, t) = measure(&mut gpu, |gpu| {
+    let (median, t) = observe(&mut gpu, "median", n, |gpu| {
         aggregate::median(gpu, &table, 0, None).unwrap()
     });
     let cpu_median = cpu::quickselect::median(raw[0]).unwrap();
@@ -100,7 +102,7 @@ fn main() -> EngineResult<()> {
     println!(
         "\n[order stats] median data_count = {median} \
          (GPU bit-descent {:.3} ms modeled; CPU QuickSelect agrees)",
-        t.total() * 1e3
+        t.modeled_ms()
     );
     for k in [1usize, 10, 100] {
         let v = aggregate::kth_largest(&mut gpu, &table, 0, k, None)?;
@@ -109,7 +111,7 @@ fn main() -> EngineResult<()> {
     }
 
     // --- 5. Exact aggregate totals (Figure 10's accumulator) ---
-    let (total_loss, t) = measure(&mut gpu, |gpu| {
+    let (total_loss, t) = observe(&mut gpu, "sum", n, |gpu| {
         aggregate::sum(gpu, &table, 1, None).unwrap()
     });
     assert_eq!(total_loss, cpu::aggregate::sum(raw[1]));
@@ -117,7 +119,7 @@ fn main() -> EngineResult<()> {
         "\n[sum] total data_loss = {total_loss} (exact; {} occlusion passes, \
          modeled {:.3} ms — the one primitive where the paper's GPU loses)",
         table.column(1)?.bits,
-        t.total() * 1e3
+        t.modeled_ms()
     );
 
     println!("\nall GPU results verified against the optimized CPU baseline ✓");

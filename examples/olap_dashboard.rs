@@ -6,6 +6,7 @@
 //! cargo run --release --example olap_dashboard
 //! ```
 
+use gpudb::core::metrics::observe;
 use gpudb::core::olap::{self, GroupAggregate};
 use gpudb::core::out_of_core::ChunkedTable;
 use gpudb::core::query::AggValue;
@@ -31,13 +32,13 @@ fn main() -> EngineResult<()> {
     let household = table.column_index("household_size")?;
 
     // --- Income histogram: one copy + one depth-bounds pass per bucket ---
-    let (buckets, timing) = measure(&mut gpu, |gpu| {
+    let (buckets, timing) = observe(&mut gpu, "histogram", records as u64, |gpu| {
         olap::histogram(gpu, &table, income, &olap::equi_width_edges(0, 12_000, 12)).unwrap()
     });
     let max_count = buckets.iter().map(|b| b.count).max().unwrap_or(1);
     println!(
         "\nmonthly income histogram (modeled {:.3} ms for {} buckets):",
-        timing.total() * 1e3,
+        timing.modeled_ms(),
         buckets.len()
     );
     for b in &buckets {
@@ -83,7 +84,7 @@ fn main() -> EngineResult<()> {
     println!(
         "  bytes swapped over AGP: {:.1} MB (modeled {:.3} ms of bus time)",
         small_gpu.stats().bytes_uploaded as f64 / (1 << 20) as f64,
-        small_gpu.stats().modeled.get(gpudb::sim::Phase::Upload) * 1e3,
+        small_gpu.stats().modeled.upload as f64 / 1e6,
     );
 
     // Verify against the whole-table run.

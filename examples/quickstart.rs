@@ -4,6 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use gpudb::core::metrics::observe;
 use gpudb::prelude::*;
 
 fn main() -> EngineResult<()> {
@@ -24,15 +25,16 @@ fn main() -> EngineResult<()> {
     );
 
     // Predicate via the depth test (Routine 4.1): latency >= 15ms.
-    let ((sel, count), timing) = measure(&mut gpu, |gpu| {
+    let n = latencies.len() as u64;
+    let ((sel, count), timing) = observe(&mut gpu, "predicate", n, |gpu| {
         compare_select(gpu, &table, 0, CompareFunc::GreaterEqual, 15_000).unwrap()
     });
     println!(
         "\nSELECT COUNT(*) WHERE latency_us >= 15000\n  -> {count} rows \
          ({:.1}% selectivity), modeled GPU time {:.3} ms ({:.3} ms compute-only)",
         100.0 * count as f64 / latencies.len() as f64,
-        timing.total() * 1e3,
-        timing.compute_only() * 1e3,
+        timing.modeled_ms(),
+        timing.modeled_ns.compute_only() as f64 / 1e6,
     );
 
     // Aggregates over the selection: the stencil buffer is the mask.
@@ -41,13 +43,13 @@ fn main() -> EngineResult<()> {
     println!("  p99 of the slow set: {p99_slow} us; mean {avg_slow:.1} us");
 
     // Range query in a single pass via the depth-bounds test (Routine 4.4).
-    let ((_, in_band), timing) = measure(&mut gpu, |gpu| {
+    let ((_, in_band), timing) = observe(&mut gpu, "range", n, |gpu| {
         range_select(gpu, &table, 0, 1_000, 5_000).unwrap()
     });
     println!(
         "\nSELECT COUNT(*) WHERE latency_us BETWEEN 1000 AND 5000\n  -> {in_band} rows, \
          modeled {:.3} ms (one pass, not two)",
-        timing.total() * 1e3
+        timing.modeled_ms()
     );
 
     // Order statistics without sorting (Routine 4.5).
@@ -74,7 +76,7 @@ fn main() -> EngineResult<()> {
     println!(
         "  ({} rows matched, modeled {:.3} ms)",
         out.matched,
-        out.timing.total() * 1e3
+        out.timing.total() as f64 / 1e6
     );
     Ok(())
 }

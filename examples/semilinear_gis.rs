@@ -12,6 +12,7 @@
 //! cargo run --release --example semilinear_gis
 //! ```
 
+use gpudb::core::metrics::observe;
 use gpudb::cpu;
 use gpudb::prelude::*;
 
@@ -48,7 +49,7 @@ fn main() -> EngineResult<()> {
     // --- Half-plane query: which features lie north-east of the line
     //     x + y >= 80000? One fragment-program pass, no depth copy. ---
     let coeffs = [1.0f32, 1.0, 0.0, 0.0];
-    let ((_, count), t) = measure(&mut gpu, |gpu| {
+    let ((_, count), t) = observe(&mut gpu, "semilinear", n as u64, |gpu| {
         semilinear_select(gpu, &table, &coeffs, CompareFunc::GreaterEqual, 80_000.0).unwrap()
     });
     let cpu_count =
@@ -57,7 +58,7 @@ fn main() -> EngineResult<()> {
     println!(
         "\n[half-plane] x + y >= 80000: {count} features \
          (modeled {:.3} ms, zero copy-to-depth)",
-        t.total() * 1e3
+        t.modeled_ms()
     );
 
     // --- Oblique corridor: features within the band
@@ -86,7 +87,7 @@ fn main() -> EngineResult<()> {
     // --- Weighted scoring: flood risk = 2*pop - 30*elevation > 0,
     //     a genuine 4-attribute linear combination. ---
     let risk = [0.0f32, 0.0, -30.0, 2.0];
-    let ((risk_sel, at_risk), t) = measure(&mut gpu, |gpu| {
+    let ((risk_sel, at_risk), t) = observe(&mut gpu, "risk", n as u64, |gpu| {
         semilinear_select(gpu, &table, &risk, CompareFunc::Greater, 0.0).unwrap()
     });
     assert_eq!(
@@ -97,14 +98,14 @@ fn main() -> EngineResult<()> {
         "\n[risk score] 2*population - 30*elevation > 0: {at_risk} features \
          ({:.2}% of city, modeled {:.3} ms)",
         100.0 * at_risk as f64 / n as f64,
-        t.total() * 1e3
+        t.modeled_ms()
     );
     let worst_pop = aggregate::max(&mut gpu, &table, 3, Some(&risk_sel))?;
     println!("  largest population among at-risk features: {worst_pop}");
 
     // --- Column-column comparison (the paper's a_i op a_j rewrite):
     //     features where x > y, i.e. south-east half of the grid. ---
-    let ((_, se_count), t) = measure(&mut gpu, |gpu| {
+    let ((_, se_count), t) = observe(&mut gpu, "attribute-compare", n as u64, |gpu| {
         compare_attributes(gpu, &table, 0, 1, CompareFunc::Greater).unwrap()
     });
     let expected = (0..n).filter(|&i| x[i] > y[i]).count() as u64;
@@ -112,7 +113,7 @@ fn main() -> EngineResult<()> {
     println!(
         "\n[attribute compare] x > y: {se_count} features (modeled {:.3} ms, \
          planned as the semi-linear query x - y > 0)",
-        t.total() * 1e3
+        t.modeled_ms()
     );
 
     println!("\nall GPU results verified against CPU references ✓");

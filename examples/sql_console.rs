@@ -109,10 +109,10 @@ impl Catalog {
                      {:.3} ms = copy {:.3} + compute {:.3} + readback {:.3}",
                     out.matched,
                     out.selectivity * 100.0,
-                    out.timing.total() * 1e3,
-                    out.timing.copy * 1e3,
-                    out.timing.compute * 1e3,
-                    out.timing.readback * 1e3
+                    out.timing.total() as f64 / 1e6,
+                    out.timing.copy_to_depth as f64 / 1e6,
+                    out.timing.compute as f64 / 1e6,
+                    out.timing.readback as f64 / 1e6
                 );
             }
             Err(e) => eprintln!("execution error: {e}"),

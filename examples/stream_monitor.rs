@@ -60,7 +60,7 @@ fn main() -> EngineResult<()> {
         let p99_rank = (window.len() as f64 * 0.01).ceil().max(1.0) as usize;
         let p99 = window.kth_largest(&mut gpu, p99_rank)?;
         let heavy = window.count(&mut gpu, CompareFunc::GreaterEqual, 1 << 20)?;
-        let tick_ms = (gpu.stats().modeled.total() - before) * 1e3;
+        let tick_ms = (gpu.stats().modeled.total() - before) as f64 / 1e6;
 
         println!(
             "{:>4} {:>9} {:>12} {:>10} {:>10} {:>12} {:>10.3}{}",

@@ -70,7 +70,6 @@ pub mod prelude {
     pub use gpudb_core::semilinear::{compare_attributes, semilinear_select};
     pub use gpudb_core::stream::StreamWindow;
     pub use gpudb_core::table::GpuTable;
-    pub use gpudb_core::timing::{measure, OpTiming};
     pub use gpudb_core::{EngineError, EngineResult, Selection};
     pub use gpudb_obs::{Span, SpanCollector, SpanTree};
     pub use gpudb_sim::span::{SpanKind, SpanSink};

@@ -3,6 +3,7 @@
 //! executed, and every result verified against the optimized CPU
 //! baselines.
 
+use gpudb::core::metrics::observe;
 use gpudb::cpu;
 use gpudb::data::{census, selectivity, tcpip};
 use gpudb::prelude::*;
@@ -217,17 +218,17 @@ fn selection_composition_chains() {
 
 #[test]
 fn modeled_timings_are_monotone_in_record_count() {
-    let mut previous_total = 0.0f64;
+    let mut previous_total = 0u64;
     for n in [1_000usize, 4_000, 16_000] {
         let trace = tcpip::generate(n, 1);
         let (mut gpu, table) = upload(&trace, 100);
-        let (_, timing) = measure(&mut gpu, |gpu| {
+        let (_, record) = observe(&mut gpu, "predicate", n as u64, |gpu| {
             compare_select(gpu, &table, 0, CompareFunc::Greater, 100).unwrap()
         });
         assert!(
-            timing.total() > previous_total,
+            record.modeled_total_ns() > previous_total,
             "modeled time must grow with n"
         );
-        previous_total = timing.total();
+        previous_total = record.modeled_total_ns();
     }
 }

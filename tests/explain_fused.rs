@@ -144,9 +144,11 @@ fn per_node_totals_sum_to_metrics_log_total() {
         };
         let per_node: u64 = out.metrics.iter().map(|r| r.modeled_total_ns()).sum();
         assert_eq!(per_node, log.modeled_total_ns());
-        // Each node's total is itself the exact sum of its phase parts
-        // (the largest-remainder rounding in PhaseNanos guarantees it),
-        // so the rendered per-stage milliseconds add up to the header.
+        // The device clock is integer nanoseconds, so the nodes partition
+        // the query's total exactly, and each node's total is the exact
+        // sum of its phase parts: the rendered per-stage milliseconds add
+        // up to the header.
+        assert_eq!(per_node, out.timing.total());
         for record in &out.metrics {
             let parts = record.modeled_ns.upload
                 + record.modeled_ns.copy_to_depth

@@ -4,6 +4,7 @@
 //! texture encoding, the 24-bit depth buffer, stencil state machines and
 //! fragment programs, and must still be bit-exact.
 
+use gpudb::core::query::AggValue;
 use gpudb::cpu;
 use gpudb::prelude::*;
 use proptest::prelude::*;
@@ -107,6 +108,17 @@ proptest! {
             .map(|&v| v as u64)
             .sum();
         prop_assert_eq!(gpu_sum, expected);
+
+        // The same query through the executor: its per-stage records
+        // partition the query's modeled total exactly (integer clock).
+        let query = Query::filtered(
+            vec![Aggregate::Count, Aggregate::Sum("a".into())],
+            BoolExpr::pred("a", CompareFunc::GreaterEqual, threshold),
+        );
+        let out = execute(&mut gpu, &table, &query).unwrap();
+        prop_assert_eq!(out.value("SUM(a)"), Some(&AggValue::Sum(expected)));
+        let stage_ns: u64 = out.metrics.iter().map(|r| r.modeled_total_ns()).sum();
+        prop_assert_eq!(stage_ns, out.timing.total());
     }
 
     #[test]

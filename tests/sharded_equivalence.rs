@@ -95,6 +95,9 @@ proptest! {
                 merge_cost_ns(expected_shards, query.aggregates.len())
             );
             prop_assert_eq!(out.report.merged_ns, critical + out.report.merge_ns);
+            // The output's modeled time is every shard's clock, exactly.
+            let shard_ns: u64 = out.report.shards.iter().map(|s| s.modeled_ns).sum();
+            prop_assert_eq!(out.output.timing.total(), shard_ns);
             // Clean runs stay on the GPU on every shard.
             for run in &out.report.shards {
                 prop_assert_eq!(run.path, ResiliencePath::Gpu);
