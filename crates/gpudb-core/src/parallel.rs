@@ -32,7 +32,7 @@
 //! its modeled clock at `t = 0`, and the modeled merge cost
 //! ([`merge_cost_ns`]) is a pure function of the shard and aggregate
 //! counts. Host parallelism comes from inside each draw: the simulator
-//! rasterizes large draws in row bands on every host core.
+//! runs a draw's framebuffer row tiles on every host core.
 //!
 //! ## Resilience
 //!

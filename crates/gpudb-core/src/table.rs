@@ -12,7 +12,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::ops::ATTRIBUTE_BITS;
 use gpudb_sim::raster::Rect;
 use gpudb_sim::texture::{Texture, TextureFormat};
-use gpudb_sim::{Gpu, Phase, TextureId};
+use gpudb_sim::{Gpu, GpuError, Phase, TextureId};
 
 /// Default texture width, matching the paper's 1000-wide layout.
 pub const DEFAULT_WIDTH: usize = 1000;
@@ -67,12 +67,14 @@ impl GpuTable {
         if columns.iter().any(|(_, v)| v.len() != record_count) {
             return Err(EngineError::MismatchedColumnLengths);
         }
-        for (col_name, values) in columns {
-            let bits = values
-                .iter()
-                .copied()
-                .max()
-                .map_or(0, |m| 32 - m.leading_zeros());
+        // Each column's largest value, found in one scan: it bounds the
+        // encoding here and becomes the column's metadata below.
+        let maxima: Vec<u32> = columns
+            .iter()
+            .map(|(_, values)| values.iter().copied().max().unwrap_or(0))
+            .collect();
+        for ((col_name, _), &max_value) in columns.iter().zip(&maxima) {
+            let bits = 32 - max_value.leading_zeros();
             if bits > ATTRIBUTE_BITS {
                 return Err(EngineError::AttributeTooWide {
                     column: (*col_name).to_string(),
@@ -82,6 +84,13 @@ impl GpuTable {
         }
 
         let width = gpu.width();
+        if width == 0 {
+            // No record grid fits a zero-width device.
+            return Err(EngineError::Gpu(GpuError::InvalidTextureSize {
+                width,
+                height: gpu.height(),
+            }));
+        }
         let height = record_count.div_ceil(width).max(1);
         if height > gpu.height() {
             return Err(EngineError::FramebufferTooSmall {
@@ -93,23 +102,22 @@ impl GpuTable {
         gpu.set_phase(Phase::Upload);
         let mut metas = Vec::with_capacity(columns.len());
         let mut textures = Vec::new();
-        for (group_index, group) in columns.chunks(4).enumerate() {
+        for (group_index, (group, maxima)) in columns.chunks(4).zip(maxima.chunks(4)).enumerate() {
             let channels = group.len();
             let format = TextureFormat::from_channels(channels as u8)?;
             // Interleave the group's columns into one texture, padding the
             // grid tail with zeros.
             let mut data = vec![0.0f32; width * height * channels];
             for (channel, (_, values)) in group.iter().enumerate() {
-                for (i, &v) in values.iter().enumerate() {
-                    data[i * channels + channel] = v as f32;
+                for (texel, &v) in data.chunks_exact_mut(channels).zip(values.iter()) {
+                    texel[channel] = v as f32;
                 }
             }
             let texture =
                 Texture::from_data(width, height, format, data).map_err(EngineError::from)?;
             let id = gpu.create_texture(texture)?;
             textures.push(id);
-            for (channel, (col_name, values)) in group.iter().enumerate() {
-                let max_value = values.iter().copied().max().unwrap_or(0);
+            for (channel, ((col_name, _), &max_value)) in group.iter().zip(maxima).enumerate() {
                 metas.push(ColumnMeta {
                     name: (*col_name).to_string(),
                     texture_index: group_index,
@@ -328,6 +336,22 @@ mod tests {
         let a: Vec<u32> = (0..100).collect();
         let err = GpuTable::upload(&mut gpu, "t", &[("a", &a)]).unwrap_err();
         assert!(matches!(err, EngineError::FramebufferTooSmall { .. }));
+    }
+
+    #[test]
+    fn zero_width_device_is_a_typed_error() {
+        let mut gpu = Gpu::geforce_fx_5900(0, 4);
+        let a = [1u32, 2, 3];
+        for columns in [&[("a", &a[..])][..], &[("a", &[][..])], &[]] {
+            let err = GpuTable::upload(&mut gpu, "t", columns).unwrap_err();
+            assert!(matches!(
+                err,
+                EngineError::Gpu(GpuError::InvalidTextureSize {
+                    width: 0,
+                    height: 4
+                })
+            ));
+        }
     }
 
     #[test]

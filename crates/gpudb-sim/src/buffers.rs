@@ -7,7 +7,8 @@
 //! through the depth buffer exactly *because* they are encoded as ≤24-bit
 //! integers.
 
-use serde::{Deserialize, Serialize};
+use crate::pipeline::FbTile;
+use crate::raster::TILE_FRAGMENTS;
 
 /// Number of bits in the simulated depth buffer.
 pub const DEPTH_BITS: u32 = 24;
@@ -68,171 +69,189 @@ pub fn dequantize_depth(raw: u32) -> f64 {
     raw as f64 / DEPTH_SCALE
 }
 
-/// The depth buffer: one 24-bit value per pixel, stored in the low bits of
-/// a `u32`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DepthBuffer {
+/// One plane of the framebuffer, stored as row tiles: each tile holds
+/// `tile_rows` whole rows (the last tile may hold fewer), so that a draw
+/// can hand each tile to a host thread by value (see [`crate::raster`]).
+#[derive(Debug, Clone)]
+struct Tiles<T> {
     width: usize,
     height: usize,
-    data: Vec<u32>,
+    tile_rows: usize,
+    tiles: Vec<Vec<T>>,
 }
 
-impl DepthBuffer {
-    /// Create a depth buffer cleared to the far plane (1.0).
-    pub fn new(width: usize, height: usize) -> DepthBuffer {
-        DepthBuffer {
+impl<T: Copy> Tiles<T> {
+    fn new(width: usize, height: usize, tile_rows: usize, value: T) -> Tiles<T> {
+        let tile_rows = tile_rows.max(1);
+        let tiles = (0..height.div_ceil(tile_rows))
+            .map(|t| vec![value; width * tile_rows.min(height - t * tile_rows)])
+            .collect();
+        Tiles {
             width,
             height,
-            data: vec![DEPTH_MAX; width * height],
+            tile_rows,
+            tiles,
         }
     }
 
+    /// The tile holding pixel `idx`, and the pixel's offset in it.
+    #[inline(always)]
+    fn locate(&self, idx: usize) -> (usize, usize) {
+        let tile_len = (self.tile_rows * self.width).max(1);
+        (idx / tile_len, idx % tile_len)
+    }
+
+    #[inline(always)]
+    fn get(&self, idx: usize) -> T {
+        let (t, i) = self.locate(idx);
+        self.tiles[t][i]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, idx: usize, value: T) {
+        let (t, i) = self.locate(idx);
+        self.tiles[t][i] = value;
+    }
+
+    fn fill(&mut self, value: T) {
+        self.tiles.iter_mut().for_each(|tile| tile.fill(value));
+    }
+
+    /// Every pixel in row-major order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.tiles.iter().flatten()
+    }
+
+    fn to_vec(&self) -> Vec<T> {
+        self.tiles.concat()
+    }
+}
+
+/// Equal when the contents are, however the planes are tiled.
+impl<T: Copy + PartialEq> PartialEq for Tiles<T> {
+    fn eq(&self, other: &Tiles<T>) -> bool {
+        self.width == other.width && self.height == other.height && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Copy + Eq> Eq for Tiles<T> {}
+
+/// The depth buffer: one 24-bit value per pixel, stored in the low bits of
+/// a `u32`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DepthBuffer(Tiles<u32>);
+
+impl DepthBuffer {
     /// Clear every pixel to a normalized depth value.
     pub fn clear(&mut self, depth: f64) {
-        let q = quantize_depth(depth);
-        self.data.fill(q);
+        self.0.fill(quantize_depth(depth));
     }
 
     /// Raw (quantized) value at a pixel.
     #[inline(always)]
     pub fn get_raw(&self, idx: usize) -> u32 {
-        self.data[idx]
+        self.0.get(idx)
     }
 
     /// Store a raw (already quantized) value at a pixel.
     #[inline(always)]
     pub fn set_raw(&mut self, idx: usize, raw: u32) {
         debug_assert!(raw <= DEPTH_MAX);
-        self.data[idx] = raw;
+        self.0.set(idx, raw);
     }
 
     /// Normalized value at a pixel.
     #[inline(always)]
     pub fn get(&self, idx: usize) -> f64 {
-        dequantize_depth(self.data[idx])
+        dequantize_depth(self.0.get(idx))
     }
 
     /// Buffer width in pixels.
     pub fn width(&self) -> usize {
-        self.width
+        self.0.width
     }
 
     /// Buffer height in pixels.
     pub fn height(&self) -> usize {
-        self.height
+        self.0.height
     }
 
-    /// Raw storage, for read-backs.
-    pub fn raw_data(&self) -> &[u32] {
-        &self.data
+    /// Every raw value in row-major order, for read-backs.
+    pub fn to_raw_vec(&self) -> Vec<u32> {
+        self.0.to_vec()
     }
 
-    /// Mutable raw storage, for the rasterizer's row-band splitting.
-    pub(crate) fn raw_data_mut(&mut self) -> &mut [u32] {
-        &mut self.data
+    /// Every normalized value in row-major order, for read-backs.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.0.iter().map(|&raw| dequantize_depth(raw)).collect()
     }
 }
 
 /// The stencil buffer: one 8-bit value per pixel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StencilBuffer {
-    width: usize,
-    height: usize,
-    data: Vec<u8>,
-}
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StencilBuffer(Tiles<u8>);
 
 impl StencilBuffer {
-    /// Create a stencil buffer cleared to zero.
-    pub fn new(width: usize, height: usize) -> StencilBuffer {
-        StencilBuffer {
-            width,
-            height,
-            data: vec![0; width * height],
-        }
-    }
-
     /// Clear every pixel to `value`.
     pub fn clear(&mut self, value: u8) {
-        self.data.fill(value);
+        self.0.fill(value);
     }
 
     /// Value at a pixel.
     #[inline(always)]
     pub fn get(&self, idx: usize) -> u8 {
-        self.data[idx]
+        self.0.get(idx)
     }
 
     /// Store a value at a pixel.
     #[inline(always)]
     pub fn set(&mut self, idx: usize, value: u8) {
-        self.data[idx] = value;
+        self.0.set(idx, value);
     }
 
-    /// Raw storage, for read-backs.
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Mutable raw storage, for the rasterizer's row-band splitting.
-    pub(crate) fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+    /// Every value in row-major order, for read-backs.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.0.to_vec()
     }
 
     /// Count pixels whose stencil value is nonzero — a host-side helper for
     /// tests; the device itself learns pass counts via occlusion queries.
     pub fn count_nonzero(&self) -> usize {
-        self.data.iter().filter(|&&v| v != 0).count()
+        self.0.iter().filter(|&&v| v != 0).count()
     }
 }
 
 /// The color buffer: RGBA f32 per pixel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ColorBuffer {
-    width: usize,
-    height: usize,
-    data: Vec<[f32; 4]>,
-}
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColorBuffer(Tiles<[f32; 4]>);
 
 impl ColorBuffer {
-    /// Create a color buffer cleared to transparent black.
-    pub fn new(width: usize, height: usize) -> ColorBuffer {
-        ColorBuffer {
-            width,
-            height,
-            data: vec![[0.0; 4]; width * height],
-        }
-    }
-
     /// Clear every pixel to an RGBA value.
     pub fn clear(&mut self, rgba: [f32; 4]) {
-        self.data.fill(rgba);
+        self.0.fill(rgba);
     }
 
     /// Value at a pixel.
     #[inline(always)]
     pub fn get(&self, idx: usize) -> [f32; 4] {
-        self.data[idx]
+        self.0.get(idx)
     }
 
     /// Store a value at a pixel.
     #[inline(always)]
     pub fn set(&mut self, idx: usize, rgba: [f32; 4]) {
-        self.data[idx] = rgba;
+        self.0.set(idx, rgba);
     }
 
-    /// Raw storage, for read-backs.
-    pub fn data(&self) -> &[[f32; 4]] {
-        &self.data
-    }
-
-    /// Mutable raw storage, for the rasterizer's row-band splitting.
-    pub(crate) fn data_mut(&mut self) -> &mut [[f32; 4]] {
-        &mut self.data
+    /// Every value in row-major order, for read-backs.
+    pub fn to_vec(&self) -> Vec<[f32; 4]> {
+        self.0.to_vec()
     }
 }
 
-/// The complete framebuffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The complete framebuffer. Its three planes share one row tiling: tile
+/// `t` holds rows `t * tile_rows ..` of each.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Framebuffer {
     /// Color buffer.
     pub color: ColorBuffer,
@@ -245,12 +264,22 @@ pub struct Framebuffer {
 }
 
 impl Framebuffer {
-    /// Allocate a framebuffer of the given pixel dimensions.
+    /// Allocate a framebuffer of the given pixel dimensions, with color
+    /// cleared to transparent black, depth to the far plane (1.0) and
+    /// stencil to zero. Its row tiles hold the rasterizer's
+    /// `TILE_FRAGMENTS` (8192) pixels each, rounded down to whole rows (at
+    /// least one).
     pub fn new(width: usize, height: usize) -> Framebuffer {
+        Framebuffer::with_tile_rows(width, height, TILE_FRAGMENTS / width.max(1))
+    }
+
+    /// [`Framebuffer::new`] cut into tiles of `tile_rows` rows (at least
+    /// one).
+    pub(crate) fn with_tile_rows(width: usize, height: usize, tile_rows: usize) -> Framebuffer {
         Framebuffer {
-            color: ColorBuffer::new(width, height),
-            depth: DepthBuffer::new(width, height),
-            stencil: StencilBuffer::new(width, height),
+            color: ColorBuffer(Tiles::new(width, height, tile_rows, [0.0; 4])),
+            depth: DepthBuffer(Tiles::new(width, height, tile_rows, DEPTH_MAX)),
+            stencil: StencilBuffer(Tiles::new(width, height, tile_rows, 0)),
             width,
             height,
         }
@@ -275,6 +304,37 @@ impl Framebuffer {
     /// real hardware packs into 32 bits).
     pub fn byte_size(&self) -> usize {
         self.pixel_count() * (4 * 4 + 4)
+    }
+
+    /// Rows per tile (the last tile may hold fewer).
+    pub(crate) fn tile_rows(&self) -> usize {
+        self.depth.0.tile_rows
+    }
+
+    /// Number of row tiles.
+    pub(crate) fn tile_count(&self) -> usize {
+        self.depth.0.tiles.len()
+    }
+
+    /// Move tile `t` out of the framebuffer, leaving it empty until
+    /// [`Framebuffer::put_tile`] returns it.
+    pub(crate) fn take_tile(&mut self, t: usize) -> FbTile {
+        let first_row = t * self.tile_rows();
+        FbTile {
+            color: std::mem::take(&mut self.color.0.tiles[t]),
+            depth: std::mem::take(&mut self.depth.0.tiles[t]),
+            stencil: std::mem::take(&mut self.stencil.0.tiles[t]),
+            rows: (first_row, (first_row + self.tile_rows()).min(self.height)),
+            base: first_row * self.width,
+        }
+    }
+
+    /// Return a tile taken by [`Framebuffer::take_tile`].
+    pub(crate) fn put_tile(&mut self, t: usize, tile: FbTile) {
+        debug_assert_eq!(tile.base, t * self.tile_rows() * self.width);
+        self.color.0.tiles[t] = tile.color;
+        self.depth.0.tiles[t] = tile.depth;
+        self.stencil.0.tiles[t] = tile.stencil;
     }
 }
 
@@ -383,7 +443,7 @@ mod tests {
 
     #[test]
     fn depth_buffer_clear_and_access() {
-        let mut db = DepthBuffer::new(4, 2);
+        let mut db = Framebuffer::new(4, 2).depth;
         assert_eq!(db.get_raw(0), DEPTH_MAX);
         db.clear(0.0);
         assert_eq!(db.get_raw(7), 0);
@@ -394,7 +454,7 @@ mod tests {
 
     #[test]
     fn stencil_buffer_roundtrip() {
-        let mut sb = StencilBuffer::new(3, 3);
+        let mut sb = Framebuffer::new(3, 3).stencil;
         sb.clear(1);
         assert_eq!(sb.get(4), 1);
         sb.set(4, 2);
@@ -406,11 +466,55 @@ mod tests {
 
     #[test]
     fn color_buffer_roundtrip() {
-        let mut cb = ColorBuffer::new(2, 2);
+        let mut cb = Framebuffer::new(2, 2).color;
         cb.set(2, [0.1, 0.2, 0.3, 0.4]);
         assert_eq!(cb.get(2), [0.1, 0.2, 0.3, 0.4]);
         cb.clear([1.0; 4]);
         assert_eq!(cb.get(2), [1.0; 4]);
+    }
+
+    #[test]
+    fn tiled_planes_index_and_read_back_in_row_major_order() {
+        // Tiles of 1, 2, 3 and 7 rows of a 5x7 framebuffer, and one tile.
+        for tile_rows in [1, 2, 3, 7, 100] {
+            let mut fb = Framebuffer::with_tile_rows(5, 7, tile_rows);
+            for i in 0..35 {
+                fb.depth.set_raw(i, i as u32 * 3);
+                fb.stencil.set(i, i as u8);
+                fb.color.set(i, [i as f32; 4]);
+            }
+            let expected: Vec<u32> = (0..35).map(|i| i * 3).collect();
+            assert_eq!(fb.depth.to_raw_vec(), expected, "{tile_rows} rows");
+            assert_eq!(fb.stencil.to_vec(), (0..35).collect::<Vec<u8>>());
+            assert_eq!(fb.color.get(34), [34.0; 4]);
+            assert_eq!(fb.stencil.count_nonzero(), 34);
+            // Equality compares contents, not the tiling.
+            let mut same = Framebuffer::new(5, 7);
+            for i in 0..35 {
+                same.depth.set_raw(i, i as u32 * 3);
+                same.stencil.set(i, i as u8);
+                same.color.set(i, [i as f32; 4]);
+            }
+            assert_eq!(fb, same, "{tile_rows} rows");
+            // A tile moves out and back whole.
+            let last = 7usize.div_ceil(tile_rows) - 1;
+            let tile = fb.take_tile(last);
+            assert_eq!(tile.base, 5 * tile_rows * last);
+            assert_eq!(tile.depth.len(), 5 * (7 - tile_rows * last).min(tile_rows));
+            fb.put_tile(last, tile);
+            assert_eq!(fb, same);
+        }
+    }
+
+    #[test]
+    fn empty_framebuffers_have_no_pixels() {
+        for (w, h) in [(0, 4), (4, 0), (0, 0), (100_000, 1)] {
+            let mut fb = Framebuffer::new(w, h);
+            fb.depth.clear(0.5);
+            assert_eq!(fb.pixel_count(), w * h);
+            assert_eq!(fb.depth.to_raw_vec().len(), w * h);
+            assert_eq!(fb.stencil.count_nonzero(), 0);
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::texture::{Texture, TextureId};
 use crate::trace::{
     DeviceCaps, DrawPass, PassOp, PassPlan, ProgramInfo, RecordMode, TraceRecorder,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default video memory budget: the paper's card had 256 MB.
@@ -29,7 +30,9 @@ pub const DEFAULT_VRAM_BYTES: usize = 256 << 20;
 pub struct Gpu {
     profile: HardwareProfile,
     fb: Framebuffer,
-    textures: Vec<Option<Texture>>,
+    /// Shared with the draw in flight, whose kernel holds the textures it
+    /// samples; updates copy on write.
+    textures: Vec<Option<Arc<Texture>>>,
     free_ids: Vec<u32>,
     bound_textures: [Option<TextureId>; NUM_TEXTURE_UNITS],
     program: Option<FragmentProgram>,
@@ -366,11 +369,11 @@ impl Gpu {
         let wall = Instant::now();
         let id = match self.free_ids.pop() {
             Some(id) => {
-                self.textures[id as usize] = Some(texture);
+                self.textures[id as usize] = Some(Arc::new(texture));
                 id
             }
             None => {
-                self.textures.push(Some(texture));
+                self.textures.push(Some(Arc::new(texture)));
                 (self.textures.len() - 1) as u32
             }
         };
@@ -409,7 +412,7 @@ impl Gpu {
     pub fn texture(&self, id: TextureId) -> GpuResult<&Texture> {
         self.textures
             .get(id.0 as usize)
-            .and_then(Option::as_ref)
+            .and_then(Option::as_deref)
             .ok_or(GpuError::InvalidTexture(id.0))
     }
 
@@ -428,7 +431,7 @@ impl Gpu {
             .get_mut(id.0 as usize)
             .and_then(Option::as_mut)
             .ok_or(GpuError::InvalidTexture(id.0))?;
-        tex.update_sub_image(x, y, width, height, data)?;
+        Arc::make_mut(tex).update_sub_image(x, y, width, height, data)?;
         let bytes = data.len() as u64 * 4;
         self.span_begin(SpanKind::Upload, "upload:subimage");
         self.stats.bytes_uploaded += bytes;
@@ -713,15 +716,13 @@ impl Gpu {
             self.span_begin(SpanKind::Pass, &label);
         }
         let wall = Instant::now();
-        let texture_refs: Vec<Option<&Texture>> = self
+        let textures = self
             .bound_textures
-            .iter()
-            .map(|slot| slot.and_then(|id| self.textures[id.0 as usize].as_ref()))
-            .collect();
+            .map(|slot| slot.and_then(|id| self.textures[id.0 as usize].clone()));
         let inputs = DrawInputs {
             state: &self.state,
             program: self.program.as_ref(),
-            textures: &texture_refs,
+            textures: &textures,
             env: &self.env,
             quad_depth: depth,
             draw_color: self.draw_color,
@@ -836,9 +837,7 @@ impl Gpu {
         self.account_readback(bytes);
         self.span_end();
         self.check_readback("depth", bytes)?;
-        Ok((0..self.fb.pixel_count())
-            .map(|i| self.fb.depth.get(i))
-            .collect())
+        Ok(self.fb.depth.to_vec())
     }
 
     /// Read back the raw 24-bit depth buffer values.
@@ -852,7 +851,7 @@ impl Gpu {
         self.account_readback(bytes);
         self.span_end();
         self.check_readback("depth", bytes)?;
-        Ok(self.fb.depth.raw_data().to_vec())
+        Ok(self.fb.depth.to_raw_vec())
     }
 
     /// Read back the stencil buffer.
@@ -866,7 +865,7 @@ impl Gpu {
         self.account_readback(bytes);
         self.span_end();
         self.check_readback("stencil", bytes)?;
-        Ok(self.fb.stencil.data().to_vec())
+        Ok(self.fb.stencil.to_vec())
     }
 
     /// Read back the color buffer.
@@ -880,7 +879,7 @@ impl Gpu {
         self.account_readback(bytes);
         self.span_end();
         self.check_readback("color", bytes)?;
-        Ok(self.fb.color.data().to_vec())
+        Ok(self.fb.color.to_vec())
     }
 
     /// Integrity check at the driver boundary after a readback's cost has
@@ -941,7 +940,7 @@ impl Gpu {
             .ok_or(GpuError::InvalidTexture(id.0))?;
         let channels = tex.format().channels();
         let tex_width = tex.width();
-        let data = tex.data_mut();
+        let data = Arc::make_mut(tex).data_mut();
         for row in 0..height {
             for col in 0..width {
                 let pixel = self.fb.color.get((y + row) * fb_width + (x + col));
@@ -1242,6 +1241,36 @@ mod tests {
             gpu.texture(id4).unwrap().fetch(3, 1),
             [0.25, 0.5, 0.75, 1.0]
         );
+    }
+
+    #[test]
+    fn texture_updates_after_a_draw_write_in_place_and_reach_the_next_draw() {
+        use crate::program::builtin;
+        // Two row tiles, so the draw's kernel is shared with the pool.
+        let (w, h) = (256, 64);
+        let mut gpu = Gpu::geforce_fx_5900(w, h);
+        let id = gpu
+            .create_texture(Texture::zeroed(w, h, TextureFormat::R).unwrap())
+            .unwrap();
+        gpu.bind_texture(0, Some(id)).unwrap();
+        gpu.bind_program(Some(builtin::copy_to_depth()));
+        let scale = 1.0 / crate::buffers::DEPTH_SCALE as f32;
+        gpu.set_program_env(builtin::ENV_SCALE, [scale, 0.0, 0.0, 0.0])
+            .unwrap();
+        gpu.set_program_env(builtin::ENV_CHANNEL, builtin::channel_selector(0))
+            .unwrap();
+        gpu.set_depth_test(true, CompareFunc::Always);
+        gpu.set_depth_write(true);
+        gpu.draw_full_quad(0.0).unwrap();
+        // A finished draw keeps no reference, so the update copies nothing.
+        let slot = gpu.textures[id.0 as usize].as_ref().unwrap();
+        assert_eq!(Arc::strong_count(slot), 1);
+        gpu.update_texture_sub_image(id, 3, 40, 2, 1, &[5.0, 7.0])
+            .unwrap();
+        gpu.draw_full_quad(0.0).unwrap();
+        let depth = gpu.read_depth_buffer_raw().unwrap();
+        assert_eq!(&depth[40 * w + 2..40 * w + 6], &[0, 5, 7, 0]);
+        assert_eq!(depth.iter().filter(|&&d| d != 0).count(), 2);
     }
 
     #[test]

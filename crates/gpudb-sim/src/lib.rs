@@ -15,7 +15,8 @@
 //!   builtin programs;
 //! * [`raster`] / `pipeline` — screen-aligned quad rasterization through
 //!   a per-draw span kernel that keeps the authentic per-fragment test
-//!   sequence, with early-z modeling;
+//!   sequence, with early-z modeling; a draw's framebuffer row tiles run
+//!   on the calling thread and a pool of persistent host workers (`pool`);
 //! * [`device`] — the stateful [`device::Gpu`] facade with occlusion
 //!   queries and costed transfers;
 //! * [`cost`] / [`stats`] — a cycle cost model calibrated against the
@@ -68,6 +69,7 @@ pub mod error;
 pub mod fault;
 mod mipmap;
 mod pipeline;
+mod pool;
 pub mod program;
 pub mod raster;
 pub mod span;

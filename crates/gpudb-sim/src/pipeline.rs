@@ -52,14 +52,11 @@
 //! fate rules of [`process_fragment`], not which lanes it computed, so the
 //! modeled clock is the same whichever implementation ran.
 //!
-//! Both operate on an [`FbBand`] — a mutable view over a contiguous row
-//! range of the framebuffer — so that the rasterizer can process disjoint
-//! row bands on parallel host threads, mirroring the device's parallel
-//! pixel pipes.
+//! Both operate on an [`FbTile`], a row tile of the framebuffer that the
+//! thread running it owns, so that the rasterizer can run a draw's tiles
+//! on parallel host threads, mirroring the device's parallel pixel pipes.
 
-use crate::buffers::{
-    dequantize_depth, quantize_depth, quantize_depth_f32, Framebuffer, DEPTH_SCALE,
-};
+use crate::buffers::{dequantize_depth, quantize_depth, quantize_depth_f32, DEPTH_SCALE};
 use crate::cost::DrawCost;
 use crate::program::interp::{execute, FragmentContext, FragmentInput};
 use crate::program::isa::FragmentProgram;
@@ -77,26 +74,19 @@ pub(crate) enum FragmentFate {
     Discarded { shaded: bool },
 }
 
-/// A mutable view over a contiguous pixel range of the framebuffer
-/// (whole rows). `base` is the global linear index of the first pixel.
-pub(crate) struct FbBand<'a> {
-    pub color: &'a mut [[f32; 4]],
-    pub depth: &'a mut [u32],
-    pub stencil: &'a mut [u8],
+/// One row tile of the framebuffer, moved out of it while a draw runs:
+/// the whole rows `rows.0..rows.1`, the first pixel of which has global
+/// linear index `base`.
+#[derive(Debug)]
+pub(crate) struct FbTile {
+    pub color: Vec<[f32; 4]>,
+    pub depth: Vec<u32>,
+    pub stencil: Vec<u8>,
+    pub rows: (usize, usize),
     pub base: usize,
 }
 
-impl<'a> FbBand<'a> {
-    /// A band covering the entire framebuffer.
-    pub fn full(fb: &'a mut Framebuffer) -> FbBand<'a> {
-        FbBand {
-            color: fb.color.data_mut(),
-            depth: fb.depth.raw_data_mut(),
-            stencil: fb.stencil.data_mut(),
-            base: 0,
-        }
-    }
-
+impl FbTile {
     #[inline(always)]
     fn local(&self, global_idx: usize) -> usize {
         debug_assert!(global_idx >= self.base && global_idx - self.base < self.depth.len());
@@ -146,12 +136,12 @@ enum TestOutcome {
 #[inline(always)]
 fn run_tests(
     state: &PipelineState,
-    band: &mut FbBand<'_>,
+    tile: &mut FbTile,
     idx: usize,
     frag_depth: f32,
     alpha: f32,
 ) -> TestOutcome {
-    let idx = band.local(idx);
+    let idx = tile.local(idx);
 
     // 2. Alpha test: discarded fragments have no further effect.
     if !state.alpha.test(alpha) {
@@ -161,16 +151,16 @@ fn run_tests(
     // 3. Stencil test.
     let stencil = &state.stencil;
     if stencil.enabled {
-        let stored = band.stencil[idx];
+        let stored = tile.stencil[idx];
         if !stencil.test(stored) {
-            band.stencil[idx] = stencil.write(stored, stencil.op_fail);
+            tile.stencil[idx] = stencil.write(stored, stencil.op_fail);
             return TestOutcome::Fail;
         }
     }
 
     // 4. Depth bounds test: inspects the *stored* framebuffer depth and
     // discards without any stencil update (per the EXT spec).
-    if state.depth_bounds.enabled && !state.depth_bounds.test(dequantize_depth(band.depth[idx])) {
+    if state.depth_bounds.enabled && !state.depth_bounds.test(dequantize_depth(tile.depth[idx])) {
         return TestOutcome::Fail;
     }
 
@@ -179,38 +169,38 @@ fn run_tests(
     let q_frag = quantize_depth(frag_depth as f64);
     let depth_pass = if state.depth.test_enabled {
         let mask = state.depth.compare_mask;
-        state.depth.func.eval(q_frag & mask, band.depth[idx] & mask)
+        state.depth.func.eval(q_frag & mask, tile.depth[idx] & mask)
     } else {
         true
     };
 
     if !depth_pass {
         if stencil.enabled {
-            let stored = band.stencil[idx];
-            band.stencil[idx] = stencil.write(stored, stencil.op_zfail);
+            let stored = tile.stencil[idx];
+            tile.stencil[idx] = stencil.write(stored, stencil.op_zfail);
         }
         return TestOutcome::Fail;
     }
 
     if stencil.enabled {
-        let stored = band.stencil[idx];
-        band.stencil[idx] = stencil.write(stored, stencil.op_zpass);
+        let stored = tile.stencil[idx];
+        tile.stencil[idx] = stencil.write(stored, stencil.op_zpass);
     }
     if state.depth.write_enabled {
-        band.depth[idx] = q_frag;
+        tile.depth[idx] = q_frag;
     }
     TestOutcome::Pass
 }
 
 /// Write a passing fragment's color, honoring the color mask.
 #[inline(always)]
-fn write_color(state: &PipelineState, band: &mut FbBand<'_>, idx: usize, color: [f32; 4]) {
+fn write_color(state: &PipelineState, tile: &mut FbTile, idx: usize, color: [f32; 4]) {
     let mask = state.color_mask;
     if !mask.any() {
         return;
     }
-    let idx = band.local(idx);
-    let stored = &mut band.color[idx];
+    let idx = tile.local(idx);
+    let stored = &mut tile.color[idx];
     if mask.red {
         stored[0] = color[0];
     }
@@ -229,7 +219,7 @@ fn write_color(state: &PipelineState, band: &mut FbBand<'_>, idx: usize, color: 
 #[inline]
 pub(crate) fn process_fragment(
     env: &PipelineEnv<'_>,
-    band: &mut FbBand<'_>,
+    tile: &mut FbTile,
     x: usize,
     y: usize,
     idx: usize,
@@ -237,9 +227,9 @@ pub(crate) fn process_fragment(
     match env.program {
         None => {
             // Pure fixed-function fragment: flat depth and color.
-            match run_tests(env.state, band, idx, env.quad_depth, env.draw_color[3]) {
+            match run_tests(env.state, tile, idx, env.quad_depth, env.draw_color[3]) {
                 TestOutcome::Pass => {
-                    write_color(env.state, band, idx, env.draw_color);
+                    write_color(env.state, tile, idx, env.draw_color);
                     FragmentFate::Passed { shaded: false }
                 }
                 TestOutcome::Fail => FragmentFate::Discarded { shaded: false },
@@ -252,7 +242,7 @@ pub(crate) fn process_fragment(
                 // only surviving fragments (this is what makes early
                 // depth-culling "a significant performance increase",
                 // §6.2.1).
-                match run_tests(env.state, band, idx, env.quad_depth, env.draw_color[3]) {
+                match run_tests(env.state, tile, idx, env.quad_depth, env.draw_color[3]) {
                     TestOutcome::Pass => {
                         if env.state.color_mask.any() {
                             let input =
@@ -262,7 +252,7 @@ pub(crate) fn process_fragment(
                                 env: env.env,
                             };
                             let out = execute(program, &input, &ctx);
-                            write_color(env.state, band, idx, out.color);
+                            write_color(env.state, tile, idx, out.color);
                             FragmentFate::Passed { shaded: true }
                         } else {
                             // Nothing observable from the program: the
@@ -285,9 +275,9 @@ pub(crate) fn process_fragment(
                     return FragmentFate::Discarded { shaded: true };
                 }
                 let frag_depth = out.depth.unwrap_or(env.quad_depth);
-                match run_tests(env.state, band, idx, frag_depth, out.color[3]) {
+                match run_tests(env.state, tile, idx, frag_depth, out.color[3]) {
                     TestOutcome::Pass => {
-                        write_color(env.state, band, idx, out.color);
+                        write_color(env.state, tile, idx, out.color);
                         FragmentFate::Passed { shaded: true }
                     }
                     TestOutcome::Fail => FragmentFate::Discarded { shaded: true },
@@ -299,13 +289,13 @@ pub(crate) fn process_fragment(
 
 /// The sequence every fragment of a draw follows, fixed per draw.
 #[derive(Debug)]
-enum Path<'a> {
+enum Path {
     /// No program: flat depth and color.
     Fixed,
     /// Early-z: test with the quad depth, then shade the survivors.
-    Early(LoweredProgram<'a>),
+    Early(LoweredProgram),
     /// Shade first (the program may discard or replace depth), then test.
-    Late(LoweredProgram<'a>),
+    Late(LoweredProgram),
 }
 
 /// A compare function as the orderings it accepts: `incoming op stored`
@@ -671,8 +661,8 @@ impl TestStage {
 /// One draw compiled into a span kernel: the lowered program plus the
 /// fixed-function state hoisted out of the pixel loop.
 #[derive(Debug)]
-pub(crate) struct SpanKernel<'a> {
-    path: Path<'a>,
+pub(crate) struct SpanKernel {
+    path: Path,
     tests: TestStage,
     alpha: AlphaState,
     /// Whether some lanes may be dead before the tests: a late-path
@@ -687,9 +677,9 @@ pub(crate) struct SpanKernel<'a> {
     pub scissor: ScissorState,
 }
 
-impl<'a> SpanKernel<'a> {
+impl SpanKernel {
     /// Compile a draw over a `fb_size` framebuffer.
-    pub fn new(inputs: &DrawInputs<'a>, fb_size: (usize, usize)) -> SpanKernel<'a> {
+    pub fn new(inputs: &DrawInputs<'_>, fb_size: (usize, usize)) -> SpanKernel {
         let state = inputs.state;
         let mask = state.color_mask;
         let color_mask = [mask.red, mask.green, mask.blue, mask.alpha];
@@ -760,7 +750,7 @@ impl<'a> SpanKernel<'a> {
         }
     }
 
-    /// Working storage for [`SpanKernel::run_span`], one per band thread.
+    /// Working storage for [`SpanKernel::run_span`], one per thread.
     pub fn lanes(&self) -> Lanes {
         match &self.path {
             Path::Fixed => Lanes::empty(),
@@ -778,11 +768,11 @@ impl<'a> SpanKernel<'a> {
     }
 
     /// Run the fragments `(x0..x1, y)` through the pipeline and add their
-    /// accounting to `cost`. The span must lie inside `band` and the
+    /// accounting to `cost`. The span must lie inside `tile` and the
     /// scissor.
     pub fn run_span(
         &self,
-        band: &mut FbBand<'_>,
+        tile: &mut FbTile,
         lanes: &mut Lanes,
         y: usize,
         (x0, x1): (usize, usize),
@@ -790,10 +780,10 @@ impl<'a> SpanKernel<'a> {
         cost: &mut DrawCost,
     ) {
         let len = x1.saturating_sub(x0);
-        let start = band.local(y * fb_width + x0);
-        let stencil = &mut band.stencil[start..start + len];
-        let depth = &mut band.depth[start..start + len];
-        let color = &mut band.color[start..start + len];
+        let start = tile.local(y * fb_width + x0);
+        let stencil = &mut tile.stencil[start..start + len];
+        let depth = &mut tile.depth[start..start + len];
+        let color = &mut tile.color[start..start + len];
         cost.fragments += len as u64;
         // A flat color failing the alpha test discards every fragment
         // before the stencil stage: nothing is written.
@@ -900,7 +890,7 @@ impl<'a> SpanKernel<'a> {
     #[inline(always)]
     fn write_program_color(
         &self,
-        program: &LoweredProgram<'_>,
+        program: &LoweredProgram,
         lanes: &Lanes,
         color: &mut [[f32; 4]],
         pass: &[bool],
@@ -917,7 +907,7 @@ impl<'a> SpanKernel<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffers::DEPTH_MAX;
+    use crate::buffers::{Framebuffer, DEPTH_MAX};
     use crate::state::{DepthBoundsState, StencilState};
 
     const FUNCS: [CompareFunc; 8] = [
@@ -1177,8 +1167,11 @@ mod tests {
         y: usize,
         idx: usize,
     ) -> FragmentFate {
-        let mut band = FbBand::full(fb);
-        process_fragment(env, &mut band, x, y, idx)
+        let t = y / fb.tile_rows();
+        let mut tile = fb.take_tile(t);
+        let fate = process_fragment(env, &mut tile, x, y, idx);
+        fb.put_tile(t, tile);
+        fate
     }
 
     #[test]
@@ -1337,10 +1330,10 @@ mod tests {
     }
 
     #[test]
-    fn band_local_indexing() {
-        // A band starting at row 1 of a 4x3 framebuffer must map global
-        // indices onto its local slices correctly.
-        let mut fb = Framebuffer::new(4, 3);
+    fn tile_local_indexing() {
+        // The tile holding row 1 of a 4x3 framebuffer cut into one-row
+        // tiles must map global indices onto its own storage.
+        let mut fb = Framebuffer::with_tile_rows(4, 3, 1);
         let state = PipelineState {
             depth: crate::state::DepthState {
                 test_enabled: true,
@@ -1351,21 +1344,13 @@ mod tests {
             ..Default::default()
         };
         let env = env_fixed(&state);
-        {
-            let color = fb.color.data_mut();
-            let (_, color_band) = color.split_at_mut(4);
-            // Reborrow depth/stencil similarly.
-            let mut fb2 = Framebuffer::new(4, 2);
-            let mut band = FbBand {
-                color: color_band,
-                depth: fb2.depth.raw_data_mut(),
-                stencil: fb2.stencil.data_mut(),
-                base: 4,
-            };
-            let fate = process_fragment(&env, &mut band, 2, 1, 6);
-            assert_eq!(fate, FragmentFate::Passed { shaded: false });
-        }
+        let mut tile = fb.take_tile(1);
+        assert_eq!((tile.base, tile.depth.len()), (4, 4));
+        let fate = process_fragment(&env, &mut tile, 2, 1, 6);
+        assert_eq!(fate, FragmentFate::Passed { shaded: false });
+        fb.put_tile(1, tile);
         assert_eq!(fb.color.get(6), [1.0, 0.0, 0.0, 1.0]);
         assert_eq!(fb.color.get(2), [0.0; 4], "row 0 untouched");
+        assert_eq!(fb.color.get(10), [0.0; 4], "row 2 untouched");
     }
 }

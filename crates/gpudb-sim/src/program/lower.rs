@@ -52,6 +52,7 @@
 
 use super::isa::{DstReg, FragmentProgram, Instruction, Opcode, SrcOperand, SrcReg};
 use crate::texture::Texture;
+use std::sync::Arc;
 
 /// Fragments per struct-of-arrays span.
 pub(crate) const LANES: usize = 64;
@@ -116,7 +117,7 @@ enum TexCoord {
 
 /// One lowered instruction.
 #[derive(Debug)]
-enum Step<'a> {
+enum Step {
     Alu {
         op: Opcode,
         dst: Dst,
@@ -128,7 +129,7 @@ enum Step<'a> {
     Tex {
         dst: Dst,
         comps: u8,
-        texture: Option<&'a Texture>,
+        texture: Option<Arc<Texture>>,
         coord: TexCoord,
     },
     Kil {
@@ -139,12 +140,12 @@ enum Step<'a> {
     /// of each lane's texel with the constants `k`, broadcast to `dst`.
     TexDot {
         dst: Dst,
-        texture: Option<&'a Texture>,
+        texture: Option<Arc<Texture>>,
         k: [f32; 4],
     },
 }
 
-impl Step<'_> {
+impl Step {
     /// The step's destination, if it writes one.
     fn dst(&self) -> Option<Dst> {
         match self {
@@ -188,8 +189,8 @@ pub(crate) struct Lanes {
 /// A fragment program lowered against one draw's environment, textures,
 /// quad depth, flat color and color reads.
 #[derive(Debug)]
-pub(crate) struct LoweredProgram<'a> {
-    steps: Vec<Step<'a>>,
+pub(crate) struct LoweredProgram {
+    steps: Vec<Step>,
     consts: Vec<f32>,
     slots: usize,
     /// Temp components read before any write: zeroed per span.
@@ -206,7 +207,7 @@ pub(crate) struct LoweredProgram<'a> {
 /// Per-draw values a lowered program folds into constants.
 pub(crate) struct DrawConstants<'a> {
     /// Bound textures, by unit.
-    pub textures: &'a [Option<&'a Texture>],
+    pub textures: &'a [Option<Arc<Texture>>],
     /// `program.env` values.
     pub env: &'a [[f32; 4]],
     /// The quad depth (`fragment.position.z`).
@@ -354,7 +355,7 @@ impl<'a> Lowerer<'a, '_> {
         (Dst::Reg { slot, mask }, mask)
     }
 
-    fn step(&mut self, inst: &Instruction) -> Step<'a> {
+    fn step(&mut self, inst: &Instruction) -> Step {
         match inst {
             Instruction::Alu { op, dst, srcs } => {
                 let (lowered_dst, comps) = self.dst(dst.reg, dst.mask.0);
@@ -387,7 +388,7 @@ impl<'a> Lowerer<'a, '_> {
                 Step::Tex {
                     dst: lowered_dst,
                     comps,
-                    texture: self.draw.textures.get(*unit).copied().flatten(),
+                    texture: self.draw.textures.get(*unit).cloned().flatten(),
                     coord,
                 }
             }
@@ -409,7 +410,7 @@ impl<'a> Lowerer<'a, '_> {
 /// to the depth instead. `Rn` is a temp (sources never read the result
 /// color), so nothing reads it after the last instruction. Returns whether
 /// it folded.
-fn forward_depth(steps: &mut Vec<Step<'_>>) -> bool {
+fn forward_depth(steps: &mut Vec<Step>) -> bool {
     let [.., prev, Step::Alu {
         op: Opcode::Mov,
         dst: Dst::Depth { .. },
@@ -444,7 +445,7 @@ fn forward_depth(steps: &mut Vec<Step<'_>>) -> bool {
 /// reads the whole texel unswizzled and unnegated, `k` is constant, and
 /// nothing reads `t` after the `DP4` (`live`: per slot, the components
 /// read later, less those the `DP4` rewrites).
-fn fuse<'a>(tex: &Step<'a>, dp4: &Step<'a>, consts: &[f32], live: &[u8]) -> Option<Step<'a>> {
+fn fuse(tex: &Step, dp4: &Step, consts: &[f32], live: &[u8]) -> Option<Step> {
     let Step::Tex {
         dst: Dst::Reg {
             slot: t,
@@ -453,10 +454,11 @@ fn fuse<'a>(tex: &Step<'a>, dp4: &Step<'a>, consts: &[f32], live: &[u8]) -> Opti
         coord: TexCoord::Pixel,
         texture,
         ..
-    } = *tex
+    } = tex
     else {
         return None;
     };
+    let t = *t;
     let Step::Alu {
         op: Opcode::Dp4,
         dst,
@@ -481,9 +483,9 @@ fn fuse<'a>(tex: &Step<'a>, dp4: &Step<'a>, consts: &[f32], live: &[u8]) -> Opti
         // Constants carry their negation folded in.
         *k = consts[i];
     }
-    (texel && live[t] == 0).then_some(Step::TexDot {
+    (texel && live[t] == 0).then(|| Step::TexDot {
         dst: *dst,
-        texture,
+        texture: texture.clone(),
         k,
     })
 }
@@ -507,12 +509,12 @@ fn narrow(dst: &mut Dst, live: &mut [u8], depth_live: &mut bool) -> bool {
 /// of the result color, the last depth written) and the `KIL`s, drop the
 /// steps whose results nothing reads, narrow the rest to the components
 /// read, and fuse `TEX; DP4` pairs ([`fuse`]).
-fn prune<'a>(
-    mut steps: Vec<Step<'a>>,
+fn prune(
+    mut steps: Vec<Step>,
     slots: usize,
     color: Option<(usize, u8)>,
     consts: &[f32],
-) -> Vec<Step<'a>> {
+) -> Vec<Step> {
     // Per slot, the components some later step or output reads.
     let mut live = vec![0u8; slots];
     if let Some((slot, reads)) = color {
@@ -551,9 +553,9 @@ fn prune<'a>(
     kept
 }
 
-impl<'a> LoweredProgram<'a> {
+impl LoweredProgram {
     /// Lower `program` against one draw's constants.
-    pub fn lower(program: &FragmentProgram, draw: &DrawConstants<'a>) -> LoweredProgram<'a> {
+    pub fn lower(program: &FragmentProgram, draw: &DrawConstants<'_>) -> LoweredProgram {
         let mut lowerer = Lowerer {
             program,
             draw,
@@ -562,7 +564,7 @@ impl<'a> LoweredProgram<'a> {
             slots: INPUT + 1,
             color_slot: None,
         };
-        let mut steps: Vec<Step<'a>> = program
+        let mut steps: Vec<Step> = program
             .instructions
             .iter()
             .map(|inst| lowerer.step(inst))
@@ -688,12 +690,12 @@ impl<'a> LoweredProgram<'a> {
                     texture,
                     coord,
                 } => {
-                    lanes.tex(*texture, *coord, *comps, x0, y, n);
+                    lanes.tex(texture.as_deref(), *coord, *comps, x0, y, n);
                     lanes.store(*dst, false, n);
                 }
                 Step::Kil { src } => lanes.kil(src, n),
                 Step::TexDot { dst, texture, k } => {
-                    lanes.tex_dot(*texture, *k, x0, y, n);
+                    lanes.tex_dot(texture.as_deref(), *k, x0, y, n);
                     lanes.store(*dst, true, n);
                 }
             }
@@ -986,12 +988,12 @@ mod tests {
     use crate::state::CompareFunc;
     use crate::texture::TextureFormat;
 
-    fn lower_with<'a>(
+    fn lower_with(
         program: &FragmentProgram,
-        textures: &'a [Option<&'a Texture>],
-        env: &'a [[f32; 4]],
+        textures: &[Option<Arc<Texture>>],
+        env: &[[f32; 4]],
         color_reads: u8,
-    ) -> LoweredProgram<'a> {
+    ) -> LoweredProgram {
         LoweredProgram::lower(
             program,
             &DrawConstants {
@@ -1006,7 +1008,7 @@ mod tests {
     }
 
     /// The lowered steps by kind: `TEX`, `TEXDOT`, `KIL` or the opcode.
-    fn kinds(program: &LoweredProgram<'_>) -> Vec<String> {
+    fn kinds(program: &LoweredProgram) -> Vec<String> {
         program
             .steps
             .iter()
@@ -1019,10 +1021,10 @@ mod tests {
             .collect()
     }
 
-    fn with_texture(f: impl FnOnce(&[Option<&Texture>], &[[f32; 4]])) {
+    fn with_texture(f: impl FnOnce(&[Option<Arc<Texture>>], &[[f32; 4]])) {
         let texture = Texture::from_data(8, 8, TextureFormat::Rgba, vec![0.5; 256]).unwrap();
         let env = [[0.25, -1.0, 2.0, 0.5]; 8];
-        f(&[Some(&texture)], &env);
+        f(&[Some(Arc::new(texture))], &env);
     }
 
     #[test]

@@ -14,12 +14,14 @@
 use crate::buffers::Framebuffer;
 use crate::cost::{ns, DrawCost, HardwareProfile};
 use crate::error::{GpuError, GpuResult};
-use crate::pipeline::{process_fragment, FbBand, FragmentFate, PipelineEnv, SpanKernel};
+use crate::pipeline::{process_fragment, FbTile, FragmentFate, PipelineEnv, SpanKernel};
+use crate::pool::{self, Pool};
 use crate::program::isa::FragmentProgram;
+use crate::program::lower::Lanes;
 use crate::state::PipelineState;
 use crate::texture::Texture;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// An axis-aligned pixel rectangle, the rasterizer's primitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -88,7 +90,7 @@ pub struct DrawInputs<'a> {
     /// The bound fragment program, if any.
     pub program: Option<&'a FragmentProgram>,
     /// Textures bound to the image units, by unit.
-    pub textures: &'a [Option<&'a Texture>],
+    pub textures: &'a [Option<Arc<Texture>>],
     /// `program.env` parameter values.
     pub env: &'a [[f32; 4]],
     /// Depth at which the quad is rendered (the paper's `RenderQuad(d)`).
@@ -139,46 +141,32 @@ pub fn kernel_shape(inputs: &DrawInputs<'_>, fb_size: (usize, usize)) -> KernelS
     SpanKernel::new(inputs, fb_size).shape()
 }
 
-/// Minimum total fragment count before the rasterizer fans out across
-/// host threads (below this, thread startup dominates), for draws with a
-/// fragment program and for fixed-function draws.
+/// Fragments per framebuffer row tile (rounded down to whole rows, at
+/// least one): the unit of work a draw hands to a host thread.
 ///
-/// Measured with the interval-form test stage and the fused copy program
-/// on a shared 2-vCPU x86-64 VM: full-quad draws of 512-pixel rows over a
-/// 0/1 stencil selection, in the database layer's states, 201 interleaved
-/// one- and two-band draws per cell; the ratio of the two-band to the
-/// one-band median, median of three runs:
+/// Measured on a shared 2-vCPU x86-64 VM (the caller plus one pool
+/// worker): full-quad draws in the database layer's states over a 1-in-3
+/// stencil selection, 256 pixels wide at 16k and 64k fragments and 1000
+/// wide at 1M, 401 interleaved draws per cell, median µs per draw. "One
+/// tile" is a framebuffer cut into a single tile, which the calling thread
+/// runs alone:
 ///
-/// | fragments | copy-to-depth | compare-and-count | stencil select | semi-linear | TestBit |
-/// |-----------|---------------|-------------------|----------------|-------------|---------|
-/// | 16k       | 1.22          | 3.18              | 1.63           | 0.97        | 0.99    |
-/// | 32k       | 0.96          | 1.64              | 1.03           | 0.83        | 0.94    |
-/// | 64k       | 0.79          | 1.11              | 0.81           | 0.73        | 0.74    |
-/// | 128k      | 0.69          | 0.89              | 0.90           | 0.76        | 0.67    |
-/// | 256k      | 0.64          | 0.85              | 0.67           | 0.62        | 0.60    |
+/// | fragments | draw | one tile | 2k tiles | 4k tiles | 8k tiles | 16k tiles |
+/// |-----------|-------------------|------|------|------|------|------|
+/// | 16k | copy-to-depth         | 44   | 38   | 33   | 33   | 45   |
+/// | 16k | compare-and-count     | 13.0 | 11.8 | 10.9 | 10.5 | 13.2 |
+/// | 16k | stencil select        | 46   | 39   | 36   | 34   | 46   |
+/// | 64k | copy-to-depth         | 224  | 140  | 124  | 121  | 121  |
+/// | 64k | compare-and-count     | 64   | 46   | 38   | 37   | 35   |
+/// | 64k | stencil select        | 182  | 119  | 101  | 98   | 95   |
+/// | 1M  | copy-to-depth         | 3636 | 2301 | 2082 | 1976 | 1922 |
+/// | 1M  | compare-and-count     | 1199 | 958  | 764  | 707  | 668  |
+/// | 1M  | stencil select        | 4223 | 2767 | 2306 | 2163 | 2112 |
 ///
-/// One band took 10–11 µs for a compare-and-count pass at 16k (~0.7
-/// ns/fragment), 0.7–0.9 ms for a stencil select at 256k (~3 ns) and
-/// 47–66 µs for a copy at 16k (~3.5 ns); a second band adds 40–60 µs of
-/// thread start-up. Program passes gain from 32k. Fixed-function passes
-/// lose up to 3× below 64k, the compare-and-count pass (the most frequent,
-/// one per bit of Routine 4.5) still loses at 64k and gains from 128k. So
-/// a draw with a program splits from 32k fragments and one without from
-/// 128k.
-const PROGRAM_PARALLEL_THRESHOLD: usize = 1 << 15;
-/// See [`PROGRAM_PARALLEL_THRESHOLD`].
-const FIXED_PARALLEL_THRESHOLD: usize = 1 << 17;
-
-/// Host threads available for row bands, looked up once per process (on
-/// Linux each lookup reads cgroup files).
-fn host_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(8)
-    })
-}
+/// Smaller tiles pay more hand-offs; 16k tiles gain 2–5% over 8k on the
+/// larger draws but leave a 16k-fragment draw (a sharded partition) on
+/// one thread, where 8k tiles save 20–25%.
+pub(crate) const TILE_FRAGMENTS: usize = 1 << 13;
 
 fn check_rects(fb: &Framebuffer, rects: &[Rect]) -> GpuResult<()> {
     match rects.iter().find(|r| !r.fits(fb.width(), fb.height())) {
@@ -202,18 +190,18 @@ fn finish_cost(mut cost: DrawCost, inputs: &DrawInputs<'_>, profile: &HardwarePr
     cost
 }
 
-/// Rasterize one row band: run every rect row in `[row_start, row_end)`,
-/// clipped to the scissor, through the span kernel.
-fn rasterize_band(
-    kernel: &SpanKernel<'_>,
-    band: &mut FbBand<'_>,
+/// Rasterize one row tile: run every rect row the tile holds, clipped to
+/// the scissor, through the span kernel.
+fn rasterize_tile(
+    kernel: &SpanKernel,
+    lanes: &mut Lanes,
+    tile: &mut FbTile,
     rects: &[Rect],
     fb_width: usize,
-    (row_start, row_end): (usize, usize),
 ) -> DrawCost {
-    let mut lanes = kernel.lanes();
     let mut cost = DrawCost::default();
     let scissor = &kernel.scissor;
+    let (row_start, row_end) = tile.rows;
     for rect in rects {
         let (mut x0, mut x1) = (rect.x, rect.x + rect.width);
         let (mut y0, mut y1) = (rect.y.max(row_start), (rect.y + rect.height).min(row_end));
@@ -227,7 +215,7 @@ fn rasterize_band(
             continue;
         }
         for y in y0..y1 {
-            kernel.run_span(band, &mut lanes, y, (x0, x1), fb_width, &mut cost);
+            kernel.run_span(tile, lanes, y, (x0, x1), fb_width, &mut cost);
         }
     }
     cost
@@ -236,9 +224,11 @@ fn rasterize_band(
 /// Rasterize `rects` into `fb` through the draw's compiled span kernel,
 /// returning the pass accounting. This is the device's draw path.
 ///
-/// Large draws are split into disjoint row bands processed on parallel
-/// host threads — the simulation analogue of the device's parallel pixel
-/// pipes (results are identical: bands never share pixels).
+/// The framebuffer's row tiles that the rects cover run on the calling
+/// thread and the process-wide worker pool — the simulation analogue of
+/// the device's parallel pixel pipes. Tiles never share pixels and their
+/// counts are summed in tile order, so buffers and accounting are the
+/// same whichever thread ran each tile.
 pub fn rasterize(
     inputs: &DrawInputs<'_>,
     fb: &mut Framebuffer,
@@ -246,96 +236,63 @@ pub fn rasterize(
     profile: &HardwareProfile,
 ) -> GpuResult<DrawCost> {
     check_rects(fb, rects)?;
-    let area: usize = rects.iter().map(Rect::area).sum();
-    let threshold = if inputs.program.is_some() {
-        PROGRAM_PARALLEL_THRESHOLD
-    } else {
-        FIXED_PARALLEL_THRESHOLD
-    };
-    let bands = if area < threshold { 1 } else { host_threads() };
-    Ok(rasterize_in_bands(inputs, fb, rects, profile, bands))
+    Ok(rasterize_on(Pool::global(), inputs, fb, rects, profile))
 }
 
-/// [`rasterize`] split into (at most) `bands` row bands.
-fn rasterize_in_bands(
+/// [`rasterize`] with `pool`'s workers, or on the calling thread alone.
+fn rasterize_on(
+    pool: Option<&Pool>,
     inputs: &DrawInputs<'_>,
     fb: &mut Framebuffer,
     rects: &[Rect],
     profile: &HardwareProfile,
-    bands: usize,
 ) -> DrawCost {
-    let fb_width = fb.width();
-    let fb_height = fb.height();
-    let kernel = SpanKernel::new(inputs, (fb_width, fb_height));
-    // Split the rows the rects cover, not the whole framebuffer, so a draw
-    // over a prefix of the records still spreads over every band.
+    // The rows the rects cover, within the scissor.
     let drawn = rects.iter().filter(|r| r.area() > 0);
-    let top = drawn.clone().map(|r| r.y).min().unwrap_or(0);
-    let bottom = drawn.map(|r| r.y + r.height).max().unwrap_or(0);
-    let bands = bands.min(bottom.saturating_sub(top)).max(1);
-    if bands == 1 {
-        let cost = rasterize_band(
-            &kernel,
-            &mut FbBand::full(fb),
-            rects,
-            fb_width,
-            (0, fb_height),
-        );
-        return finish_cost(cost, inputs, profile);
+    let mut top = drawn.clone().map(|r| r.y).min().unwrap_or(0);
+    let mut bottom = drawn.map(|r| r.y + r.height).max().unwrap_or(0);
+    let scissor = &inputs.state.scissor;
+    if scissor.enabled {
+        top = top.max(scissor.y);
+        bottom = bottom.min(scissor.y.saturating_add(scissor.height));
+    }
+    if top >= bottom {
+        return finish_cost(DrawCost::default(), inputs, profile);
     }
 
-    // Cut the covered rows into contiguous bands, one per worker.
-    let rows_per_band = (bottom - top).div_ceil(bands);
-    let skip = top * fb_width;
-    let mut color_rest = &mut fb.color.data_mut()[skip..];
-    let mut depth_rest = &mut fb.depth.raw_data_mut()[skip..];
-    let mut stencil_rest = &mut fb.stencil.data_mut()[skip..];
-    let mut partials = vec![DrawCost::default(); bands];
-    let mut jobs = Vec::with_capacity(bands);
-    let mut row = top;
-    for partial in &mut partials {
-        if row >= bottom {
-            break;
-        }
-        let row_end = (row + rows_per_band).min(bottom);
-        let band_px = (row_end - row) * fb_width;
-        let (color, c_rest) = std::mem::take(&mut color_rest).split_at_mut(band_px);
-        let (depth, d_rest) = std::mem::take(&mut depth_rest).split_at_mut(band_px);
-        let (stencil, s_rest) = std::mem::take(&mut stencil_rest).split_at_mut(band_px);
-        color_rest = c_rest;
-        depth_rest = d_rest;
-        stencil_rest = s_rest;
-        let band = FbBand {
-            color,
-            depth,
-            stencil,
-            base: row * fb_width,
-        };
-        jobs.push((partial, band, (row, row_end)));
-        row = row_end;
-    }
-    let kernel = &kernel;
-    std::thread::scope(|scope| {
-        let mut jobs = jobs.into_iter();
-        let first = jobs.next();
-        // A worker panic (a simulator bug) re-raises when the scope joins
-        // its threads. The calling thread takes the first band itself.
-        for (partial, mut band, rows) in jobs {
-            scope.spawn(move || {
-                *partial = rasterize_band(kernel, &mut band, rects, fb_width, rows);
-            });
-        }
-        if let Some((partial, mut band, rows)) = first {
-            *partial = rasterize_band(kernel, &mut band, rects, fb_width, rows);
-        }
-    });
+    let (fb_width, tile_rows) = (fb.width(), fb.tile_rows());
+    let first = top / tile_rows;
+    let tiles = (first..bottom.div_ceil(tile_rows))
+        .map(|t| fb.take_tile(t))
+        .collect();
+    let kernel = Arc::new(SpanKernel::new(inputs, (fb_width, fb.height())));
+    let lanes_kernel = Arc::clone(&kernel);
+    let rects = rects.to_vec();
+    let done = pool::run_all(
+        pool,
+        tiles,
+        move || lanes_kernel.lanes(),
+        move |lanes, tile| rasterize_tile(&kernel, lanes, tile, &rects, fb_width),
+    );
 
     let mut total = DrawCost::default();
-    for p in partials {
-        total.fragments += p.fragments;
-        total.shaded += p.shaded;
-        total.early_rejected += p.early_rejected;
-        total.passed += p.passed;
+    let mut panic = None;
+    for (t, (tile, cost)) in (first..).zip(done) {
+        fb.put_tile(t, tile);
+        match cost {
+            Ok(cost) => {
+                total.fragments += cost.fragments;
+                total.shaded += cost.shaded;
+                total.early_rejected += cost.early_rejected;
+                total.passed += cost.passed;
+            }
+            Err(payload) => panic = panic.or(Some(payload)),
+        }
+    }
+    // A panic while running a tile (a simulator bug) re-raises here, with
+    // every tile back in the framebuffer.
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
     }
     finish_cost(total, inputs, profile)
 }
@@ -351,17 +308,18 @@ pub fn rasterize_reference(
     profile: &HardwareProfile,
 ) -> GpuResult<DrawCost> {
     check_rects(fb, rects)?;
-    let fb_width = fb.width();
+    let (fb_width, tile_rows) = (fb.width(), fb.tile_rows());
+    let textures: Vec<Option<&Texture>> = inputs.textures.iter().map(Option::as_deref).collect();
     let env = PipelineEnv {
         state: inputs.state,
         program: inputs.program,
-        textures: inputs.textures,
+        textures: &textures,
         env: inputs.env,
         quad_depth: inputs.quad_depth,
         draw_color: inputs.draw_color,
         early_z: inputs.early_z,
     };
-    let mut band = FbBand::full(fb);
+    let mut tiles: Vec<FbTile> = (0..fb.tile_count()).map(|t| fb.take_tile(t)).collect();
     let mut cost = DrawCost::default();
     for rect in rects {
         for y in rect.y..rect.y + rect.height {
@@ -370,7 +328,8 @@ pub fn rasterize_reference(
                     continue;
                 }
                 cost.fragments += 1;
-                match process_fragment(&env, &mut band, x, y, y * fb_width + x) {
+                let tile = &mut tiles[y / tile_rows];
+                match process_fragment(&env, tile, x, y, y * fb_width + x) {
                     FragmentFate::Passed { shaded } => {
                         cost.passed += 1;
                         cost.shaded += u64::from(shaded);
@@ -385,12 +344,16 @@ pub fn rasterize_reference(
             }
         }
     }
+    for (t, tile) in tiles.into_iter().enumerate() {
+        fb.put_tile(t, tile);
+    }
     Ok(finish_cost(cost, inputs, profile))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::GpuStats;
 
     #[test]
     fn rect_area_and_fit() {
@@ -428,16 +391,18 @@ mod tests {
     }
 
     #[test]
-    fn row_bands_match_reference() {
-        // Bands split the framebuffer at row boundaries that fall inside
-        // rects; every band count must leave the reference's bytes, for a
-        // program pass and for the database layer's fixed-function passes.
+    fn row_tiles_match_reference() {
+        // Tiles split the framebuffer at row boundaries that fall inside
+        // rects; every tile height, run on the calling thread alone or with
+        // pool workers, must leave the reference's bytes and counts, for
+        // program passes and the database layer's fixed-function passes,
+        // scissored or not.
         use crate::program::{assemble, builtin};
         use crate::state::{ColorMask, CompareFunc, StencilOp};
         let (w, h) = (37, 11);
         let data = (0..w * h).map(|i| ((i * 7919) % 1000) as f32).collect();
         let texture = Texture::from_data(w, h, crate::TextureFormat::R, data).unwrap();
-        let textures = [Some(&texture)];
+        let textures = [Some(Arc::new(texture))];
         let mut env = [[0.0f32; 4]; 32];
         env[builtin::ENV_SCALE] = [1.0 / 1000.0, 0.0, 0.0, 0.0];
         env[builtin::ENV_CHANNEL] = builtin::channel_selector(0);
@@ -483,23 +448,47 @@ mod tests {
         // Early-z shading of the selected records that pass a depth test.
         let mut early = kth.clone();
         early.color_mask = ColorMask::default();
-        let draws: [(&PipelineState, Option<&FragmentProgram>, f32); 5] = [
+        // The selection and copy passes again, under a scissor that cuts
+        // rows and columns out of every layout.
+        let mut scissored_select = select.clone();
+        scissored_select.scissor = crate::state::ScissorState {
+            enabled: true,
+            x: 5,
+            y: 3,
+            width: 20,
+            height: 6,
+        };
+        let mut scissored_copy = copy_state.clone();
+        scissored_copy.scissor = crate::state::ScissorState {
+            enabled: true,
+            x: 0,
+            y: 5,
+            width: 30,
+            height: 100,
+        };
+        let draws: [(&PipelineState, Option<&FragmentProgram>, f32); 7] = [
             (&copy_state, Some(&copy), 0.0),
             (&kth, None, 0.375),
             (&select, None, 0.625),
             (&bounds, None, 0.5),
             (&early, Some(&shade), 0.5),
+            (&scissored_select, None, 0.625),
+            (&scissored_copy, Some(&copy), 0.0),
         ];
 
         let profile = HardwareProfile::geforce_fx_5900();
-        let mut start = Framebuffer::new(w, h);
-        for i in 0..w * h {
-            start.depth.set_raw(i, ((i * 104_729) % (1 << 24)) as u32);
-            start.stencil.set(i, ((i * 31) % 7 % 2) as u8);
-        }
+        let start = |tile_rows| {
+            let mut fb = Framebuffer::with_tile_rows(w, h, tile_rows);
+            for i in 0..w * h {
+                fb.depth.set_raw(i, ((i * 104_729) % (1 << 24)) as u32);
+                fb.stencil.set(i, ((i * 31) % 7 % 2) as u8);
+            }
+            fb
+        };
+        let workers = Pool::new(2);
         let layouts = [
             Rect::covering_prefix(w * h - 5, w),
-            // Only some middle rows are covered: bands split those.
+            // Only some middle rows are covered: tiles split those.
             vec![Rect::new(3, 4, 20, 5), Rect::new(0, 6, 37, 1)],
             vec![Rect::new(2, 2, 0, 9)],
         ];
@@ -514,7 +503,7 @@ mod tests {
                 early_z: true,
             };
             for rects in &layouts {
-                let mut reference = start.clone();
+                let mut reference = start(h);
                 let expected =
                     rasterize_reference(&inputs, &mut reference, rects, &profile).unwrap();
                 // Some fragments pass and some fail, so the masks matter.
@@ -522,14 +511,90 @@ mod tests {
                     assert!(expected.passed > 0, "draw {d}, {rects:?}");
                     assert!(expected.passed < expected.fragments, "draw {d}, {rects:?}");
                 }
-                for bands in [1, 2, 3, 4, 11, 16] {
-                    let mut fb = start.clone();
-                    let cost = rasterize_in_bands(&inputs, &mut fb, rects, &profile, bands);
-                    assert_eq!(cost, expected, "draw {d}, {bands} bands, {rects:?}");
-                    assert_eq!(fb, reference, "draw {d}, {bands} bands, {rects:?}");
+                for tile_rows in [1, 2, 3, 7, h] {
+                    for pool in [None, Some(&workers)] {
+                        let context = format!(
+                            "draw {d}, {tile_rows}-row tiles, workers {}, {rects:?}",
+                            pool.is_some()
+                        );
+                        let mut fb = start(tile_rows);
+                        let cost = rasterize_on(pool, &inputs, &mut fb, rects, &profile);
+                        assert_eq!(cost, expected, "{context}");
+                        assert_eq!(fb, reference, "{context}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn concurrent_devices_match_a_sequential_run() {
+        // Several threads each run the database layer's passes on their own
+        // device at once, sharing the process-wide pool: every device must
+        // end byte-identical to the same session run alone.
+        use crate::device::Gpu;
+        use crate::program::builtin;
+        use crate::state::{CompareFunc, StencilOp};
+        use crate::TextureFormat;
+        use std::sync::Barrier;
+
+        fn session(seed: usize) -> (Vec<u32>, Vec<u8>, Vec<u64>, GpuStats) {
+            // 256 x 128: four 8k-fragment tiles.
+            let (w, h) = (256, 128);
+            let mut gpu = Gpu::geforce_fx_5900(w, h);
+            let data = (0..w * h)
+                .map(|i| ((i * 7919 + seed * 104_729) % 1000) as f32)
+                .collect();
+            let texture = Texture::from_data(w, h, TextureFormat::R, data).unwrap();
+            let id = gpu.create_texture(texture).unwrap();
+            gpu.bind_texture(0, Some(id)).unwrap();
+            gpu.bind_program(Some(builtin::copy_to_depth()));
+            gpu.set_program_env(builtin::ENV_SCALE, [1.0 / 1000.0, 0.0, 0.0, 0.0])
+                .unwrap();
+            gpu.set_program_env(builtin::ENV_CHANNEL, builtin::channel_selector(0))
+                .unwrap();
+            gpu.set_depth_test(true, CompareFunc::Always);
+            gpu.set_depth_write(true);
+            gpu.draw_full_quad(0.0).unwrap();
+            gpu.bind_program(None);
+            gpu.set_depth_write(false);
+            gpu.set_stencil_func(true, CompareFunc::Always, 1, 0xFF);
+            gpu.set_stencil_op(StencilOp::Keep, StencilOp::Zero, StencilOp::Replace);
+            let mut counts = Vec::new();
+            for step in 0..8 {
+                let threshold = ((seed + step) * 113 % 1000) as f32 / 1000.0;
+                gpu.set_depth_test(true, CompareFunc::Less);
+                gpu.begin_occlusion_query().unwrap();
+                gpu.draw_quad(&Rect::covering_prefix(w * h - step * 37, w), threshold)
+                    .unwrap();
+                counts.push(gpu.end_occlusion_query().unwrap());
+            }
+            let depth = gpu.read_depth_buffer_raw().unwrap();
+            let stencil = gpu.read_stencil_buffer().unwrap();
+            let mut stats = gpu.stats().clone();
+            stats.wall = Default::default();
+            (depth, stencil, counts, stats)
+        }
+
+        const THREADS: usize = 4;
+        let sequential: Vec<_> = (0..THREADS).map(session).collect();
+        let barrier = Barrier::new(THREADS);
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|seed| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        session(seed)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(sequential
+            .iter()
+            .all(|(_, _, counts, _)| counts.iter().any(|&c| c > 0)));
+        assert_eq!(concurrent, sequential);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use gpudb_sim::{Rect, Texture, TextureFormat};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const FUNCS: [CompareFunc; 8] = [
     CompareFunc::Never,
@@ -376,7 +377,7 @@ fn cost_bits(c: &DrawCost) -> [u64; 6] {
 
 fn color_bits(fb: &Framebuffer) -> Vec<[u32; 4]> {
     fb.color
-        .data()
+        .to_vec()
         .iter()
         .map(|c| c.map(f32::to_bits))
         .collect()
@@ -402,14 +403,14 @@ fn assert_equivalent(
         context()
     );
     assert_eq!(
-        kernel_fb.depth.raw_data(),
-        reference_fb.depth.raw_data(),
+        kernel_fb.depth.to_raw_vec(),
+        reference_fb.depth.to_raw_vec(),
         "depth: {}",
         context()
     );
     assert_eq!(
-        kernel_fb.stencil.data(),
-        reference_fb.stencil.data(),
+        kernel_fb.stencil.to_vec(),
+        reference_fb.stencil.to_vec(),
         "stencil: {}",
         context()
     );
@@ -437,7 +438,8 @@ fn run_case(seed: u64) {
         .map(|_| random_texture(&mut rng, width, height))
         .collect();
     // The last unit stays unbound: sampling it reads opaque black.
-    let mut bound: Vec<Option<&Texture>> = textures.iter().map(Some).collect();
+    let mut bound: Vec<Option<Arc<Texture>>> =
+        textures.into_iter().map(|t| Some(Arc::new(t))).collect();
     bound.push(None);
     let env: Vec<[f32; 4]> = (0..32)
         .map(|_| {
@@ -524,7 +526,8 @@ fn run_chain_case(seed: u64) {
             Texture::from_data(width, height, TextureFormat::Rgba, data).unwrap()
         })
         .collect();
-    let bound: Vec<Option<&Texture>> = textures.iter().map(Some).collect();
+    let bound: Vec<Option<Arc<Texture>>> =
+        textures.into_iter().map(|t| Some(Arc::new(t))).collect();
     let env: Vec<[f32; 4]> = (0..32)
         .map(|_| [0; 4].map(|_: i32| rng.gen_range(-2.0f32..2.0)))
         .collect();
@@ -778,7 +781,7 @@ impl DatabaseDraw {
     }
 
     fn with_inputs<R>(&self, f: impl FnOnce(&DrawInputs<'_>) -> R) -> R {
-        let bound = [Some(&self.texture)];
+        let bound = [Some(Arc::new(self.texture.clone()))];
         f(&DrawInputs {
             state: &self.state,
             program: self.program.as_ref(),
@@ -879,7 +882,7 @@ fn builtin_programs_match_reference() {
             .collect(),
     )
     .unwrap();
-    let bound = [Some(&texture)];
+    let bound = [Some(Arc::new(texture))];
     let mut env = [[0.0f32; 4]; 32];
     env[builtin::ENV_SCALE] = [1.0 / (1u32 << 24) as f32, 0.0, 0.0, 0.0];
     env[builtin::ENV_CHANNEL] = builtin::channel_selector(2);
