@@ -322,3 +322,101 @@ fn chaos_errors_are_never_panics() {
         }
     }
 }
+
+/// Shard options that validate every plan and trace every pass.
+fn validated_traced(shards: usize) -> ShardOptions {
+    ShardOptions {
+        shards,
+        options: ExecuteOptions {
+            validate_plans: true,
+            trace: Some(TraceLevel::Passes),
+            ..ExecuteOptions::default()
+        },
+        ..ShardOptions::default()
+    }
+}
+
+/// The named stage spans directly under shard `i` of a merged trace.
+fn shard_stages(trace: &SpanTree, i: usize) -> Vec<&Span> {
+    trace.roots[0].children[i].children.iter().collect()
+}
+
+#[test]
+fn shard_faults_lint_only_the_attempt_that_succeeded() {
+    // Validation on, traced, 3 shards. Shard 1 loses an occlusion result
+    // mid-selection and retries; shard 2's device resets mid-aggregate
+    // and degrades to the CPU. The half-run plans of the failed attempt
+    // and of the struck aggregate are never linted, so no PlanValidation
+    // error surfaces and the answer equals the oracle.
+    let host = workload(11);
+    let query = &query_shapes(11)[2]; // CNF selection, COUNT + MAX(a)
+    let opts = validated_traced(3);
+    let clean = execute_sharded(&host, query, &opts).expect("clean run");
+    let clean_trace = clean.output.trace.as_ref().expect("traced");
+    let aggregate = shard_stages(clean_trace, 2)
+        .into_iter()
+        .find(|s| s.name == "aggregate:MAX(a)")
+        .expect("shard 2 ran the MAX aggregate on its device");
+    let mid_aggregate = (aggregate.start_ns + aggregate.end_ns) / 2;
+    let loss = FaultInjector::with_schedule(vec![FaultEvent {
+        at_ns: 0,
+        kind: FaultKind::OcclusionLoss,
+    }]);
+    let reset = FaultInjector::with_schedule(vec![FaultEvent {
+        at_ns: mid_aggregate,
+        kind: FaultKind::DeviceReset,
+    }]);
+    let struck =
+        execute_sharded_with_faults(&host, query, &opts, vec![None, Some(loss), Some(reset)])
+            .unwrap_or_else(|e| panic!("struck run failed: {e}"));
+    let oracle = gpudb::core::cpu_oracle::execute(&host, query).expect("oracle");
+    assert!(oracle.agrees_with(struck.output.matched, &struck.output.rows));
+    assert_eq!(struck.output.rows, clean.output.rows);
+
+    let shards = &struck.report.shards;
+    assert_eq!(
+        (shards[1].path, shards[1].retries),
+        (ResiliencePath::Gpu, 1)
+    );
+    assert_eq!(shards[2].path, ResiliencePath::Cpu);
+    assert_eq!(shards[2].retries, 0);
+    let trace = struck.output.trace.as_ref().expect("traced");
+    let selections = shard_stages(trace, 1)
+        .iter()
+        .filter(|s| s.name == "selection")
+        .count();
+    assert_eq!(
+        selections, 2,
+        "shard 1's trace holds both selection attempts"
+    );
+}
+
+#[test]
+fn resilient_retry_lints_only_the_attempt_that_succeeded() {
+    // The same check on one device: a transient occlusion loss in the
+    // first attempt's selection, validation on, traced.
+    let host = workload(11);
+    let query = &query_shapes(11)[2];
+    let mut gpu = GpuTable::device_for(host.record_count(), 16);
+    gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
+        at_ns: 0,
+        kind: FaultKind::OcclusionLoss,
+    }]));
+    let options = validated_traced(1).options;
+    let resilient = execute_resilient(&mut gpu, &host, query, options, &RetryPolicy::default())
+        .unwrap_or_else(|e| panic!("resilient run failed: {e}"));
+    let oracle = gpudb::core::cpu_oracle::execute(&host, query).expect("oracle");
+    assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
+    assert_eq!(resilient.report.path, ResiliencePath::Gpu);
+    assert_eq!(resilient.report.degradations.len(), 1, "one retry");
+    let trace = resilient.output.trace.as_ref().expect("traced");
+    let stages: Vec<&str> = trace.roots[0]
+        .children
+        .iter()
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(
+        stages,
+        ["selection", "aggregate:COUNT(*)", "aggregate:MAX(a)"]
+    );
+}

@@ -11,30 +11,12 @@
 //!
 //! Regenerate with `BLESS=1 cargo test --test explain_fused`.
 
+mod common;
+
+use common::{assert_golden, conjunction_query, golden_table as setup};
 use gpudb::core::query::{execute_with_options, explain_analyze_with_options, QueryOutput};
 use gpudb::prelude::*;
 use gpudb::sim::span::SpanKind;
-use std::path::PathBuf;
-
-fn setup() -> (Gpu, GpuTable) {
-    let a: Vec<u32> = (0..120u32).map(|i| (i * 37) % 200).collect();
-    let b: Vec<u32> = (0..120u32).map(|i| (i * 11 + 3) % 150).collect();
-    let mut gpu = GpuTable::device_for(120, 10);
-    let t = GpuTable::upload(&mut gpu, "t", &[("a", &a), ("b", &b)]).unwrap();
-    (gpu, t)
-}
-
-/// A three-clause conjunction over one attribute: too many clauses for
-/// the range recognizer, so it plans as CNF — the shape where fusion
-/// both collapses the clear and elides two of the three depth copies.
-fn conjunction_query() -> Query {
-    Query::filtered(
-        vec![Aggregate::Count, Aggregate::Sum("b".into())],
-        BoolExpr::pred("a", CompareFunc::Greater, 20)
-            .and(BoolExpr::pred("a", CompareFunc::Less, 180))
-            .and(BoolExpr::pred("a", CompareFunc::NotEqual, 77)),
-    )
-}
 
 /// General CNF with a disjunctive clause: fusion collapses the clear
 /// into the first (single-predicate) clause but must keep the per-clause
@@ -58,29 +40,6 @@ fn options(fuse: bool) -> ExecuteOptions {
         trace: Some(TraceLevel::Passes),
         ..ExecuteOptions::default()
     }
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Compare `rendered` against the golden file, or rewrite it under
-/// `BLESS=1`.
-fn assert_golden(name: &str, rendered: &str) {
-    let path = golden_path(name);
-    if std::env::var("BLESS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, rendered).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with BLESS=1"));
-    assert_eq!(
-        rendered, expected,
-        "EXPLAIN ANALYZE drifted from golden {name}; run with BLESS=1 if intended"
-    );
 }
 
 /// Execute with pass tracing and return the output plus the number of
