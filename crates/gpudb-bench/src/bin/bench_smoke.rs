@@ -11,8 +11,8 @@
 //!             [--bless] [--no-gate] [--trace-out DIR] [--shards LIST]
 //! ```
 //!
-//! `--trace-out DIR` additionally re-runs every experiment with a span
-//! sink attached (cost-free; the gated report is untouched) and writes
+//! `--trace-out DIR` additionally re-runs every experiment with the device
+//! logged (cost-free; the gated report is untouched) and writes
 //! `<id>.trace.json` / `<id>.folded` / `<id>.spans.jsonl` per
 //! experiment — see `docs/observability.md`.
 //!
@@ -28,7 +28,6 @@
 use gpudb_bench::regress::{self, DEFAULT_TOLERANCE};
 use gpudb_bench::smoke::{self, SmokeReport};
 use gpudb_bench::traceout;
-use gpudb_obs::TraceLevel;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -217,11 +216,11 @@ fn run() -> Result<ExitCode, String> {
     println!("wrote {}", args.out.display());
 
     if let Some(dir) = &args.trace_out {
-        // Span collection is cost-free, so these re-runs reproduce the
+        // Logging is cost-free, so these re-runs reproduce the
         // gated report exactly; the traces are pure observability output.
         for exp in &report.experiments {
-            let (_, tree) = smoke::run_one_spanned(&exp.id, TraceLevel::Passes)
-                .map_err(|e| format!("trace run {}: {e}", exp.id))?;
+            let (_, _, tree) =
+                smoke::run_one_logged(&exp.id).map_err(|e| format!("trace run {}: {e}", exp.id))?;
             let paths = traceout::write_all(dir, &exp.id, &tree)
                 .map_err(|e| format!("write traces for {}: {e}", exp.id))?;
             println!("wrote {} ({} spans)", paths[0].display(), tree.span_count());

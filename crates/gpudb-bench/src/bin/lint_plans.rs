@@ -25,7 +25,6 @@
 use gpudb_bench::smoke::{self, SCHEMA_VERSION, SMOKE_EXPERIMENTS};
 use gpudb_bench::traceout;
 use gpudb_lint::{Linter, Report};
-use gpudb_obs::TraceLevel;
 use gpudb_sim::state::{ColorMask, PipelineState};
 use gpudb_sim::trace::{DeviceCaps, DrawPass, PassOp, PassPlan};
 use serde::Serialize;
@@ -160,7 +159,8 @@ fn run() -> Result<ExitCode, String> {
     let linter = Linter::new();
     let mut experiments = Vec::with_capacity(ids.len());
     for id in &ids {
-        let (_, plans) = smoke::run_one_traced(id).map_err(|e| format!("experiment {id}: {e}"))?;
+        let (_, plans, tree) =
+            smoke::run_one_logged(id).map_err(|e| format!("experiment {id}: {e}"))?;
         let report = linter.lint_all(&plans);
         let draws = plans.iter().map(PassPlan::draw_count).sum();
         println!(
@@ -176,8 +176,6 @@ fn run() -> Result<ExitCode, String> {
             }
         }
         if let Some(dir) = &args.trace_out {
-            let (_, tree) = smoke::run_one_spanned(id, TraceLevel::Passes)
-                .map_err(|e| format!("trace run {id}: {e}"))?;
             let paths = traceout::write_all(dir, id, &tree)
                 .map_err(|e| format!("write traces for {id}: {e}"))?;
             println!(

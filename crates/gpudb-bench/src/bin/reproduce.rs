@@ -14,7 +14,6 @@
 use gpudb_bench::experiments::{self, ALL_EXPERIMENTS};
 use gpudb_bench::report::Scale;
 use gpudb_bench::{smoke, traceout};
-use gpudb_obs::TraceLevel;
 use std::process::ExitCode;
 
 /// The smoke counterpart of a figure id, if one exists. Traces are
@@ -124,19 +123,17 @@ fn main() -> ExitCode {
                 }
                 if let Some(dir) = &trace_dir {
                     match smoke_counterpart(id) {
-                        Some(smoke_id) => {
-                            match smoke::run_one_spanned(smoke_id, TraceLevel::Passes) {
-                                Ok((_, tree)) => match traceout::write_all(
-                                    std::path::Path::new(dir),
-                                    smoke_id,
-                                    &tree,
-                                ) {
-                                    Ok(paths) => println!("   wrote {}", paths[0].display()),
-                                    Err(e) => eprintln!("cannot write traces for {id}: {e}"),
-                                },
-                                Err(e) => eprintln!("trace run for {id} failed: {e}"),
-                            }
-                        }
+                        Some(smoke_id) => match smoke::run_one_logged(smoke_id) {
+                            Ok((_, _, tree)) => match traceout::write_all(
+                                std::path::Path::new(dir),
+                                smoke_id,
+                                &tree,
+                            ) {
+                                Ok(paths) => println!("   wrote {}", paths[0].display()),
+                                Err(e) => eprintln!("cannot write traces for {id}: {e}"),
+                            },
+                            Err(e) => eprintln!("trace run for {id} failed: {e}"),
+                        },
                         None => println!(
                             "   (no smoke counterpart for {id}; no trace artifacts written)"
                         ),

@@ -14,10 +14,11 @@ use gpudb_core::cpu_oracle::HostTable;
 use gpudb_core::metrics::{ops, MetricsLog, MetricsRecord};
 use gpudb_core::query::{execute, Aggregate, BoolExpr, Query};
 use gpudb_core::{EngineResult, GpuCnf, GpuDnf, GpuPredicate, GpuTerm};
-use gpudb_obs::{SpanCollector, SpanTree, TraceLevel};
+use gpudb_obs::{SpanTree, TraceLevel};
 use gpudb_sim::span::SpanKind;
-use gpudb_sim::trace::{PassPlan, RecordMode};
+use gpudb_sim::trace::PassPlan;
 use gpudb_sim::CompareFunc;
+use gpudb_sim::RecordMode;
 use serde::{Deserialize, Serialize};
 
 /// Record count for smoke workloads — small enough that the whole suite
@@ -146,76 +147,53 @@ pub fn run_all() -> EngineResult<SmokeReport> {
 
 /// Run a single smoke experiment by id.
 pub fn run_one(id: &str) -> EngineResult<SmokeExperiment> {
-    Ok(run_inner(id, false, None)?.0)
+    run_on(&mut Workload::tcpip(SMOKE_RECORDS)?, id)
 }
 
-/// Run a single smoke experiment with the device recording every pass
-/// plan (bit-passive: the outcome is identical to [`run_one`]'s), and
-/// return the plans alongside it — the input to `gpudb-lint`.
-pub fn run_one_traced(id: &str) -> EngineResult<(SmokeExperiment, Vec<PassPlan>)> {
-    let (experiment, plans, _) = run_inner(id, true, None)?;
-    Ok((experiment, plans))
-}
-
-/// Run a single smoke experiment with a span sink attached (cost-free:
-/// the outcome is identical to [`run_one`]'s) and return the collected
-/// span tree — one root span named after the experiment, with the
-/// operator spans of every metrics record nested beneath it.
-pub fn run_one_spanned(id: &str, level: TraceLevel) -> EngineResult<(SmokeExperiment, SpanTree)> {
-    let (experiment, _, tree) = run_inner(id, false, Some(level))?;
-    Ok((experiment, tree.unwrap_or_default()))
-}
-
-fn run_inner(
-    id: &str,
-    trace: bool,
-    span_level: Option<TraceLevel>,
-) -> EngineResult<(SmokeExperiment, Vec<PassPlan>, Option<SpanTree>)> {
+/// Run a single smoke experiment with the device logged (bit-passive:
+/// the outcome is identical to [`run_one`]'s) and return what the log
+/// holds: the pass plans — the input to `gpudb-lint` — and the
+/// pass-level span tree, one root span named after the experiment with
+/// the operator spans of every metrics record nested beneath it.
+pub fn run_one_logged(id: &str) -> EngineResult<(SmokeExperiment, Vec<PassPlan>, SpanTree)> {
     let mut w = Workload::tcpip(SMOKE_RECORDS)?;
-    if trace {
-        w.gpu.enable_tracing(RecordMode::RecordAndExecute);
-    }
-    if let Some(level) = span_level {
-        w.gpu.attach_span_sink(Box::new(SpanCollector::new(level)));
-        // Root the whole experiment so exporters get one stack per run.
-        w.gpu.span_begin(SpanKind::Query, id);
-    }
+    w.gpu.attach_log(RecordMode::RecordAndExecute);
+    // Root the whole experiment so exporters get one stack per run.
+    w.gpu.span_begin(SpanKind::Query, id);
+    let experiment = run_on(&mut w, id)?;
+    w.gpu.span_end();
+    let log = w.gpu.take_log();
+    let plans = log.as_ref().map(|log| log.plans_since(0));
+    let tree = log.map(|log| SpanTree::from_log(log.entries(), TraceLevel::Passes));
+    Ok((
+        experiment,
+        plans.unwrap_or_default(),
+        tree.unwrap_or_default(),
+    ))
+}
+
+/// Run experiment `id` on `w`'s device.
+fn run_on(w: &mut Workload, id: &str) -> EngineResult<SmokeExperiment> {
     let mut out = Outcome::new();
     match id {
-        "fig2_copy" => copy(&mut w, &mut out)?,
-        "fig3_predicate" => predicate(&mut w, &mut out)?,
-        "fig4_range" => range(&mut w, &mut out)?,
-        "fig5_multiattr_cnf" => multiattr(&mut w, &mut out)?,
-        "fig6_semilinear" => semilinear(&mut w, &mut out)?,
-        "fig7_kth" => kth(&mut w, &mut out)?,
-        "fig8_median" => median(&mut w, &mut out)?,
-        "fig9_kth_selective" => kth_selective(&mut w, &mut out)?,
-        "fig10_accumulator" => accumulator(&mut w, &mut out)?,
-        "query_executor" => query_executor(&mut w, &mut out)?,
-        "cnf_fusion_ablation" => cnf_fusion_ablation(&mut w, &mut out)?,
+        "fig2_copy" => copy(w, &mut out)?,
+        "fig3_predicate" => predicate(w, &mut out)?,
+        "fig4_range" => range(w, &mut out)?,
+        "fig5_multiattr_cnf" => multiattr(w, &mut out)?,
+        "fig6_semilinear" => semilinear(w, &mut out)?,
+        "fig7_kth" => kth(w, &mut out)?,
+        "fig8_median" => median(w, &mut out)?,
+        "fig9_kth_selective" => kth_selective(w, &mut out)?,
+        "fig10_accumulator" => accumulator(w, &mut out)?,
+        "query_executor" => query_executor(w, &mut out)?,
+        "cnf_fusion_ablation" => cnf_fusion_ablation(w, &mut out)?,
         other => {
             return Err(gpudb_core::EngineError::InvalidQuery(format!(
                 "unknown smoke experiment {other:?}; known: {SMOKE_EXPERIMENTS:?}"
             )))
         }
     }
-    let plans = if trace {
-        let plans = w.gpu.take_plans();
-        w.gpu.disable_tracing();
-        plans
-    } else {
-        Vec::new()
-    };
-    let tree = if span_level.is_some() {
-        w.gpu.span_end();
-        w.gpu
-            .take_span_sink()
-            .and_then(SpanCollector::recover)
-            .map(SpanCollector::finish)
-    } else {
-        None
-    };
-    let experiment = SmokeExperiment {
+    Ok(SmokeExperiment {
         id: id.to_string(),
         input_records: SMOKE_RECORDS as u64,
         modeled_ns: out
@@ -225,8 +203,7 @@ fn run_inner(
             .sum(),
         checksum: out.checksum.hex(),
         metrics: out.metrics,
-    };
-    Ok((experiment, plans, tree))
+    })
 }
 
 /// Figure 2: `CopyToDepth` of each attribute. The copy has no
@@ -662,12 +639,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_is_bit_identical_and_captures_plans() {
-        let (traced, plans) = run_one_traced("fig4_range").unwrap();
+    fn logged_run_is_bit_identical_and_captures_plans_and_spans() {
+        let (logged, plans, tree) = run_one_logged("fig4_range").unwrap();
         let plain = run_one("fig4_range").unwrap();
-        // Recording must not perturb results, metrics or modeled cost.
-        assert_eq!(traced, plain);
-        assert!(!plans.is_empty());
+        // Logging must not perturb results, metrics or modeled cost.
+        assert_eq!(logged, plain);
         assert!(plans.iter().any(|p| p.draw_count() > 0));
         // Plans carry the operator labels the metrics hook assigns.
         assert!(
@@ -675,14 +651,6 @@ mod tests {
             "{:?}",
             plans.iter().map(|p| &p.label).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn spanned_run_is_bit_identical_and_collects_spans() {
-        let (spanned, tree) = run_one_spanned("fig4_range", TraceLevel::Passes).unwrap();
-        let plain = run_one("fig4_range").unwrap();
-        // The span sink must not perturb results, metrics or modeled cost.
-        assert_eq!(spanned, plain);
         assert_eq!(tree.roots.len(), 1);
         assert_eq!(tree.roots[0].name, "fig4_range");
         // One operator span per metrics record, in order.
@@ -691,8 +659,8 @@ mod tests {
         for (span, record) in ops.iter().zip(&plain.metrics) {
             assert_eq!(span.name, record.operator);
         }
-        // Two spanned runs export byte-identical traces.
-        let (_, tree2) = run_one_spanned("fig4_range", TraceLevel::Passes).unwrap();
+        // Two logged runs export byte-identical traces.
+        let (_, _, tree2) = run_one_logged("fig4_range").unwrap();
         assert_eq!(
             gpudb_obs::chrome::trace_json(&tree),
             gpudb_obs::chrome::trace_json(&tree2)

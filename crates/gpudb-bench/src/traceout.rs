@@ -36,13 +36,12 @@ pub fn write_all(dir: &Path, id: &str, tree: &SpanTree) -> io::Result<[PathBuf; 
 mod tests {
     use super::*;
     use crate::smoke;
-    use gpudb_obs::TraceLevel;
 
     #[test]
     fn writes_the_three_artifacts() {
         let dir = std::env::temp_dir().join("gpudb-traceout-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let (_, tree) = smoke::run_one_spanned("fig4_range", TraceLevel::Passes).unwrap();
+        let (_, _, tree) = smoke::run_one_logged("fig4_range").unwrap();
         let paths = write_all(&dir, "fig4_range", &tree).unwrap();
         for path in &paths {
             let text = std::fs::read_to_string(path).unwrap();

@@ -881,7 +881,8 @@ mod tests {
     fn fusion_eliminates_the_stencil_clear() {
         // Record the pass plans: the fused conjunction and the fused
         // single-predicate-first general CNF must emit no ClearStencil.
-        use gpudb_sim::trace::{PassOp, RecordMode};
+        use gpudb_sim::trace::PassOp;
+        use gpudb_sim::RecordMode;
         let a: Vec<u32> = (0..40).collect();
         let b: Vec<u32> = (0..40).rev().collect();
         let clears = |ops: &[PassOp]| {
@@ -891,13 +892,13 @@ mod tests {
         };
         let run = |fused: bool, cnf: &GpuCnf| {
             let (mut gpu, t) = setup(&[("a", &a), ("b", &b)]);
-            gpu.enable_tracing(RecordMode::RecordAndExecute);
+            gpu.attach_log(RecordMode::RecordAndExecute);
             if fused {
                 eval_cnf_select(&mut gpu, &t, cnf).unwrap();
             } else {
                 eval_cnf_select_unfused(&mut gpu, &t, cnf).unwrap();
             }
-            let plans = gpu.take_plans();
+            let plans = gpu.take_log().unwrap().plans_since(0);
             plans.iter().map(|p| clears(&p.ops)).sum::<usize>()
         };
         let conjunction = GpuCnf::all_of(vec![

@@ -54,13 +54,9 @@ pub fn observe<T>(
     op: impl FnOnce(&mut Gpu) -> T,
 ) -> (T, MetricsRecord) {
     let operator = operator.into();
-    // When the device is tracing, each observed operator gets its own
-    // pass plan so validators can attribute diagnostics to it.
-    if gpu.is_recording() {
-        gpu.begin_plan(&operator);
-    }
-    // When a span sink is attached, the same boundary opens an operator
-    // span; the device's leaf spans (passes, readbacks) nest inside it.
+    // With a log attached, the operator span starts the operator's own
+    // pass plan, so validators attribute diagnostics to it, and the
+    // device's leaf spans (passes, readbacks) nest inside it.
     gpu.span_begin(SpanKind::Operator, &operator);
     let counters_before = gpu.stats().counters();
     let modeled_before = gpu.stats().modeled;

@@ -56,7 +56,7 @@ use crate::query::planner::plan_selection;
 use crate::resilience::{marker_record, ResiliencePath, RetryPolicy, RetryStep};
 use crate::selection::{Selection, SELECTED};
 use crate::table::GpuTable;
-use gpudb_obs::{merge_shard_trees, SpanCollector};
+use gpudb_obs::{merge_shard_trees, SpanTree};
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::{
     CompareFunc, FaultClass, FaultInjector, Gpu, Phase, PhaseNanos, RecordMode, StencilOp,
@@ -220,14 +220,9 @@ pub fn execute_sharded_with_faults(
     let mut timing = PhaseNanos::default();
     let mut shards = Vec::with_capacity(workers.len());
     let mut traces = Vec::new();
-    for (mut worker, &(start, end)) in workers.into_iter().zip(&ranges) {
-        if let Some(tree) = worker
-            .gpu
-            .take_span_sink()
-            .and_then(SpanCollector::recover)
-            .map(SpanCollector::finish)
-        {
-            traces.push(tree);
+    for (worker, &(start, end)) in workers.into_iter().zip(&ranges) {
+        if let (Some(level), Some(log)) = (opts.options.trace, worker.gpu.log()) {
+            traces.push(SpanTree::from_log(log.entries(), level));
         }
         let modeled = worker.gpu.stats().modeled;
         timing = timing.plus(&modeled);
@@ -410,10 +405,11 @@ enum Backend {
     Cpu,
 }
 
-/// An open aggregate measurement window (counter snapshot at
-/// [`Worker::begin_agg`]).
+/// An open aggregate measurement window (counter snapshot and log
+/// mark at [`Worker::begin_agg`]).
 struct AggWindow {
     label: String,
+    mark: usize,
     input: u64,
     counters: gpudb_sim::WorkCounters,
     modeled: PhaseNanos,
@@ -460,8 +456,11 @@ impl<'q> Worker<'q> {
         if let Some(injector) = fault {
             gpu.attach_fault_injector(injector);
         }
-        if let Some(level) = opts.options.trace {
-            gpu.attach_span_sink(Box::new(SpanCollector::new(level)));
+        // One log per shard device for the whole statement: validation
+        // lints the windows of the attempts that succeeded, and tracing
+        // renders all of it.
+        if opts.options.validate_plans || opts.options.trace.is_some() {
+            gpu.attach_log(RecordMode::RecordAndExecute);
         }
         Worker {
             gpu,
@@ -481,14 +480,19 @@ impl<'q> Worker<'q> {
         }
     }
 
-    /// Drop any recorded plans and stop recording — run after a failed
-    /// attempt or a mid-aggregate degradation, where a half-executed
-    /// routine may have left unpaired occlusion ops that would trip the
-    /// linter spuriously.
-    fn drop_recording(&mut self) {
-        if self.gpu.is_recording() {
-            let _ = self.gpu.take_plans();
-            self.gpu.disable_tracing();
+    /// Where a window of the shard's log starts (0 without a log).
+    fn log_mark(&self) -> usize {
+        self.gpu.log().map_or(0, |log| log.entries().len())
+    }
+
+    /// Lint the plans logged since `mark`, when validating. Only windows
+    /// whose routine ran to completion are linted: a failed attempt or a
+    /// mid-aggregate degradation may leave unpaired occlusion ops that
+    /// would trip the linter spuriously.
+    fn lint_since(&self, mark: usize) -> EngineResult<()> {
+        match self.gpu.log() {
+            Some(log) if self.options.validate_plans => lint_plans(&log.plans_since(mark)),
+            _ => Ok(()),
         }
     }
 
@@ -505,7 +509,6 @@ impl<'q> Worker<'q> {
                 Ok(()) => return Ok(()),
                 Err(e) => e,
             };
-            self.drop_recording();
             match error.fault_class() {
                 FaultClass::Logic => return Err(error),
                 FaultClass::Transient if self.attempts < max_attempts => {
@@ -578,10 +581,7 @@ impl<'q> Worker<'q> {
         table: &GpuTable,
     ) -> EngineResult<(Option<Selection>, u64, Vec<bool>, MetricsRecord)> {
         let plan = plan_selection(table, self.filter)?;
-        let validate = self.options.validate_plans;
-        if validate {
-            self.gpu.enable_tracing(RecordMode::RecordAndExecute);
-        }
+        let mark = self.log_mark();
         self.gpu.span_begin(SpanKind::Stage, "selection");
         let fuse = self.options.fuse_passes;
         let (result, record) = metrics::observe(
@@ -591,15 +591,8 @@ impl<'q> Worker<'q> {
             |gpu| execute_selection(gpu, table, &plan, fuse),
         );
         self.gpu.span_end();
-        let lint = if validate {
-            let plans = self.gpu.take_plans();
-            self.gpu.disable_tracing();
-            lint_plans(&plans)
-        } else {
-            Ok(())
-        };
         let (selection, matched) = result?;
-        lint?;
+        self.lint_since(mark)?;
         let mask = match &selection {
             Some(sel) => sel.read_mask(&mut self.gpu)?,
             None => vec![true; table.record_count()],
@@ -626,7 +619,6 @@ impl<'q> Worker<'q> {
         if error.fault_class() == FaultClass::Logic || !self.policy.cpu_fallback {
             return Err(error);
         }
-        self.drop_recording();
         self.degradations.push(format!(
             "aggregate fault ({error}); shard answering on the CPU"
         ));
@@ -644,31 +636,27 @@ impl<'q> Worker<'q> {
     fn begin_agg(&mut self, label: &str, input: u64) {
         self.gpu
             .span_begin(SpanKind::Stage, &format!("aggregate:{label}"));
-        if self.options.validate_plans && matches!(self.backend, Backend::Gpu { .. }) {
-            self.gpu.enable_tracing(RecordMode::RecordAndExecute);
-            self.gpu.begin_plan(&format!("agg/{label}"));
-        }
+        let mark = self.log_mark();
         self.gpu
             .span_begin(SpanKind::Operator, &format!("agg/{label}"));
         self.window = Some(AggWindow {
             label: label.to_string(),
+            mark,
             input,
             counters: self.gpu.stats().counters(),
             modeled: self.gpu.stats().modeled,
         });
     }
 
-    /// Close the aggregate window and lint what it recorded.
+    /// Close the aggregate window and lint what it logged, unless the
+    /// shard degraded to the CPU (before or inside the window).
     fn end_agg(&mut self) -> EngineResult<()> {
         self.gpu.span_end(); // operator
-        let lint = if self.gpu.is_recording() {
-            let plans = self.gpu.take_plans();
-            self.gpu.disable_tracing();
-            lint_plans(&plans)
-        } else {
-            Ok(())
-        };
+        let mut lint = Ok(());
         if let Some(window) = self.window.take() {
+            if matches!(self.backend, Backend::Gpu { .. }) {
+                lint = self.lint_since(window.mark);
+            }
             let counters = self.gpu.stats().counters().since(&window.counters);
             self.metrics.push(MetricsRecord {
                 operator: format!("agg/{}", window.label),

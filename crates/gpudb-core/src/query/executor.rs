@@ -11,7 +11,7 @@ use crate::selection::Selection;
 use crate::semilinear::semilinear_select;
 use crate::table::GpuTable;
 use gpudb_lint::{Linter, Severity};
-use gpudb_obs::{Span, SpanCollector, SpanTree, TraceLevel};
+use gpudb_obs::{Span, SpanTree, TraceLevel};
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::trace::PassPlan;
 use gpudb_sim::{Gpu, PhaseNanos, RecordMode};
@@ -44,9 +44,8 @@ pub struct QueryOutput {
     /// One deterministic metrics record per executed plan stage (the
     /// selection, then each aggregate in SELECT-list order).
     pub metrics: Vec<MetricsRecord>,
-    /// The span tree collected while executing, when
-    /// [`ExecuteOptions::trace`] was set and the executor owned the sink
-    /// (a caller that attached its own sink keeps the spans instead).
+    /// The span tree of this execution, when [`ExecuteOptions::trace`]
+    /// was set.
     pub trace: Option<SpanTree>,
 }
 
@@ -149,53 +148,28 @@ pub fn execute_with_options(
     query: &Query,
     options: ExecuteOptions,
 ) -> EngineResult<QueryOutput> {
-    // Attach a span collector unless the caller brought its own sink (a
-    // bench harness tracing a whole workload keeps the spans itself).
-    let owns_sink = match options.trace {
-        Some(level) if !gpu.has_span_sink() => {
-            gpu.attach_span_sink(Box::new(SpanCollector::new(level)));
-            true
-        }
-        _ => false,
-    };
-    let result = execute_validated(gpu, table, query, options);
-    if !owns_sink {
-        return result;
-    }
-    let tree = gpu
-        .take_span_sink()
-        .and_then(SpanCollector::recover)
-        .map(SpanCollector::finish);
-    let mut output = result?;
-    output.trace = tree;
-    Ok(output)
-}
-
-/// Execution with optional plan validation, shared by
-/// [`execute_with_options`] (which layers span tracing on top).
-fn execute_validated(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    query: &Query,
-    options: ExecuteOptions,
-) -> EngineResult<QueryOutput> {
-    if !options.validate_plans {
+    if !options.validate_plans && options.trace.is_none() {
         return execute_inner(gpu, table, query, options);
     }
-    // If the caller is already tracing (e.g. a lint harness), piggyback
-    // on its recorder and leave the collected plans to it.
-    let owns_recorder = !gpu.is_recording();
-    if owns_recorder {
-        gpu.enable_tracing(RecordMode::RecordAndExecute);
+    // Log the device unless the caller already does (a harness logging a
+    // whole workload keeps its log); either way, lint and trace only this
+    // execution's window of the log.
+    let owns_log = gpu.log().is_none();
+    if owns_log {
+        gpu.attach_log(RecordMode::RecordAndExecute);
     }
+    let mark = gpu.log().map_or(0, |log| log.entries().len());
     let result = execute_inner(gpu, table, query, options);
-    if !owns_recorder {
+    let owned = if owns_log { gpu.take_log() } else { None };
+    let Some(log) = owned.as_ref().or(gpu.log()) else {
         return result;
+    };
+    let mut output = result?;
+    if options.validate_plans {
+        lint_plans(&log.plans_since(mark))?;
     }
-    let plans = gpu.take_plans();
-    gpu.disable_tracing();
-    let output = result?;
-    lint_plans(&plans)?;
+    let window = log.entries().get(mark..).unwrap_or_default();
+    output.trace = options.trace.map(|level| SpanTree::from_log(window, level));
     Ok(output)
 }
 
@@ -220,7 +194,7 @@ pub(crate) fn lint_plans(plans: &[PassPlan]) -> EngineResult<()> {
     Ok(())
 }
 
-/// The untraced execution path shared by [`execute`] and
+/// The execution path shared by [`execute`] and
 /// [`execute_with_options`].
 fn execute_inner(
     gpu: &mut Gpu,
@@ -389,19 +363,22 @@ fn describe_aggregate(agg: &Aggregate) -> String {
 /// append one line per recorded pass showing the depth/stencil/alpha
 /// configuration it would run under.
 ///
-/// If the device is already tracing (a lint harness owns the recorder),
+/// If a log is already attached (a harness logging a workload owns it),
 /// the dry run is skipped and the output matches [`explain`].
 pub fn explain_with_device(gpu: &mut Gpu, table: &GpuTable, query: &Query) -> EngineResult<String> {
     let mut out = explain(table, query)?;
     let plan = plan_selection(table, query.filter.as_ref())?;
-    if matches!(plan, SelectionPlan::All) || gpu.is_recording() {
+    if matches!(plan, SelectionPlan::All) || gpu.log().is_some() {
         return Ok(out);
     }
-    gpu.enable_tracing(RecordMode::RecordOnly);
-    gpu.begin_plan(plan_operator(&plan));
+    gpu.attach_log(RecordMode::RecordOnly);
+    gpu.span_begin(SpanKind::Operator, plan_operator(&plan));
     let result = execute_selection(gpu, table, &plan, ExecuteOptions::default().fuse_passes);
-    let plans = gpu.take_plans();
-    gpu.disable_tracing();
+    gpu.span_end();
+    let plans = gpu
+        .take_log()
+        .map(|log| log.plans_since(0))
+        .unwrap_or_default();
     result?;
     for recorded in &plans {
         for line in recorded.describe_passes() {
@@ -886,7 +863,7 @@ mod tests {
         assert!(text.contains("bounds["), "{text}");
         assert!(text.contains("stencil("), "{text}");
         // The record-only dry run shades nothing and costs nothing.
-        assert!(!gpu.is_recording());
+        assert!(gpu.log().is_none());
         assert_eq!(gpu.stats().counters(), counters_before);
 
         // CNF plans list one pass per predicate plus the copies.
@@ -920,7 +897,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!gpu.is_recording(), "tracing must be torn down");
+        assert!(gpu.log().is_none(), "the executor's log must be detached");
         let (mut gpu, t, _, _) = setup();
         let plain = execute_with_options(
             &mut gpu,
@@ -937,9 +914,9 @@ mod tests {
     }
 
     #[test]
-    fn validation_piggybacks_on_caller_tracing() {
+    fn validation_piggybacks_on_caller_log() {
         let (mut gpu, t, _, _) = setup();
-        gpu.enable_tracing(gpudb_sim::RecordMode::RecordAndExecute);
+        gpu.attach_log(RecordMode::RecordAndExecute);
         let q = Query::filtered(vec![Aggregate::Count], BoolExpr::pred("a", Less, 100));
         execute_with_options(
             &mut gpu,
@@ -951,15 +928,16 @@ mod tests {
             },
         )
         .unwrap();
-        // The caller's recorder stays active and owns the plans.
-        assert!(gpu.is_recording());
-        let plans = gpu.take_plans();
+        // The caller's log stays attached and holds the plans.
+        let plans = gpu
+            .take_log()
+            .expect("caller's log stays attached")
+            .plans_since(0);
         assert!(
             plans.iter().any(|p| p.label.starts_with("filter/")),
             "{:?}",
             plans.iter().map(|p| &p.label).collect::<Vec<_>>()
         );
-        gpu.disable_tracing();
     }
 
     #[test]
@@ -1019,7 +997,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!gpu.has_span_sink(), "sink must be detached");
+        assert!(gpu.log().is_none(), "the executor's log must be detached");
         let tree = out.trace.as_ref().expect("trace requested");
         assert_eq!(tree.roots.len(), 1);
         let query_span = &tree.roots[0];
@@ -1130,28 +1108,34 @@ mod tests {
     }
 
     #[test]
-    fn caller_owned_sink_keeps_the_spans() {
+    fn caller_owned_log_keeps_every_entry() {
         let (mut gpu, t, _, _) = setup();
-        gpu.attach_span_sink(Box::new(SpanCollector::new(TraceLevel::Passes)));
+        gpu.attach_log(RecordMode::RecordAndExecute);
+        gpu.span_begin(SpanKind::Query, "workload");
         let q = Query::filtered(vec![Aggregate::Count], BoolExpr::pred("a", Less, 100));
-        let out = execute_with_options(
-            &mut gpu,
-            &t,
-            &q,
-            ExecuteOptions {
-                validate_plans: false,
-                trace: Some(TraceLevel::Passes),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(out.trace.is_none(), "caller's sink owns the spans");
-        assert!(gpu.has_span_sink(), "caller's sink stays attached");
-        let tree = SpanCollector::recover(gpu.take_span_sink().unwrap())
-            .unwrap()
-            .finish();
-        assert_eq!(tree.roots.len(), 1);
-        assert_eq!(tree.roots[0].kind, SpanKind::Query);
+        let options = ExecuteOptions {
+            validate_plans: true,
+            trace: Some(TraceLevel::Passes),
+            ..Default::default()
+        };
+        let first = execute_with_options(&mut gpu, &t, &q, options).unwrap();
+        let second = execute_with_options(&mut gpu, &t, &q, options).unwrap();
+        gpu.span_end();
+        // Each execution's trace is the tree of its own window of the log.
+        let root = |out: &QueryOutput| {
+            let tree = out.trace.as_ref().expect("trace requested");
+            assert_eq!(tree.roots.len(), 1);
+            assert_eq!(tree.roots[0].kind, SpanKind::Query);
+            tree.roots[0].clone()
+        };
+        let windows = vec![root(&first), root(&second)];
+        assert!(windows[1].start_ns > windows[0].start_ns);
+        // The caller's log stays attached and holds every entry.
+        let log = gpu.take_log().expect("caller's log stays attached");
+        let whole = SpanTree::from_log(log.entries(), TraceLevel::Passes);
+        assert_eq!(whole.roots.len(), 1);
+        assert_eq!(whole.roots[0].name, "workload");
+        assert_eq!(whole.roots[0].children, windows);
     }
 
     #[test]

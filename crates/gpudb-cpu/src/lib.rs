@@ -11,17 +11,16 @@
 //! * [`semilinear`] — f32 dot-product scans;
 //! * [`quickselect`] — Hoare's FIND, the baseline for `KthLargest`;
 //! * [`aggregate`] — SUM/COUNT/AVG/MIN/MAX, plain and masked;
-//! * [`parallel`] — multithreaded scan variants (crossbeam);
 //! * [`cost`] — a 2004 Xeon cost model calibrated to the paper's ratios.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod aggregate;
 pub mod bitmap;
 pub mod cnf;
 pub mod cost;
-pub mod parallel;
 pub mod quickselect;
 pub mod scan;
 pub mod semilinear;

@@ -2,7 +2,6 @@
 
 use gpudb_cpu::bitmap::Bitmap;
 use gpudb_cpu::cnf::{eval_cnf, eval_range, Clause, Cnf, Predicate};
-use gpudb_cpu::parallel::{par_count_u32, par_scan_u32};
 use gpudb_cpu::quickselect::{kth_largest, kth_smallest, median};
 use gpudb_cpu::scan::{count_u32, scan_u32, CmpOp};
 use gpudb_cpu::{aggregate, semilinear};
@@ -27,23 +26,6 @@ proptest! {
             prop_assert_eq!(bm.get(i), op.eval(v, constant));
         }
         prop_assert_eq!(bm.count_ones(), count_u32(&values, op, constant));
-    }
-
-    #[test]
-    fn parallel_scan_equals_sequential(
-        values in prop::collection::vec(any::<u32>(), 0..50_000),
-        op in op_strategy(),
-        constant in any::<u32>(),
-        threads in 1usize..8,
-    ) {
-        prop_assert_eq!(
-            par_scan_u32(&values, op, constant, threads),
-            scan_u32(&values, op, constant)
-        );
-        prop_assert_eq!(
-            par_count_u32(&values, op, constant, threads),
-            count_u32(&values, op, constant)
-        );
     }
 
     #[test]

@@ -9,28 +9,31 @@
 //! invariants *statically*, before (or without) executing a single
 //! fragment.
 //!
-//! The IR comes from `gpudb_sim::trace`: enable tracing on a
-//! [`gpudb_sim::Gpu`], run an operator, and feed the captured plans to a
+//! The IR comes from the device's event log: attach a
+//! [`gpudb_sim::log::DeviceLog`] to a [`gpudb_sim::Gpu`], run an
+//! operator inside an operator span, and feed the logged plans to a
 //! [`Linter`]:
 //!
 //! ```
 //! use gpudb_lint::Linter;
-//! use gpudb_sim::trace::RecordMode;
+//! use gpudb_sim::{RecordMode, SpanKind};
 //!
 //! let mut gpu = gpudb_sim::Gpu::geforce_fx_5900(4, 4);
-//! gpu.enable_tracing(RecordMode::RecordOnly);
-//! gpu.begin_plan("demo");
+//! gpu.attach_log(RecordMode::RecordOnly);
+//! gpu.span_begin(SpanKind::Operator, "demo");
 //! gpu.begin_occlusion_query().unwrap();
 //! gpu.draw_full_quad(0.5).unwrap();
 //! // forgot end_occlusion_query!
-//! let plans = gpu.take_plans();
+//! let plans = gpu.take_log().unwrap().plans_since(0);
 //! let report = Linter::new().lint_all(&plans);
 //! assert!(!report.is_clean());
+//! assert_eq!(report.plans[0].label, "demo");
 //! assert_eq!(report.plans[0].diagnostics[0].rule, "L001");
 //! ```
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod rules;
 

@@ -33,7 +33,7 @@ fn micros(ns: u64) -> String {
 }
 
 /// JSON string escaping for the hand-assembled document.
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -154,15 +154,13 @@ mod tests {
         use gpudb_sim::device::Gpu;
         let run = || {
             let mut gpu = Gpu::geforce_fx_5900(8, 8);
-            gpu.attach_span_sink(Box::new(crate::SpanCollector::new(TraceLevel::Full)));
+            gpu.attach_log(gpudb_sim::RecordMode::RecordAndExecute);
             gpu.span_begin(SpanKind::Operator, "op");
             gpu.clear_depth(1.0);
             gpu.draw_full_quad(0.5).unwrap();
             gpu.span_end();
-            let tree = crate::SpanCollector::recover(gpu.take_span_sink().unwrap())
-                .unwrap()
-                .finish();
-            trace_json(&tree)
+            let log = gpu.take_log().unwrap();
+            trace_json(&SpanTree::from_log(log.entries(), TraceLevel::Full))
         };
         assert_eq!(run(), run());
     }

@@ -2,64 +2,63 @@
 //!
 //! Unlike the Chrome export this keeps the full counter struct and the
 //! span's ancestry path, making it convenient for `grep`/`jq`-style
-//! analysis and for diffing traces between runs.
+//! analysis and for diffing traces between runs. Like the Chrome export
+//! the JSON is assembled by hand, so rendering has no failure path.
 
-use crate::{SpanEvent, SpanTree};
+use crate::chrome::escape;
+use crate::{Span, SpanTree};
 use gpudb_sim::span::SpanKind;
-use gpudb_sim::stats::WorkCounters;
-use serde::Serialize;
+use std::fmt::Write;
 
-/// One exported span, flattened for line-oriented consumption.
-///
-/// Owned fields only: the vendored `serde_derive` does not handle
-/// generic (lifetime-parameterized) types.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-struct SpanLine {
-    /// Nesting depth (`0` for roots).
-    depth: usize,
-    /// Ancestor names joined with `/`, excluding this span.
-    path: String,
-    /// Span kind name.
-    kind: String,
-    /// Span name.
-    name: String,
-    /// Modeled clock at open, nanoseconds.
-    start_ns: u64,
-    /// Modeled clock at close, nanoseconds.
-    end_ns: u64,
-    /// Inclusive duration, nanoseconds.
-    duration_ns: u64,
-    /// Duration not covered by children, nanoseconds.
-    self_ns: u64,
-    /// Work counter deltas over the span.
-    counters: WorkCounters,
-    /// Instant events inside the span.
-    events: Vec<SpanEvent>,
-}
-
-/// Render a span tree as JSONL, one span per line.
-///
-/// # Panics
-/// Never: serialization of the plain-data [`SpanLine`] cannot fail.
+/// Render a span tree as JSONL, one span per line: its depth, ancestor
+/// path (joined with `/`), kind, name, clock extent, inclusive and self
+/// duration, every work-counter delta and its instant events.
 pub fn spans(tree: &SpanTree) -> String {
     let mut out = String::new();
-    tree.walk(|span, path| {
-        let line = SpanLine {
-            depth: path.len(),
-            path: path.join("/"),
-            kind: span.kind.name().to_string(),
-            name: span.name.clone(),
-            start_ns: span.start_ns,
-            end_ns: span.end_ns,
-            duration_ns: span.duration_ns(),
-            self_ns: span.self_ns(),
-            counters: span.counters,
-            events: span.events.clone(),
-        };
-        out.push_str(&serde_json::to_string(&line).expect("span serialization"));
-        out.push('\n');
-    });
+    tree.walk(|span, path| push_line(&mut out, span, path));
     out
+}
+
+fn push_line(out: &mut String, span: &Span, path: &[&str]) {
+    let c = &span.counters;
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"depth\":{},\"path\":\"{}\",\"kind\":\"{}\",\"name\":\"{}\",\
+         \"start_ns\":{},\"end_ns\":{},\"duration_ns\":{},\"self_ns\":{},\
+         \"counters\":{{\"fragments_generated\":{},\"fragments_shaded\":{},\
+         \"fragments_early_rejected\":{},\"fragments_passed\":{},\
+         \"program_instructions\":{},\"draw_calls\":{},\"occlusion_readbacks\":{},\
+         \"bytes_uploaded\":{},\"bytes_read_back\":{}}},\"events\":[",
+        path.len(),
+        escape(&path.join("/")),
+        span.kind.name(),
+        escape(&span.name),
+        span.start_ns,
+        span.end_ns,
+        span.duration_ns(),
+        span.self_ns(),
+        c.fragments_generated,
+        c.fragments_shaded,
+        c.fragments_early_rejected,
+        c.fragments_passed,
+        c.program_instructions,
+        c.draw_calls,
+        c.occlusion_readbacks,
+        c.bytes_uploaded,
+        c.bytes_read_back,
+    );
+    for (i, event) in span.events.iter().enumerate() {
+        let _ = write!(
+            out,
+            "{}{{\"name\":\"{}\",\"detail\":\"{}\",\"at_ns\":{}}}",
+            if i == 0 { "" } else { "," },
+            escape(&event.name),
+            escape(&event.detail),
+            event.at_ns,
+        );
+    }
+    out.push_str("]}\n");
 }
 
 /// All distinct span kinds, useful to documentation and tests.
@@ -76,7 +75,8 @@ pub const ALL_KINDS: [SpanKind; 7] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Span;
+    use crate::SpanEvent;
+    use gpudb_sim::stats::WorkCounters;
 
     #[test]
     fn one_line_per_span_with_paths() {
@@ -106,5 +106,46 @@ mod tests {
         assert!(lines[0].contains("\"depth\":0"));
         assert!(lines[1].contains("\"path\":\"q\""));
         assert!(lines[1].contains("\"duration_ns\":6"));
+    }
+
+    #[test]
+    fn line_carries_every_counter_and_event() {
+        let tree = SpanTree {
+            roots: vec![Span {
+                kind: SpanKind::Pass,
+                name: "pass:\"x\"".to_string(),
+                start_ns: 3,
+                end_ns: 9,
+                counters: WorkCounters {
+                    draw_calls: 1,
+                    bytes_read_back: 64,
+                    ..WorkCounters::default()
+                },
+                events: vec![
+                    SpanEvent {
+                        name: "occlusion-begin".to_string(),
+                        detail: String::new(),
+                        at_ns: 3,
+                    },
+                    SpanEvent {
+                        name: "occlusion-end-async".to_string(),
+                        detail: "12".to_string(),
+                        at_ns: 9,
+                    },
+                ],
+                children: Vec::new(),
+            }],
+        };
+        assert_eq!(
+            spans(&tree),
+            "{\"depth\":0,\"path\":\"\",\"kind\":\"pass\",\"name\":\"pass:\\\"x\\\"\",\
+             \"start_ns\":3,\"end_ns\":9,\"duration_ns\":6,\"self_ns\":6,\
+             \"counters\":{\"fragments_generated\":0,\"fragments_shaded\":0,\
+             \"fragments_early_rejected\":0,\"fragments_passed\":0,\
+             \"program_instructions\":0,\"draw_calls\":1,\"occlusion_readbacks\":0,\
+             \"bytes_uploaded\":0,\"bytes_read_back\":64},\"events\":[\
+             {\"name\":\"occlusion-begin\",\"detail\":\"\",\"at_ns\":3},\
+             {\"name\":\"occlusion-end-async\",\"detail\":\"12\",\"at_ns\":9}]}\n"
+        );
     }
 }

@@ -1,12 +1,12 @@
 //! # gpudb-obs — deterministic hierarchical tracing for gpudb
 //!
-//! The simulated device ([`gpudb_sim::device::Gpu`]) drives a
-//! [`SpanSink`](gpudb_sim::span::SpanSink) with begin/end pairs and instant
-//! events, timestamped on the **modeled clock** (cumulative modeled cost in
-//! nanoseconds) rather than wall clock. This crate provides the standard
-//! sink — [`SpanCollector`] — which assembles those callbacks into a
-//! [`SpanTree`] (`query → plan stage → operator → pass/readback/upload`),
-//! plus three exporters:
+//! The simulated device ([`gpudb_sim::device::Gpu`]) appends span begins
+//! and ends, draws and instant events to its
+//! [`DeviceLog`](gpudb_sim::log::DeviceLog), stamped on the **modeled
+//! clock** (cumulative modeled cost in nanoseconds) rather than wall
+//! clock. [`SpanTree::from_log`] assembles any window of that log into a
+//! tree (`query → plan stage → operator → pass/readback/upload`), and
+//! three exporters render it:
 //!
 //! * [`chrome::trace_json`] — Chrome trace-event JSON, loadable in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
@@ -22,18 +22,16 @@
 //! ## Example
 //!
 //! ```
-//! use gpudb_obs::{SpanCollector, TraceLevel};
-//! use gpudb_sim::device::Gpu;
-//! use gpudb_sim::span::SpanKind;
+//! use gpudb_obs::{SpanTree, TraceLevel};
+//! use gpudb_sim::{Gpu, RecordMode, SpanKind};
 //!
 //! let mut gpu = Gpu::geforce_fx_5900(4, 4);
-//! gpu.attach_span_sink(Box::new(SpanCollector::new(TraceLevel::Passes)));
+//! gpu.attach_log(RecordMode::RecordAndExecute);
 //! gpu.span_begin(SpanKind::Operator, "count");
 //! gpu.draw_full_quad(0.5).unwrap();
 //! gpu.span_end();
-//! let tree = SpanCollector::recover(gpu.take_span_sink().unwrap())
-//!     .unwrap()
-//!     .finish();
+//! let log = gpu.take_log().unwrap();
+//! let tree = SpanTree::from_log(log.entries(), TraceLevel::Passes);
 //! assert_eq!(tree.roots.len(), 1);
 //! assert_eq!(tree.roots[0].children[0].name, "pass:fixed-function");
 //! let json = gpudb_obs::chrome::trace_json(&tree);
@@ -42,15 +40,16 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod chrome;
 pub mod flame;
 pub mod jsonl;
 
-use gpudb_sim::span::{SpanKind, SpanSink};
+use gpudb_sim::log::{Entry, Event};
+use gpudb_sim::span::SpanKind;
 use gpudb_sim::stats::WorkCounters;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 
 /// A zero-duration event attached to a span (clear, occlusion begin, ...).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -113,7 +112,7 @@ impl Span {
     }
 }
 
-/// A forest of completed spans, as assembled by [`SpanCollector`].
+/// A forest of completed spans, as assembled by [`SpanTree::from_log`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpanTree {
     /// Top-level spans, in open order.
@@ -121,6 +120,77 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
+    /// Assemble the spans of a window of a device log, keeping what
+    /// `level` asks for. A filtered span is spliced out and its kept
+    /// children move up; instant events are kept only at
+    /// [`TraceLevel::Full`]; an end with nothing open is ignored; and
+    /// spans an error path left open close at the last stamped span or
+    /// instant clock, with a zero counter delta.
+    pub fn from_log(entries: &[Entry], level: TraceLevel) -> SpanTree {
+        let mut tree = SpanTree::default();
+        // Open spans, each with whether `level` keeps it and its counters
+        // at the begin.
+        let mut stack: Vec<(Span, bool, WorkCounters)> = Vec::new();
+        let mut last_ns = 0;
+        for entry in entries {
+            let now = entry.clock_ns;
+            match &entry.event {
+                Event::SpanBegin { kind, name } => {
+                    let span = Span {
+                        kind: *kind,
+                        name: name.clone(),
+                        start_ns: now,
+                        end_ns: now,
+                        counters: WorkCounters::default(),
+                        events: Vec::new(),
+                        children: Vec::new(),
+                    };
+                    stack.push((span, level.keeps(*kind), entry.counters));
+                }
+                Event::SpanEnd => tree.close(&mut stack, now, &entry.counters),
+                Event::Instant { name, detail } => match stack.last_mut() {
+                    Some((span, ..)) if level == TraceLevel::Full => span.events.push(SpanEvent {
+                        name: name.clone(),
+                        detail: detail.clone(),
+                        at_ns: now,
+                    }),
+                    _ => {}
+                },
+                // Ops are not span events and leave `last_ns` alone.
+                Event::Op(_) => continue,
+            }
+            last_ns = now;
+        }
+        while let Some(&(_, _, begin)) = stack.last() {
+            tree.close(&mut stack, last_ns, &begin);
+        }
+        tree
+    }
+
+    /// Pop the innermost open span, stamp its end, and attach it (or, when
+    /// `level` filtered it, its children) to its parent or the roots.
+    fn close(
+        &mut self,
+        stack: &mut Vec<(Span, bool, WorkCounters)>,
+        end_ns: u64,
+        counters: &WorkCounters,
+    ) {
+        let Some((mut span, kept, begin)) = stack.pop() else {
+            return;
+        };
+        span.end_ns = end_ns.max(span.start_ns);
+        span.counters = counters.since(&begin);
+        let dest = match stack.last_mut() {
+            Some((parent, ..)) => &mut parent.children,
+            None => &mut self.roots,
+        };
+        if kept {
+            dest.push(span);
+        } else {
+            dest.append(&mut span.children);
+        }
+    }
+
     /// Total number of spans in the tree.
     pub fn span_count(&self) -> usize {
         self.roots.iter().map(Span::span_count).sum()
@@ -191,7 +261,7 @@ pub fn merge_shard_trees(shards: Vec<SpanTree>) -> SpanTree {
     }
 }
 
-/// How much of the span hierarchy a [`SpanCollector`] keeps.
+/// How much of the span hierarchy [`SpanTree::from_log`] keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceLevel {
     /// Query, plan-stage, and operator spans only.
@@ -209,130 +279,6 @@ impl TraceLevel {
             TraceLevel::Operators => kind.depth() <= SpanKind::Operator.depth(),
             TraceLevel::Passes | TraceLevel::Full => true,
         }
-    }
-}
-
-/// An open span under construction.
-struct Frame {
-    span: Span,
-    kept: bool,
-    begin_counters: WorkCounters,
-}
-
-/// The standard [`SpanSink`]: assembles device callbacks into a
-/// [`SpanTree`], filtering by [`TraceLevel`].
-///
-/// Attach with [`gpudb_sim::device::Gpu::attach_span_sink`], detach with
-/// `take_span_sink`, downcast back with [`SpanCollector::recover`], and
-/// call [`SpanCollector::finish`] to obtain the tree. The collector
-/// tolerates unbalanced calls: an `end` with nothing open is ignored, and
-/// `finish` closes any spans an error path left open at the last observed
-/// clock value.
-pub struct SpanCollector {
-    level: TraceLevel,
-    roots: Vec<Span>,
-    stack: Vec<Frame>,
-    last_clock_ns: u64,
-}
-
-impl SpanCollector {
-    /// Create an empty collector keeping spans at `level`.
-    pub fn new(level: TraceLevel) -> SpanCollector {
-        SpanCollector {
-            level,
-            roots: Vec::new(),
-            stack: Vec::new(),
-            last_clock_ns: 0,
-        }
-    }
-
-    /// The level this collector filters at.
-    pub fn level(&self) -> TraceLevel {
-        self.level
-    }
-
-    /// Downcast a sink taken from the device back into a collector.
-    /// Returns `None` when the sink is some other [`SpanSink`] impl.
-    pub fn recover(sink: Box<dyn SpanSink>) -> Option<SpanCollector> {
-        sink.into_any().downcast::<SpanCollector>().ok().map(|b| *b)
-    }
-
-    /// Close any still-open spans and return the assembled tree.
-    pub fn finish(mut self) -> SpanTree {
-        while !self.stack.is_empty() {
-            let clock = self.last_clock_ns;
-            let counters = self
-                .stack
-                .last()
-                .map(|f| f.begin_counters)
-                .unwrap_or_default();
-            // Close with a zero counter delta: we cannot know the device's
-            // counters here, only that the span ends at the last clock.
-            self.close_top(clock, &counters);
-        }
-        SpanTree { roots: self.roots }
-    }
-
-    /// Pop the top frame, stamp its end, and attach it (or its children,
-    /// when filtered) to the parent.
-    fn close_top(&mut self, clock_ns: u64, counters: &WorkCounters) {
-        let Some(mut frame) = self.stack.pop() else {
-            return;
-        };
-        frame.span.end_ns = clock_ns.max(frame.span.start_ns);
-        frame.span.counters = counters.since(&frame.begin_counters);
-        let dest = match self.stack.last_mut() {
-            Some(parent) => &mut parent.span.children,
-            None => &mut self.roots,
-        };
-        if frame.kept {
-            dest.push(frame.span);
-        } else {
-            // A filtered span is spliced out; its kept children move up.
-            dest.append(&mut frame.span.children);
-        }
-    }
-}
-
-impl SpanSink for SpanCollector {
-    fn begin_span(&mut self, kind: SpanKind, name: &str, clock_ns: u64, counters: &WorkCounters) {
-        self.last_clock_ns = clock_ns;
-        self.stack.push(Frame {
-            span: Span {
-                kind,
-                name: name.to_string(),
-                start_ns: clock_ns,
-                end_ns: clock_ns,
-                counters: WorkCounters::default(),
-                events: Vec::new(),
-                children: Vec::new(),
-            },
-            kept: self.level.keeps(kind),
-            begin_counters: *counters,
-        });
-    }
-
-    fn end_span(&mut self, clock_ns: u64, counters: &WorkCounters) {
-        self.last_clock_ns = clock_ns;
-        self.close_top(clock_ns, counters);
-    }
-
-    fn instant(&mut self, name: &str, detail: &str, clock_ns: u64) {
-        self.last_clock_ns = clock_ns;
-        if self.level != TraceLevel::Full {
-            return;
-        }
-        if let Some(frame) = self.stack.last_mut() {
-            frame.span.events.push(SpanEvent {
-                name: name.to_string(),
-                detail: detail.to_string(),
-                at_ns: clock_ns,
-            });
-        }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -374,17 +320,40 @@ mod tests {
         assert_eq!(root.children[0].children[0].name, "selection");
     }
 
+    fn entry(clock_ns: u64, draws: u64, event: Event) -> Entry {
+        Entry {
+            clock_ns,
+            counters: counters(draws),
+            event,
+        }
+    }
+
+    fn begin(kind: SpanKind, name: &str, clock_ns: u64, draws: u64) -> Entry {
+        let name = name.to_string();
+        entry(clock_ns, draws, Event::SpanBegin { kind, name })
+    }
+
+    fn end(clock_ns: u64, draws: u64) -> Entry {
+        entry(clock_ns, draws, Event::SpanEnd)
+    }
+
+    fn instant(name: &str, clock_ns: u64) -> Entry {
+        let (name, detail) = (name.to_string(), String::new());
+        entry(clock_ns, 0, Event::Instant { name, detail })
+    }
+
     #[test]
-    fn collector_nests_spans_and_diffs_counters() {
-        let mut c = SpanCollector::new(TraceLevel::Full);
-        c.begin_span(SpanKind::Query, "q", 0, &counters(0));
-        c.begin_span(SpanKind::Operator, "op", 10, &counters(1));
-        c.begin_span(SpanKind::Pass, "pass:TestBit", 10, &counters(1));
-        c.end_span(40, &counters(2));
-        c.instant("clear:depth", "", 40);
-        c.end_span(50, &counters(2));
-        c.end_span(60, &counters(2));
-        let tree = c.finish();
+    fn from_log_nests_spans_and_diffs_counters() {
+        let log = [
+            begin(SpanKind::Query, "q", 0, 0),
+            begin(SpanKind::Operator, "op", 10, 1),
+            begin(SpanKind::Pass, "pass:TestBit", 10, 1),
+            end(40, 2),
+            instant("clear:depth", 40),
+            end(50, 2),
+            end(60, 2),
+        ];
+        let tree = SpanTree::from_log(&log, TraceLevel::Full);
 
         assert_eq!(tree.span_count(), 3);
         let q = &tree.roots[0];
@@ -409,13 +378,14 @@ mod tests {
 
     #[test]
     fn operator_level_splices_out_pass_leaves() {
-        let mut c = SpanCollector::new(TraceLevel::Operators);
-        c.begin_span(SpanKind::Operator, "op", 0, &counters(0));
-        c.begin_span(SpanKind::Pass, "pass:A", 0, &counters(0));
-        c.end_span(5, &counters(1));
-        c.instant("clear:depth", "", 5);
-        c.end_span(9, &counters(1));
-        let tree = c.finish();
+        let log = [
+            begin(SpanKind::Operator, "op", 0, 0),
+            begin(SpanKind::Pass, "pass:A", 0, 0),
+            end(5, 1),
+            instant("clear:depth", 5),
+            end(9, 1),
+        ];
+        let tree = SpanTree::from_log(&log, TraceLevel::Operators);
         assert_eq!(tree.span_count(), 1);
         let op = &tree.roots[0];
         assert!(op.children.is_empty());
@@ -424,33 +394,33 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_calls_are_tolerated() {
-        let mut c = SpanCollector::new(TraceLevel::Passes);
-        c.end_span(5, &counters(0)); // end with nothing open: ignored
-        c.begin_span(SpanKind::Query, "q", 10, &counters(0));
-        c.begin_span(SpanKind::Operator, "op", 20, &counters(0));
-        // finish() closes both open spans at the last observed clock.
-        let tree = c.finish();
+    fn unbalanced_entries_are_tolerated() {
+        let log = [
+            end(5, 0), // end with nothing open: ignored
+            begin(SpanKind::Query, "q", 10, 0),
+            begin(SpanKind::Operator, "op", 20, 3),
+            instant("fault:device-reset", 25),
+            // Ops move no span clock.
+            entry(40, 3, Event::Op(gpudb_sim::PassOp::ResetState)),
+        ];
+        // Both open spans close at the last stamped clock, with a zero
+        // counter delta.
+        let tree = SpanTree::from_log(&log, TraceLevel::Passes);
         assert_eq!(tree.roots.len(), 1);
-        assert_eq!(tree.roots[0].end_ns, 20);
-        assert_eq!(tree.roots[0].children[0].end_ns, 20);
-    }
-
-    #[test]
-    fn recover_roundtrip() {
-        let sink: Box<dyn SpanSink> = Box::new(SpanCollector::new(TraceLevel::Full));
-        let c = SpanCollector::recover(sink).unwrap();
-        assert_eq!(c.level(), TraceLevel::Full);
+        assert_eq!(tree.roots[0].end_ns, 25);
+        assert_eq!(tree.roots[0].counters, WorkCounters::default());
+        assert_eq!(tree.roots[0].children[0].end_ns, 25);
     }
 
     #[test]
     fn tree_walk_reports_paths() {
-        let mut c = SpanCollector::new(TraceLevel::Passes);
-        c.begin_span(SpanKind::Query, "q", 0, &counters(0));
-        c.begin_span(SpanKind::Operator, "op", 0, &counters(0));
-        c.end_span(1, &counters(0));
-        c.end_span(2, &counters(0));
-        let tree = c.finish();
+        let log = [
+            begin(SpanKind::Query, "q", 0, 0),
+            begin(SpanKind::Operator, "op", 0, 0),
+            end(1, 0),
+            end(2, 0),
+        ];
+        let tree = SpanTree::from_log(&log, TraceLevel::Passes);
         let mut seen = Vec::new();
         tree.walk(|span, path| seen.push((span.name.clone(), path.join(";"))));
         assert_eq!(

@@ -6,17 +6,16 @@ use crate::buffers::Framebuffer;
 use crate::cost::{ns, DrawCost, HardwareProfile};
 use crate::error::{GpuError, GpuResult};
 use crate::fault::{FaultInjector, FaultKind, FaultStats};
+use crate::log::{DeviceLog, Entry, Event, RecordMode};
 use crate::program::isa::{FragmentProgram, NUM_PARAMS, NUM_TEXTURE_UNITS};
 use crate::raster::{rasterize, DrawInputs, Rect};
-use crate::span::{SpanKind, SpanSink};
+use crate::span::SpanKind;
 use crate::state::{
     AlphaState, ColorMask, CompareFunc, DepthBoundsState, PipelineState, ScissorState, StencilOp,
 };
 use crate::stats::{GpuStats, Phase};
 use crate::texture::{Texture, TextureId};
-use crate::trace::{
-    DeviceCaps, DrawPass, PassOp, PassPlan, ProgramInfo, RecordMode, TraceRecorder,
-};
+use crate::trace::{DeviceCaps, DrawPass, PassOp, ProgramInfo};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,14 +45,12 @@ pub struct Gpu {
     stats: GpuStats,
     vram_budget: usize,
     vram_used: usize,
-    recorder: Option<TraceRecorder>,
-    span_sink: Option<Box<dyn SpanSink>>,
+    log: Option<DeviceLog>,
     fault_injector: Option<FaultInjector>,
 }
 
 // Keep the device `Send` so a caller may hand each device of a
-// multi-device run to its own thread (the `SpanSink` trait object
-// carries a `Send` bound for this reason).
+// multi-device run to its own thread; its event log is plain data.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Gpu>();
@@ -81,8 +78,7 @@ impl Gpu {
             stats: GpuStats::default(),
             vram_budget: DEFAULT_VRAM_BYTES,
             vram_used,
-            recorder: None,
-            span_sink: None,
+            log: None,
             fault_injector: None,
         }
     }
@@ -124,125 +120,88 @@ impl Gpu {
     }
 
     // ------------------------------------------------------------------
-    // Pass-plan tracing
+    // Event log
     // ------------------------------------------------------------------
 
-    /// Start recording device operations as [`PassPlan`] IR.
-    ///
-    /// In [`RecordMode::RecordAndExecute`] recording is purely passive:
+    /// Attach an empty [`DeviceLog`], replacing any attached one. From
+    /// here on every state change, draw, occlusion query, readback,
+    /// span and instant event is appended to it, stamped on the modeled
+    /// clock. In [`RecordMode::RecordAndExecute`] logging is passive:
     /// results, statistics and modeled costs are bit-identical to an
-    /// untraced run. In [`RecordMode::RecordOnly`] draws, clears, copies
-    /// and readbacks validate their arguments and record ops but do not
-    /// touch the framebuffer or charge any modeled cost.
-    pub fn enable_tracing(&mut self, mode: RecordMode) {
+    /// unlogged run. In [`RecordMode::RecordOnly`] draws, clears, copies
+    /// and readbacks validate their arguments and are logged but do not
+    /// touch the framebuffer, charge any modeled cost or poll for faults.
+    pub fn attach_log(&mut self, mode: RecordMode) {
         let caps = DeviceCaps {
             has_depth_bounds: self.profile.has_depth_bounds,
             has_depth_compare_mask: self.profile.has_depth_compare_mask,
         };
-        self.recorder = Some(TraceRecorder::new(mode, caps));
+        self.log = Some(DeviceLog::new(mode, caps));
     }
 
-    /// Stop recording, discarding any plans not yet taken.
-    pub fn disable_tracing(&mut self) {
-        self.recorder = None;
+    /// Detach and return the log, if one is attached.
+    pub fn take_log(&mut self) -> Option<DeviceLog> {
+        self.log.take()
     }
 
-    /// Whether a trace recorder is attached.
-    pub fn is_recording(&self) -> bool {
-        self.recorder.is_some()
+    /// The attached log, if any.
+    pub fn log(&self) -> Option<&DeviceLog> {
+        self.log.as_ref()
     }
 
-    /// Close the current plan (if any) and start a new one labeled
-    /// `label`. No-op when tracing is disabled.
-    pub fn begin_plan(&mut self, label: &str) {
-        if let Some(rec) = &mut self.recorder {
-            rec.begin_plan(label);
+    /// Append an event to the attached log, if any, stamped with the
+    /// modeled clock and the work counters.
+    fn log_event(&mut self, event: impl FnOnce() -> Event) {
+        if let Some(log) = &mut self.log {
+            log.push(Entry {
+                clock_ns: self.stats.modeled.total(),
+                counters: self.stats.counters(),
+                event: event(),
+            });
         }
     }
 
-    /// Drain all recorded plans, closing the open one. Returns an empty
-    /// vector when tracing is disabled.
-    pub fn take_plans(&mut self) -> Vec<PassPlan> {
-        self.recorder
-            .as_mut()
-            .map(TraceRecorder::take_plans)
-            .unwrap_or_default()
-    }
-
-    /// Append an op to the active recorder, if any.
+    /// Log a device op.
     fn record(&mut self, op: PassOp) {
-        if let Some(rec) = &mut self.recorder {
-            rec.record(op);
-        }
+        self.log_event(|| Event::Op(op));
     }
 
     /// Whether the device is in record-only (dry run) mode.
     fn record_only(&self) -> bool {
-        matches!(
-            self.recorder.as_ref().map(TraceRecorder::mode),
-            Some(RecordMode::RecordOnly)
-        )
+        self.log
+            .as_ref()
+            .is_some_and(|log| log.mode == RecordMode::RecordOnly)
     }
 
-    // ------------------------------------------------------------------
-    // Span tracing
-    // ------------------------------------------------------------------
-
-    /// Attach a span sink. The device will open leaf spans around every
-    /// costed operation and emit instant events for cheap calls, all
-    /// timestamped on the modeled clock (`stats().modeled.total()`) so the
-    /// resulting trace is deterministic. Attaching a sink never changes
-    /// results, statistics, or modeled cost.
-    pub fn attach_span_sink(&mut self, sink: Box<dyn SpanSink>) {
-        self.span_sink = Some(sink);
+    /// Log `op`; true when the log is a dry run, so the caller must not
+    /// execute it.
+    fn dry_run(&mut self, op: PassOp) -> bool {
+        self.record(op);
+        self.record_only()
     }
 
-    /// Detach and return the span sink, if any.
-    pub fn take_span_sink(&mut self) -> Option<Box<dyn SpanSink>> {
-        self.span_sink.take()
-    }
-
-    /// Whether a span sink is attached.
-    pub fn has_span_sink(&self) -> bool {
-        self.span_sink.is_some()
-    }
-
-    /// Open a span on the attached sink (no-op without one). Higher layers
-    /// use this for query / plan-stage / operator spans; the device itself
-    /// opens the pass / readback / upload leaves.
+    /// Open a span in the attached log (no-op without one). Higher
+    /// layers use this for query / plan-stage / operator spans; an
+    /// operator span also starts a new pass plan. The device itself
+    /// opens the pass / readback / upload / copy leaves.
     pub fn span_begin(&mut self, kind: SpanKind, name: &str) {
-        if self.span_sink.is_none() {
-            return;
-        }
-        let clock = self.stats.modeled.total();
-        let counters = self.stats.counters();
-        if let Some(sink) = &mut self.span_sink {
-            sink.begin_span(kind, name, clock, &counters);
-        }
+        self.log_event(|| Event::SpanBegin {
+            kind,
+            name: name.to_string(),
+        });
     }
 
-    /// Close the most recently opened span on the attached sink (no-op
-    /// without one).
+    /// Close the most recently opened span (no-op without a log).
     pub fn span_end(&mut self) {
-        if self.span_sink.is_none() {
-            return;
-        }
-        let clock = self.stats.modeled.total();
-        let counters = self.stats.counters();
-        if let Some(sink) = &mut self.span_sink {
-            sink.end_span(clock, &counters);
-        }
+        self.log_event(|| Event::SpanEnd);
     }
 
-    /// Emit an instant event on the attached sink (no-op without one).
-    fn span_instant(&mut self, name: &str, detail: &str) {
-        if self.span_sink.is_none() {
-            return;
-        }
-        let clock = self.stats.modeled.total();
-        if let Some(sink) = &mut self.span_sink {
-            sink.instant(name, detail, clock);
-        }
+    /// Log an instant event (no-op without a log).
+    fn instant(&mut self, name: &str, detail: impl FnOnce() -> String) {
+        self.log_event(|| Event::Instant {
+            name: name.to_string(),
+            detail: detail(),
+        });
     }
 
     // ------------------------------------------------------------------
@@ -290,10 +249,7 @@ impl Gpu {
         if fired == FaultKind::DeviceReset {
             self.perform_device_reset();
         }
-        if self.span_sink.is_some() {
-            let name = format!("fault:{}", fired.name());
-            self.span_instant(&name, "");
-        }
+        self.instant(&format!("fault:{}", fired.name()), String::new);
         Some(fired)
     }
 
@@ -301,8 +257,8 @@ impl Gpu {
     /// program, parameter, pipeline state bit, and framebuffer byte is
     /// lost. Accumulated statistics (and hence the modeled clock) are
     /// preserved so fault schedules stay monotonic across the reset, and
-    /// the trace recorder / span sink stay attached — observability
-    /// survives the fault it is observing.
+    /// the event log stays attached — observability survives the fault it
+    /// is observing.
     fn perform_device_reset(&mut self) {
         self.textures.clear();
         self.free_ids.clear();
@@ -619,41 +575,38 @@ impl Gpu {
 
     /// Clear the color buffer.
     pub fn clear_color(&mut self, rgba: [f32; 4]) {
-        self.record(PassOp::ClearColor);
-        if self.record_only() {
+        if self.dry_run(PassOp::ClearColor) {
             return;
         }
         self.fb.color.clear(rgba);
         self.stats
             .modeled
             .add(self.phase, ns(self.profile.draw_call_overhead_s));
-        self.span_instant("clear:color", "");
+        self.instant("clear:color", String::new);
     }
 
     /// Clear the depth buffer to a normalized value.
     pub fn clear_depth(&mut self, depth: f64) {
-        self.record(PassOp::ClearDepth { depth });
-        if self.record_only() {
+        if self.dry_run(PassOp::ClearDepth { depth }) {
             return;
         }
         self.fb.depth.clear(depth);
         self.stats
             .modeled
             .add(self.phase, ns(self.profile.draw_call_overhead_s));
-        self.span_instant("clear:depth", "");
+        self.instant("clear:depth", String::new);
     }
 
     /// Clear the stencil buffer.
     pub fn clear_stencil(&mut self, value: u8) {
-        self.record(PassOp::ClearStencil { value });
-        if self.record_only() {
+        if self.dry_run(PassOp::ClearStencil { value }) {
             return;
         }
         self.fb.stencil.clear(value);
         self.stats
             .modeled
             .add(self.phase, ns(self.profile.draw_call_overhead_s));
-        self.span_instant("clear:stencil", "");
+        self.instant("clear:stencil", String::new);
     }
 
     // ------------------------------------------------------------------
@@ -688,7 +641,11 @@ impl Gpu {
                 }
             }
         }
-        if self.recorder.is_some() {
+        // The draw is logged before it runs, so a plan keeps a draw that
+        // a dry run skips or a device reset strikes; only a draw that runs
+        // gets a pass span.
+        let mut pass_label = None;
+        if self.log.is_some() {
             let pass = DrawPass {
                 state: self.state.clone(),
                 program: self.program.as_ref().map(ProgramInfo::of),
@@ -697,8 +654,11 @@ impl Gpu {
                 rects: rects.len(),
                 occlusion_active: self.occlusion.is_some(),
             };
-            self.record(PassOp::Draw(pass));
-            if self.record_only() {
+            pass_label = Some(match &pass.program {
+                Some(program) => format!("pass:{}", program.name),
+                None => "pass:fixed-function".to_string(),
+            });
+            if self.dry_run(PassOp::Draw(pass)) {
                 return Ok(DrawCost::default());
             }
         }
@@ -707,13 +667,8 @@ impl Gpu {
         if self.poll_fault(FaultKind::DeviceReset).is_some() {
             return Err(GpuError::DeviceReset);
         }
-
-        if self.span_sink.is_some() {
-            let label = match &self.program {
-                Some(program) => format!("pass:{}", crate::trace::program_name(&program.source)),
-                None => "pass:fixed-function".to_string(),
-            };
-            self.span_begin(SpanKind::Pass, &label);
+        if let Some(label) = &pass_label {
+            self.span_begin(SpanKind::Pass, label);
         }
         let wall = Instant::now();
         let textures = self
@@ -753,7 +708,7 @@ impl Gpu {
         }
         self.record(PassOp::BeginOcclusionQuery);
         self.occlusion = Some(0);
-        self.span_instant("occlusion-begin", "");
+        self.instant("occlusion-begin", String::new);
         Ok(())
     }
 
@@ -768,8 +723,7 @@ impl Gpu {
             .occlusion
             .take()
             .ok_or(GpuError::OcclusionQueryMisuse("end without begin"))?;
-        self.record(PassOp::EndOcclusionQuery { sync: true });
-        if self.record_only() {
+        if self.dry_run(PassOp::EndOcclusionQuery { sync: true }) {
             return Ok(0);
         }
         self.span_begin(SpanKind::Readback, "readback:occlusion-sync");
@@ -798,8 +752,7 @@ impl Gpu {
             .occlusion
             .take()
             .ok_or(GpuError::OcclusionQueryMisuse("end without begin"))?;
-        self.record(PassOp::EndOcclusionQuery { sync: false });
-        if self.record_only() {
+        if self.dry_run(PassOp::EndOcclusionQuery { sync: false }) {
             return Ok(0);
         }
         self.stats.occlusion_readbacks += 1;
@@ -808,10 +761,7 @@ impl Gpu {
             Some(_) => return Err(GpuError::OcclusionQueryLost),
             None => {}
         }
-        if self.has_span_sink() {
-            let detail = count.to_string();
-            self.span_instant("occlusion-end-async", &detail);
-        }
+        self.instant("occlusion-end-async", || count.to_string());
         Ok(count)
     }
 
@@ -828,8 +778,7 @@ impl Gpu {
     /// readback bandwidth. Fails with [`GpuError::ReadbackCorrupted`] or
     /// [`GpuError::DeviceReset`] under fault injection.
     pub fn read_depth_buffer(&mut self) -> GpuResult<Vec<f64>> {
-        self.record(PassOp::ReadDepthBuffer);
-        if self.record_only() {
+        if self.dry_run(PassOp::ReadDepthBuffer) {
             return Ok(vec![0.0; self.fb.pixel_count()]);
         }
         let bytes = (self.fb.pixel_count() * 4) as u64;
@@ -842,8 +791,7 @@ impl Gpu {
 
     /// Read back the raw 24-bit depth buffer values.
     pub fn read_depth_buffer_raw(&mut self) -> GpuResult<Vec<u32>> {
-        self.record(PassOp::ReadDepthBuffer);
-        if self.record_only() {
+        if self.dry_run(PassOp::ReadDepthBuffer) {
             return Ok(vec![0; self.fb.pixel_count()]);
         }
         let bytes = (self.fb.pixel_count() * 4) as u64;
@@ -856,8 +804,7 @@ impl Gpu {
 
     /// Read back the stencil buffer.
     pub fn read_stencil_buffer(&mut self) -> GpuResult<Vec<u8>> {
-        self.record(PassOp::ReadStencilBuffer);
-        if self.record_only() {
+        if self.dry_run(PassOp::ReadStencilBuffer) {
             return Ok(vec![0; self.fb.pixel_count()]);
         }
         let bytes = self.fb.pixel_count() as u64;
@@ -870,8 +817,7 @@ impl Gpu {
 
     /// Read back the color buffer.
     pub fn read_color_buffer(&mut self) -> GpuResult<Vec<[f32; 4]>> {
-        self.record(PassOp::ReadColorBuffer);
-        if self.record_only() {
+        if self.dry_run(PassOp::ReadColorBuffer) {
             return Ok(vec![[0.0; 4]; self.fb.pixel_count()]);
         }
         let bytes = (self.fb.pixel_count() * 16) as u64;
@@ -929,8 +875,7 @@ impl Gpu {
                 return Err(GpuError::InvalidTextureSize { width, height });
             }
         }
-        self.record(PassOp::CopyColorToTexture);
-        if self.record_only() {
+        if self.dry_run(PassOp::CopyColorToTexture) {
             return Ok(());
         }
         let tex = self
@@ -987,9 +932,7 @@ impl Gpu {
     /// nanoseconds actually charged: `nanos`, unless the clock saturates.
     pub fn charge_backoff(&mut self, nanos: u64) -> u64 {
         let charged = self.stats.modeled.add(Phase::Other, nanos);
-        if self.span_sink.is_some() {
-            self.span_instant("resilience:backoff", "");
-        }
+        self.instant("resilience:backoff", String::new);
         charged
     }
 }
@@ -1343,45 +1286,22 @@ mod tests {
         }
     }
 
-    /// Records every sink callback for white-box assertions.
-    #[derive(Default)]
-    struct RecordingSink {
-        events: Vec<String>,
-        clocks: Vec<u64>,
-    }
-
-    impl crate::span::SpanSink for RecordingSink {
-        fn begin_span(
-            &mut self,
-            kind: crate::span::SpanKind,
-            name: &str,
-            clock_ns: u64,
-            _counters: &crate::stats::WorkCounters,
-        ) {
-            self.events.push(format!("begin {} {name}", kind.name()));
-            self.clocks.push(clock_ns);
-        }
-
-        fn end_span(&mut self, clock_ns: u64, _counters: &crate::stats::WorkCounters) {
-            self.events.push("end".to_string());
-            self.clocks.push(clock_ns);
-        }
-
-        fn instant(&mut self, name: &str, detail: &str, clock_ns: u64) {
-            self.events.push(format!("instant {name} {detail}"));
-            self.clocks.push(clock_ns);
-        }
-
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
+    /// The log as one line per entry, ops and draws by their variant.
+    fn describe(log: &DeviceLog) -> Vec<String> {
+        let describe = |event: &Event| match event {
+            Event::Op(PassOp::Draw(_)) => "draw".to_string(),
+            Event::Op(op) => format!("{op:?}"),
+            Event::SpanBegin { kind, name } => format!("begin {} {name}", kind.name()),
+            Event::SpanEnd => "end".to_string(),
+            Event::Instant { name, detail } => format!("instant {name} {detail}"),
+        };
+        log.entries().iter().map(|e| describe(&e.event)).collect()
     }
 
     #[test]
-    fn span_sink_sees_leaf_spans_on_the_modeled_clock() {
+    fn log_sees_leaf_spans_on_the_modeled_clock() {
         let mut gpu = Gpu::geforce_fx_5900(4, 4);
-        gpu.attach_span_sink(Box::new(RecordingSink::default()));
-        assert!(gpu.has_span_sink());
+        gpu.attach_log(RecordMode::RecordAndExecute);
 
         gpu.create_texture(tex(&[1.0, 2.0, 3.0, 4.0])).unwrap();
         gpu.set_depth_test(true, CompareFunc::Less);
@@ -1390,43 +1310,47 @@ mod tests {
         gpu.end_occlusion_query().unwrap();
         gpu.read_stencil_buffer().unwrap();
 
-        let sink = gpu
-            .take_span_sink()
-            .unwrap()
-            .into_any()
-            .downcast::<RecordingSink>()
-            .unwrap();
+        let log = gpu.take_log().unwrap();
+        assert!(gpu.log().is_none());
         assert_eq!(
-            sink.events,
+            describe(&log),
             vec![
                 "begin upload upload:texture",
                 "end",
+                "SetDepthTest { enabled: true, func: Less }",
+                "BeginOcclusionQuery",
                 "instant occlusion-begin ",
+                "draw",
                 "begin pass pass:fixed-function",
                 "end",
+                "EndOcclusionQuery { sync: true }",
                 "begin readback readback:occlusion-sync",
                 "end",
+                "ReadStencilBuffer",
                 "begin readback readback:stencil",
                 "end",
             ]
         );
-        // Timestamps are the modeled clock: non-decreasing, and each
+        // Stamps are the modeled clock: non-decreasing, and each
         // begin/end pair brackets a cost charge (end > begin).
-        assert!(sink.clocks.windows(2).all(|w| w[0] <= w[1]));
-        assert!(sink.clocks[1] > sink.clocks[0], "upload charged");
+        let clocks: Vec<u64> = log.entries().iter().map(|e| e.clock_ns).collect();
+        assert!(clocks.windows(2).all(|w| w[0] <= w[1]));
+        assert!(clocks[1] > clocks[0], "upload charged");
+        assert!(clocks[7] > clocks[6], "draw charged");
+        assert_eq!(log.entries()[7].counters.draw_calls, 1);
         assert_eq!(
-            *sink.clocks.last().unwrap(),
+            *clocks.last().unwrap(),
             gpu.stats().modeled.total(),
             "final end matches the device clock"
         );
     }
 
     #[test]
-    fn span_sink_is_cost_transparent() {
-        let run = |traced: bool| {
+    fn log_is_cost_transparent() {
+        let run = |logged: bool| {
             let mut gpu = Gpu::geforce_fx_5900(4, 4);
-            if traced {
-                gpu.attach_span_sink(Box::new(RecordingSink::default()));
+            if logged {
+                gpu.attach_log(RecordMode::RecordAndExecute);
             }
             gpu.create_texture(tex(&[1.0, 2.0, 3.0, 4.0])).unwrap();
             gpu.set_depth_test(true, CompareFunc::Less);
@@ -1436,6 +1360,20 @@ mod tests {
             (count, gpu.stats().counters(), gpu.stats().modeled.total())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn a_struck_draw_is_logged_without_a_pass_span() {
+        use crate::fault::{FaultEvent, FaultInjector, FaultKind};
+        let mut gpu = Gpu::geforce_fx_5900(4, 1);
+        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
+            at_ns: 0,
+            kind: FaultKind::DeviceReset,
+        }]));
+        gpu.attach_log(RecordMode::RecordAndExecute);
+        assert_eq!(gpu.draw_full_quad(0.5), Err(GpuError::DeviceReset));
+        let log = gpu.take_log().unwrap();
+        assert_eq!(describe(&log), ["draw", "instant fault:device-reset "]);
     }
 
     #[test]
@@ -1556,9 +1494,9 @@ mod tests {
             at_ns: 0,
             kind: FaultKind::ReadbackBitFlip,
         }]));
-        gpu.enable_tracing(RecordMode::RecordOnly);
+        gpu.attach_log(RecordMode::RecordOnly);
         assert!(gpu.read_stencil_buffer().is_ok(), "dry run never faults");
-        gpu.disable_tracing();
+        gpu.take_log();
         // The event is still pending and strikes the real readback.
         assert!(gpu.read_stencil_buffer().is_err());
     }

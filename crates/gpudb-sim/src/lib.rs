@@ -19,6 +19,8 @@
 //!   on the calling thread and a pool of persistent host workers (`pool`);
 //! * [`device`] — the stateful [`device::Gpu`] facade with occlusion
 //!   queries and costed transfers;
+//! * [`log`] — the device event log that pass plans ([`trace`]) and span
+//!   trees are derived from;
 //! * [`cost`] / [`stats`] — a cycle cost model calibrated against the
 //!   paper's published anchors, so that modeled timings reproduce the
 //!   paper's performance *shapes* even though the simulator itself runs on
@@ -67,6 +69,7 @@ pub mod cost;
 pub mod device;
 pub mod error;
 pub mod fault;
+pub mod log;
 mod mipmap;
 mod pipeline;
 mod pool;
@@ -82,10 +85,11 @@ pub use cost::{DrawCost, HardwareProfile};
 pub use device::Gpu;
 pub use error::{FaultClass, GpuError, GpuResult};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultStats};
+pub use log::{DeviceLog, RecordMode};
 pub use mipmap::MipmapReduction;
 pub use raster::Rect;
-pub use span::{SpanKind, SpanSink};
+pub use span::SpanKind;
 pub use state::{CompareFunc, StencilOp};
 pub use stats::{GpuStats, Phase, PhaseNanos, PhaseTimes, WorkCounters};
 pub use texture::{Texture, TextureFormat, TextureId};
-pub use trace::{DeviceCaps, DrawPass, PassOp, PassPlan, ProgramInfo, RecordMode, TraceRecorder};
+pub use trace::{DeviceCaps, DrawPass, PassOp, PassPlan, ProgramInfo};

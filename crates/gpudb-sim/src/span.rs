@@ -1,20 +1,13 @@
-//! Span sink interface: hierarchical tracing driven by the device.
+//! Span kinds: the levels of the `query → stage → operator → pass`
+//! hierarchy.
 //!
-//! The pass-plan recorder ([`crate::trace`]) captures *what* the device was
-//! asked to do; a [`SpanSink`] captures *when*, on the modeled clock. The
-//! device opens a leaf span around every costed operation (draw, readback,
-//! upload) and emits instant events for cheap calls (clears, occlusion
-//! begin/end); higher layers open enclosing spans (operator, plan stage,
-//! query) through [`crate::device::Gpu::span_begin`].
-//!
-//! Timestamps are **modeled nanoseconds** — the cumulative modeled cost of
-//! the device at the moment of the call, never wall clock — so a trace is
-//! byte-identical across runs. The sink never touches [`crate::stats::GpuStats`],
-//! so attaching one changes neither results nor modeled cost.
+//! Higher layers open the enclosing spans (query, plan stage, operator)
+//! through [`crate::device::Gpu::span_begin`]; the device opens a leaf
+//! around every costed operation (draw, readback, upload). Both land in
+//! the [`crate::log::DeviceLog`], stamped on the modeled clock, and
+//! `gpudb_obs::SpanTree::from_log` assembles them into a tree.
 
-use crate::stats::WorkCounters;
 use serde::{Deserialize, Serialize};
-use std::any::Any;
 
 /// The level of a span in the `query → stage → operator → pass` hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,8 +42,8 @@ impl SpanKind {
         }
     }
 
-    /// Depth of this kind in the canonical hierarchy; used by collectors
-    /// to filter by [`detail level`](SpanKind) without tracking parents.
+    /// Depth of this kind in the canonical hierarchy; used to filter by
+    /// detail level without tracking parents.
     pub fn depth(self) -> u8 {
         match self {
             SpanKind::Query => 0,
@@ -59,23 +52,6 @@ impl SpanKind {
             SpanKind::Pass | SpanKind::Readback | SpanKind::Upload | SpanKind::Other => 3,
         }
     }
-}
-
-/// Receiver for span begin/end pairs and instant events.
-///
-/// Implementations must tolerate unbalanced calls (an error path may leave
-/// spans open; `end_span` with no open span must be a no-op). `clock_ns`
-/// is the device's modeled clock — see the module docs. `counters` is a
-/// snapshot of the device's cumulative [`WorkCounters`] at the call.
-pub trait SpanSink: Send {
-    /// A span opens at `clock_ns`.
-    fn begin_span(&mut self, kind: SpanKind, name: &str, clock_ns: u64, counters: &WorkCounters);
-    /// The most recently opened span closes at `clock_ns`.
-    fn end_span(&mut self, clock_ns: u64, counters: &WorkCounters);
-    /// A zero-duration event at `clock_ns`, attached to the open span.
-    fn instant(&mut self, name: &str, detail: &str, clock_ns: u64);
-    /// Recover the concrete sink after [`crate::device::Gpu::take_span_sink`].
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 #[cfg(test)]

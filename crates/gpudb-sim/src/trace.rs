@@ -1,36 +1,17 @@
-//! Pass-plan intermediate representation and trace recorder.
+//! Pass-plan intermediate representation.
 //!
 //! Every paper routine (Compare §4.1, Semilinear §4.2, EvalCNF §4.3,
 //! Range §4.4, KthLargest §4.5, Accumulator §4.6) is a hand-assembled
 //! sequence of pipeline-state mutations, draws, occlusion queries and
-//! readbacks. This module captures that sequence as a serializable IR —
-//! a [`PassPlan`] of [`PassOp`]s — so static validators (`gpudb-lint`)
+//! readbacks. This module is that sequence as a serializable IR — a
+//! [`PassPlan`] of [`PassOp`]s — so static validators (`gpudb-lint`)
 //! can check routine invariants *before* (or without) any fragment being
-//! shaded.
-//!
-//! A [`TraceRecorder`] hooks into [`crate::Gpu`]: in
-//! [`RecordMode::RecordAndExecute`] recording is purely passive (modeled
-//! costs and results are bit-identical to an untraced run); in
-//! [`RecordMode::RecordOnly`] the device validates arguments and records
-//! ops but skips rasterization, framebuffer mutation and cost accounting
-//! entirely — a dry run that yields the plan alone.
+//! shaded. The device logs these ops into its [`crate::log::DeviceLog`],
+//! and [`crate::log::DeviceLog::plans_since`] groups them into plans.
 
 use crate::program::isa::FragmentProgram;
 use crate::state::{ColorMask, CompareFunc, PipelineState, ScissorState, StencilOp};
 use serde::{Deserialize, Serialize};
-
-/// How the recorder interacts with device execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecordMode {
-    /// Record every op while executing normally; results and modeled
-    /// costs are unchanged by tracing.
-    RecordAndExecute,
-    /// Record ops without executing draws, clears, copies or cost
-    /// accounting. Argument validation (rect bounds, texture bindings,
-    /// occlusion-query pairing) still applies, so a record-only run
-    /// catches the same device errors a real run would.
-    RecordOnly,
-}
 
 /// Snapshot of a bound fragment program, as seen by the validator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -216,7 +197,7 @@ pub enum PassOp {
 }
 
 /// Device capabilities relevant to plan validation, captured from the
-/// hardware profile when tracing is enabled.
+/// hardware profile when a log is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceCaps {
     /// Whether `EXT_depth_bounds_test` is available.
@@ -324,66 +305,6 @@ impl DrawPass {
     }
 }
 
-/// Records device operations into [`PassPlan`]s.
-///
-/// Plans are delimited by [`TraceRecorder::begin_plan`]; ops recorded
-/// before the first `begin_plan` go into an implicit plan labeled
-/// `"untitled"`.
-#[derive(Debug, Clone)]
-pub struct TraceRecorder {
-    mode: RecordMode,
-    caps: DeviceCaps,
-    current: Option<PassPlan>,
-    finished: Vec<PassPlan>,
-}
-
-impl TraceRecorder {
-    /// Create a recorder for a device with the given capabilities.
-    pub fn new(mode: RecordMode, caps: DeviceCaps) -> TraceRecorder {
-        TraceRecorder {
-            mode,
-            caps,
-            current: None,
-            finished: Vec::new(),
-        }
-    }
-
-    /// The recording mode.
-    pub fn mode(&self) -> RecordMode {
-        self.mode
-    }
-
-    /// Finish the current plan (if any) and start a new one.
-    pub fn begin_plan(&mut self, label: impl Into<String>) {
-        self.finish_current();
-        self.current = Some(PassPlan::new(label, self.caps));
-    }
-
-    /// Append an op to the current plan, starting an `"untitled"` plan
-    /// if none is open.
-    pub fn record(&mut self, op: PassOp) {
-        self.current
-            .get_or_insert_with(|| PassPlan::new("untitled", self.caps))
-            .ops
-            .push(op);
-    }
-
-    /// Close the open plan, moving it to the finished list.
-    pub fn finish_current(&mut self) {
-        if let Some(plan) = self.current.take() {
-            if !plan.ops.is_empty() {
-                self.finished.push(plan);
-            }
-        }
-    }
-
-    /// Drain all finished plans (closing the open one first).
-    pub fn take_plans(&mut self) -> Vec<PassPlan> {
-        self.finish_current();
-        std::mem::take(&mut self.finished)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,34 +325,6 @@ mod tests {
         assert_eq!(program_name("# TestBit\nMOV R0;"), "TestBit");
         assert_eq!(program_name("MOV R0, R1;"), "anonymous");
         assert_eq!(program_name("#\n# Late: x\n"), "Late");
-    }
-
-    #[test]
-    fn recorder_groups_ops_into_plans() {
-        let mut rec = TraceRecorder::new(RecordMode::RecordAndExecute, caps());
-        rec.record(PassOp::ResetState);
-        rec.begin_plan("a");
-        rec.record(PassOp::ClearStencil { value: 0 });
-        rec.record(PassOp::BeginOcclusionQuery);
-        rec.begin_plan("b");
-        rec.record(PassOp::EndOcclusionQuery { sync: true });
-        let plans = rec.take_plans();
-        assert_eq!(plans.len(), 3);
-        assert_eq!(plans[0].label, "untitled");
-        assert_eq!(plans[1].label, "a");
-        assert_eq!(plans[1].ops.len(), 2);
-        assert_eq!(plans[2].label, "b");
-    }
-
-    #[test]
-    fn empty_plans_are_dropped() {
-        let mut rec = TraceRecorder::new(RecordMode::RecordOnly, caps());
-        rec.begin_plan("empty");
-        rec.begin_plan("full");
-        rec.record(PassOp::ResetState);
-        let plans = rec.take_plans();
-        assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].label, "full");
     }
 
     #[test]

@@ -113,22 +113,21 @@ proptest! {
         h in 1usize..12,
         depth in 0.0f32..1.0,
     ) {
-        use gpudb_sim::trace::RecordMode;
+        use gpudb_sim::{RecordMode, SpanKind};
         let mut gpu = Gpu::geforce_fx_5900(w, h);
         gpu.set_draw_color([0.25, 0.5, 0.75, 1.0]);
         gpu.draw_full_quad(0.0).unwrap();
         let pixels_before = gpu.read_color_buffer().unwrap();
         let counters_before = gpu.stats().counters();
 
-        gpu.enable_tracing(RecordMode::RecordOnly);
-        gpu.begin_plan("dry-run");
+        gpu.attach_log(RecordMode::RecordOnly);
+        gpu.span_begin(SpanKind::Operator, "dry-run");
         gpu.set_depth_test(true, CompareFunc::Greater);
         gpu.set_draw_color([1.0, 0.0, 0.0, 1.0]);
         gpu.begin_occlusion_query().unwrap();
         gpu.draw_full_quad(depth).unwrap();
         let count = gpu.end_occlusion_query().unwrap();
-        let plans = gpu.take_plans();
-        gpu.disable_tracing();
+        let plans = gpu.take_log().unwrap().plans_since(0);
 
         // The dry run recorded the plan but shaded nothing, counted
         // nothing and left framebuffer and counters untouched.

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use gpudb_core::stream::StreamWindow;
     pub use gpudb_core::table::GpuTable;
     pub use gpudb_core::{EngineError, EngineResult, Selection};
-    pub use gpudb_obs::{Span, SpanCollector, SpanTree};
-    pub use gpudb_sim::span::{SpanKind, SpanSink};
+    pub use gpudb_obs::{Span, SpanTree};
+    pub use gpudb_sim::span::SpanKind;
     pub use gpudb_sim::{
         CompareFunc, FaultClass, FaultEvent, FaultInjector, FaultKind, FaultStats, Gpu,
     };
