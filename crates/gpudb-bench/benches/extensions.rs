@@ -1,13 +1,11 @@
-//! Criterion benchmarks for the extension modules: DNF evaluation, OLAP
-//! histograms and roll-ups, out-of-core chunking, polynomial queries, and
-//! the §6.1 depth-compare-mask accumulator.
+//! Criterion benchmarks for the extensions beyond the paper's routines:
+//! DNF evaluation, polynomial queries, and the §6.1 depth-compare-mask
+//! accumulator.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gpudb_bench::harness::Workload;
 use gpudb_core::aggregate::{sum, sum_with_depth_mask};
 use gpudb_core::boolean::{eval_dnf_select, GpuDnf, GpuPredicate, GpuTerm};
-use gpudb_core::olap;
-use gpudb_core::out_of_core::ChunkedTable;
 use gpudb_core::semilinear::polynomial_select;
 use gpudb_core::table::GpuTable;
 use gpudb_sim::{CompareFunc, HardwareProfile};
@@ -36,59 +34,6 @@ fn bench_dnf(c: &mut Criterion) {
             eval_dnf_select(&mut w.gpu, table, &dnf).unwrap()
         })
     });
-    group.finish();
-}
-
-fn bench_olap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ext_olap");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(2));
-    let n = 16_384;
-    let mut w = Workload::tcpip(n).unwrap();
-    for buckets in [8usize, 32] {
-        group.bench_with_input(
-            BenchmarkId::new("histogram", buckets),
-            &buckets,
-            |b, &buckets| {
-                let edges = olap::equi_width_edges(0, (1 << 19) - 1, buckets);
-                b.iter(|| {
-                    let table = &w.table;
-                    olap::histogram(&mut w.gpu, table, 0, &edges).unwrap()
-                })
-            },
-        );
-    }
-    // Roll-up over a genuinely low-cardinality dimension (household size).
-    let census = gpudb_data::census::generate(n, 7);
-    let mut cw = Workload::from_dataset(census).unwrap();
-    group.bench_function("group_by_count_household", |b| {
-        b.iter(|| {
-            let table = &cw.table;
-            olap::group_by_count(&mut cw.gpu, table, 3).unwrap()
-        })
-    });
-    group.finish();
-}
-
-fn bench_out_of_core(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ext_out_of_core");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(2));
-    let dataset = gpudb_data::tcpip::generate(32_768, 7);
-    let values = &dataset.columns[0].values;
-    for chunk in [4_096usize, 16_384] {
-        group.bench_with_input(
-            BenchmarkId::new("chunked_sum", chunk),
-            &chunk,
-            |b, &chunk| {
-                let ct = ChunkedTable::new("t", vec![("a", values.as_slice())], chunk).unwrap();
-                let mut gpu = ct.device_for_chunks(128);
-                b.iter(|| ct.sum(&mut gpu, 0).unwrap())
-            },
-        );
-    }
     group.finish();
 }
 
@@ -137,8 +82,6 @@ fn bench_wishlist_accumulator(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dnf,
-    bench_olap,
-    bench_out_of_core,
     bench_polynomial,
     bench_wishlist_accumulator
 );

@@ -11,9 +11,9 @@
 //!             [--bless] [--no-gate] [--trace-out DIR] [--shards LIST]
 //! ```
 //!
-//! `--trace-out DIR` additionally re-runs every experiment with the device
-//! logged (cost-free; the gated report is untouched) and writes
-//! `<id>.trace.json` / `<id>.folded` / `<id>.spans.jsonl` per
+//! `--trace-out DIR` runs every experiment with the device logged
+//! (bit-passive: the gated report is the same as without it) and also
+//! writes `<id>.trace.json` / `<id>.folded` / `<id>.spans.jsonl` per
 //! experiment — see `docs/observability.md`.
 //!
 //! `--shards LIST` (e.g. `--shards 1,4,16`) switches to the shard
@@ -210,19 +210,16 @@ fn run() -> Result<ExitCode, String> {
     if !args.shards.is_empty() {
         return run_shard_matrix(&args);
     }
-    let report = smoke::run_all().map_err(|e| format!("smoke run failed: {e}"))?;
+    let (report, trees) =
+        smoke::run_all(args.trace_out.is_some()).map_err(|e| format!("smoke run failed: {e}"))?;
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("serialize: {e}"))?;
     std::fs::write(&args.out, &json).map_err(|e| format!("write {}: {e}", args.out.display()))?;
     println!("wrote {}", args.out.display());
 
     if let Some(dir) = &args.trace_out {
-        // Logging is cost-free, so these re-runs reproduce the
-        // gated report exactly; the traces are pure observability output.
-        for exp in &report.experiments {
-            let (_, _, tree) =
-                smoke::run_one_logged(&exp.id).map_err(|e| format!("trace run {}: {e}", exp.id))?;
-            let paths = traceout::write_all(dir, &exp.id, &tree)
-                .map_err(|e| format!("write traces for {}: {e}", exp.id))?;
+        for (id, tree) in &trees {
+            let paths = traceout::write_all(dir, id, tree)
+                .map_err(|e| format!("write traces for {id}: {e}"))?;
             println!("wrote {} ({} spans)", paths[0].display(), tree.span_count());
         }
     }

@@ -10,15 +10,15 @@
 //! against a checked-in baseline (`gpudb-bench/results/baselines/`).
 
 use crate::harness::Workload;
+use gpudb_core::aggregate;
 use gpudb_core::cpu_oracle::HostTable;
-use gpudb_core::metrics::{ops, MetricsLog, MetricsRecord};
+use gpudb_core::metrics::{observe, MetricsLog, MetricsRecord};
 use gpudb_core::query::{execute, Aggregate, BoolExpr, Query};
 use gpudb_core::{EngineResult, GpuCnf, GpuDnf, GpuPredicate, GpuTerm};
 use gpudb_obs::{SpanTree, TraceLevel};
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::trace::PassPlan;
-use gpudb_sim::CompareFunc;
-use gpudb_sim::RecordMode;
+use gpudb_sim::{CompareFunc, Gpu, RecordMode};
 use serde::{Deserialize, Serialize};
 
 /// Record count for smoke workloads — small enough that the whole suite
@@ -125,24 +125,46 @@ impl Outcome {
         }
     }
 
-    fn record<T>(&mut self, (value, record): (T, MetricsRecord)) -> T {
+    /// Run `op` under [`observe`] over the workload's records and keep
+    /// its metrics record.
+    fn observe<T>(
+        &mut self,
+        gpu: &mut Gpu,
+        operator: &str,
+        op: impl FnOnce(&mut Gpu) -> EngineResult<T>,
+    ) -> EngineResult<T> {
+        let (result, record) = observe(gpu, operator, SMOKE_RECORDS as u64, op);
+        let value = result?;
         self.metrics.push(record);
-        value
+        Ok(value)
     }
 }
 
-/// Run every smoke experiment and assemble the report.
-pub fn run_all() -> EngineResult<SmokeReport> {
+/// Run every smoke experiment once and assemble the report, plus (when
+/// `trace` is set) each experiment's pass-level span tree. Traced runs go
+/// through [`run_one_logged`]; logging is bit-passive, so the report is
+/// the same either way.
+pub fn run_all(trace: bool) -> EngineResult<(SmokeReport, Vec<(String, SpanTree)>)> {
     let mut experiments = Vec::with_capacity(SMOKE_EXPERIMENTS.len());
+    let mut trees = Vec::new();
     for id in SMOKE_EXPERIMENTS {
-        experiments.push(run_one(id)?);
+        if trace {
+            let (experiment, _, tree) = run_one_logged(id)?;
+            experiments.push(experiment);
+            trees.push((id.to_string(), tree));
+        } else {
+            experiments.push(run_one(id)?);
+        }
     }
-    Ok(SmokeReport {
-        schema_version: SCHEMA_VERSION,
-        seed: crate::harness::SEED,
-        records: SMOKE_RECORDS as u64,
-        experiments,
-    })
+    Ok((
+        SmokeReport {
+            schema_version: SCHEMA_VERSION,
+            seed: crate::harness::SEED,
+            records: SMOKE_RECORDS as u64,
+            experiments,
+        },
+        trees,
+    ))
 }
 
 /// Run a single smoke experiment by id.
@@ -214,7 +236,9 @@ fn copy(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
         for &v in w.dataset.columns[column].values.iter() {
             out.checksum.push_u32(v);
         }
-        out.record(ops::copy_to_depth_op(&mut w.gpu, &w.table, column)?);
+        out.observe(&mut w.gpu, "predicate/copy_to_depth", |gpu| {
+            gpudb_core::predicate::copy_to_depth(gpu, &w.table, column)
+        })?;
     }
     Ok(())
 }
@@ -225,7 +249,9 @@ fn predicate(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for op in [CompareFunc::Less, CompareFunc::GreaterEqual] {
         for tenth in [1u32, 3, 5, 7, 9] {
             let constant = max / 10 * tenth;
-            let count = out.record(ops::predicate_count(&mut w.gpu, &w.table, 0, op, constant)?);
+            let count = out.observe(&mut w.gpu, "predicate/compare_count", |gpu| {
+                gpudb_core::predicate::compare_count(gpu, &w.table, 0, op, constant)
+            })?;
             out.checksum.push_u64(count);
         }
     }
@@ -238,7 +264,9 @@ fn range(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for (lo_tenth, hi_tenth) in [(1u32, 2u32), (2, 5), (1, 8), (4, 6)] {
         let low = max / 10 * lo_tenth;
         let high = max / 10 * hi_tenth;
-        let count = out.record(ops::range_count_op(&mut w.gpu, &w.table, 0, low, high)?);
+        let count = out.observe(&mut w.gpu, "range/range_count", |gpu| {
+            gpudb_core::range::range_count(gpu, &w.table, 0, low, high)
+        })?;
         out.checksum.push_u64(count);
     }
     Ok(())
@@ -254,14 +282,18 @@ fn multiattr(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     ];
     for k in 1..=preds.len() {
         let cnf = GpuCnf::all_of(preds[..k].to_vec());
-        let count = out.record(ops::cnf_count(&mut w.gpu, &w.table, &cnf)?);
+        let count = out.observe(&mut w.gpu, "boolean/eval_cnf_count", |gpu| {
+            gpudb_core::boolean::eval_cnf_count(gpu, &w.table, &cnf)
+        })?;
         out.checksum.push_u64(count);
     }
     let dnf = GpuDnf::new(vec![
         GpuTerm::all(vec![preds[0], preds[1]]),
         GpuTerm::single(GpuPredicate::new(2, CompareFunc::Greater, 50_000)),
     ]);
-    let count = out.record(ops::dnf_count(&mut w.gpu, &w.table, &dnf)?);
+    let count = out.observe(&mut w.gpu, "boolean/eval_dnf_count", |gpu| {
+        gpudb_core::boolean::eval_dnf_count(gpu, &w.table, &dnf)
+    })?;
     out.checksum.push_u64(count);
     Ok(())
 }
@@ -274,13 +306,9 @@ fn semilinear(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
         (&[1.0, 1.0, 1.0, 1.0], CompareFunc::GreaterEqual, 60_000.0),
     ];
     for (coefficients, op, constant) in cases {
-        let count = out.record(ops::semilinear_count_op(
-            &mut w.gpu,
-            &w.table,
-            coefficients,
-            op,
-            constant,
-        )?);
+        let count = out.observe(&mut w.gpu, "semilinear/semilinear_count", |gpu| {
+            gpudb_core::semilinear::semilinear_count(gpu, &w.table, coefficients, op, constant)
+        })?;
         out.checksum.push_u64(count);
     }
     Ok(())
@@ -289,7 +317,9 @@ fn semilinear(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
 /// Figure 7: k-th largest at a sweep of k.
 fn kth(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for k in [1usize, 10, 100, SMOKE_RECORDS / 2] {
-        let value = out.record(ops::kth_largest_op(&mut w.gpu, &w.table, 0, k, None)?);
+        let value = out.observe(&mut w.gpu, "aggregate/kth_largest", |gpu| {
+            aggregate::kth_largest(gpu, &w.table, 0, k, None)
+        })?;
         out.checksum.push_u32(value);
     }
     Ok(())
@@ -298,7 +328,9 @@ fn kth(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
 /// Figure 8: median of every attribute.
 fn median(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for column in 0..w.table.column_count() {
-        let value = out.record(ops::median_op(&mut w.gpu, &w.table, column, None)?);
+        let value = out.observe(&mut w.gpu, "aggregate/median", |gpu| {
+            aggregate::median(gpu, &w.table, column, None)
+        })?;
         out.checksum.push_u32(value);
     }
     Ok(())
@@ -307,23 +339,14 @@ fn median(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
 /// Figure 9: k-th largest within a range selection.
 fn kth_selective(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     let max = (1u32 << 19) - 1;
-    let (sel_result, sel_record) = gpudb_core::metrics::observe(
-        &mut w.gpu,
-        "range/range_select",
-        SMOKE_RECORDS as u64,
-        |gpu| gpudb_core::range::range_select(gpu, &w.table, 0, max / 10, max / 2),
-    );
-    let (selection, matched) = sel_result?;
-    out.metrics.push(sel_record);
+    let (selection, matched) = out.observe(&mut w.gpu, "range/range_select", |gpu| {
+        gpudb_core::range::range_select(gpu, &w.table, 0, max / 10, max / 2)
+    })?;
     out.checksum.push_u64(matched);
     for k in [1usize, 25] {
-        let value = out.record(ops::kth_largest_op(
-            &mut w.gpu,
-            &w.table,
-            0,
-            k,
-            Some(&selection),
-        )?);
+        let value = out.observe(&mut w.gpu, "aggregate/kth_largest", |gpu| {
+            aggregate::kth_largest(gpu, &w.table, 0, k, Some(&selection))
+        })?;
         out.checksum.push_u32(value);
     }
     Ok(())
@@ -332,7 +355,9 @@ fn kth_selective(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
 /// Figure 10: bitwise-accumulator SUM and AVG.
 fn accumulator(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for column in [0usize, 2] {
-        let sum = out.record(ops::accumulator_sum(&mut w.gpu, &w.table, column, None)?);
+        let sum = out.observe(&mut w.gpu, "aggregate/accumulator_sum", |gpu| {
+            aggregate::sum(gpu, &w.table, column, None)
+        })?;
         out.checksum.push_u64(sum);
     }
     Ok(())
@@ -372,16 +397,13 @@ fn cnf_fusion_ablation(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> 
         GpuPredicate::new(1, CompareFunc::Less, 500),
         GpuPredicate::new(2, CompareFunc::Greater, 2_000),
     ]);
-    let (unfused_result, unfused_record) = gpudb_core::metrics::observe(
-        &mut w.gpu,
-        "boolean/eval_cnf_unfused",
-        SMOKE_RECORDS as u64,
-        |gpu| gpudb_core::boolean::eval_cnf_select_unfused(gpu, &w.table, &cnf).map(|(_, c)| c),
-    );
-    let unfused = unfused_result?;
-    out.metrics.push(unfused_record);
+    let unfused = out.observe(&mut w.gpu, "boolean/eval_cnf_unfused", |gpu| {
+        gpudb_core::boolean::eval_cnf_select_unfused(gpu, &w.table, &cnf).map(|(_, c)| c)
+    })?;
     out.checksum.push_u64(unfused);
-    let fused = out.record(ops::cnf_count(&mut w.gpu, &w.table, &cnf)?);
+    let fused = out.observe(&mut w.gpu, "boolean/eval_cnf_count", |gpu| {
+        gpudb_core::boolean::eval_cnf_count(gpu, &w.table, &cnf)
+    })?;
     out.checksum.push_u64(fused);
     Ok(())
 }
@@ -640,25 +662,28 @@ mod tests {
 
     #[test]
     fn logged_run_is_bit_identical_and_captures_plans_and_spans() {
-        let (logged, plans, tree) = run_one_logged("fig4_range").unwrap();
-        let plain = run_one("fig4_range").unwrap();
-        // Logging must not perturb results, metrics or modeled cost.
-        assert_eq!(logged, plain);
-        assert!(plans.iter().any(|p| p.draw_count() > 0));
+        for id in SMOKE_EXPERIMENTS {
+            let (logged, plans, tree) = run_one_logged(id).unwrap();
+            let plain = run_one(id).unwrap();
+            // Logging must not perturb results, metrics or modeled cost.
+            assert_eq!(logged, plain, "{id}");
+            assert!(plans.iter().any(|p| p.draw_count() > 0), "{id}");
+            assert_eq!(tree.roots.len(), 1, "{id}");
+            assert_eq!(tree.roots[0].name, id);
+            // One operator span per metrics record, in order.
+            let ops = tree.spans_of_kind(SpanKind::Operator);
+            assert_eq!(ops.len(), plain.metrics.len(), "{id}");
+            for (span, record) in ops.iter().zip(&plain.metrics) {
+                assert_eq!(span.name, record.operator, "{id}");
+            }
+        }
+        let (_, plans, tree) = run_one_logged("fig4_range").unwrap();
         // Plans carry the operator labels the metrics hook assigns.
         assert!(
             plans.iter().any(|p| p.label.starts_with("range/")),
             "{:?}",
             plans.iter().map(|p| &p.label).collect::<Vec<_>>()
         );
-        assert_eq!(tree.roots.len(), 1);
-        assert_eq!(tree.roots[0].name, "fig4_range");
-        // One operator span per metrics record, in order.
-        let ops = tree.spans_of_kind(SpanKind::Operator);
-        assert_eq!(ops.len(), plain.metrics.len());
-        for (span, record) in ops.iter().zip(&plain.metrics) {
-            assert_eq!(span.name, record.operator);
-        }
         // Two logged runs export byte-identical traces.
         let (_, _, tree2) = run_one_logged("fig4_range").unwrap();
         assert_eq!(

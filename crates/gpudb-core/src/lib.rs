@@ -15,12 +15,6 @@
 //!   (Routine 4.5), the bitwise `Accumulator` (Routine 4.6), and the
 //!   rejected mipmap-SUM alternative;
 //! * [`selection`] — the stencil buffer as a composable record mask;
-//! * [`out_of_core`] — chunked execution for tables larger than video
-//!   memory (§6.1);
-//! * [`olap`] — histograms and GROUP BY roll-ups built from the paper's
-//!   primitives (the §7 OLAP future work);
-//! * [`stream`] — sliding-window continuous queries (§7: "continuous
-//!   queries over streams");
 //! * [`metrics`] — structured per-operator metrics records (work
 //!   counters + the device's integer-nanosecond phase times, with the
 //!   paper's "with copy" / "computation only" split) backing the
@@ -66,9 +60,7 @@ pub mod boolean;
 pub mod cpu_oracle;
 pub mod error;
 pub mod metrics;
-pub mod olap;
 pub mod ops;
-pub mod out_of_core;
 pub mod parallel;
 pub mod predicate;
 pub mod query;
@@ -77,7 +69,6 @@ pub mod resilience;
 pub mod selection;
 pub mod semilinear;
 pub mod sort;
-pub mod stream;
 pub mod table;
 
 pub use boolean::{GpuClause, GpuCnf, GpuDnf, GpuPredicate, GpuTerm};

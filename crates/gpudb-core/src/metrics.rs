@@ -9,12 +9,9 @@
 //! records — the property the perf-regression harness in `gpudb-bench`
 //! is built on.
 //!
-//! [`ops`] provides instrumented entry points for each operator family of
-//! the paper (predicate, range, CNF/DNF, semi-linear, k-th, accumulator);
-//! the query executor emits one record per plan stage into
+//! The query executor emits one record per plan stage into
 //! [`crate::query::QueryOutput::metrics`].
 
-use crate::error::EngineResult;
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::{Gpu, PhaseNanos, WorkCounters};
 use serde::{Deserialize, Serialize};
@@ -156,151 +153,12 @@ pub struct OperatorSummary {
     pub modeled_ns: PhaseNanos,
 }
 
-/// Instrumented entry points for the paper's operator families. Each is a
-/// thin wrapper over the corresponding primitive that also returns the
-/// operation's [`MetricsRecord`].
-pub mod ops {
-    use super::{observe, MetricsRecord};
-    use crate::aggregate;
-    use crate::boolean::{eval_cnf_count, eval_dnf_count, GpuCnf, GpuDnf};
-    use crate::predicate::{compare_count, copy_to_depth};
-    use crate::range::range_count;
-    use crate::selection::Selection;
-    use crate::semilinear::semilinear_count;
-    use crate::table::GpuTable;
-    use gpudb_sim::{CompareFunc, Gpu};
-
-    use super::EngineResult;
-
-    /// Hoist the `EngineResult` out of an `observe` closure's return value.
-    fn lift<T>(
-        (result, record): (EngineResult<T>, MetricsRecord),
-    ) -> EngineResult<(T, MetricsRecord)> {
-        result.map(|value| (value, record))
-    }
-
-    /// Instrumented `CopyToDepth` (Routine 4.1's setup step).
-    pub fn copy_to_depth_op(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        column: usize,
-    ) -> EngineResult<((), MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "predicate/copy_to_depth", n, |gpu| {
-            copy_to_depth(gpu, table, column)
-        }))
-    }
-
-    /// Instrumented predicate count (Routine 4.1).
-    pub fn predicate_count(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        column: usize,
-        op: CompareFunc,
-        constant: u32,
-    ) -> EngineResult<(u64, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "predicate/compare_count", n, |gpu| {
-            compare_count(gpu, table, column, op, constant)
-        }))
-    }
-
-    /// Instrumented range count (Routine 4.4, depth-bounds test).
-    pub fn range_count_op(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        column: usize,
-        low: u32,
-        high: u32,
-    ) -> EngineResult<(u64, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "range/range_count", n, |gpu| {
-            range_count(gpu, table, column, low, high)
-        }))
-    }
-
-    /// Instrumented CNF evaluation (Routine 4.3).
-    pub fn cnf_count(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        cnf: &GpuCnf,
-    ) -> EngineResult<(u64, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "boolean/eval_cnf_count", n, |gpu| {
-            eval_cnf_count(gpu, table, cnf)
-        }))
-    }
-
-    /// Instrumented DNF evaluation.
-    pub fn dnf_count(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        dnf: &GpuDnf,
-    ) -> EngineResult<(u64, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "boolean/eval_dnf_count", n, |gpu| {
-            eval_dnf_count(gpu, table, dnf)
-        }))
-    }
-
-    /// Instrumented semi-linear query count (Routine 4.2).
-    pub fn semilinear_count_op(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        coefficients: &[f32],
-        op: CompareFunc,
-        constant: f32,
-    ) -> EngineResult<(u64, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "semilinear/semilinear_count", n, |gpu| {
-            semilinear_count(gpu, table, coefficients, op, constant)
-        }))
-    }
-
-    /// Instrumented k-th largest (Routine 4.5, bit descent).
-    pub fn kth_largest_op(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        column: usize,
-        k: usize,
-        selection: Option<&Selection>,
-    ) -> EngineResult<(u32, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "aggregate/kth_largest", n, |gpu| {
-            aggregate::kth_largest(gpu, table, column, k, selection)
-        }))
-    }
-
-    /// Instrumented median (k-th at the selection midpoint).
-    pub fn median_op(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        column: usize,
-        selection: Option<&Selection>,
-    ) -> EngineResult<(u32, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "aggregate/median", n, |gpu| {
-            aggregate::median(gpu, table, column, selection)
-        }))
-    }
-
-    /// Instrumented bitwise-accumulator SUM (Routine 4.6).
-    pub fn accumulator_sum(
-        gpu: &mut Gpu,
-        table: &GpuTable,
-        column: usize,
-        selection: Option<&Selection>,
-    ) -> EngineResult<(u64, MetricsRecord)> {
-        let n = table.record_count() as u64;
-        lift(observe(gpu, "aggregate/accumulator_sum", n, |gpu| {
-            aggregate::sum(gpu, table, column, selection)
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate;
+    use crate::predicate::{compare_count, copy_to_depth};
+    use crate::range::range_count;
     use crate::table::GpuTable;
     use gpudb_sim::CompareFunc;
 
@@ -314,15 +172,18 @@ mod tests {
     #[test]
     fn observe_attributes_work_to_the_operator() {
         let (mut gpu, t, values) = setup(400);
-        let ((), before_record) = ops::copy_to_depth_op(&mut gpu, &t, 0).unwrap();
+        let ((), before_record) = observe(&mut gpu, "predicate/copy_to_depth", 400, |gpu| {
+            copy_to_depth(gpu, &t, 0).unwrap()
+        });
         assert_eq!(before_record.operator, "predicate/copy_to_depth");
         assert_eq!(before_record.input_records, 400);
         assert!(before_record.counters.fragments_generated >= 400);
         assert!(before_record.modeled_ns.copy_to_depth > 0);
         assert_eq!(before_record.modeled_ns.upload, 0);
 
-        let (count, record) =
-            ops::predicate_count(&mut gpu, &t, 0, CompareFunc::Less, 250).unwrap();
+        let (count, record) = observe(&mut gpu, "predicate/compare_count", 400, |gpu| {
+            compare_count(gpu, &t, 0, CompareFunc::Less, 250).unwrap()
+        });
         assert_eq!(count, values.iter().filter(|&&v| v < 250).count() as u64);
         assert!(record.counters.draw_calls > 0);
         assert!(record.modeled_total_ns() > 0);
@@ -333,10 +194,18 @@ mod tests {
     fn records_are_deterministic_across_runs() {
         let run = || {
             let (mut gpu, t, _) = setup(300);
-            let (_, a) = ops::predicate_count(&mut gpu, &t, 0, CompareFunc::Greater, 100).unwrap();
-            let (_, b) = ops::range_count_op(&mut gpu, &t, 0, 50, 350).unwrap();
-            let (_, c) = ops::kth_largest_op(&mut gpu, &t, 0, 7, None).unwrap();
-            let (_, d) = ops::accumulator_sum(&mut gpu, &t, 0, None).unwrap();
+            let (_, a) = observe(&mut gpu, "predicate/compare_count", 300, |gpu| {
+                compare_count(gpu, &t, 0, CompareFunc::Greater, 100).unwrap()
+            });
+            let (_, b) = observe(&mut gpu, "range/range_count", 300, |gpu| {
+                range_count(gpu, &t, 0, 50, 350).unwrap()
+            });
+            let (_, c) = observe(&mut gpu, "aggregate/kth_largest", 300, |gpu| {
+                aggregate::kth_largest(gpu, &t, 0, 7, None).unwrap()
+            });
+            let (_, d) = observe(&mut gpu, "aggregate/accumulator_sum", 300, |gpu| {
+                aggregate::sum(gpu, &t, 0, None).unwrap()
+            });
             (a, b, c, d)
         };
         assert_eq!(run(), run());
@@ -347,8 +216,12 @@ mod tests {
         let (mut gpu, t, _) = setup(200);
         let mut log = MetricsLog::new();
         assert!(log.is_empty());
-        let (_, r1) = ops::predicate_count(&mut gpu, &t, 0, CompareFunc::Less, 100).unwrap();
-        let (_, r2) = ops::range_count_op(&mut gpu, &t, 0, 10, 90).unwrap();
+        let (_, r1) = observe(&mut gpu, "predicate/compare_count", 200, |gpu| {
+            compare_count(gpu, &t, 0, CompareFunc::Less, 100).unwrap()
+        });
+        let (_, r2) = observe(&mut gpu, "range/range_count", 200, |gpu| {
+            range_count(gpu, &t, 0, 10, 90).unwrap()
+        });
         let sum = r1.modeled_total_ns() + r2.modeled_total_ns();
         log.push(r1);
         log.push(r2);
@@ -364,11 +237,17 @@ mod tests {
     fn by_operator_merges_in_first_appearance_order() {
         let (mut gpu, t, _) = setup(200);
         let mut log = MetricsLog::new();
-        let (_, r) = ops::predicate_count(&mut gpu, &t, 0, CompareFunc::Less, 100).unwrap();
+        let (_, r) = observe(&mut gpu, "predicate/compare_count", 200, |gpu| {
+            compare_count(gpu, &t, 0, CompareFunc::Less, 100).unwrap()
+        });
         log.push(r);
-        let (_, r) = ops::range_count_op(&mut gpu, &t, 0, 10, 90).unwrap();
+        let (_, r) = observe(&mut gpu, "range/range_count", 200, |gpu| {
+            range_count(gpu, &t, 0, 10, 90).unwrap()
+        });
         log.push(r);
-        let (_, r) = ops::predicate_count(&mut gpu, &t, 0, CompareFunc::Greater, 50).unwrap();
+        let (_, r) = observe(&mut gpu, "predicate/compare_count", 200, |gpu| {
+            compare_count(gpu, &t, 0, CompareFunc::Greater, 50).unwrap()
+        });
         log.push(r);
 
         let summary = log.by_operator();
@@ -389,7 +268,9 @@ mod tests {
     #[test]
     fn serialization_round_trips() {
         let (mut gpu, t, _) = setup(150);
-        let (_, record) = ops::predicate_count(&mut gpu, &t, 0, CompareFunc::Equal, 37).unwrap();
+        let (_, record) = observe(&mut gpu, "predicate/compare_count", 150, |gpu| {
+            compare_count(gpu, &t, 0, CompareFunc::Equal, 37).unwrap()
+        });
         let json = serde_json::to_string(&record).unwrap();
         let back: MetricsRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, record);

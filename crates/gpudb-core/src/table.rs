@@ -200,20 +200,6 @@ impl GpuTable {
         &self.rects
     }
 
-    /// Override a column's recorded bit width (the `b_max` driving the
-    /// bitwise algorithms). Needed when texel contents change after upload
-    /// (e.g. streaming sub-image updates) so that pass counts stay correct.
-    /// Clamped to the 24-bit encoding limit; widening is always safe
-    /// (extra passes count empty bit planes).
-    pub fn override_column_bits(&mut self, column: usize, bits: u32) -> EngineResult<()> {
-        let meta = self
-            .columns
-            .get_mut(column)
-            .ok_or(EngineError::ColumnIndexOutOfRange(column))?;
-        meta.bits = bits.min(ATTRIBUTE_BITS);
-        Ok(())
-    }
-
     /// Release the table's textures from the device.
     pub fn free(self, gpu: &mut Gpu) -> EngineResult<()> {
         for id in self.textures {

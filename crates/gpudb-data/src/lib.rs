@@ -13,6 +13,9 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// Generators must not panic on a caller's input: unwrap is banned in
+// library code (tests may unwrap freely).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod census;
 pub mod dataset;

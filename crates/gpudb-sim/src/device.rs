@@ -372,32 +372,6 @@ impl Gpu {
             .ok_or(GpuError::InvalidTexture(id.0))
     }
 
-    /// Replace a rectangular region of a texture (costed as an upload).
-    pub fn update_texture_sub_image(
-        &mut self,
-        id: TextureId,
-        x: usize,
-        y: usize,
-        width: usize,
-        height: usize,
-        data: &[f32],
-    ) -> GpuResult<()> {
-        let tex = self
-            .textures
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
-            .ok_or(GpuError::InvalidTexture(id.0))?;
-        Arc::make_mut(tex).update_sub_image(x, y, width, height, data)?;
-        let bytes = data.len() as u64 * 4;
-        self.span_begin(SpanKind::Upload, "upload:subimage");
-        self.stats.bytes_uploaded += bytes;
-        self.stats
-            .modeled
-            .add(self.phase, self.profile.upload_ns(bytes));
-        self.span_end();
-        Ok(())
-    }
-
     /// Bind a texture to an image unit (or unbind with `None`).
     pub fn bind_texture(&mut self, unit: usize, id: Option<TextureId>) -> GpuResult<()> {
         if unit >= NUM_TEXTURE_UNITS {
@@ -1205,11 +1179,22 @@ mod tests {
         gpu.set_depth_test(true, CompareFunc::Always);
         gpu.set_depth_write(true);
         gpu.draw_full_quad(0.0).unwrap();
-        // A finished draw keeps no reference, so the update copies nothing.
+        // A finished draw keeps no reference, so the copy below writes the
+        // texture in place.
         let slot = gpu.textures[id.0 as usize].as_ref().unwrap();
         assert_eq!(Arc::strong_count(slot), 1);
-        gpu.update_texture_sub_image(id, 3, 40, 2, 1, &[5.0, 7.0])
-            .unwrap();
+        // Stage two texels in the color buffer with fixed-function quads,
+        // then copy the whole framebuffer over the texture.
+        gpu.bind_program(None);
+        gpu.set_depth_write(false);
+        gpu.clear_color([0.0; 4]);
+        for (x, value) in [(3, 5.0), (4, 7.0)] {
+            gpu.set_draw_color([value, 0.0, 0.0, 1.0]);
+            gpu.draw_quad(&[Rect::new(x, 40, 1, 1)], 0.0).unwrap();
+        }
+        gpu.copy_color_to_texture(id, 0, 0, w, h).unwrap();
+        gpu.bind_program(Some(builtin::copy_to_depth()));
+        gpu.set_depth_write(true);
         gpu.draw_full_quad(0.0).unwrap();
         let depth = gpu.read_depth_buffer_raw().unwrap();
         assert_eq!(&depth[40 * w + 2..40 * w + 6], &[0, 5, 7, 0]);

@@ -176,38 +176,10 @@ impl Texture {
         &self.data
     }
 
-    /// Mutable raw texel storage, used by sub-image updates.
+    /// Mutable raw texel storage, used by color-to-texture copies.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Overwrite a rectangular sub-region (like `glTexSubImage2D`).
-    pub fn update_sub_image(
-        &mut self,
-        x: usize,
-        y: usize,
-        width: usize,
-        height: usize,
-        data: &[f32],
-    ) -> GpuResult<()> {
-        let c = self.format.channels();
-        if x + width > self.width || y + height > self.height {
-            return Err(GpuError::InvalidTextureSize { width, height });
-        }
-        let expected = width * height * c;
-        if data.len() != expected {
-            return Err(GpuError::TextureDataMismatch {
-                expected,
-                actual: data.len(),
-            });
-        }
-        for row in 0..height {
-            let src = &data[row * width * c..(row + 1) * width * c];
-            let dst_base = ((y + row) * self.width + x) * c;
-            self.data[dst_base..dst_base + width * c].copy_from_slice(src);
-        }
-        Ok(())
     }
 }
 
@@ -290,19 +262,6 @@ mod tests {
         assert_eq!(tex.fetch(1, 0), [4.0, 5.0, 6.0, 7.0]);
         assert_eq!(tex.fetch(0, 1), [8.0, 9.0, 10.0, 11.0]);
         assert_eq!(tex.fetch(1, 1), [12.0, 13.0, 14.0, 15.0]);
-    }
-
-    #[test]
-    fn sub_image_update() {
-        let mut tex = Texture::zeroed(4, 4, TextureFormat::R).unwrap();
-        tex.update_sub_image(1, 1, 2, 2, &[1.0, 2.0, 3.0, 4.0])
-            .unwrap();
-        assert_eq!(tex.fetch_channel(1, 1, 0), 1.0);
-        assert_eq!(tex.fetch_channel(2, 1, 0), 2.0);
-        assert_eq!(tex.fetch_channel(1, 2, 0), 3.0);
-        assert_eq!(tex.fetch_channel(2, 2, 0), 4.0);
-        assert_eq!(tex.fetch_channel(0, 0, 0), 0.0);
-        assert!(tex.update_sub_image(3, 3, 2, 2, &[0.0; 4]).is_err());
     }
 
     #[test]

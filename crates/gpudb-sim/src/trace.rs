@@ -31,7 +31,7 @@ impl ProgramInfo {
     /// Build a snapshot from an assembled program.
     pub fn of(program: &FragmentProgram) -> ProgramInfo {
         ProgramInfo {
-            name: program_name(&program.source),
+            name: program.name.clone(),
             instructions: program.instructions.len(),
             writes_depth: program.writes_depth,
             has_kil: program.has_kil,
@@ -325,6 +325,10 @@ mod tests {
         assert_eq!(program_name("# TestBit\nMOV R0;"), "TestBit");
         assert_eq!(program_name("MOV R0, R1;"), "anonymous");
         assert_eq!(program_name("#\n# Late: x\n"), "Late");
+        // Assembly names the program once; snapshots copy that name.
+        let testbit = crate::program::builtin::test_bit();
+        assert_eq!(testbit.name, program_name(&testbit.source));
+        assert_eq!(ProgramInfo::of(&testbit).name, "TestBit");
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub mod prelude {
     pub use gpudb_core::aggregate;
     pub use gpudb_core::boolean::{GpuClause, GpuCnf, GpuDnf, GpuPredicate, GpuTerm};
     pub use gpudb_core::cpu_oracle::{self, HostTable, OracleOutput};
-    pub use gpudb_core::olap;
-    pub use gpudb_core::out_of_core::ChunkedTable;
     pub use gpudb_core::parallel::{
         execute_sharded, execute_sharded_with_faults, ShardOptions, ShardReport, ShardRun,
         ShardedOutput,
@@ -68,7 +66,6 @@ pub mod prelude {
         execute_resilient, ResiliencePath, ResilienceReport, ResilientOutput, RetryPolicy,
     };
     pub use gpudb_core::semilinear::{compare_attributes, semilinear_select};
-    pub use gpudb_core::stream::StreamWindow;
     pub use gpudb_core::table::GpuTable;
     pub use gpudb_core::{EngineError, EngineResult, Selection};
     pub use gpudb_obs::{Span, SpanTree};

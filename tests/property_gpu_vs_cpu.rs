@@ -275,66 +275,6 @@ proptest! {
     }
 
     #[test]
-    fn histogram_partitions_the_domain(
-        values in prop::collection::vec(0u32..10_000, 1..200),
-        buckets in 1usize..12,
-    ) {
-        use gpudb::core::olap;
-        let (mut gpu, table) = upload(&values);
-        let min = *values.iter().min().unwrap();
-        let max = *values.iter().max().unwrap();
-        let edges = olap::equi_width_edges(min, max, buckets);
-        let result = olap::histogram(&mut gpu, &table, 0, &edges).unwrap();
-        // Every record lands in exactly one bucket.
-        let total: u64 = result.iter().map(|b| b.count).sum();
-        prop_assert_eq!(total, values.len() as u64);
-        for b in &result {
-            let expected = values.iter().filter(|&&v| v >= b.low && v <= b.high).count() as u64;
-            prop_assert_eq!(b.count, expected);
-        }
-    }
-
-    #[test]
-    fn group_by_counts_partition(
-        values in prop::collection::vec(0u32..12, 1..150),
-    ) {
-        use gpudb::core::olap;
-        let (mut gpu, table) = upload(&values);
-        let groups = olap::group_by_count(&mut gpu, &table, 0).unwrap();
-        let total: u64 = groups.iter().map(|&(_, c)| c).sum();
-        prop_assert_eq!(total, values.len() as u64);
-        for &(v, c) in &groups {
-            prop_assert_eq!(c, values.iter().filter(|&&x| x == v).count() as u64);
-            prop_assert!(c > 0, "empty groups must be omitted");
-        }
-    }
-
-    #[test]
-    fn chunked_execution_equals_in_core(
-        values in prop::collection::vec(0u32..100_000, 1..400),
-        chunk in 1usize..100,
-    ) {
-        use gpudb::core::out_of_core::ChunkedTable;
-        let ct = ChunkedTable::new("t", vec![("a", values.as_slice())], chunk).unwrap();
-        let mut gpu = ct.device_for_chunks(16);
-        prop_assert_eq!(
-            ct.sum(&mut gpu, 0).unwrap(),
-            values.iter().map(|&v| v as u64).sum::<u64>()
-        );
-        prop_assert_eq!(
-            ct.count(&mut gpu, 0, CompareFunc::GreaterEqual, 50_000).unwrap(),
-            values.iter().filter(|&&v| v >= 50_000).count() as u64
-        );
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        let k = 1 + values.len() / 3;
-        prop_assert_eq!(
-            ct.kth_largest(&mut gpu, 0, k).unwrap(),
-            sorted[sorted.len() - k]
-        );
-    }
-
-    #[test]
     fn polynomial_query_counts_match(
         values in prop::collection::vec((0u32..300, 0u32..300), 1..120),
         q in (-2.0f32..2.0, -2.0f32..2.0),
