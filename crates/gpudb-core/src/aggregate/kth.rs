@@ -16,7 +16,7 @@ use gpudb_sim::{CompareFunc, Gpu, Phase, StencilOp};
 
 /// Restrict subsequent comparison passes to the selection, if any:
 /// the stencil test passes only on selected pixels and never writes.
-fn apply_selection_mask(gpu: &mut Gpu, selection: Option<&Selection>) {
+pub(crate) fn apply_selection_mask(gpu: &mut Gpu, selection: Option<&Selection>) {
     if selection.is_some() {
         gpu.set_stencil_func(true, CompareFunc::Equal, SELECTED, 0xFF);
         gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Keep);
@@ -57,21 +57,6 @@ pub fn kth_largest(
     }
     let bits = table.column(column)?.bits;
     copy_to_depth(gpu, table, column)?;
-    let x = bit_descent(gpu, table, k, bits, selection)?;
-    gpu.reset_state();
-    Ok(x)
-}
-
-/// The per-bit binary search of Routine 4.5, assuming the attribute is
-/// already in the depth buffer. Shared by the single and batched entry
-/// points.
-fn bit_descent(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    k: usize,
-    bits: u32,
-    selection: Option<&Selection>,
-) -> EngineResult<u32> {
     gpu.set_phase(Phase::Compute);
     apply_selection_mask(gpu, selection);
     let mut x = 0u32;
@@ -93,34 +78,8 @@ fn bit_descent(
         // untouched, but keep the invariant explicit).
         apply_selection_mask(gpu, selection);
     }
-    Ok(x)
-}
-
-/// Compute several order statistics of the same column with a single
-/// `CopyToDepth`: the bit descents never write depth, so the copied
-/// attribute survives across them. For `q` quantiles this saves `q - 1`
-/// copy passes — the same amortization that makes `compare_many` cheap.
-pub fn kth_largest_many(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    column: usize,
-    ks: &[usize],
-    selection: Option<&Selection>,
-) -> EngineResult<Vec<u32>> {
-    let available = domain_count(gpu, table, selection)?;
-    for &k in ks {
-        if k == 0 || k as u64 > available {
-            return Err(EngineError::InvalidK { k, available });
-        }
-    }
-    let bits = table.column(column)?.bits;
-    copy_to_depth(gpu, table, column)?;
-    let mut out = Vec::with_capacity(ks.len());
-    for &k in ks {
-        out.push(bit_descent(gpu, table, k, bits, selection)?);
-    }
     gpu.reset_state();
-    Ok(out)
+    Ok(x)
 }
 
 /// The k-th smallest value (1-based), via the rank identity
@@ -179,21 +138,6 @@ pub fn median(
         (available as usize).div_ceil(2),
         selection,
     )
-}
-
-/// Select the top-k records of a column: find the k-th largest value with
-/// the bit descent, then materialize `attribute >= v_k` as a selection —
-/// one extra comparison pass. With duplicates at the threshold the
-/// selection may exceed `k` records (ties are all included); the returned
-/// count reports the actual size.
-pub fn top_k_select(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    column: usize,
-    k: usize,
-) -> EngineResult<(crate::selection::Selection, u64)> {
-    let threshold = kth_largest(gpu, table, column, k, None)?;
-    crate::predicate::compare_select(gpu, table, column, CompareFunc::GreaterEqual, threshold)
 }
 
 /// The p-th percentile (0.0–1.0) by nearest rank.
@@ -358,82 +302,6 @@ mod tests {
         let masked_fragments = gpu.stats().fragments_generated;
         let per_pass = values.len() as u64;
         assert_eq!(masked_fragments, unmasked_fragments + per_pass);
-    }
-
-    #[test]
-    fn batched_kth_shares_one_copy() {
-        let values: Vec<u32> = (0..200u32).map(|i| (i * 37) % 512).collect();
-        let (mut gpu, t) = setup(&values);
-        let ks = [1usize, 20, 100, 200];
-
-        gpu.reset_stats();
-        let batched = kth_largest_many(&mut gpu, &t, 0, &ks, None).unwrap();
-        let batched_shaded = gpu.stats().fragments_shaded;
-
-        let mut singles = Vec::new();
-        gpu.reset_stats();
-        for &k in &ks {
-            singles.push(kth_largest(&mut gpu, &t, 0, k, None).unwrap());
-        }
-        let single_shaded = gpu.stats().fragments_shaded;
-
-        assert_eq!(batched, singles);
-        // One copy instead of four.
-        assert_eq!(batched_shaded, 200);
-        assert_eq!(single_shaded, 200 * 4);
-
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        for (&k, &v) in ks.iter().zip(&batched) {
-            assert_eq!(v, sorted[sorted.len() - k], "k = {k}");
-        }
-    }
-
-    #[test]
-    fn batched_kth_validates_all_ranks_first() {
-        let values: Vec<u32> = (0..10).collect();
-        let (mut gpu, t) = setup(&values);
-        assert!(matches!(
-            kth_largest_many(&mut gpu, &t, 0, &[1, 11], None).unwrap_err(),
-            EngineError::InvalidK { k: 11, .. }
-        ));
-        assert!(kth_largest_many(&mut gpu, &t, 0, &[], None)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn top_k_selects_largest_records() {
-        let values: Vec<u32> = (0..100u32)
-            .map(|i| i.wrapping_mul(2654435761) % 10_000)
-            .collect();
-        let (mut gpu, t) = setup(&values);
-        let (sel, count) = top_k_select(&mut gpu, &t, 0, 10).unwrap();
-        assert_eq!(count, 10, "distinct values: exactly k records");
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        let threshold = sorted[sorted.len() - 10];
-        let indices = sel.read_indices(&mut gpu).unwrap();
-        assert_eq!(indices.len(), 10);
-        for i in indices {
-            assert!(
-                values[i] >= threshold,
-                "record {i} below the top-10 threshold"
-            );
-        }
-    }
-
-    #[test]
-    fn top_k_includes_ties() {
-        let values = vec![5u32, 9, 9, 9, 1];
-        let (mut gpu, t) = setup(&values);
-        // k = 2, but three records tie at 9: all included.
-        let (_, count) = top_k_select(&mut gpu, &t, 0, 2).unwrap();
-        assert_eq!(count, 3);
-        assert!(matches!(
-            top_k_select(&mut gpu, &t, 0, 6).unwrap_err(),
-            EngineError::InvalidK { .. }
-        ));
     }
 
     #[test]

@@ -9,7 +9,5 @@ pub mod mipmap_sum;
 
 pub use accumulator::{avg, sum, sum_with_depth_mask};
 pub use count::{count, count_all, selectivity};
-pub use kth::{
-    kth_largest, kth_largest_many, kth_smallest, max, median, min, percentile, top_k_select,
-};
+pub use kth::{kth_largest, kth_smallest, max, median, min, percentile};
 pub use mipmap_sum::mipmap_sum;

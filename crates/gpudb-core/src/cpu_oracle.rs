@@ -14,7 +14,7 @@
 //!
 //! - Semi-linear predicates are evaluated by the GPU in `f32` with a
 //!   specific association order (one DP4 per four-channel texture group,
-//!   groups summed left to right). [`gpu_order_dot`] replicates that
+//!   groups summed left to right). `gpu_order_dot` replicates that
 //!   order; anything else diverges on queries whose dot products lose
 //!   precision.
 //! - The GPU compares `dot − b` against zero; the oracle compares `dot`

@@ -50,23 +50,47 @@ pub fn observe<T>(
     input_records: u64,
     op: impl FnOnce(&mut Gpu) -> T,
 ) -> (T, MetricsRecord) {
+    let observation = begin(gpu, operator, input_records);
+    let result = op(gpu);
+    (result, observation.end(gpu))
+}
+
+/// Open an operator measurement: [`observe`] split at the operation, for
+/// a caller that issues the operator's work in several steps.
+pub(crate) fn begin(gpu: &mut Gpu, operator: impl Into<String>, input_records: u64) -> Observation {
     let operator = operator.into();
     // With a log attached, the operator span starts the operator's own
     // pass plan, so validators attribute diagnostics to it, and the
     // device's leaf spans (passes, readbacks) nest inside it.
     gpu.span_begin(SpanKind::Operator, &operator);
-    let counters_before = gpu.stats().counters();
-    let modeled_before = gpu.stats().modeled;
-    let result = op(gpu);
-    gpu.span_end();
-    let stats = gpu.stats();
-    let record = MetricsRecord {
+    Observation {
         operator,
         input_records,
-        counters: stats.counters().since(&counters_before),
-        modeled_ns: stats.modeled.since(&modeled_before),
-    };
-    (result, record)
+        counters: gpu.stats().counters(),
+        modeled: gpu.stats().modeled,
+    }
+}
+
+/// An open operator measurement from [`begin`].
+pub(crate) struct Observation {
+    operator: String,
+    input_records: u64,
+    counters: WorkCounters,
+    modeled: PhaseNanos,
+}
+
+impl Observation {
+    /// Close the operator span and record the work done since [`begin`].
+    pub(crate) fn end(self, gpu: &mut Gpu) -> MetricsRecord {
+        gpu.span_end();
+        let stats = gpu.stats();
+        MetricsRecord {
+            operator: self.operator,
+            input_records: self.input_records,
+            counters: stats.counters().since(&self.counters),
+            modeled_ns: stats.modeled.since(&self.modeled),
+        }
+    }
 }
 
 /// An append-only collection of [`MetricsRecord`]s from one workload run.

@@ -1,33 +1,40 @@
-//! Sharded multi-device parallel execution: the partition coordinator.
+//! The partition coordinator: the one statement engine.
 //!
-//! Following the partition-parallel designs of tile-based GPU analytics
-//! engines, a query is executed by splitting the table into contiguous
-//! row-range shards, giving every shard its own simulated device (own
-//! modeled clock, own framebuffer, own recovery ladder), driving the
-//! shards' selection and aggregate passes from one coordinator, and
-//! merging per-shard partial results exactly:
+//! A statement runs over one or more partitions of a table, driven phase
+//! by phase from one coordinator that merges the partitions' partial
+//! results exactly. Single-device execution
+//! ([`crate::query::execute_with_options`]) is one partition resident on
+//! the caller's device. Sharded execution ([`execute_sharded`]), after
+//! the partition-parallel designs of tile-based GPU analytics engines,
+//! splits a host table into contiguous row-range shards and gives every
+//! shard its own simulated device (own modeled clock, own framebuffer,
+//! own recovery ladder). The merge:
 //!
 //! * selection bitmaps concatenate in shard order;
-//! * `COUNT`/`SUM` add, `AVG` divides the merged sum by the merged count,
-//!   `MIN`/`MAX` fold per-shard extrema;
+//! * `COUNT` adds the selections' own occlusion counts (it comes free
+//!   with the selection pass, §4.3.1), and every aggregate that needs a
+//!   count uses this one rather than counting the selection again;
+//! * `SUM` adds, `AVG` divides the merged sum by the merged count,
+//!   `MIN`/`MAX` fold per-partition extrema;
 //! * order statistics (`KthLargest`, `KthSmallest`, `MEDIAN`,
 //!   `PERCENTILE`) run the paper's Routine 4.5 bit descent *globally*:
-//!   the coordinator walks bits MSB-first and each shard answers the
-//!   per-bit `count >= m` occlusion query on its partition, so the
-//!   summed counts equal the single-device counts and Lemma 1 applies
+//!   the coordinator walks bits MSB-first and each partition answers the
+//!   per-bit `count >= m` occlusion query on its records, so the summed
+//!   counts equal the single-device counts and Lemma 1 applies
 //!   unchanged.
 //!
 //! The merged result is therefore byte-identical to single-device
-//! execution at every shard count — the property the
-//! `sharded_equivalence` differential suite pins down. The same
-//! coordinator is the out-of-core rung of
+//! execution at every shard count, and one shard's metrics are
+//! single-device execution's plus the `parallel/merge` marker — the
+//! properties the `sharded_equivalence` differential suite pins down.
+//! The same coordinator is the out-of-core rung of
 //! [`crate::resilience::execute_resilient`]: after an allocation failure
 //! it re-runs the query over [`RetryPolicy::oom_chunks`] partitions.
 //!
 //! ## Determinism
 //!
-//! The coordinator calls each shard's worker directly on the calling
-//! thread, in shard order, so determinism holds by construction: there
+//! The coordinator calls each partition directly on the calling thread,
+//! in partition order, so determinism holds by construction: there
 //! is no scheduling to leak into any result. Every shard device starts
 //! its modeled clock at `t = 0`, and the modeled merge cost
 //! ([`merge_cost_ns`]) is a pure function of the shard and aggregate
@@ -41,26 +48,27 @@
 //! (retry transient faults with modeled backoff, fall back to the CPU
 //! oracle on resource/device faults), and degrades to the CPU for the
 //! remainder of the query if a fault lands mid-aggregate. A fault on one
-//! shard never disturbs the others.
+//! shard never disturbs the others. A resident partition has no host
+//! copy to answer from, so its errors surface unchanged.
 
-use crate::aggregate;
+use crate::aggregate::{self, kth::apply_selection_mask};
 use crate::cpu_oracle::{self, HostTable};
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::{self, MetricsRecord};
+use crate::metrics::{self, MetricsRecord, Observation};
 use crate::predicate::{comparison_pass, copy_to_depth, OcclusionMode};
 use crate::query::ast::{Aggregate, BoolExpr, Query};
 use crate::query::executor::{
-    execute_selection, lint_plans, plan_operator, AggValue, ExecuteOptions, QueryOutput,
+    execute_selection, plan_operator, AggValue, ExecuteOptions, QueryOutput,
 };
-use crate::query::planner::plan_selection;
+use crate::query::planner::{plan_selection, SelectionPlan};
 use crate::resilience::{marker_record, ResiliencePath, RetryPolicy, RetryStep};
-use crate::selection::{Selection, SELECTED};
+use crate::selection::Selection;
 use crate::table::GpuTable;
+use gpudb_lint::{Linter, Severity};
 use gpudb_obs::{merge_shard_trees, SpanTree};
 use gpudb_sim::span::SpanKind;
-use gpudb_sim::{
-    CompareFunc, FaultClass, FaultInjector, Gpu, Phase, PhaseNanos, RecordMode, StencilOp,
-};
+use gpudb_sim::trace::PassPlan;
+use gpudb_sim::{CompareFunc, FaultClass, FaultInjector, Gpu, Phase, PhaseNanos, RecordMode};
 
 /// Modeled cost of one merge step, in nanoseconds. The coordinator's
 /// merge work is `shards * (aggregates + 1)` steps: one bitmap-count
@@ -183,57 +191,58 @@ pub fn execute_sharded_with_faults(
     let n = host.record_count();
     let ranges = plan_shards(n, opts.shards);
     faults.resize_with(ranges.len(), || None);
-    let mut workers: Vec<Worker> = ranges
+    let mut devices: Vec<Gpu> = ranges
         .iter()
         .zip(faults)
-        .map(|(&(start, end), fault)| Worker::new(host.slice(start, end), query, opts, fault))
+        .map(|(&(start, end), fault)| {
+            let mut gpu = GpuTable::device_for(end - start, opts.device_width);
+            if let Some(injector) = fault {
+                gpu.attach_fault_injector(injector);
+            }
+            // One log per shard device for the whole statement: validation
+            // lints the windows of the attempts that succeeded, and tracing
+            // renders all of it.
+            if opts.options.validate_plans || opts.options.trace.is_some() {
+                gpu.attach_log(RecordMode::RecordAndExecute);
+            }
+            gpu
+        })
         .collect();
-
-    // Phase 1: every shard plans and executes its own selection, in
-    // shard order, so the first failing shard's error surfaces.
-    let mut matched_total = 0u64;
-    let mut mask = Vec::with_capacity(n);
-    for worker in &mut workers {
-        worker.run_selection()?;
-        matched_total += worker.matched;
-        mask.extend_from_slice(&worker.mask);
-    }
-
-    // Phase 2: aggregates, strictly in SELECT order — validation errors
-    // (unknown column, invalid k, empty input) surface in exactly the
-    // order single-device execution reports them.
-    let mut rows = Vec::with_capacity(query.aggregates.len());
-    for agg in &query.aggregates {
-        let label = agg.label();
-        for worker in &mut workers {
-            worker.begin_agg(&label, matched_total);
-        }
-        let value = merge_aggregate(host, agg, matched_total, &mut workers)?;
-        for worker in &mut workers {
-            worker.end_agg()?;
-        }
-        rows.push((label, value));
-    }
+    let mut partitions: Vec<Partition> = devices
+        .iter_mut()
+        .zip(&ranges)
+        .map(|(gpu, &(start, end))| {
+            let records = Records::Host {
+                slice: host.slice(start, end),
+                policy: &opts.policy,
+                upload: None,
+            };
+            Partition::new(gpu, records, query, opts.options)
+        })
+        .collect();
+    let (matched, rows) = run_phases(&mut partitions, query)?;
 
     // Finish: collect per-shard ledgers in shard order.
     let mut all_metrics: Vec<MetricsRecord> = Vec::new();
+    let mut mask = Vec::with_capacity(n);
     let mut timing = PhaseNanos::default();
-    let mut shards = Vec::with_capacity(workers.len());
+    let mut shards = Vec::with_capacity(partitions.len());
     let mut traces = Vec::new();
-    for (worker, &(start, end)) in workers.into_iter().zip(&ranges) {
-        if let (Some(level), Some(log)) = (opts.options.trace, worker.gpu.log()) {
+    for (partition, &(start, end)) in partitions.into_iter().zip(&ranges) {
+        if let (Some(level), Some(log)) = (opts.options.trace, partition.gpu.log()) {
             traces.push(SpanTree::from_log(log.entries(), level));
         }
-        let modeled = worker.gpu.stats().modeled;
+        let modeled = partition.gpu.stats().modeled;
         timing = timing.plus(&modeled);
-        all_metrics.extend(worker.metrics);
+        mask.extend(partition.mask);
+        all_metrics.extend(partition.metrics);
         shards.push(ShardRun {
             start,
             records: end - start,
-            path: worker.path,
-            attempts: worker.attempts,
-            retries: worker.retries,
-            degradations: worker.degradations,
+            path: partition.path,
+            attempts: partition.attempts,
+            retries: partition.retries,
+            degradations: partition.degradations,
             modeled_ns: modeled.total(),
         });
     }
@@ -246,15 +255,10 @@ pub fn execute_sharded_with_faults(
     } else {
         Some(merge_shard_trees(traces))
     };
-    let selectivity = if n == 0 {
-        0.0
-    } else {
-        matched_total as f64 / n as f64
-    };
     Ok(ShardedOutput {
         output: QueryOutput {
-            matched: matched_total,
-            selectivity,
+            matched,
+            selectivity: selectivity(matched, n),
             rows,
             timing,
             metrics: all_metrics,
@@ -269,45 +273,120 @@ pub fn execute_sharded_with_faults(
     })
 }
 
-/// Validate and compute one aggregate from per-shard partials, matching
-/// single-device semantics (and error ordering) exactly.
+/// Execute `query` as one partition resident on the caller's device:
+/// `table` is already uploaded there and `plan` is its selection plan.
+/// The caller owns the device's log, the `query` span and the `timing`
+/// and `trace` of the output.
+pub(crate) fn execute_resident(
+    gpu: &mut Gpu,
+    table: &GpuTable,
+    plan: &SelectionPlan,
+    query: &Query,
+    options: ExecuteOptions,
+) -> EngineResult<QueryOutput> {
+    let mut partition = Partition::new(gpu, Records::Resident(table, plan), query, options);
+    let (matched, rows) = run_phases(std::slice::from_mut(&mut partition), query)?;
+    Ok(QueryOutput {
+        matched,
+        selectivity: selectivity(matched, table.record_count()),
+        rows,
+        timing: PhaseNanos::default(),
+        metrics: partition.metrics,
+        trace: None,
+    })
+}
+
+/// `matched` as a share of `records` (0 for an empty table).
+fn selectivity(matched: u64, records: usize) -> f64 {
+    if records == 0 {
+        0.0
+    } else {
+        matched as f64 / records as f64
+    }
+}
+
+/// The coordinator's phase loop; returns the merged match count and the
+/// rows.
+///
+/// Phase 1: every partition executes its own selection, in partition
+/// order, so the first failing partition's error surfaces. Phase 2: the
+/// aggregates, strictly in SELECT order, so validation errors (unknown
+/// column, invalid k, empty input) surface in the same order on every
+/// placement.
+fn run_phases(
+    partitions: &mut [Partition],
+    query: &Query,
+) -> EngineResult<(u64, Vec<(String, AggValue)>)> {
+    let mut matched = 0u64;
+    for partition in partitions.iter_mut() {
+        partition.run_selection()?;
+        matched += partition.matched;
+    }
+    let mut rows = Vec::with_capacity(query.aggregates.len());
+    for agg in &query.aggregates {
+        let label = agg.label();
+        for partition in partitions.iter_mut() {
+            partition.begin_agg(&label, matched);
+        }
+        let value = merge_aggregate(agg, matched, partitions);
+        // Close every window, also after an error, so spans stay paired.
+        let mut linted = Ok(());
+        for partition in partitions.iter_mut() {
+            linted = linted.and(partition.end_agg());
+        }
+        rows.push((label, value?));
+        linted?;
+    }
+    Ok((matched, rows))
+}
+
+/// Resolve an aggregate's column; every partition has the same columns.
+fn column_index(partitions: &[Partition], name: &str) -> EngineResult<usize> {
+    match partitions.first() {
+        Some(partition) => partition.column_index(name),
+        None => Err(EngineError::ColumnNotFound(name.to_string())),
+    }
+}
+
+/// Validate and compute one aggregate from per-partition partials. The
+/// merged `matched` count is the selections' own occlusion count, so no
+/// partition counts its selection again.
 fn merge_aggregate(
-    host: &HostTable,
     agg: &Aggregate,
     matched: u64,
-    workers: &mut [Worker],
+    partitions: &mut [Partition],
 ) -> EngineResult<AggValue> {
     Ok(match agg {
         Aggregate::Count => AggValue::Count(matched),
         Aggregate::Sum(col) => {
-            let idx = host.column_index(col)?;
+            let idx = column_index(partitions, col)?;
             AggValue::Sum(
-                workers
+                partitions
                     .iter_mut()
-                    .map(|w| w.op_sum(idx))
+                    .map(|p| p.op_sum(idx))
                     .sum::<EngineResult<u64>>()?,
             )
         }
         Aggregate::Avg(col) => {
-            let idx = host.column_index(col)?;
+            let idx = column_index(partitions, col)?;
             if matched == 0 {
                 return Err(EngineError::EmptyInput);
             }
-            let sum = workers
+            let sum = partitions
                 .iter_mut()
-                .map(|w| w.op_sum(idx))
+                .map(|p| p.op_sum(idx))
                 .sum::<EngineResult<u64>>()?;
             AggValue::Avg(sum as f64 / matched as f64)
         }
         Aggregate::Min(col) | Aggregate::Max(col) => {
-            let idx = host.column_index(col)?;
+            let idx = column_index(partitions, col)?;
             if matched == 0 {
                 return Err(EngineError::InvalidK { k: 1, available: 0 });
             }
             let is_min = matches!(agg, Aggregate::Min(_));
             let mut best: Option<u32> = None;
-            for worker in workers.iter_mut() {
-                best = match (best, worker.op_extremum(idx, is_min)?) {
+            for partition in partitions.iter_mut() {
+                best = match (best, partition.op_extremum(idx, is_min)?) {
                     (Some(a), Some(b)) => Some(if is_min { a.min(b) } else { a.max(b) }),
                     (a, b) => a.or(b),
                 };
@@ -318,112 +397,129 @@ fn merge_aggregate(
             })?)
         }
         Aggregate::KthLargest(col, k) => {
-            let idx = host.column_index(col)?;
+            let idx = column_index(partitions, col)?;
             if *k == 0 || *k as u64 > matched {
                 return Err(EngineError::InvalidK {
                     k: *k,
                     available: matched,
                 });
             }
-            AggValue::Value(descend(host, workers, idx, *k)?)
+            AggValue::Value(descend(partitions, idx, *k)?)
         }
         Aggregate::KthSmallest(col, k) => {
-            let idx = host.column_index(col)?;
+            let idx = column_index(partitions, col)?;
             if *k == 0 || *k as u64 > matched {
                 return Err(EngineError::InvalidK {
                     k: *k,
                     available: matched,
                 });
             }
-            AggValue::Value(descend(host, workers, idx, matched as usize + 1 - k)?)
+            AggValue::Value(descend(partitions, idx, matched as usize + 1 - k)?)
         }
         Aggregate::Median(col) => {
-            let idx = host.column_index(col)?;
+            let idx = column_index(partitions, col)?;
             if matched == 0 {
                 return Err(EngineError::EmptyInput);
             }
             let rank = (matched as usize).div_ceil(2);
-            AggValue::Value(descend(host, workers, idx, matched as usize + 1 - rank)?)
+            AggValue::Value(descend(partitions, idx, matched as usize + 1 - rank)?)
         }
         Aggregate::Percentile(col, p) => {
-            let idx = host.column_index(col)?;
+            let idx = column_index(partitions, col)?;
             if matched == 0 {
                 return Err(EngineError::EmptyInput);
             }
             let rank =
                 ((p.clamp(0.0, 1.0) * matched as f64).ceil() as usize).clamp(1, matched as usize);
-            AggValue::Value(descend(host, workers, idx, matched as usize + 1 - rank)?)
+            AggValue::Value(descend(partitions, idx, matched as usize + 1 - rank)?)
         }
     })
 }
 
 /// The global bit descent of Routine 4.5, distributed: the coordinator
-/// fixes one bit of the answer per round; every shard contributes its
-/// partial `count >= m` from its own comparison pass, and the counts
-/// add because the shards partition the records.
+/// fixes one bit of the answer per round; every partition contributes
+/// its partial `count >= m` from its own comparison pass, and the counts
+/// add because the partitions partition the records.
 ///
-/// The bit width is derived from the full column's maximum — the same
-/// `32 - leading_zeros(max)` that [`crate::table::ColumnMeta`] stores —
-/// so the descent runs the identical bit sequence as one device would.
-fn descend(host: &HostTable, workers: &mut [Worker], column: usize, k: usize) -> EngineResult<u32> {
-    for worker in workers.iter_mut() {
-        worker.op_begin_descent(column)?;
+/// The bit width is the widest partition's, which is the full column's
+/// `32 - leading_zeros(max)` that [`crate::table::ColumnMeta`] stores, so
+/// the descent runs the bit sequence one device would.
+fn descend(partitions: &mut [Partition], column: usize, k: usize) -> EngineResult<u32> {
+    let mut bits = 0;
+    for partition in partitions.iter() {
+        bits = bits.max(partition.column_bits(column)?);
     }
-    let max = host
-        .column_values(column)?
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0);
-    let bits = 32 - max.leading_zeros();
+    for partition in partitions.iter_mut() {
+        partition.op_begin_descent(column)?;
+    }
     let mut x = 0u32;
     for i in (0..bits).rev() {
         let m = x + (1 << i);
-        let count = workers
+        let count = partitions
             .iter_mut()
-            .map(|w| w.op_count_ge(column, m))
+            .map(|p| p.op_count_ge(column, m))
             .sum::<EngineResult<u64>>()?;
         if count > (k - 1) as u64 {
             x = m;
         }
     }
+    for partition in partitions.iter_mut() {
+        partition.op_end_descent()?;
+    }
     Ok(x)
 }
 
+/// Lint recorded pass plans; the first plan with an error-severity
+/// diagnostic fails with [`EngineError::PlanValidation`].
+fn lint_plans(plans: &[PassPlan]) -> EngineResult<()> {
+    let linter = Linter::new();
+    for plan in plans {
+        let errors: Vec<String> = linter
+            .lint(plan)
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .map(ToString::to_string)
+            .collect();
+        if !errors.is_empty() {
+            return Err(EngineError::PlanValidation {
+                operator: plan.label.clone(),
+                diagnostics: errors,
+            });
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
-// Shard worker
+// Partition
 // ---------------------------------------------------------------------
 
-/// Where a shard's aggregate answers come from after phase 1.
-enum Backend {
-    /// Data lives on the shard device; `selection` masks the aggregates.
-    Gpu {
-        table: GpuTable,
-        selection: Option<Selection>,
+/// Where a partition's records live.
+enum Records<'a> {
+    /// On the caller's device, with the executor's plan: no upload, no
+    /// mask readback and no ladder, so every error surfaces unchanged.
+    Resident(&'a GpuTable, &'a SelectionPlan),
+    /// A host slice, uploaded by each selection attempt; `upload` holds
+    /// the attempt that succeeded, and is `None` while the partition
+    /// answers on the CPU.
+    Host {
+        slice: HostTable,
+        policy: &'a RetryPolicy,
+        upload: Option<GpuTable>,
     },
-    /// The shard degraded: answers come from the host slice + mask.
-    Cpu,
 }
 
-/// An open aggregate measurement window (counter snapshot and log
-/// mark at [`Worker::begin_agg`]).
-struct AggWindow {
-    label: String,
-    mark: usize,
-    input: u64,
-    counters: gpudb_sim::WorkCounters,
-    modeled: PhaseNanos,
-}
-
-/// One shard: its own device, modeled clock and recovery ladder. The
-/// coordinator drives every worker directly, in shard order.
-struct Worker<'q> {
-    gpu: Gpu,
-    slice: HostTable,
-    filter: Option<&'q BoolExpr>,
+/// One partition: a device, its modeled clock and (for a host slice) its
+/// recovery ladder. The coordinator drives every partition directly, in
+/// partition order.
+struct Partition<'a> {
+    gpu: &'a mut Gpu,
+    records: Records<'a>,
+    filter: Option<&'a BoolExpr>,
     options: ExecuteOptions,
-    policy: &'q RetryPolicy,
-    backend: Backend,
+    /// The selection the aggregates read on the device.
+    selection: Option<Selection>,
+    /// The per-record selection, read back for a host slice.
     mask: Vec<bool>,
     matched: u64,
     path: ResiliencePath,
@@ -431,44 +527,23 @@ struct Worker<'q> {
     retries: u32,
     degradations: Vec<String>,
     metrics: Vec<MetricsRecord>,
-    window: Option<AggWindow>,
+    /// The open aggregate window: its log mark and measurement.
+    window: Option<(usize, Observation)>,
 }
 
-/// Restrict a descent comparison pass to the shard's selection — the
-/// read-only stencil mask of Routine 4.5.
-fn arm_mask(gpu: &mut Gpu, masked: bool) {
-    if masked {
-        gpu.set_stencil_func(true, CompareFunc::Equal, SELECTED, 0xFF);
-        gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Keep);
-    } else {
-        gpu.set_stencil_func(false, CompareFunc::Always, 0, 0xFF);
-    }
-}
-
-impl<'q> Worker<'q> {
+impl<'a> Partition<'a> {
     fn new(
-        slice: HostTable,
-        query: &'q Query,
-        opts: &'q ShardOptions,
-        fault: Option<FaultInjector>,
-    ) -> Worker<'q> {
-        let mut gpu = GpuTable::device_for(slice.record_count(), opts.device_width);
-        if let Some(injector) = fault {
-            gpu.attach_fault_injector(injector);
-        }
-        // One log per shard device for the whole statement: validation
-        // lints the windows of the attempts that succeeded, and tracing
-        // renders all of it.
-        if opts.options.validate_plans || opts.options.trace.is_some() {
-            gpu.attach_log(RecordMode::RecordAndExecute);
-        }
-        Worker {
+        gpu: &'a mut Gpu,
+        records: Records<'a>,
+        query: &'a Query,
+        options: ExecuteOptions,
+    ) -> Partition<'a> {
+        Partition {
             gpu,
-            slice,
+            records,
             filter: query.filter.as_ref(),
-            options: opts.options,
-            policy: &opts.policy,
-            backend: Backend::Cpu,
+            options,
+            selection: None,
             mask: Vec::new(),
             matched: 0,
             path: ResiliencePath::Gpu,
@@ -480,7 +555,27 @@ impl<'q> Worker<'q> {
         }
     }
 
-    /// Where a window of the shard's log starts (0 without a log).
+    /// Resolve a column name; a table and its host slices give the same
+    /// error.
+    fn column_index(&self, name: &str) -> EngineResult<usize> {
+        match &self.records {
+            Records::Resident(table, _) => table.column_index(name),
+            Records::Host { slice, .. } => slice.column_index(name),
+        }
+    }
+
+    /// Bits of the widest value of `column` in this partition.
+    fn column_bits(&self, column: usize) -> EngineResult<u32> {
+        Ok(match &self.records {
+            Records::Resident(table, _) => table.column(column)?.bits,
+            Records::Host { slice, .. } => {
+                let max = slice.column_values(column)?.iter().copied().max();
+                32 - max.unwrap_or(0).leading_zeros()
+            }
+        })
+    }
+
+    /// Where a window of the partition's log starts (0 without a log).
     fn log_mark(&self) -> usize {
         self.gpu.log().map_or(0, |log| log.entries().len())
     }
@@ -496,13 +591,18 @@ impl<'q> Worker<'q> {
         }
     }
 
-    /// The selection recovery ladder, mirroring
+    /// Phase 1. A resident partition selects once and surfaces any
+    /// error. A host slice rides the recovery ladder, mirroring
     /// [`crate::resilience::execute_resilient`]: retry transients with
     /// modeled backoff, fall back to the CPU oracle on resource/device
     /// faults or retry exhaustion (when the policy allows), surface
     /// logic errors untouched.
     fn run_selection(&mut self) -> EngineResult<()> {
-        let max_attempts = self.policy.max_attempts.max(1);
+        let (records, policy) = match &self.records {
+            Records::Host { slice, policy, .. } => (slice.record_count() as u64, *policy),
+            Records::Resident(..) => return self.selection_attempt(),
+        };
+        let max_attempts = policy.max_attempts.max(1);
         loop {
             self.attempts += 1;
             let error = match self.selection_attempt() {
@@ -513,13 +613,7 @@ impl<'q> Worker<'q> {
                 FaultClass::Logic => return Err(error),
                 FaultClass::Transient if self.attempts < max_attempts => {
                     self.retries += 1;
-                    let step = RetryStep::charge(
-                        &mut self.gpu,
-                        self.policy,
-                        self.retries,
-                        self.slice.record_count() as u64,
-                        &error,
-                    );
+                    let step = RetryStep::charge(self.gpu, policy, self.retries, records, &error);
                     self.metrics.push(step.record);
                     self.degradations.push(step.degradation);
                 }
@@ -528,168 +622,183 @@ impl<'q> Worker<'q> {
                         attempts: self.attempts,
                         last: Box::new(error),
                     };
-                    if !self.policy.cpu_fallback {
-                        return Err(exhausted);
-                    }
-                    self.degradations
-                        .push(format!("{exhausted}; shard answering on the CPU"));
-                    return self.cpu_fallback();
+                    let note = format!("{exhausted}; shard answering on the CPU");
+                    return self.cpu_fallback(exhausted, note);
                 }
                 class => {
-                    if !self.policy.cpu_fallback {
-                        return Err(error);
-                    }
                     let kind = if class == FaultClass::Resource {
                         "resource"
                     } else {
                         "device"
                     };
-                    self.degradations.push(format!(
-                        "{kind} fault ({error}); shard answering on the CPU"
-                    ));
-                    return self.cpu_fallback();
+                    let note = format!("{kind} fault ({error}); shard answering on the CPU");
+                    return self.cpu_fallback(error, note);
                 }
             }
         }
     }
 
-    /// One selection attempt: upload the slice, plan, execute (fused by
-    /// default), lint the recorded plan when validating, and read back
-    /// the per-record mask. On success the uploaded table and selection
-    /// stay resident for the aggregate phase.
+    /// One selection attempt. A resident partition runs the executor's
+    /// plan. A host slice is uploaded, planned, executed, linted when
+    /// validating, and its per-record mask read back; on success the
+    /// upload and the selection stay resident for the aggregate phase.
     fn selection_attempt(&mut self) -> EngineResult<()> {
-        let table = self.slice.upload(&mut self.gpu)?;
-        match self.selection_on(&table) {
-            Ok((selection, matched, mask, record)) => {
-                self.metrics.push(record);
-                self.matched = matched;
-                self.mask = mask;
-                self.backend = Backend::Gpu { table, selection };
-                Ok(())
+        let (selection, matched, record) = match self.records {
+            Records::Resident(table, plan) => self.select(table, plan)?,
+            Records::Host { ref slice, .. } => {
+                let table = slice.upload(self.gpu)?;
+                match self.select_and_read(&table) {
+                    Ok((selection, matched, record, mask)) => {
+                        self.mask = mask;
+                        if let Records::Host { upload, .. } = &mut self.records {
+                            *upload = Some(table);
+                        }
+                        (selection, matched, record)
+                    }
+                    Err(e) => {
+                        // Best-effort free: on a reset device this may fail too.
+                        let _ = table.free(self.gpu);
+                        return Err(e);
+                    }
+                }
             }
-            Err(e) => {
-                // Best-effort free: on a reset device this may fail too.
-                let _ = table.free(&mut self.gpu);
-                Err(e)
-            }
-        }
+        };
+        self.metrics.push(record);
+        self.selection = selection;
+        self.matched = matched;
+        Ok(())
     }
 
+    /// Plan and select on a host slice's upload, then read the mask back.
     #[allow(clippy::type_complexity)]
-    fn selection_on(
+    fn select_and_read(
         &mut self,
         table: &GpuTable,
-    ) -> EngineResult<(Option<Selection>, u64, Vec<bool>, MetricsRecord)> {
+    ) -> EngineResult<(Option<Selection>, u64, MetricsRecord, Vec<bool>)> {
         let plan = plan_selection(table, self.filter)?;
+        let (selection, matched, record) = self.select(table, &plan)?;
+        let mask = match &selection {
+            Some(sel) => sel.read_mask(self.gpu)?,
+            None => vec![true; table.record_count()],
+        };
+        Ok((selection, matched, record, mask))
+    }
+
+    /// Run `plan` on `table` under the `selection` stage span and lint
+    /// what it logged.
+    fn select(
+        &mut self,
+        table: &GpuTable,
+        plan: &SelectionPlan,
+    ) -> EngineResult<(Option<Selection>, u64, MetricsRecord)> {
         let mark = self.log_mark();
         self.gpu.span_begin(SpanKind::Stage, "selection");
         let fuse = self.options.fuse_passes;
         let (result, record) = metrics::observe(
-            &mut self.gpu,
-            plan_operator(&plan),
+            self.gpu,
+            plan_operator(plan),
             table.record_count() as u64,
-            |gpu| execute_selection(gpu, table, &plan, fuse),
+            |gpu| execute_selection(gpu, table, plan, fuse),
         );
         self.gpu.span_end();
         let (selection, matched) = result?;
         self.lint_since(mark)?;
-        let mask = match &selection {
-            Some(sel) => sel.read_mask(&mut self.gpu)?,
-            None => vec![true; table.record_count()],
-        };
-        Ok((selection, matched, mask, record))
+        Ok((selection, matched, record))
     }
 
-    /// Answer the whole shard from the CPU oracle.
-    fn cpu_fallback(&mut self) -> EngineResult<()> {
-        let bitmap = cpu_oracle::filter_mask(&self.slice, self.filter)?;
-        let records = self.slice.record_count();
-        self.mask = (0..records).map(|i| bitmap.get(i)).collect();
-        self.matched = bitmap.count_ones() as u64;
-        self.backend = Backend::Cpu;
-        self.path = ResiliencePath::Cpu;
-        self.metrics
-            .push(marker_record("parallel/shard-cpu", records as u64));
+    /// A failed selection degrades: the CPU oracle answers the whole host
+    /// slice.
+    fn cpu_fallback(&mut self, error: EngineError, note: String) -> EngineResult<()> {
+        self.degrade_or(error, note)?;
+        if let Records::Host { slice, .. } = &self.records {
+            let bitmap = cpu_oracle::filter_mask(slice, self.filter)?;
+            self.mask = (0..slice.record_count()).map(|i| bitmap.get(i)).collect();
+            self.matched = bitmap.count_ones() as u64;
+        }
         Ok(())
     }
 
-    /// Degrade the rest of this shard's query to the CPU, or surface the
-    /// error when it is a logic fault or the policy forbids fallback.
-    fn degrade_or(&mut self, error: EngineError) -> EngineResult<()> {
-        if error.fault_class() == FaultClass::Logic || !self.policy.cpu_fallback {
+    /// Answer the rest of a host slice's statement on the CPU, logging
+    /// `note`; or surface `error` when it is a logic fault, the policy
+    /// forbids fallback or the partition is resident.
+    fn degrade_or(&mut self, error: EngineError, note: String) -> EngineResult<()> {
+        let Records::Host {
+            slice,
+            policy,
+            upload,
+        } = &mut self.records
+        else {
+            return Err(error);
+        };
+        if error.fault_class() == FaultClass::Logic || !policy.cpu_fallback {
             return Err(error);
         }
-        self.degradations.push(format!(
-            "aggregate fault ({error}); shard answering on the CPU"
-        ));
+        *upload = None;
+        self.degradations.push(note);
         self.metrics.push(marker_record(
             "parallel/shard-cpu",
-            self.slice.record_count() as u64,
+            slice.record_count() as u64,
         ));
         self.path = ResiliencePath::Cpu;
-        self.backend = Backend::Cpu;
         Ok(())
     }
 
-    /// Open an aggregate window (span + metrics); `input` is the merged
-    /// matched count, recorded as the aggregate's input size.
+    /// Open an aggregate window (stage span and operator measurement);
+    /// `input` is the merged matched count, recorded as the aggregate's
+    /// input size.
     fn begin_agg(&mut self, label: &str, input: u64) {
         self.gpu
             .span_begin(SpanKind::Stage, &format!("aggregate:{label}"));
         let mark = self.log_mark();
-        self.gpu
-            .span_begin(SpanKind::Operator, &format!("agg/{label}"));
-        self.window = Some(AggWindow {
-            label: label.to_string(),
-            mark,
-            input,
-            counters: self.gpu.stats().counters(),
-            modeled: self.gpu.stats().modeled,
-        });
+        let observation = metrics::begin(self.gpu, format!("agg/{label}"), input);
+        self.window = Some((mark, observation));
     }
 
     /// Close the aggregate window and lint what it logged, unless the
-    /// shard degraded to the CPU (before or inside the window).
+    /// partition degraded to the CPU (before or inside the window).
     fn end_agg(&mut self) -> EngineResult<()> {
-        self.gpu.span_end(); // operator
         let mut lint = Ok(());
-        if let Some(window) = self.window.take() {
-            if matches!(self.backend, Backend::Gpu { .. }) {
-                lint = self.lint_since(window.mark);
+        if let Some((mark, observation)) = self.window.take() {
+            self.metrics.push(observation.end(self.gpu));
+            if self.path != ResiliencePath::Cpu {
+                lint = self.lint_since(mark);
             }
-            let counters = self.gpu.stats().counters().since(&window.counters);
-            self.metrics.push(MetricsRecord {
-                operator: format!("agg/{}", window.label),
-                input_records: window.input,
-                counters,
-                modeled_ns: self.gpu.stats().modeled.since(&window.modeled),
-            });
         }
         self.gpu.span_end(); // stage
-        self.gpu.reset_state();
         lint
     }
 
-    /// Run `op` on the shard device when the data is resident there.
-    /// `None` means the CPU answers: the shard had already degraded, or
-    /// `op` faulted and the shard degrades now.
+    /// Run `op` on the partition's device when the data is resident
+    /// there. `None` means the CPU answers: the partition had already
+    /// degraded, or `op` faulted and the partition degrades now.
     fn on_device<T>(
         &mut self,
         op: impl FnOnce(&mut Gpu, &GpuTable, Option<&Selection>) -> EngineResult<T>,
     ) -> EngineResult<Option<T>> {
-        let result = match &self.backend {
-            Backend::Gpu { table, selection } => op(&mut self.gpu, table, selection.as_ref()),
-            Backend::Cpu => return Ok(None),
+        let table = match &self.records {
+            Records::Resident(table, _) => *table,
+            Records::Host {
+                upload: Some(table),
+                ..
+            } => table,
+            Records::Host { upload: None, .. } => return Ok(None),
         };
-        match result {
+        match op(self.gpu, table, self.selection.as_ref()) {
             Ok(v) => Ok(Some(v)),
-            Err(e) => self.degrade_or(e).map(|()| None),
+            Err(e) => {
+                let note = format!("aggregate fault ({e}); shard answering on the CPU");
+                self.degrade_or(e, note).map(|()| None)
+            }
         }
     }
 
-    /// The shard's selected values of `column`, from the host slice.
+    /// The partition's selected values of `column`, from the host slice
+    /// (a resident partition answers on its device or fails).
     fn selected_values(&self, column: usize) -> EngineResult<impl Iterator<Item = u32> + '_> {
-        let values = self.slice.column_values(column)?;
+        let values = match &self.records {
+            Records::Host { slice, .. } => slice.column_values(column)?,
+            Records::Resident(..) => &[],
+        };
         Ok(values
             .iter()
             .zip(&self.mask)
@@ -697,9 +806,10 @@ impl<'q> Worker<'q> {
             .map(|(&v, _)| v))
     }
 
-    /// Partial sum of a column over the shard's selection.
+    /// Partial sum of a column over the partition's selection.
     fn op_sum(&mut self, column: usize) -> EngineResult<u64> {
-        if self.matched == 0 {
+        if self.matched == 0 && self.selection.is_some() {
+            // A selection that matched nothing sums to zero.
             return Ok(0);
         }
         if let Some(sum) =
@@ -710,8 +820,8 @@ impl<'q> Worker<'q> {
         Ok(self.selected_values(column)?.map(u64::from).sum())
     }
 
-    /// Partial MIN/MAX of a column over the shard's selection; `None`
-    /// when the shard selected no records.
+    /// Partial MIN/MAX of a column over the partition's selection; `None`
+    /// when the partition selected no records.
     fn op_extremum(&mut self, column: usize, is_min: bool) -> EngineResult<Option<u32>> {
         if self.matched == 0 {
             return Ok(None);
@@ -734,14 +844,20 @@ impl<'q> Worker<'q> {
         })
     }
 
-    /// Copy a column to depth in preparation for a global bit descent.
+    /// Open a global bit descent: copy the column to depth and arm the
+    /// selection mask, as Routine 4.5 opens on one device.
     fn op_begin_descent(&mut self, column: usize) -> EngineResult<()> {
         if self.matched == 0 {
-            // An all-filtered shard contributes zero to every count; the
-            // copy-to-depth would be dead work.
+            // A partition that selected nothing contributes zero to every
+            // count; the copy-to-depth would be dead work.
             return Ok(());
         }
-        self.on_device(|gpu, table, _| copy_to_depth(gpu, table, column))?;
+        self.on_device(|gpu, table, sel| {
+            copy_to_depth(gpu, table, column)?;
+            gpu.set_phase(Phase::Compute);
+            apply_selection_mask(gpu, sel);
+            Ok(())
+        })?;
         Ok(())
     }
 
@@ -752,20 +868,32 @@ impl<'q> Worker<'q> {
             return Ok(0);
         }
         let on_device = self.on_device(|gpu, table, sel| {
-            gpu.set_phase(Phase::Compute);
-            arm_mask(gpu, sel.is_some());
-            comparison_pass(
+            let count = comparison_pass(
                 gpu,
                 table,
                 CompareFunc::GreaterEqual,
                 m,
                 OcclusionMode::Sync,
-            )
+            )?;
+            apply_selection_mask(gpu, sel);
+            Ok(count)
         })?;
         if let Some(count) = on_device {
             return Ok(count);
         }
         Ok(self.selected_values(column)?.filter(|&v| v >= m).count() as u64)
+    }
+
+    /// Close a global bit descent: restore the default pipeline state.
+    fn op_end_descent(&mut self) -> EngineResult<()> {
+        if self.matched == 0 {
+            return Ok(());
+        }
+        self.on_device(|gpu, _, _| {
+            gpu.reset_state();
+            Ok(())
+        })?;
+        Ok(())
     }
 }
 

@@ -1,19 +1,23 @@
-//! Query execution: run a plan against a table on the device.
+//! Query execution on one device. The executor plans the statement and
+//! runs it on the partition coordinator ([`crate::parallel`]) as one
+//! partition resident on the caller's device, so single-device and
+//! sharded execution share one phase loop and one aggregate algebra. The
+//! executor owns what wraps a statement: the device log when validating
+//! or tracing, the `query` span, the statement's `timing` and its trace.
+//! EXPLAIN and EXPLAIN ANALYZE render from here.
 
-use crate::aggregate;
 use crate::boolean::{eval_cnf_select, eval_cnf_select_unfused, eval_dnf_select};
-use crate::error::{EngineError, EngineResult};
-use crate::metrics::{self, MetricsRecord};
+use crate::error::EngineResult;
+use crate::metrics::MetricsRecord;
+use crate::parallel;
 use crate::query::ast::{Aggregate, Query};
 use crate::query::planner::{plan_selection, SelectionPlan};
 use crate::range::range_select;
 use crate::selection::Selection;
 use crate::semilinear::semilinear_select;
 use crate::table::GpuTable;
-use gpudb_lint::{Linter, Severity};
 use gpudb_obs::{Span, SpanTree, TraceLevel};
 use gpudb_sim::span::SpanKind;
-use gpudb_sim::trace::PassPlan;
 use gpudb_sim::{Gpu, PhaseNanos, RecordMode};
 
 /// One aggregate's result value.
@@ -102,10 +106,11 @@ pub(crate) fn plan_operator(plan: &SelectionPlan) -> &'static str {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecuteOptions {
     /// Record each operator's pass plan while executing and run the
-    /// `gpudb-lint` validator over it afterwards; an error-severity
-    /// diagnostic fails the query with [`EngineError::PlanValidation`].
-    /// Recording is bit-passive: results, modeled cost and work
-    /// counters are identical with or without it.
+    /// `gpudb-lint` validator over each stage's plans once the stage has
+    /// run; an error-severity diagnostic fails the query with
+    /// [`crate::EngineError::PlanValidation`]. Recording is bit-passive:
+    /// results, modeled cost and work counters are identical with or
+    /// without it.
     pub validate_plans: bool,
     /// Collect a hierarchical span trace (`query → stage → operator →
     /// pass`) on the modeled clock while executing, at the given detail
@@ -148,175 +153,27 @@ pub fn execute_with_options(
     query: &Query,
     options: ExecuteOptions,
 ) -> EngineResult<QueryOutput> {
-    if !options.validate_plans && options.trace.is_none() {
-        return execute_inner(gpu, table, query, options);
-    }
-    // Log the device unless the caller already does (a harness logging a
-    // whole workload keeps its log); either way, lint and trace only this
-    // execution's window of the log.
-    let owns_log = gpu.log().is_none();
+    let plan = plan_selection(table, query.filter.as_ref())?;
+    // Log the device when validating or tracing, unless the caller
+    // already does (a harness logging a whole workload keeps its log);
+    // either way, lint and trace only this execution's window of the log.
+    let owns_log = (options.validate_plans || options.trace.is_some()) && gpu.log().is_none();
     if owns_log {
         gpu.attach_log(RecordMode::RecordAndExecute);
     }
     let mark = gpu.log().map_or(0, |log| log.entries().len());
-    let result = execute_inner(gpu, table, query, options);
-    let owned = if owns_log { gpu.take_log() } else { None };
-    let Some(log) = owned.as_ref().or(gpu.log()) else {
-        return result;
-    };
-    let mut output = result?;
-    if options.validate_plans {
-        lint_plans(&log.plans_since(mark))?;
-    }
-    let window = log.entries().get(mark..).unwrap_or_default();
-    output.trace = options.trace.map(|level| SpanTree::from_log(window, level));
-    Ok(output)
-}
-
-/// Lint recorded pass plans; the first plan with an error-severity
-/// diagnostic fails with [`EngineError::PlanValidation`].
-pub(crate) fn lint_plans(plans: &[PassPlan]) -> EngineResult<()> {
-    let linter = Linter::new();
-    for plan in plans {
-        let errors: Vec<String> = linter
-            .lint(plan)
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(ToString::to_string)
-            .collect();
-        if !errors.is_empty() {
-            return Err(EngineError::PlanValidation {
-                operator: plan.label.clone(),
-                diagnostics: errors,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// The execution path shared by [`execute`] and
-/// [`execute_with_options`].
-fn execute_inner(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    query: &Query,
-    options: ExecuteOptions,
-) -> EngineResult<QueryOutput> {
-    let plan = plan_selection(table, query.filter.as_ref())?;
     gpu.span_begin(SpanKind::Query, "query");
     let before = gpu.stats().modeled;
-    let result = run_stages(gpu, table, query, &plan, options);
+    let result = parallel::execute_resident(gpu, table, &plan, query, options);
     let timing = gpu.stats().modeled.since(&before);
     gpu.span_end();
-    Ok(QueryOutput { timing, ..result? })
-}
-
-/// Run the selection stage, then each aggregate stage in SELECT-list
-/// order, each under [`metrics::observe`] (one record per stage). The
-/// caller measures the whole query's `timing`.
-fn run_stages(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    query: &Query,
-    plan: &SelectionPlan,
-    options: ExecuteOptions,
-) -> EngineResult<QueryOutput> {
-    let total_records = table.record_count() as u64;
-    let mut records = Vec::with_capacity(1 + query.aggregates.len());
-    gpu.span_begin(SpanKind::Stage, "selection");
-    let (sel_result, sel_record) =
-        metrics::observe(gpu, plan_operator(plan), total_records, |gpu| {
-            execute_selection(gpu, table, plan, options.fuse_passes)
-        });
-    gpu.span_end();
-    let (selection, matched) = sel_result?;
-    records.push(sel_record);
-    let sel_ref = selection.as_ref();
-    let mut rows = Vec::with_capacity(query.aggregates.len());
-    for agg in &query.aggregates {
-        // Aggregates consume the selected records, so their input
-        // size is the match count, not the table size.
-        let stage = format!("aggregate:{}", agg.label());
-        gpu.span_begin(SpanKind::Stage, &stage);
-        let (value_result, agg_record) =
-            metrics::observe(gpu, format!("agg/{}", agg.label()), matched, |gpu| {
-                compute_aggregate(gpu, table, agg, matched, sel_ref)
-            });
-        gpu.span_end();
-        rows.push((agg.label(), value_result?));
-        records.push(agg_record);
+    let owned = if owns_log { gpu.take_log() } else { None };
+    let mut output = QueryOutput { timing, ..result? };
+    if let (Some(level), Some(log)) = (options.trace, owned.as_ref().or(gpu.log())) {
+        let window = log.entries().get(mark..).unwrap_or_default();
+        output.trace = Some(SpanTree::from_log(window, level));
     }
-    let selectivity = if table.record_count() == 0 {
-        0.0
-    } else {
-        matched as f64 / table.record_count() as f64
-    };
-    Ok(QueryOutput {
-        matched,
-        selectivity,
-        rows,
-        timing: PhaseNanos::default(),
-        metrics: records,
-        trace: None,
-    })
-}
-
-/// Evaluate one aggregate of the SELECT list over the selection.
-fn compute_aggregate(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    agg: &Aggregate,
-    matched: u64,
-    sel_ref: Option<&Selection>,
-) -> EngineResult<AggValue> {
-    Ok(match agg {
-        Aggregate::Count => AggValue::Count(matched),
-        Aggregate::Sum(col) => {
-            let idx = table.column_index(col)?;
-            AggValue::Sum(aggregate::sum(gpu, table, idx, sel_ref)?)
-        }
-        Aggregate::Avg(col) => {
-            let idx = table.column_index(col)?;
-            AggValue::Avg(aggregate::avg(gpu, table, idx, sel_ref)?)
-        }
-        Aggregate::Min(col) => {
-            let idx = table.column_index(col)?;
-            AggValue::Value(aggregate::min(gpu, table, idx, sel_ref)?)
-        }
-        Aggregate::Max(col) => {
-            let idx = table.column_index(col)?;
-            AggValue::Value(aggregate::max(gpu, table, idx, sel_ref)?)
-        }
-        Aggregate::Median(col) => {
-            let idx = table.column_index(col)?;
-            AggValue::Value(aggregate::median(gpu, table, idx, sel_ref)?)
-        }
-        Aggregate::KthLargest(col, k) => {
-            let idx = table.column_index(col)?;
-            AggValue::Value(aggregate::kth_largest(gpu, table, idx, *k, sel_ref)?)
-        }
-        Aggregate::KthSmallest(col, k) => {
-            let idx = table.column_index(col)?;
-            AggValue::Value(aggregate::kth_smallest(gpu, table, idx, *k, sel_ref)?)
-        }
-        Aggregate::Percentile(col, p) => {
-            let idx = table.column_index(col)?;
-            AggValue::Value(aggregate::percentile(gpu, table, idx, *p, sel_ref)?)
-        }
-    })
-}
-
-/// Convenience: execute and return the single aggregate value of a
-/// one-item SELECT list.
-pub fn execute_scalar(gpu: &mut Gpu, table: &GpuTable, query: &Query) -> EngineResult<AggValue> {
-    if query.aggregates.len() != 1 {
-        return Err(EngineError::InvalidQuery(format!(
-            "execute_scalar requires exactly one aggregate, got {}",
-            query.aggregates.len()
-        )));
-    }
-    let mut out = execute(gpu, table, query)?;
-    Ok(out.rows.remove(0).1)
+    Ok(output)
 }
 
 /// EXPLAIN: describe the physical plan the planner would choose, without
@@ -557,6 +414,7 @@ fn render_analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use crate::query::ast::BoolExpr;
     use gpudb_sim::CompareFunc::*;
 
@@ -676,20 +534,6 @@ mod tests {
             out.value("KTH_SMALLEST(a, 5)"),
             Some(&AggValue::Value(sorted[4]))
         );
-    }
-
-    #[test]
-    fn execute_scalar_shortcuts() {
-        let (mut gpu, t, a, _) = setup();
-        let v = execute_scalar(
-            &mut gpu,
-            &t,
-            &Query::aggregate_all(vec![Aggregate::Max("a".into())]),
-        )
-        .unwrap();
-        assert_eq!(v, AggValue::Value(*a.iter().max().unwrap()));
-        // Requires exactly one aggregate.
-        assert!(execute_scalar(&mut gpu, &t, &Query::aggregate_all(vec![])).is_err());
     }
 
     #[test]

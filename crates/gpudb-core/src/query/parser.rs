@@ -204,6 +204,11 @@ impl Parser {
         }
     }
 
+    /// An integer literal compared against an attribute.
+    fn constant(&mut self) -> EngineResult<u32> {
+        u32::try_from(self.int()?).map_err(|_| err("constant exceeds 32 bits"))
+    }
+
     fn statement(&mut self) -> EngineResult<Statement> {
         let explain = if self.peek_keyword("EXPLAIN") {
             self.pos += 1;
@@ -330,9 +335,9 @@ impl Parser {
         }
         if self.peek_keyword("BETWEEN") {
             self.pos += 1;
-            let low = self.int()? as u32;
+            let low = self.constant()?;
             self.expect_keyword("AND")?;
-            let high = self.int()? as u32;
+            let high = self.constant()?;
             return Ok(BoolExpr::Between { column, low, high });
         }
         let op = self.comparison_op()?;
@@ -423,6 +428,35 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// `parse(sql)` fails as `a <= 4294967296` does.
+    fn assert_constant_too_wide(sql: &str) {
+        match parse(sql) {
+            Err(EngineError::InvalidQuery(msg)) => assert_eq!(msg, "constant exceeds 32 bits"),
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn between_low_bound_wider_than_32_bits_rejected() {
+        assert_constant_too_wide("SELECT COUNT(*) FROM t WHERE a BETWEEN 4294967296 AND 5");
+        let stmt = parse("SELECT COUNT(*) FROM t WHERE a BETWEEN 4294967295 AND 5").unwrap();
+        assert!(matches!(
+            stmt.query.filter,
+            Some(BoolExpr::Between { low: u32::MAX, .. })
+        ));
+    }
+
+    #[test]
+    fn between_high_bound_wider_than_32_bits_rejected() {
+        assert_constant_too_wide("SELECT COUNT(*) FROM t WHERE a BETWEEN 0 AND 4294967296");
+        assert_constant_too_wide("SELECT COUNT(*) FROM t WHERE a <= 4294967296");
+        let stmt = parse("SELECT COUNT(*) FROM t WHERE a BETWEEN 0 AND 4294967295").unwrap();
+        assert!(matches!(
+            stmt.query.filter,
+            Some(BoolExpr::Between { high: u32::MAX, .. })
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! clock, so the output is byte-identical across runs.
 //!
 //! The vendored `serde_json` has no dynamic `Value` type, so the JSON is
-//! assembled by hand; [`escape`] handles string escaping.
+//! assembled by hand; `escape` handles string escaping.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 

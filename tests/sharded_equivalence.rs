@@ -143,6 +143,46 @@ proptest! {
     }
 }
 
+/// One partition is single-device execution: at the same device width,
+/// `execute` and a 1-shard `execute_sharded` return the same rows and
+/// match count (or the same error), and the same metrics records up to
+/// the coordinator's trailing `parallel/merge` marker. Every divergence
+/// is collected, so one run names every (seed, shape) that drifts;
+/// shapes are numbered from 1 as in `tests/common`.
+#[test]
+fn one_shard_equals_single_device_execution() {
+    let mut divergences = Vec::new();
+    for seed in [1u64, 7, 23, 101, 4242] {
+        let host = workload(seed);
+        for (i, query) in query_shapes(seed).iter().enumerate() {
+            let shape = i + 1;
+            match (
+                single_device(&host, query),
+                execute_sharded(&host, query, &shard_opts(1)),
+            ) {
+                (Ok(single), Ok(sharded)) => {
+                    let out = sharded.output;
+                    if (single.matched, &single.rows) != (out.matched, &out.rows) {
+                        divergences.push(format!("seed {seed} shape {shape}: results"));
+                    }
+                    match out.metrics.split_last() {
+                        Some((merge, metrics))
+                            if merge.operator == "parallel/merge" && metrics == single.metrics => {}
+                        _ => divergences.push(format!("seed {seed} shape {shape}: metrics")),
+                    }
+                }
+                (Err(single), Err(sharded)) if single.to_string() == sharded.to_string() => {}
+                (single, sharded) => divergences.push(format!(
+                    "seed {seed} shape {shape}: {:?} vs {:?}",
+                    single.err(),
+                    sharded.err()
+                )),
+            }
+        }
+    }
+    assert!(divergences.is_empty(), "{divergences:#?}");
+}
+
 /// Deterministic replay: the same inputs produce byte-identical outputs,
 /// reports, and metrics logs — OS thread scheduling must not leak in.
 #[test]
