@@ -1,7 +1,8 @@
 //! `chaos` — seeded fault-injection sweep with CPU-oracle cross-check.
 //!
-//! Runs the chaos matrix (the same seed → workload → query-shape mapping
-//! as `tests/chaos.rs`) against the resilient executor and verifies the
+//! Runs the chaos matrix ([`gpudb_bench::chaos`], the same seed →
+//! workload → query-shape → schedule mapping as `tests/chaos.rs`) against
+//! the resilient executor and verifies the
 //! robustness contract: every run either matches the CPU oracle exactly
 //! or returns a typed `EngineError` the oracle agrees with. Writes a
 //! JSON report; on any contract violation the report carries the full
@@ -17,108 +18,16 @@
 //! to the plain executor — the "resilience is free on a healthy device"
 //! half of the contract.
 
-use gpudb_core::cpu_oracle::{self, HostTable};
-use gpudb_core::query::ast::{Aggregate, BoolExpr, Query};
+use gpudb_bench::chaos::{injector_for, query_shapes, workload, RECORDS, SHAPES};
+use gpudb_core::cpu_oracle;
+use gpudb_core::query::ast::Query;
 use gpudb_core::query::executor::{self, ExecuteOptions};
 use gpudb_core::resilience::{execute_resilient, RetryPolicy};
 use gpudb_core::table::GpuTable;
-use gpudb_sim::{CompareFunc, FaultInjector};
+use gpudb_sim::FaultInjector;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// SplitMix64 for workload/query generation (kept in lockstep with
-/// `tests/chaos.rs`; the fault schedule uses the injector's own stream).
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-const RECORDS: usize = 256;
-const SHAPES: [&str; 6] = [
-    "predicate",
-    "range",
-    "cnf",
-    "semilinear",
-    "kth",
-    "accumulator",
-];
-
-fn workload(seed: u64) -> HostTable {
-    let mut rng = Mix(seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1);
-    let a: Vec<u32> = (0..RECORDS).map(|_| rng.below(1 << 16) as u32).collect();
-    let b: Vec<u32> = (0..RECORDS).map(|_| rng.below(1 << 12) as u32).collect();
-    let c: Vec<u32> = (0..RECORDS).map(|_| rng.below(97) as u32).collect();
-    HostTable::new("chaos", vec![("a", a), ("b", b), ("c", c)]).expect("valid workload")
-}
-
-fn query_shapes(seed: u64) -> Vec<Query> {
-    let mut rng = Mix(seed.wrapping_mul(0xD6E8_FEB8_6659_FD93) | 1);
-    let cut = rng.below(1 << 16) as u32;
-    let lo = rng.below(1 << 16) as u32;
-    let hi = rng.below(1 << 16) as u32;
-    let k = 1 + rng.below(32) as usize;
-    vec![
-        Query::filtered(
-            vec![Aggregate::Count],
-            BoolExpr::pred("a", CompareFunc::Greater, cut),
-        ),
-        Query::filtered(
-            vec![Aggregate::Count, Aggregate::Sum("b".into())],
-            BoolExpr::pred("a", CompareFunc::GreaterEqual, lo).and(BoolExpr::pred(
-                "a",
-                CompareFunc::LessEqual,
-                hi,
-            )),
-        ),
-        Query::filtered(
-            vec![Aggregate::Count, Aggregate::Max("a".into())],
-            BoolExpr::pred("b", CompareFunc::Less, 2048)
-                .or(BoolExpr::pred("c", CompareFunc::GreaterEqual, 48))
-                .and(BoolExpr::pred("a", CompareFunc::NotEqual, cut)),
-        ),
-        Query::filtered(
-            vec![Aggregate::Count],
-            BoolExpr::SemiLinear {
-                terms: vec![("a".into(), 1.0), ("b".into(), -2.0)],
-                op: CompareFunc::Greater,
-                constant: cut as f32 / 3.0,
-            },
-        ),
-        Query::filtered(
-            vec![
-                Aggregate::Median("a".into()),
-                Aggregate::KthLargest("b".into(), k),
-            ],
-            BoolExpr::pred("c", CompareFunc::Less, 80),
-        ),
-        Query::filtered(
-            vec![
-                Aggregate::Sum("a".into()),
-                Aggregate::Avg("b".into()),
-                Aggregate::Min("b".into()),
-            ],
-            BoolExpr::pred("c", CompareFunc::GreaterEqual, 20),
-        ),
-    ]
-}
-
-fn injector_for(seed: u64) -> FaultInjector {
-    let horizon = if seed.is_multiple_of(2) { 0 } else { 2_000_000 };
-    let events = 1 + (seed % 6) as usize;
-    FaultInjector::from_seed(seed, events, horizon)
-}
 
 /// One scheduled fault event, rendered for the replay artifact.
 #[derive(Serialize)]

@@ -9,6 +9,7 @@
 //! timings come from the matching Xeon-2004 model in `gpudb-cpu`, with the
 //! baselines also executed for real to verify every result value.
 
+pub mod chaos;
 pub mod experiments;
 pub mod harness;
 pub mod regress;

@@ -4,7 +4,9 @@
 //! by phase from one coordinator that merges the partitions' partial
 //! results exactly. Single-device execution
 //! ([`crate::query::execute_with_options`]) is one partition resident on
-//! the caller's device. Sharded execution ([`execute_sharded`]), after
+//! the caller's device. Resilient execution
+//! ([`crate::resilience::execute_resilient`]) is one host-slice partition
+//! on the caller's device. Sharded execution ([`execute_sharded`]), after
 //! the partition-parallel designs of tile-based GPU analytics engines,
 //! splits a host table into contiguous row-range shards and gives every
 //! shard its own simulated device (own modeled clock, own framebuffer,
@@ -14,22 +16,19 @@
 //! * `COUNT` adds the selections' own occlusion counts (it comes free
 //!   with the selection pass, §4.3.1), and every aggregate that needs a
 //!   count uses this one rather than counting the selection again;
-//! * `SUM` adds, `AVG` divides the merged sum by the merged count,
-//!   `MIN`/`MAX` fold per-partition extrema;
-//! * order statistics (`KthLargest`, `KthSmallest`, `MEDIAN`,
-//!   `PERCENTILE`) run the paper's Routine 4.5 bit descent *globally*:
-//!   the coordinator walks bits MSB-first and each partition answers the
-//!   per-bit `count >= m` occlusion query on its records, so the summed
-//!   counts equal the single-device counts and Lemma 1 applies
-//!   unchanged.
+//! * `SUM` adds, `AVG` divides the merged sum by the merged count;
+//! * order statistics (`MIN`, `MAX`, `KthLargest`, `KthSmallest`,
+//!   `MEDIAN`, `PERCENTILE`) run the paper's Routine 4.5 bit descent
+//!   *globally*: the coordinator walks bits MSB-first and each partition
+//!   answers the per-bit `count >= m` occlusion query on its records, so
+//!   the summed counts equal the single-device counts and Lemma 1 applies
+//!   unchanged. `MAX` is the descent at rank 1 and `MIN` at rank
+//!   `matched` (§4.3.2).
 //!
 //! The merged result is therefore byte-identical to single-device
 //! execution at every shard count, and one shard's metrics are
 //! single-device execution's plus the `parallel/merge` marker — the
 //! properties the `sharded_equivalence` differential suite pins down.
-//! The same coordinator is the out-of-core rung of
-//! [`crate::resilience::execute_resilient`]: after an allocation failure
-//! it re-runs the query over [`RetryPolicy::oom_chunks`] partitions.
 //!
 //! ## Determinism
 //!
@@ -43,13 +42,26 @@
 //!
 //! ## Resilience
 //!
-//! Each shard runs the same recovery ladder as
-//! [`crate::resilience::execute_resilient`] for its selection phase
-//! (retry transient faults with modeled backoff, fall back to the CPU
-//! oracle on resource/device faults), and degrades to the CPU for the
-//! remainder of the query if a fault lands mid-aggregate. A fault on one
-//! shard never disturbs the others. A resident partition has no host
-//! copy to answer from, so its errors surface unchanged.
+//! Every host-slice partition, whether a shard or the one partition of
+//! [`crate::resilience::execute_resilient`], runs the same recovery
+//! ladder, one rule per fault class (`docs/resilience.md`):
+//!
+//! * a logic error surfaces;
+//! * a transient fault in the selection re-uploads and retries with
+//!   modeled backoff ([`RetryPolicy::max_attempts`]); once retries run
+//!   out the partition answers on the CPU, or the statement fails with
+//!   [`EngineError::RetriesExhausted`] when the policy forbids fallback;
+//! * a resource fault in the selection takes the partition out of core:
+//!   [`RetryPolicy::oom_chunks`] chunk partitions on fresh devices of the
+//!   same width answer for it (§6.1), and a chunk's own resource fault
+//!   goes to the CPU;
+//! * a device fault in the selection, or any non-logic fault
+//!   mid-aggregate, answers the rest of the statement on the CPU from the
+//!   partition's read-back mask.
+//!
+//! A fault on one partition never disturbs the others. A resident
+//! partition has no host copy to answer from, so its errors surface
+//! unchanged.
 
 use crate::aggregate::{self, kth::apply_selection_mask};
 use crate::cpu_oracle::{self, HostTable};
@@ -61,14 +73,16 @@ use crate::query::executor::{
     execute_selection, plan_operator, AggValue, ExecuteOptions, QueryOutput,
 };
 use crate::query::planner::{plan_selection, SelectionPlan};
-use crate::resilience::{marker_record, ResiliencePath, RetryPolicy, RetryStep};
+use crate::resilience::{marker_record, ResiliencePath, ResilienceReport, RetryPolicy, RetryStep};
 use crate::selection::Selection;
 use crate::table::GpuTable;
 use gpudb_lint::{Linter, Severity};
-use gpudb_obs::{merge_shard_trees, SpanTree};
+use gpudb_obs::{merge_shard_trees, Span, SpanTree};
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::trace::PassPlan;
 use gpudb_sim::{CompareFunc, FaultClass, FaultInjector, Gpu, Phase, PhaseNanos, RecordMode};
+use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
 
 /// Modeled cost of one merge step, in nanoseconds. The coordinator's
 /// merge work is `shards * (aggregates + 1)` steps: one bitmap-count
@@ -141,7 +155,8 @@ pub struct ShardRun {
     pub retries: u32,
     /// Human-readable log of every degradation step taken.
     pub degradations: Vec<String>,
-    /// The shard device's total modeled time, nanoseconds.
+    /// The shard's total modeled time, nanoseconds: its device's clock
+    /// plus, out of core, its chunk devices' clocks.
     pub modeled_ns: u64,
 }
 
@@ -191,33 +206,21 @@ pub fn execute_sharded_with_faults(
     let n = host.record_count();
     let ranges = plan_shards(n, opts.shards);
     faults.resize_with(ranges.len(), || None);
-    let mut devices: Vec<Gpu> = ranges
+    let mut partitions: Vec<Partition> = ranges
         .iter()
         .zip(faults)
         .map(|(&(start, end), fault)| {
-            let mut gpu = GpuTable::device_for(end - start, opts.device_width);
+            let mut gpu = fresh_device(end - start, opts.device_width, opts.options);
             if let Some(injector) = fault {
                 gpu.attach_fault_injector(injector);
             }
-            // One log per shard device for the whole statement: validation
-            // lints the windows of the attempts that succeeded, and tracing
-            // renders all of it.
-            if opts.options.validate_plans || opts.options.trace.is_some() {
-                gpu.attach_log(RecordMode::RecordAndExecute);
-            }
-            gpu
-        })
-        .collect();
-    let mut partitions: Vec<Partition> = devices
-        .iter_mut()
-        .zip(&ranges)
-        .map(|(gpu, &(start, end))| {
-            let records = Records::Host {
-                slice: host.slice(start, end),
-                policy: &opts.policy,
-                upload: None,
-            };
-            Partition::new(gpu, records, query, opts.options)
+            let records = Records::host(Cow::Owned(host.slice(start, end)), &opts.policy);
+            Partition::new(
+                Device::Own(gpu),
+                records,
+                query.filter.as_ref(),
+                opts.options,
+            )
         })
         .collect();
     let (matched, rows) = run_phases(&mut partitions, query)?;
@@ -228,11 +231,14 @@ pub fn execute_sharded_with_faults(
     let mut timing = PhaseNanos::default();
     let mut shards = Vec::with_capacity(partitions.len());
     let mut traces = Vec::new();
-    for (partition, &(start, end)) in partitions.into_iter().zip(&ranges) {
+    for (mut partition, &(start, end)) in partitions.into_iter().zip(&ranges) {
+        let (chunk_ns, chunk_spans) = partition.close();
         if let (Some(level), Some(log)) = (opts.options.trace, partition.gpu.log()) {
-            traces.push(SpanTree::from_log(log.entries(), level));
+            let mut tree = SpanTree::from_log(log.entries(), level);
+            tree.roots.extend(chunk_spans);
+            traces.push(tree);
         }
-        let modeled = partition.gpu.stats().modeled;
+        let modeled = partition.gpu.stats().modeled.plus(&chunk_ns);
         timing = timing.plus(&modeled);
         mask.extend(partition.mask);
         all_metrics.extend(partition.metrics);
@@ -275,8 +281,7 @@ pub fn execute_sharded_with_faults(
 
 /// Execute `query` as one partition resident on the caller's device:
 /// `table` is already uploaded there and `plan` is its selection plan.
-/// The caller owns the device's log, the `query` span and the `timing`
-/// and `trace` of the output.
+/// The caller wraps the statement ([`crate::query::executor`]).
 pub(crate) fn execute_resident(
     gpu: &mut Gpu,
     table: &GpuTable,
@@ -284,16 +289,61 @@ pub(crate) fn execute_resident(
     query: &Query,
     options: ExecuteOptions,
 ) -> EngineResult<QueryOutput> {
-    let mut partition = Partition::new(gpu, Records::Resident(table, plan), query, options);
-    let (matched, rows) = run_phases(std::slice::from_mut(&mut partition), query)?;
-    Ok(QueryOutput {
+    let records = Records::Resident(table, plan);
+    let partition = Partition::new(Device::Caller(gpu), records, query.filter.as_ref(), options);
+    execute_one(partition, query, table.record_count()).map(|(output, _)| output)
+}
+
+/// Execute `query` as one host-slice partition on the caller's device,
+/// riding the recovery ladder every shard rides. The caller wraps the
+/// statement ([`crate::resilience::execute_resilient`]).
+pub(crate) fn execute_host(
+    gpu: &mut Gpu,
+    host: &HostTable,
+    query: &Query,
+    options: ExecuteOptions,
+    policy: &RetryPolicy,
+) -> EngineResult<(QueryOutput, ResilienceReport)> {
+    let records = Records::host(Cow::Borrowed(host), policy);
+    let partition = Partition::new(Device::Caller(gpu), records, query.filter.as_ref(), options);
+    let (output, partition) = execute_one(partition, query, host.record_count())?;
+    let backoff_ns = output
+        .metrics
+        .iter()
+        .filter(|m| m.operator == RetryStep::OPERATOR)
+        .map(MetricsRecord::modeled_total_ns)
+        .fold(0, u64::saturating_add);
+    let report = ResilienceReport {
+        path: partition.path,
+        attempts: partition.attempts,
+        retries: partition.retries,
+        backoff_ns,
+        degradations: partition.degradations,
+    };
+    Ok((output, report))
+}
+
+/// Run `query` on one partition of the caller's device and close it on
+/// every exit path. The output's `timing` and `trace` hold only what ran
+/// on out-of-core chunk devices; the statement wrapper adds the caller's
+/// device.
+fn execute_one<'a>(
+    mut partition: Partition<'a>,
+    query: &Query,
+    records: usize,
+) -> EngineResult<(QueryOutput, Partition<'a>)> {
+    let phases = run_phases(std::slice::from_mut(&mut partition), query);
+    let (timing, spans) = partition.close();
+    let (matched, rows) = phases?;
+    let output = QueryOutput {
         matched,
-        selectivity: selectivity(matched, table.record_count()),
+        selectivity: selectivity(matched, records),
         rows,
-        timing: PhaseNanos::default(),
-        metrics: partition.metrics,
-        trace: None,
-    })
+        timing,
+        metrics: std::mem::take(&mut partition.metrics),
+        trace: (!spans.is_empty()).then_some(SpanTree { roots: spans }),
+    };
+    Ok((output, partition))
 }
 
 /// `matched` as a share of `records` (0 for an empty table).
@@ -305,6 +355,18 @@ fn selectivity(matched: u64, records: usize) -> f64 {
     }
 }
 
+/// A fresh device for `records` records, `width` records per row. It
+/// keeps one log for the whole statement when validating or tracing:
+/// validation lints the windows of the attempts that succeeded, and
+/// tracing renders all of it.
+fn fresh_device(records: usize, width: usize, options: ExecuteOptions) -> Box<Gpu> {
+    let mut gpu = GpuTable::device_for(records, width);
+    if options.validate_plans || options.trace.is_some() {
+        gpu.attach_log(RecordMode::RecordAndExecute);
+    }
+    Box::new(gpu)
+}
+
 /// The coordinator's phase loop; returns the merged match count and the
 /// rows.
 ///
@@ -312,7 +374,8 @@ fn selectivity(matched: u64, records: usize) -> f64 {
 /// order, so the first failing partition's error surfaces. Phase 2: the
 /// aggregates, strictly in SELECT order, so validation errors (unknown
 /// column, invalid k, empty input) surface in the same order on every
-/// placement.
+/// placement. An out-of-core partition answers phase 2 through its
+/// chunks.
 fn run_phases(
     partitions: &mut [Partition],
     query: &Query,
@@ -322,16 +385,18 @@ fn run_phases(
         partition.run_selection()?;
         matched += partition.matched;
     }
+    let mut leaves: Vec<&mut Partition> =
+        partitions.iter_mut().flat_map(Partition::leaves).collect();
     let mut rows = Vec::with_capacity(query.aggregates.len());
     for agg in &query.aggregates {
         let label = agg.label();
-        for partition in partitions.iter_mut() {
+        for partition in leaves.iter_mut() {
             partition.begin_agg(&label, matched);
         }
-        let value = merge_aggregate(agg, matched, partitions);
+        let value = merge_aggregate(agg, matched, &mut leaves);
         // Close every window, also after an error, so spans stay paired.
         let mut linted = Ok(());
-        for partition in partitions.iter_mut() {
+        for partition in leaves.iter_mut() {
             linted = linted.and(partition.end_agg());
         }
         rows.push((label, value?));
@@ -340,100 +405,58 @@ fn run_phases(
     Ok((matched, rows))
 }
 
-/// Resolve an aggregate's column; every partition has the same columns.
-fn column_index(partitions: &[Partition], name: &str) -> EngineResult<usize> {
-    match partitions.first() {
-        Some(partition) => partition.column_index(name),
-        None => Err(EngineError::ColumnNotFound(name.to_string())),
-    }
-}
-
 /// Validate and compute one aggregate from per-partition partials. The
 /// merged `matched` count is the selections' own occlusion count, so no
-/// partition counts its selection again.
+/// partition counts its selection again. Every order statistic is one
+/// descent at a rank counted from the largest: `MAX` at 1 and `MIN` at
+/// `matched` (§4.3.2).
 fn merge_aggregate(
     agg: &Aggregate,
     matched: u64,
-    partitions: &mut [Partition],
+    partitions: &mut [&mut Partition],
 ) -> EngineResult<AggValue> {
-    Ok(match agg {
-        Aggregate::Count => AggValue::Count(matched),
-        Aggregate::Sum(col) => {
-            let idx = column_index(partitions, col)?;
-            AggValue::Sum(
-                partitions
-                    .iter_mut()
-                    .map(|p| p.op_sum(idx))
-                    .sum::<EngineResult<u64>>()?,
-            )
-        }
-        Aggregate::Avg(col) => {
-            let idx = column_index(partitions, col)?;
-            if matched == 0 {
-                return Err(EngineError::EmptyInput);
-            }
+    // Every partition has the same columns.
+    let idx = match (agg.column(), partitions.first()) {
+        (None, _) => return Ok(AggValue::Count(matched)),
+        (Some(col), Some(first)) => first.column_index(col)?,
+        (Some(col), None) => return Err(EngineError::ColumnNotFound(col.to_string())),
+    };
+    let n = matched as usize;
+    let k = match agg {
+        Aggregate::Count => return Ok(AggValue::Count(matched)),
+        Aggregate::Avg(_) if n == 0 => return Err(EngineError::EmptyInput),
+        Aggregate::Sum(_) | Aggregate::Avg(_) => {
             let sum = partitions
                 .iter_mut()
                 .map(|p| p.op_sum(idx))
                 .sum::<EngineResult<u64>>()?;
-            AggValue::Avg(sum as f64 / matched as f64)
+            return Ok(match agg {
+                Aggregate::Sum(_) => AggValue::Sum(sum),
+                _ => AggValue::Avg(sum as f64 / matched as f64),
+            });
         }
-        Aggregate::Min(col) | Aggregate::Max(col) => {
-            let idx = column_index(partitions, col)?;
-            if matched == 0 {
-                return Err(EngineError::InvalidK { k: 1, available: 0 });
-            }
-            let is_min = matches!(agg, Aggregate::Min(_));
-            let mut best: Option<u32> = None;
-            for partition in partitions.iter_mut() {
-                best = match (best, partition.op_extremum(idx, is_min)?) {
-                    (Some(a), Some(b)) => Some(if is_min { a.min(b) } else { a.max(b) }),
-                    (a, b) => a.or(b),
-                };
-            }
-            AggValue::Value(best.ok_or(EngineError::InvalidK {
-                k: 1,
+        Aggregate::Min(_) | Aggregate::Max(_) if n == 0 => {
+            return Err(EngineError::InvalidK { k: 1, available: 0 })
+        }
+        Aggregate::Max(_) => 1,
+        Aggregate::Min(_) => n,
+        Aggregate::KthLargest(_, k) | Aggregate::KthSmallest(_, k) if *k == 0 || *k > n => {
+            return Err(EngineError::InvalidK {
+                k: *k,
                 available: matched,
-            })?)
+            })
         }
-        Aggregate::KthLargest(col, k) => {
-            let idx = column_index(partitions, col)?;
-            if *k == 0 || *k as u64 > matched {
-                return Err(EngineError::InvalidK {
-                    k: *k,
-                    available: matched,
-                });
-            }
-            AggValue::Value(descend(partitions, idx, *k)?)
+        Aggregate::KthLargest(_, k) => *k,
+        Aggregate::KthSmallest(_, k) => n + 1 - k,
+        Aggregate::Median(_) | Aggregate::Percentile(..) if n == 0 => {
+            return Err(EngineError::EmptyInput)
         }
-        Aggregate::KthSmallest(col, k) => {
-            let idx = column_index(partitions, col)?;
-            if *k == 0 || *k as u64 > matched {
-                return Err(EngineError::InvalidK {
-                    k: *k,
-                    available: matched,
-                });
-            }
-            AggValue::Value(descend(partitions, idx, matched as usize + 1 - k)?)
+        Aggregate::Median(_) => n + 1 - n.div_ceil(2),
+        Aggregate::Percentile(_, p) => {
+            n + 1 - ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n)
         }
-        Aggregate::Median(col) => {
-            let idx = column_index(partitions, col)?;
-            if matched == 0 {
-                return Err(EngineError::EmptyInput);
-            }
-            let rank = (matched as usize).div_ceil(2);
-            AggValue::Value(descend(partitions, idx, matched as usize + 1 - rank)?)
-        }
-        Aggregate::Percentile(col, p) => {
-            let idx = column_index(partitions, col)?;
-            if matched == 0 {
-                return Err(EngineError::EmptyInput);
-            }
-            let rank =
-                ((p.clamp(0.0, 1.0) * matched as f64).ceil() as usize).clamp(1, matched as usize);
-            AggValue::Value(descend(partitions, idx, matched as usize + 1 - rank)?)
-        }
-    })
+    };
+    Ok(AggValue::Value(descend(partitions, idx, k)?))
 }
 
 /// The global bit descent of Routine 4.5, distributed: the coordinator
@@ -444,7 +467,7 @@ fn merge_aggregate(
 /// The bit width is the widest partition's, which is the full column's
 /// `32 - leading_zeros(max)` that [`crate::table::ColumnMeta`] stores, so
 /// the descent runs the bit sequence one device would.
-fn descend(partitions: &mut [Partition], column: usize, k: usize) -> EngineResult<u32> {
+fn descend(partitions: &mut [&mut Partition], column: usize, k: usize) -> EngineResult<u32> {
     let mut bits = 0;
     for partition in partitions.iter() {
         bits = bits.max(partition.column_bits(column)?);
@@ -494,26 +517,67 @@ fn lint_plans(plans: &[PassPlan]) -> EngineResult<()> {
 // Partition
 // ---------------------------------------------------------------------
 
+/// A partition's device: the caller's, or one the coordinator made for a
+/// shard or an out-of-core chunk.
+enum Device<'a> {
+    Caller(&'a mut Gpu),
+    Own(Box<Gpu>),
+}
+
+impl Deref for Device<'_> {
+    type Target = Gpu;
+
+    fn deref(&self) -> &Gpu {
+        match self {
+            Device::Caller(gpu) => gpu,
+            Device::Own(gpu) => gpu,
+        }
+    }
+}
+
+impl DerefMut for Device<'_> {
+    fn deref_mut(&mut self) -> &mut Gpu {
+        match self {
+            Device::Caller(gpu) => gpu,
+            Device::Own(gpu) => gpu,
+        }
+    }
+}
+
 /// Where a partition's records live.
 enum Records<'a> {
     /// On the caller's device, with the executor's plan: no upload, no
     /// mask readback and no ladder, so every error surfaces unchanged.
     Resident(&'a GpuTable, &'a SelectionPlan),
     /// A host slice, uploaded by each selection attempt; `upload` holds
-    /// the attempt that succeeded, and is `None` while the partition
-    /// answers on the CPU.
+    /// the attempt that succeeded until the partition closes.
     Host {
-        slice: HostTable,
+        slice: Cow<'a, HostTable>,
         policy: &'a RetryPolicy,
         upload: Option<GpuTable>,
+        /// A chunk of an out-of-core partition: its own resource faults
+        /// go to the CPU rather than out of core again.
+        chunk: bool,
     },
+}
+
+impl<'a> Records<'a> {
+    /// A host slice that may go out of core.
+    fn host(slice: Cow<'a, HostTable>, policy: &'a RetryPolicy) -> Records<'a> {
+        Records::Host {
+            slice,
+            policy,
+            upload: None,
+            chunk: false,
+        }
+    }
 }
 
 /// One partition: a device, its modeled clock and (for a host slice) its
 /// recovery ladder. The coordinator drives every partition directly, in
 /// partition order.
 struct Partition<'a> {
-    gpu: &'a mut Gpu,
+    gpu: Device<'a>,
     records: Records<'a>,
     filter: Option<&'a BoolExpr>,
     options: ExecuteOptions,
@@ -529,19 +593,24 @@ struct Partition<'a> {
     metrics: Vec<MetricsRecord>,
     /// The open aggregate window: its log mark and measurement.
     window: Option<(usize, Observation)>,
+    /// On the CPU, the selected values of the column an open descent
+    /// counts, gathered once rather than on every bit.
+    descent: Vec<u32>,
+    /// Out of core: the chunk partitions that answer for this one.
+    chunks: Vec<Partition<'a>>,
 }
 
 impl<'a> Partition<'a> {
     fn new(
-        gpu: &'a mut Gpu,
+        gpu: Device<'a>,
         records: Records<'a>,
-        query: &'a Query,
+        filter: Option<&'a BoolExpr>,
         options: ExecuteOptions,
     ) -> Partition<'a> {
         Partition {
             gpu,
             records,
-            filter: query.filter.as_ref(),
+            filter,
             options,
             selection: None,
             mask: Vec::new(),
@@ -552,6 +621,18 @@ impl<'a> Partition<'a> {
             degradations: Vec::new(),
             metrics: Vec::new(),
             window: None,
+            descent: Vec::new(),
+            chunks: Vec::new(),
+        }
+    }
+
+    /// The partitions that answer the aggregates for this one: its
+    /// chunks when it went out of core, itself otherwise.
+    fn leaves(&mut self) -> &mut [Partition<'a>] {
+        if self.chunks.is_empty() {
+            std::slice::from_mut(self)
+        } else {
+            &mut self.chunks
         }
     }
 
@@ -592,14 +673,19 @@ impl<'a> Partition<'a> {
     }
 
     /// Phase 1. A resident partition selects once and surfaces any
-    /// error. A host slice rides the recovery ladder, mirroring
-    /// [`crate::resilience::execute_resilient`]: retry transients with
-    /// modeled backoff, fall back to the CPU oracle on resource/device
-    /// faults or retry exhaustion (when the policy allows), surface
-    /// logic errors untouched.
+    /// error. A host slice rides the recovery ladder: retry transients
+    /// with modeled backoff, go out of core on a resource fault, fall back
+    /// to the CPU oracle on device faults, chunk resource faults or retry
+    /// exhaustion (when the policy allows), surface logic errors
+    /// untouched.
     fn run_selection(&mut self) -> EngineResult<()> {
-        let (records, policy) = match &self.records {
-            Records::Host { slice, policy, .. } => (slice.record_count() as u64, *policy),
+        let (records, policy, chunk) = match &self.records {
+            Records::Host {
+                slice,
+                policy,
+                chunk,
+                ..
+            } => (slice.record_count() as u64, *policy, *chunk),
             Records::Resident(..) => return self.selection_attempt(),
         };
         let max_attempts = policy.max_attempts.max(1);
@@ -613,7 +699,8 @@ impl<'a> Partition<'a> {
                 FaultClass::Logic => return Err(error),
                 FaultClass::Transient if self.attempts < max_attempts => {
                     self.retries += 1;
-                    let step = RetryStep::charge(self.gpu, policy, self.retries, records, &error);
+                    let step =
+                        RetryStep::charge(&mut self.gpu, policy, self.retries, records, &error);
                     self.metrics.push(step.record);
                     self.degradations.push(step.degradation);
                 }
@@ -622,16 +709,17 @@ impl<'a> Partition<'a> {
                         attempts: self.attempts,
                         last: Box::new(error),
                     };
-                    let note = format!("{exhausted}; shard answering on the CPU");
+                    let note = format!("{exhausted}; partition answering on the CPU");
                     return self.cpu_fallback(exhausted, note);
                 }
+                FaultClass::Resource if !chunk => return self.out_of_core(policy, error),
                 class => {
                     let kind = if class == FaultClass::Resource {
                         "resource"
                     } else {
                         "device"
                     };
-                    let note = format!("{kind} fault ({error}); shard answering on the CPU");
+                    let note = format!("{kind} fault ({error}); partition answering on the CPU");
                     return self.cpu_fallback(error, note);
                 }
             }
@@ -646,7 +734,7 @@ impl<'a> Partition<'a> {
         let (selection, matched, record) = match self.records {
             Records::Resident(table, plan) => self.select(table, plan)?,
             Records::Host { ref slice, .. } => {
-                let table = slice.upload(self.gpu)?;
+                let table = slice.upload(&mut self.gpu)?;
                 match self.select_and_read(&table) {
                     Ok((selection, matched, record, mask)) => {
                         self.mask = mask;
@@ -657,7 +745,7 @@ impl<'a> Partition<'a> {
                     }
                     Err(e) => {
                         // Best-effort free: on a reset device this may fail too.
-                        let _ = table.free(self.gpu);
+                        let _ = table.free(&mut self.gpu);
                         return Err(e);
                     }
                 }
@@ -678,7 +766,7 @@ impl<'a> Partition<'a> {
         let plan = plan_selection(table, self.filter)?;
         let (selection, matched, record) = self.select(table, &plan)?;
         let mask = match &selection {
-            Some(sel) => sel.read_mask(self.gpu)?,
+            Some(sel) => sel.read_mask(&mut self.gpu)?,
             None => vec![true; table.record_count()],
         };
         Ok((selection, matched, record, mask))
@@ -695,7 +783,7 @@ impl<'a> Partition<'a> {
         self.gpu.span_begin(SpanKind::Stage, "selection");
         let fuse = self.options.fuse_passes;
         let (result, record) = metrics::observe(
-            self.gpu,
+            &mut self.gpu,
             plan_operator(plan),
             table.record_count() as u64,
             |gpu| execute_selection(gpu, table, plan, fuse),
@@ -704,6 +792,47 @@ impl<'a> Partition<'a> {
         let (selection, matched) = result?;
         self.lint_since(mark)?;
         Ok((selection, matched, record))
+    }
+
+    /// A resource fault in the selection: the partition goes out of core
+    /// (§6.1). `policy.oom_chunks` chunk partitions, each on a fresh
+    /// device of this one's width, run their own selections and answer
+    /// the aggregates in its place; faults still pending on this device
+    /// never reach them.
+    fn out_of_core(&mut self, policy: &'a RetryPolicy, error: EngineError) -> EngineResult<()> {
+        let Records::Host { slice, .. } = &self.records else {
+            return Err(error);
+        };
+        let ranges = plan_shards(slice.record_count(), policy.oom_chunks);
+        self.degradations.push(format!(
+            "resource fault ({error}); partition going out of core in {} chunks",
+            ranges.len()
+        ));
+        self.metrics.push(marker_record(
+            "resilience/out-of-core",
+            slice.record_count() as u64,
+        ));
+        self.path = ResiliencePath::OutOfCore;
+        let width = self.gpu.width();
+        self.chunks = ranges
+            .into_iter()
+            .map(|(start, end)| {
+                let records = Records::Host {
+                    slice: Cow::Owned(slice.slice(start, end)),
+                    policy,
+                    upload: None,
+                    chunk: true,
+                };
+                let gpu = fresh_device(end - start, width, self.options);
+                Partition::new(Device::Own(gpu), records, self.filter, self.options)
+            })
+            .collect();
+        for chunk in &mut self.chunks {
+            chunk.run_selection()?;
+            self.matched += chunk.matched;
+            self.mask.extend_from_slice(&chunk.mask);
+        }
+        Ok(())
     }
 
     /// A failed selection degrades: the CPU oracle answers the whole host
@@ -722,25 +851,47 @@ impl<'a> Partition<'a> {
     /// `note`; or surface `error` when it is a logic fault, the policy
     /// forbids fallback or the partition is resident.
     fn degrade_or(&mut self, error: EngineError, note: String) -> EngineResult<()> {
-        let Records::Host {
-            slice,
-            policy,
-            upload,
-        } = &mut self.records
-        else {
+        let Records::Host { slice, policy, .. } = &self.records else {
             return Err(error);
         };
         if error.fault_class() == FaultClass::Logic || !policy.cpu_fallback {
             return Err(error);
         }
-        *upload = None;
         self.degradations.push(note);
         self.metrics.push(marker_record(
-            "parallel/shard-cpu",
+            "resilience/cpu-fallback",
             slice.record_count() as u64,
         ));
         self.path = ResiliencePath::Cpu;
         Ok(())
+    }
+
+    /// End the statement: free the upload (best effort: a reset device
+    /// has already lost it), and fold an out-of-core partition's chunks
+    /// into its ledger, metrics and degradations in chunk order. Returns
+    /// the chunk devices' modeled time and, when tracing, their spans.
+    fn close(&mut self) -> (PhaseNanos, Vec<Span>) {
+        if let Records::Host { upload, .. } = &mut self.records {
+            if let Some(table) = upload.take() {
+                let _ = table.free(&mut self.gpu);
+            }
+        }
+        let mut modeled = PhaseNanos::default();
+        let mut spans = Vec::new();
+        for (i, chunk) in std::mem::take(&mut self.chunks).into_iter().enumerate() {
+            modeled = modeled.plus(&chunk.gpu.stats().modeled);
+            if let (Some(level), Some(log)) = (self.options.trace, chunk.gpu.log()) {
+                spans.extend(SpanTree::from_log(log.entries(), level).roots);
+            }
+            self.metrics.extend(chunk.metrics);
+            self.degradations.extend(
+                chunk
+                    .degradations
+                    .into_iter()
+                    .map(|d| format!("chunk {i}: {d}")),
+            );
+        }
+        (modeled, spans)
     }
 
     /// Open an aggregate window (stage span and operator measurement);
@@ -750,7 +901,7 @@ impl<'a> Partition<'a> {
         self.gpu
             .span_begin(SpanKind::Stage, &format!("aggregate:{label}"));
         let mark = self.log_mark();
-        let observation = metrics::begin(self.gpu, format!("agg/{label}"), input);
+        let observation = metrics::begin(&mut self.gpu, format!("agg/{label}"), input);
         self.window = Some((mark, observation));
     }
 
@@ -759,7 +910,7 @@ impl<'a> Partition<'a> {
     fn end_agg(&mut self) -> EngineResult<()> {
         let mut lint = Ok(());
         if let Some((mark, observation)) = self.window.take() {
-            self.metrics.push(observation.end(self.gpu));
+            self.metrics.push(observation.end(&mut self.gpu));
             if self.path != ResiliencePath::Cpu {
                 lint = self.lint_since(mark);
             }
@@ -776,6 +927,7 @@ impl<'a> Partition<'a> {
         op: impl FnOnce(&mut Gpu, &GpuTable, Option<&Selection>) -> EngineResult<T>,
     ) -> EngineResult<Option<T>> {
         let table = match &self.records {
+            _ if self.path == ResiliencePath::Cpu => return Ok(None),
             Records::Resident(table, _) => *table,
             Records::Host {
                 upload: Some(table),
@@ -783,10 +935,10 @@ impl<'a> Partition<'a> {
             } => table,
             Records::Host { upload: None, .. } => return Ok(None),
         };
-        match op(self.gpu, table, self.selection.as_ref()) {
+        match op(&mut self.gpu, table, self.selection.as_ref()) {
             Ok(v) => Ok(Some(v)),
             Err(e) => {
-                let note = format!("aggregate fault ({e}); shard answering on the CPU");
+                let note = format!("aggregate fault ({e}); partition answering on the CPU");
                 self.degrade_or(e, note).map(|()| None)
             }
         }
@@ -818,30 +970,6 @@ impl<'a> Partition<'a> {
             return Ok(sum);
         }
         Ok(self.selected_values(column)?.map(u64::from).sum())
-    }
-
-    /// Partial MIN/MAX of a column over the partition's selection; `None`
-    /// when the partition selected no records.
-    fn op_extremum(&mut self, column: usize, is_min: bool) -> EngineResult<Option<u32>> {
-        if self.matched == 0 {
-            return Ok(None);
-        }
-        let on_device = self.on_device(|gpu, table, sel| {
-            if is_min {
-                aggregate::min(gpu, table, column, sel)
-            } else {
-                aggregate::max(gpu, table, column, sel)
-            }
-        })?;
-        if on_device.is_some() {
-            return Ok(on_device);
-        }
-        let selected = self.selected_values(column)?;
-        Ok(if is_min {
-            selected.min()
-        } else {
-            selected.max()
-        })
     }
 
     /// Open a global bit descent: copy the column to depth and arm the
@@ -881,11 +1009,16 @@ impl<'a> Partition<'a> {
         if let Some(count) = on_device {
             return Ok(count);
         }
-        Ok(self.selected_values(column)?.filter(|&v| v >= m).count() as u64)
+        if self.descent.is_empty() {
+            let values = self.selected_values(column)?.collect();
+            self.descent = values;
+        }
+        Ok(self.descent.iter().filter(|&&v| v >= m).count() as u64)
     }
 
     /// Close a global bit descent: restore the default pipeline state.
     fn op_end_descent(&mut self) -> EngineResult<()> {
+        self.descent.clear();
         if self.matched == 0 {
             return Ok(());
         }

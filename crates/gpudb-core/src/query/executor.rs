@@ -154,9 +154,35 @@ pub fn execute_with_options(
     options: ExecuteOptions,
 ) -> EngineResult<QueryOutput> {
     let plan = plan_selection(table, query.filter.as_ref())?;
-    // Log the device when validating or tracing, unless the caller
-    // already does (a harness logging a whole workload keeps its log);
-    // either way, lint and trace only this execution's window of the log.
+    execute_plan(gpu, table, &plan, query, options)
+}
+
+/// [`execute_with_options`] with the statement's selection plan made.
+fn execute_plan(
+    gpu: &mut Gpu,
+    table: &GpuTable,
+    plan: &SelectionPlan,
+    query: &Query,
+    options: ExecuteOptions,
+) -> EngineResult<QueryOutput> {
+    run_statement(gpu, options, |gpu| {
+        parallel::execute_resident(gpu, table, plan, query, options).map(|output| (output, ()))
+    })
+    .map(|(output, ())| output)
+}
+
+/// Wrap one statement on the caller's device, the same way at every
+/// placement: log the device when validating or tracing, unless the
+/// caller already does (a harness logging a whole workload keeps its
+/// log), open the `query` span, and measure the statement's `timing` and
+/// trace on this statement's window of the log. `run` returns the output,
+/// whose `timing` and `trace` hold only what ran on other devices
+/// (out-of-core chunks), and a placement's own ledger.
+pub(crate) fn run_statement<T>(
+    gpu: &mut Gpu,
+    options: ExecuteOptions,
+    run: impl FnOnce(&mut Gpu) -> EngineResult<(QueryOutput, T)>,
+) -> EngineResult<(QueryOutput, T)> {
     let owns_log = (options.validate_plans || options.trace.is_some()) && gpu.log().is_none();
     if owns_log {
         gpu.attach_log(RecordMode::RecordAndExecute);
@@ -164,16 +190,20 @@ pub fn execute_with_options(
     let mark = gpu.log().map_or(0, |log| log.entries().len());
     gpu.span_begin(SpanKind::Query, "query");
     let before = gpu.stats().modeled;
-    let result = parallel::execute_resident(gpu, table, &plan, query, options);
+    let result = run(gpu);
     let timing = gpu.stats().modeled.since(&before);
     gpu.span_end();
     let owned = if owns_log { gpu.take_log() } else { None };
-    let mut output = QueryOutput { timing, ..result? };
+    let (mut output, ledger) = result?;
+    output.timing = timing.plus(&output.timing);
     if let (Some(level), Some(log)) = (options.trace, owned.as_ref().or(gpu.log())) {
         let window = log.entries().get(mark..).unwrap_or_default();
-        output.trace = Some(SpanTree::from_log(window, level));
+        let mut tree = SpanTree::from_log(window, level);
+        tree.roots
+            .extend(output.trace.take().into_iter().flat_map(|t| t.roots));
+        output.trace = Some(tree);
     }
-    Ok(output)
+    Ok((output, ledger))
 }
 
 /// EXPLAIN: describe the physical plan the planner would choose, without
@@ -334,8 +364,8 @@ pub fn explain_analyze_with_options(
         trace: Some(options.trace.unwrap_or(TraceLevel::Passes)),
         ..options
     };
-    let output = execute_with_options(gpu, table, query, options)?;
     let plan = plan_selection(table, query.filter.as_ref())?;
+    let output = execute_plan(gpu, table, &plan, query, options)?;
     Ok(render_analyze(table, &plan, query, &output))
 }
 

@@ -3,45 +3,50 @@
 //! The paper's routines assume a device that answers every occlusion
 //! query and returns every readback intact. Under the fault model of
 //! `gpudb-sim` (see `docs/resilience.md`) that assumption breaks in
-//! typed, classified ways — [`gpudb_sim::FaultClass`] — and this module
-//! turns each class into a recovery ladder instead of a failed query:
+//! typed, classified ways — [`gpudb_sim::FaultClass`] — and the engine
+//! turns each class into a rung of one recovery ladder instead of a
+//! failed query:
 //!
-//! - **Transient** (lost occlusion query, corrupted readback): retry the
-//!   whole query up to [`RetryPolicy::max_attempts`] times, separated by
-//!   exponential backoff charged to the *modeled* clock
-//!   ([`Gpu::charge_backoff`]) so recovery cost is deterministic and
-//!   visible in metrics. Exhausted retries wrap the last error in
-//!   [`EngineError::RetriesExhausted`].
-//! - **Resource** (video-memory allocation failure): degrade to
-//!   out-of-core execution — the partition coordinator of
-//!   [`crate::parallel`] re-runs the query over
-//!   [`RetryPolicy::oom_chunks`] row partitions, each on a fresh
-//!   chunk-sized device of the caller's width, and merges them exactly.
-//!   Its distributed Routine 4.5 descent covers the holistic aggregates
-//!   (median, k-th, percentile) too. The rung's modeled cost is the sum
-//!   of the partitions' clocks; faults still pending on the caller's
-//!   device do not reach it.
-//! - **Device** (reset, persistent faults): answer on the CPU via
-//!   [`crate::cpu_oracle`], whose operators route through `gpudb-cpu`'s
-//!   optimized baselines and agree with the GPU path result-for-result
-//!   and error-for-error.
+//! - **Transient** (lost occlusion query, corrupted readback) in the
+//!   selection: re-upload and retry up to [`RetryPolicy::max_attempts`]
+//!   times, separated by exponential backoff charged to the *modeled*
+//!   clock ([`Gpu::charge_backoff`]) so recovery cost is deterministic
+//!   and visible in metrics. Exhausted retries wrap the last error in
+//!   [`EngineError::RetriesExhausted`] and answer on the CPU when the
+//!   policy allows.
+//! - **Resource** (video-memory allocation failure) in the selection:
+//!   go out of core — [`RetryPolicy::oom_chunks`] chunk partitions, each
+//!   on a fresh chunk-sized device of the same width, answer for the
+//!   partition and merge exactly. The distributed Routine 4.5 descent
+//!   covers the holistic aggregates (median, k-th, percentile) too. The
+//!   rung's modeled cost adds the chunks' clocks; faults still pending on
+//!   the struck device do not reach them.
+//! - **Device** (reset, persistent faults), or any non-logic fault
+//!   mid-aggregate: answer the rest of the statement on the CPU from the
+//!   partition's read-back selection mask, via [`crate::cpu_oracle`],
+//!   whose operators agree with the GPU path result-for-result and
+//!   error-for-error.
 //! - **Logic** (bad query, invalid k, unknown column): never retried —
 //!   the error is the answer, and it is identical on every rung.
 //!
-//! Every recovery step emits a `resilience/*` [`MetricsRecord`] into the
-//! output so EXPLAIN ANALYZE and the span timeline show what the engine
-//! actually did. With no injected faults, `execute_resilient` takes the
-//! plain GPU path and produces byte-identical records to
-//! [`executor::execute_with_options`] — the perf harness's determinism
-//! gate stays intact.
+//! The ladder lives in one place, the partition coordinator of
+//! [`crate::parallel`], and applies at every placement:
+//! [`execute_resilient`] is one host-slice partition on the caller's
+//! device, and every shard of [`crate::parallel::execute_sharded`] is
+//! another. Every recovery step emits a `resilience/*` [`MetricsRecord`]
+//! into the output so EXPLAIN ANALYZE and the span timeline show what the
+//! engine actually did. With no injected faults, `execute_resilient`
+//! produces byte-identical rows and records to
+//! [`crate::query::execute_with_options`] — the perf harness's
+//! determinism gate stays intact.
 
-use crate::cpu_oracle::{self, HostTable};
+use crate::cpu_oracle::HostTable;
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{self, MetricsRecord};
-use crate::parallel::{execute_sharded, ShardOptions};
+use crate::parallel;
 use crate::query::ast::Query;
 use crate::query::executor::{self, ExecuteOptions, QueryOutput};
-use gpudb_sim::{FaultClass, Gpu, PhaseNanos, WorkCounters};
+use gpudb_sim::{Gpu, PhaseNanos, WorkCounters};
 
 /// Knobs for the recovery ladder.
 #[derive(Debug, Clone)]
@@ -90,7 +95,8 @@ pub enum ResiliencePath {
 pub struct ResilienceReport {
     /// Rung that produced the result.
     pub path: ResiliencePath,
-    /// GPU attempts made (1 when the first try succeeded).
+    /// Selection attempts made on the device (1 when the first try
+    /// succeeded).
     pub attempts: u32,
     /// Retries after transient faults.
     pub retries: u32,
@@ -110,9 +116,12 @@ pub struct ResilientOutput {
     pub report: ResilienceReport,
 }
 
-/// Execute `query` against `host`'s data, riding the recovery ladder as
-/// faults demand. The device table is (re)uploaded from the host copy on
-/// every attempt, so a device reset between attempts is survivable.
+/// Execute `query` against `host`'s data on `gpu`, riding the recovery
+/// ladder as faults demand. The device table is (re)uploaded from the
+/// host copy by every selection attempt, so a device reset between
+/// attempts is survivable, and freed when the statement ends. The
+/// output's `timing` covers everything charged to `gpu` (upload and mask
+/// readback included) plus any out-of-core chunk devices.
 pub fn execute_resilient(
     gpu: &mut Gpu,
     host: &HostTable,
@@ -120,127 +129,29 @@ pub fn execute_resilient(
     options: ExecuteOptions,
     policy: &RetryPolicy,
 ) -> EngineResult<ResilientOutput> {
-    let max_attempts = policy.max_attempts.max(1);
-    let mut report = ResilienceReport {
-        path: ResiliencePath::Gpu,
-        attempts: 0,
-        retries: 0,
-        backoff_ns: 0,
-        degradations: Vec::new(),
-    };
-    let mut resilience_metrics: Vec<MetricsRecord> = Vec::new();
-
-    loop {
-        report.attempts += 1;
-        let error = match gpu_attempt(gpu, host, query, options) {
-            Ok(mut output) => {
-                output.metrics.extend(resilience_metrics);
-                return Ok(ResilientOutput { output, report });
-            }
-            Err(e) => e,
-        };
-
-        match error.fault_class() {
-            FaultClass::Logic => return Err(error),
-            FaultClass::Transient if report.attempts < max_attempts => {
-                report.retries += 1;
-                let step = RetryStep::charge(
-                    gpu,
-                    policy,
-                    report.retries,
-                    host.record_count() as u64,
-                    &error,
-                );
-                report.backoff_ns = report.backoff_ns.saturating_add(step.pause_ns);
-                resilience_metrics.push(step.record);
-                report.degradations.push(step.degradation);
-            }
-            FaultClass::Transient => {
-                let exhausted = EngineError::RetriesExhausted {
-                    attempts: report.attempts,
-                    last: Box::new(error),
-                };
-                if !policy.cpu_fallback {
-                    return Err(exhausted);
-                }
-                report
-                    .degradations
-                    .push(format!("{exhausted}; answering on the CPU"));
-                return cpu_rung(host, query, report, resilience_metrics);
-            }
-            FaultClass::Resource => {
-                report.degradations.push(format!(
-                    "resource fault ({error}); degrading to out-of-core execution \
-                     in {} chunks",
-                    policy.oom_chunks.max(1)
-                ));
-                // The partition coordinator, one chunk-sized device per
-                // partition: faults still pending on `gpu` never reach it.
-                let opts = ShardOptions {
-                    shards: policy.oom_chunks,
-                    device_width: gpu.width(),
-                    options,
-                    policy: policy.clone(),
-                };
-                match execute_sharded(host, query, &opts) {
-                    Ok(sharded) => {
-                        let mut output = sharded.output;
-                        for (i, shard) in sharded.report.shards.into_iter().enumerate() {
-                            report.degradations.extend(
-                                shard
-                                    .degradations
-                                    .into_iter()
-                                    .map(|d| format!("partition {i}: {d}")),
-                            );
-                        }
-                        output.metrics.push(marker_record(
-                            "resilience/out-of-core",
-                            host.record_count() as u64,
-                        ));
-                        output.metrics.extend(resilience_metrics);
-                        report.path = ResiliencePath::OutOfCore;
-                        return Ok(ResilientOutput { output, report });
-                    }
-                    Err(e) if e.fault_class() == FaultClass::Logic || !policy.cpu_fallback => {
-                        return Err(e)
-                    }
-                    Err(e) => report.degradations.push(format!(
-                        "out-of-core rung failed ({e}); answering on the CPU"
-                    )),
-                }
-                return cpu_rung(host, query, report, resilience_metrics);
-            }
-            FaultClass::Device => {
-                if !policy.cpu_fallback {
-                    return Err(error);
-                }
-                report
-                    .degradations
-                    .push(format!("device fault ({error}); answering on the CPU"));
-                return cpu_rung(host, query, report, resilience_metrics);
-            }
-        }
-    }
+    let (output, report) = executor::run_statement(gpu, options, |gpu| {
+        parallel::execute_host(gpu, host, query, options, policy)
+    })?;
+    Ok(ResilientOutput { output, report })
 }
 
-/// One transient-fault retry of the recovery ladder, shared by
-/// [`execute_resilient`] and each shard's ladder in
-/// [`crate::parallel`]: the modeled pause, its metrics record and its
-/// log line.
+/// One transient-fault retry of the recovery ladder: the modeled pause,
+/// its metrics record and its log line.
 pub(crate) struct RetryStep {
-    /// Modeled pause charged, nanoseconds: `base_backoff_ns ·
-    /// multiplier^(retry−1)` rounded once, 0 when that is negative or
-    /// NaN, and clamped where the clock saturates.
-    pub(crate) pause_ns: u64,
-    /// The `resilience/retry-backoff` record of the charged pause.
+    /// The [`RetryStep::OPERATOR`] record of the charged pause.
     pub(crate) record: MetricsRecord,
     /// The ladder's log line for this retry.
     pub(crate) degradation: String,
 }
 
 impl RetryStep {
+    /// The operator name of a retry's metrics record.
+    pub(crate) const OPERATOR: &'static str = "resilience/retry-backoff";
+
     /// Charge retry number `retry` (1-based) after `error` to `gpu`'s
-    /// modeled clock; `records` is the record's input size.
+    /// modeled clock; `records` is the record's input size. The pause is
+    /// `base_backoff_ns · multiplier^(retry−1)` rounded once, 0 when that
+    /// is negative or NaN, and clamped where the clock saturates.
     pub(crate) fn charge(
         gpu: &mut Gpu,
         policy: &RetryPolicy,
@@ -253,61 +164,17 @@ impl RetryStep {
             .powi(i32::try_from(retry.saturating_sub(1)).unwrap_or(i32::MAX));
         // The saturating cast charges nothing for a negative or NaN pause.
         let pause = (policy.base_backoff_ns as f64 * growth).round() as u64;
-        let (pause_ns, record) =
-            metrics::observe(gpu, "resilience/retry-backoff", records, |gpu| {
-                gpu.charge_backoff(pause)
-            });
+        let (pause_ns, record) = metrics::observe(gpu, Self::OPERATOR, records, |gpu| {
+            gpu.charge_backoff(pause)
+        });
         let pause_s = pause_ns as f64 * 1e-9;
         RetryStep {
-            pause_ns,
             record,
             degradation: format!(
                 "transient fault ({error}); retry {retry} after {pause_s:.6}s modeled backoff"
             ),
         }
     }
-}
-
-/// One full GPU attempt: upload from the host copy, execute, free.
-fn gpu_attempt(
-    gpu: &mut Gpu,
-    host: &HostTable,
-    query: &Query,
-    options: ExecuteOptions,
-) -> EngineResult<QueryOutput> {
-    let table = host.upload(gpu)?;
-    let result = executor::execute_with_options(gpu, &table, query, options);
-    let freed = table.free(gpu);
-    let output = result?;
-    freed?;
-    Ok(output)
-}
-
-/// Final rung: the CPU oracle. No device work, so the metrics record is
-/// a zero-cost marker and timing is all zeros.
-fn cpu_rung(
-    host: &HostTable,
-    query: &Query,
-    mut report: ResilienceReport,
-    mut resilience_metrics: Vec<MetricsRecord>,
-) -> EngineResult<ResilientOutput> {
-    let oracle = cpu_oracle::execute(host, query)?;
-    resilience_metrics.push(marker_record(
-        "resilience/cpu-fallback",
-        host.record_count() as u64,
-    ));
-    report.path = ResiliencePath::Cpu;
-    Ok(ResilientOutput {
-        output: QueryOutput {
-            matched: oracle.matched,
-            selectivity: oracle.selectivity,
-            rows: oracle.rows,
-            timing: PhaseNanos::default(),
-            metrics: resilience_metrics,
-            trace: None,
-        },
-        report,
-    })
 }
 
 /// A metrics record for a step that did no device work: EXPLAIN ANALYZE
@@ -325,6 +192,8 @@ pub(crate) fn marker_record(operator: &str, input_records: u64) -> MetricsRecord
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu_oracle;
+    use crate::parallel::{execute_sharded, ShardOptions};
     use crate::query::ast::{Aggregate, BoolExpr};
     use crate::table::GpuTable;
     use gpudb_sim::CompareFunc;
@@ -362,19 +231,41 @@ mod tests {
         GpuTable::device_for(host.record_count(), 8)
     }
 
+    /// Run `query` on a fresh device struck by `faults`, each due at t=0;
+    /// returns the run and the device.
+    fn run_struck(
+        host: &HostTable,
+        query: &Query,
+        faults: &[FaultKind],
+        policy: &RetryPolicy,
+    ) -> (EngineResult<ResilientOutput>, Gpu) {
+        let mut gpu = device(host);
+        let schedule = faults.iter().map(|&kind| FaultEvent { at_ns: 0, kind });
+        gpu.attach_fault_injector(FaultInjector::with_schedule(schedule.collect()));
+        let run = execute_resilient(&mut gpu, host, query, ExecuteOptions::default(), policy);
+        (run, gpu)
+    }
+
+    /// [`run_struck`] under the default policy, expecting an answer.
+    fn answer_struck(host: &HostTable, query: &Query, faults: &[FaultKind]) -> ResilientOutput {
+        run_struck(host, query, faults, &RetryPolicy::default())
+            .0
+            .unwrap()
+    }
+
+    fn has_record(resilient: &ResilientOutput, operator: &str) -> bool {
+        resilient
+            .output
+            .metrics
+            .iter()
+            .any(|m| m.operator == operator)
+    }
+
     #[test]
     fn clean_run_takes_gpu_path_with_plain_metrics() {
         let host = host();
         let query = count_sum_query();
-        let mut gpu = device(&host);
-        let resilient = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let resilient = answer_struck(&host, &query, &[]);
         assert_eq!(resilient.report.path, ResiliencePath::Gpu);
         assert_eq!(resilient.report.attempts, 1);
         assert_eq!(resilient.report.retries, 0);
@@ -395,27 +286,11 @@ mod tests {
     fn transient_fault_retries_and_recovers() {
         let host = host();
         let query = count_sum_query();
-        let mut gpu = device(&host);
-        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
-            at_ns: 0,
-            kind: FaultKind::OcclusionLoss,
-        }]));
-        let resilient = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let resilient = answer_struck(&host, &query, &[FaultKind::OcclusionLoss]);
         assert_eq!(resilient.report.path, ResiliencePath::Gpu);
         assert_eq!(resilient.report.retries, 1);
         assert!(resilient.report.backoff_ns > 0);
-        assert!(resilient
-            .output
-            .metrics
-            .iter()
-            .any(|m| m.operator == "resilience/retry-backoff"));
+        assert!(has_record(&resilient, RetryStep::OPERATOR));
 
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
@@ -425,26 +300,20 @@ mod tests {
     /// on its third attempt, and the reported backoff is exactly what the
     /// `resilience/retry-backoff` records (clock deltas) charged.
     fn two_retries_with_multiplier(multiplier: f64) -> ResilienceReport {
-        let host = host();
-        let mut gpu = device(&host);
-        let lost = FaultEvent {
-            at_ns: 0,
-            kind: FaultKind::OcclusionLoss,
-        };
-        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![lost; 2]));
         let policy = RetryPolicy {
             multiplier,
             ..RetryPolicy::default()
         };
-        let query = count_sum_query();
-        let resilient =
-            execute_resilient(&mut gpu, &host, &query, ExecuteOptions::default(), &policy).unwrap();
+        let lost = [FaultKind::OcclusionLoss; 2];
+        let resilient = run_struck(&host(), &count_sum_query(), &lost, &policy)
+            .0
+            .unwrap();
         assert_eq!(resilient.report.retries, 2);
         let charged: u64 = resilient
             .output
             .metrics
             .iter()
-            .filter(|m| m.operator == "resilience/retry-backoff")
+            .filter(|m| m.operator == RetryStep::OPERATOR)
             .map(MetricsRecord::modeled_total_ns)
             .sum();
         assert_eq!(resilient.report.backoff_ns, charged);
@@ -481,9 +350,9 @@ mod tests {
         for retry in [100, u32::MAX, 1] {
             let before = gpu.stats().modeled.total();
             let step = RetryStep::charge(&mut gpu, &policy, retry, 64, &error);
-            assert_eq!(step.pause_ns, gpu.stats().modeled.total() - before);
-            assert_eq!(step.record.modeled_total_ns(), step.pause_ns);
-            reported = reported.saturating_add(step.pause_ns);
+            let pause_ns = step.record.modeled_total_ns();
+            assert_eq!(pause_ns, gpu.stats().modeled.total() - before);
+            reported = reported.saturating_add(pause_ns);
         }
         assert_eq!(gpu.stats().modeled.total(), u64::MAX);
         assert_eq!(reported, u64::MAX - start);
@@ -491,23 +360,14 @@ mod tests {
 
     #[test]
     fn exhausted_retries_surface_typed_error_without_fallback() {
-        let host = host();
-        let query = count_sum_query();
-        let mut gpu = device(&host);
         // More lost queries than the policy has attempts.
-        gpu.attach_fault_injector(FaultInjector::with_schedule(
-            (0..64)
-                .map(|_| FaultEvent {
-                    at_ns: 0,
-                    kind: FaultKind::OcclusionLoss,
-                })
-                .collect(),
-        ));
         let policy = RetryPolicy {
             cpu_fallback: false,
             ..RetryPolicy::default()
         };
-        let err = execute_resilient(&mut gpu, &host, &query, ExecuteOptions::default(), &policy)
+        let lost = [FaultKind::OcclusionLoss; 64];
+        let err = run_struck(&host(), &count_sum_query(), &lost, &policy)
+            .0
             .unwrap_err();
         match err {
             EngineError::RetriesExhausted { attempts, last } => {
@@ -525,80 +385,29 @@ mod tests {
     fn exhausted_retries_fall_back_to_cpu_with_parity() {
         let host = host();
         let query = count_sum_query();
-        let mut gpu = device(&host);
-        gpu.attach_fault_injector(FaultInjector::with_schedule(
-            (0..64)
-                .map(|_| FaultEvent {
-                    at_ns: 0,
-                    kind: FaultKind::OcclusionLoss,
-                })
-                .collect(),
-        ));
-        let resilient = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let resilient = answer_struck(&host, &query, &[FaultKind::OcclusionLoss; 64]);
         assert_eq!(resilient.report.path, ResiliencePath::Cpu);
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
-        assert!(resilient
-            .output
-            .metrics
-            .iter()
-            .any(|m| m.operator == "resilience/cpu-fallback"));
+        assert!(has_record(&resilient, "resilience/cpu-fallback"));
     }
 
     #[test]
     fn allocation_failure_degrades_to_out_of_core() {
         let host = host();
         let query = count_sum_query();
-        let mut gpu = device(&host);
-        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
-            at_ns: 0,
-            kind: FaultKind::AllocationFail,
-        }]));
-        let resilient = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let resilient = answer_struck(&host, &query, &[FaultKind::AllocationFail]);
         assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
-        assert!(resilient
-            .output
-            .metrics
-            .iter()
-            .any(|m| m.operator == "resilience/out-of-core"));
-    }
-
-    /// Run `query` with an allocation failure striking the caller's
-    /// device at t=0, so the ladder takes the out-of-core rung.
-    fn run_after_oom(
-        host: &HostTable,
-        query: &Query,
-        policy: &RetryPolicy,
-    ) -> EngineResult<ResilientOutput> {
-        let mut gpu = device(host);
-        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
-            at_ns: 0,
-            kind: FaultKind::AllocationFail,
-        }]));
-        execute_resilient(&mut gpu, host, query, ExecuteOptions::default(), policy)
+        assert!(has_record(&resilient, "resilience/out-of-core"));
     }
 
     /// The out-of-core rung answers exactly as the CPU oracle does: the
     /// same rows, or the same typed error.
     fn assert_rung_matches_oracle(host: &HostTable, query: &Query, policy: &RetryPolicy) {
         match (
-            run_after_oom(host, query, policy),
+            run_struck(host, query, &[FaultKind::AllocationFail], policy).0,
             cpu_oracle::execute(host, query),
         ) {
             (Ok(r), Ok(o)) => {
@@ -631,14 +440,10 @@ mod tests {
                     BoolExpr::pred("a", CompareFunc::Greater, 20),
                 ),
             ] {
-                let resilient = run_after_oom(&host, &query, &RetryPolicy::default()).unwrap();
+                let resilient = answer_struck(&host, &query, &[FaultKind::AllocationFail]);
                 // The distributed descent answers on the device.
                 assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
-                assert!(!resilient
-                    .output
-                    .metrics
-                    .iter()
-                    .any(|m| m.operator == "resilience/cpu-fallback"));
+                assert!(!has_record(&resilient, "resilience/cpu-fallback"));
                 let oracle = cpu_oracle::execute(&host, &query).unwrap();
                 assert!(
                     oracle.agrees_with(resilient.output.matched, &resilient.output.rows),
@@ -710,15 +515,17 @@ mod tests {
             BoolExpr::pred("a", CompareFunc::Less, 50),
         );
         let policy = RetryPolicy::default();
-        let resilient = run_after_oom(&host, &query, &policy).unwrap();
+        let (resilient, gpu) = run_struck(&host, &query, &[FaultKind::AllocationFail], &policy);
+        let resilient = resilient.unwrap();
         assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
-        // The same partitions on the same chunk-sized devices.
+        // The same partitions on the same chunk-sized devices, after what
+        // the struck attempt charged to the caller's device.
         let partitions = execute_sharded(
             &host,
             &query,
             &ShardOptions {
                 shards: policy.oom_chunks,
-                device_width: device(&host).width(),
+                device_width: gpu.width(),
                 options: ExecuteOptions::default(),
                 policy: policy.clone(),
             },
@@ -727,26 +534,15 @@ mod tests {
         assert_eq!(partitions.report.shards.len(), policy.oom_chunks);
         let partition_ns: u64 = partitions.report.shards.iter().map(|s| s.modeled_ns).sum();
         assert!(partition_ns > 0);
-        assert_eq!(resilient.output.timing.total(), partition_ns);
+        let caller_ns = gpu.stats().modeled.total();
+        assert_eq!(resilient.output.timing.total(), caller_ns + partition_ns);
     }
 
     #[test]
     fn device_reset_falls_back_to_cpu() {
         let host = host();
         let query = count_sum_query();
-        let mut gpu = device(&host);
-        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
-            at_ns: 0,
-            kind: FaultKind::DeviceReset,
-        }]));
-        let resilient = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let resilient = answer_struck(&host, &query, &[FaultKind::DeviceReset]);
         assert_eq!(resilient.report.path, ResiliencePath::Cpu);
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
@@ -754,20 +550,13 @@ mod tests {
 
     #[test]
     fn logic_errors_are_never_retried_or_masked() {
-        let host = host();
         let query = Query::filtered(
             vec![Aggregate::Count],
             BoolExpr::pred("missing", CompareFunc::Equal, 1),
         );
-        let mut gpu = device(&host);
-        let err = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap_err();
+        let err = run_struck(&host(), &query, &[], &RetryPolicy::default())
+            .0
+            .unwrap_err();
         assert!(matches!(err, EngineError::ColumnNotFound(_)));
     }
 
@@ -783,19 +572,7 @@ mod tests {
                 10,
             )),
         );
-        let mut gpu = device(&host);
-        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
-            at_ns: 0,
-            kind: FaultKind::AllocationFail,
-        }]));
-        let resilient = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let resilient = answer_struck(&host, &query, &[FaultKind::AllocationFail]);
         assert_eq!(resilient.output.matched, 0);
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));

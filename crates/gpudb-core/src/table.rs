@@ -115,7 +115,17 @@ impl GpuTable {
             }
             let texture =
                 Texture::from_data(width, height, format, data).map_err(EngineError::from)?;
-            let id = gpu.create_texture(texture)?;
+            let id = match gpu.create_texture(texture) {
+                Ok(id) => id,
+                Err(e) => {
+                    // Give back the groups already uploaded (best effort:
+                    // a reset device has lost them anyway).
+                    for id in textures {
+                        let _ = gpu.delete_texture(id);
+                    }
+                    return Err(e.into());
+                }
+            };
             textures.push(id);
             for (channel, ((col_name, _), &max_value)) in group.iter().zip(maxima).enumerate() {
                 metas.push(ColumnMeta {
@@ -279,6 +289,28 @@ mod tests {
         assert_eq!(t.column(4).unwrap().texture_index, 1);
         assert_eq!(t.column(4).unwrap().channel, 0);
         assert_eq!(t.read_column(&gpu, 4).unwrap(), vec![4; 6]);
+    }
+
+    #[test]
+    fn failed_upload_frees_the_groups_it_made() {
+        use gpudb_sim::{FaultEvent, FaultInjector, FaultKind};
+        let cols: Vec<Vec<u32>> = (0..5).map(|c| vec![c as u32; 6]).collect();
+        let named: Vec<(&str, &[u32])> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .zip(&cols)
+            .map(|(n, v)| (*n, v.as_slice()))
+            .collect();
+        let mut gpu = GpuTable::device_for(6, 3);
+        // Past t=0, so the first group's allocation succeeds and the
+        // second group's is refused.
+        gpu.attach_fault_injector(FaultInjector::with_schedule(vec![FaultEvent {
+            at_ns: 1,
+            kind: FaultKind::AllocationFail,
+        }]));
+        let before = gpu.vram_used();
+        let err = GpuTable::upload(&mut gpu, "wide", &named).unwrap_err();
+        assert_eq!(err.fault_class(), gpudb_sim::FaultClass::Resource);
+        assert_eq!(gpu.vram_used(), before);
     }
 
     #[test]

@@ -16,19 +16,16 @@
 
 mod common;
 
-use common::{query_shapes, workload};
+use common::{injector_for, query_shapes, workload};
 use gpudb::prelude::*;
 
-/// Run one (seed, query) pair under fault injection and check the
-/// contract. Returns which resilience path answered, for coverage
+/// Run one (seed, query) pair under the seed's fault schedule and check
+/// the contract. Returns which resilience path answered, for coverage
 /// accounting.
-fn run_one(seed: u64, query: &Query, horizon_ns: u64) -> Option<ResiliencePath> {
+fn run_one(seed: u64, query: &Query) -> Option<ResiliencePath> {
     let host = workload(seed);
     let mut gpu = GpuTable::device_for(host.record_count(), 16);
-    // 1–6 events per schedule: single-fault schedules let a degradation
-    // rung finish cleanly; dense ones cascade all the way to the CPU.
-    let events = 1 + (seed % 6) as usize;
-    gpu.attach_fault_injector(FaultInjector::from_seed(seed, events, horizon_ns));
+    gpu.attach_fault_injector(injector_for(seed));
     let resilient = execute_resilient(
         &mut gpu,
         &host,
@@ -69,12 +66,8 @@ fn chaos_64_seeds_all_shapes_match_oracle_or_error_typed() {
     let mut paths_seen = std::collections::BTreeMap::new();
     let mut runs = 0u32;
     for seed in 0..64u64 {
-        // Even seeds strike immediately (horizon 0 pins every event at
-        // t=0); odd seeds spread events over 2 ms of modeled time so
-        // faults land mid-query.
-        let horizon = if seed.is_multiple_of(2) { 0 } else { 2_000_000 };
         for query in query_shapes(seed) {
-            if let Some(path) = run_one(seed, &query, horizon) {
+            if let Some(path) = run_one(seed, &query) {
                 *paths_seen.entry(format!("{path:?}")).or_insert(0u32) += 1;
             }
             runs += 1;
@@ -150,6 +143,68 @@ fn chaos_without_faults_is_plain_execution() {
             (Ok(a), Ok(b)) => assert_eq!(a, b),
             (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
             (a, b) => panic!("resilient {a:?} vs plain {b:?}"),
+        }
+    }
+}
+
+#[test]
+fn resilient_equals_one_shard_placement() {
+    // One recovery ladder: the resilient executor is one host-slice
+    // partition on the caller's device, so under every chaos schedule it
+    // takes the same rungs as a one-shard placement of the same width,
+    // and frees its upload on every exit path.
+    let opts = ShardOptions {
+        shards: 1,
+        device_width: 16,
+        ..ShardOptions::default()
+    };
+    for seed in 0..64u64 {
+        let host = workload(seed);
+        let injector = injector_for(seed);
+        let resets = injector
+            .pending()
+            .iter()
+            .any(|e| e.kind == FaultKind::DeviceReset);
+        for (shape, query) in query_shapes(seed).iter().enumerate() {
+            let case = format!("seed {seed} shape {shape}");
+            let mut gpu = GpuTable::device_for(host.record_count(), 16);
+            gpu.attach_fault_injector(injector.clone());
+            let vram_before = gpu.vram_used();
+            let resilient = execute_resilient(
+                &mut gpu,
+                &host,
+                query,
+                ExecuteOptions::default(),
+                &RetryPolicy::default(),
+            );
+            let sharded =
+                execute_sharded_with_faults(&host, query, &opts, vec![Some(injector.clone())]);
+            match (resilient, sharded) {
+                (Ok(r), Ok(s)) => {
+                    assert_eq!(r.output.matched, s.output.matched, "{case}");
+                    assert_eq!(r.output.rows, s.output.rows, "{case}");
+                    let shard = &s.report.shards[0];
+                    assert_eq!(
+                        (r.report.path, r.report.attempts, r.report.retries),
+                        (shard.path, shard.attempts, shard.retries),
+                        "{case}"
+                    );
+                    assert_eq!(r.report.degradations, shard.degradations, "{case}");
+                    let (merge, shard_metrics) =
+                        s.output.metrics.split_last().expect("merge marker");
+                    assert_eq!(merge.operator, "parallel/merge", "{case}");
+                    assert_eq!(r.output.metrics.as_slice(), shard_metrics, "{case}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{case}"),
+                (a, b) => panic!(
+                    "{case}: resilient {:?} vs one shard {:?}",
+                    a.map(|r| r.report.path),
+                    b.map(|s| s.report.shards[0].path)
+                ),
+            }
+            if !resets {
+                assert_eq!(gpu.vram_used(), vram_before, "{case}: upload not freed");
+            }
         }
     }
 }
@@ -394,7 +449,9 @@ fn shard_faults_lint_only_the_attempt_that_succeeded() {
 #[test]
 fn resilient_retry_lints_only_the_attempt_that_succeeded() {
     // The same check on one device: a transient occlusion loss in the
-    // first attempt's selection, validation on, traced.
+    // first attempt's selection, validation on, traced. The statement
+    // keeps one log, so its trace holds both selection attempts, as a
+    // shard's does.
     let host = workload(11);
     let query = &query_shapes(11)[2];
     let mut gpu = GpuTable::device_for(host.record_count(), 16);
@@ -413,10 +470,16 @@ fn resilient_retry_lints_only_the_attempt_that_succeeded() {
     let stages: Vec<&str> = trace.roots[0]
         .children
         .iter()
+        .filter(|s| s.kind == SpanKind::Stage)
         .map(|s| s.name.as_str())
         .collect();
     assert_eq!(
         stages,
-        ["selection", "aggregate:COUNT(*)", "aggregate:MAX(a)"]
+        [
+            "selection",
+            "selection",
+            "aggregate:COUNT(*)",
+            "aggregate:MAX(a)"
+        ]
     );
 }
