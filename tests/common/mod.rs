@@ -8,7 +8,7 @@
 
 use gpudb::prelude::*;
 #[allow(unused_imports)] // each test binary uses its own subset
-pub use gpudb_bench::chaos::{injector_for, query_shapes, workload, RECORDS};
+pub use gpudb_bench::chaos::{injector_for, query_shapes, workload, RECORDS, SHAPES};
 
 /// The 120-record, two-column table the golden snapshots run on.
 pub fn golden_table() -> (Gpu, GpuTable) {
