@@ -76,8 +76,7 @@ pub use cpu_oracle::{HostTable, OracleOutput};
 pub use error::{EngineError, EngineResult};
 pub use metrics::{MetricsLog, MetricsRecord};
 pub use parallel::{
-    execute_sharded, execute_sharded_with_faults, ShardOptions, ShardReport, ShardRun,
-    ShardedOutput,
+    execute_sharded, execute_sharded_with_faults, ShardOptions, ShardReport, ShardedOutput,
 };
 pub use resilience::{ResiliencePath, ResilienceReport, ResilientOutput, RetryPolicy};
 pub use selection::Selection;

@@ -210,6 +210,11 @@ pub(crate) fn run_statement<T>(
 /// executing anything on the device.
 pub fn explain(table: &GpuTable, query: &Query) -> EngineResult<String> {
     let plan = plan_selection(table, query.filter.as_ref())?;
+    Ok(describe_plan(table, &plan, query))
+}
+
+/// [`explain`]'s text for a statement whose selection plan is made.
+fn describe_plan(table: &GpuTable, plan: &SelectionPlan, query: &Query) -> String {
     let mut out = String::new();
     out.push_str("SELECTION: ");
     out.push_str(&plan.describe(table));
@@ -219,7 +224,7 @@ pub fn explain(table: &GpuTable, query: &Query) -> EngineResult<String> {
         out.push_str(&describe_aggregate(agg));
         out.push('\n');
     }
-    Ok(out)
+    out
 }
 
 /// How an aggregate maps onto the paper's primitives, for EXPLAIN output.
@@ -253,8 +258,8 @@ fn describe_aggregate(agg: &Aggregate) -> String {
 /// If a log is already attached (a harness logging a workload owns it),
 /// the dry run is skipped and the output matches [`explain`].
 pub fn explain_with_device(gpu: &mut Gpu, table: &GpuTable, query: &Query) -> EngineResult<String> {
-    let mut out = explain(table, query)?;
     let plan = plan_selection(table, query.filter.as_ref())?;
+    let mut out = describe_plan(table, &plan, query);
     if matches!(plan, SelectionPlan::All) || gpu.log().is_some() {
         return Ok(out);
     }

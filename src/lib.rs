@@ -53,8 +53,7 @@ pub mod prelude {
     pub use gpudb_core::boolean::{GpuClause, GpuCnf, GpuDnf, GpuPredicate, GpuTerm};
     pub use gpudb_core::cpu_oracle::{self, HostTable, OracleOutput};
     pub use gpudb_core::parallel::{
-        execute_sharded, execute_sharded_with_faults, ShardOptions, ShardReport, ShardRun,
-        ShardedOutput,
+        execute_sharded, execute_sharded_with_faults, ShardOptions, ShardReport, ShardedOutput,
     };
     pub use gpudb_core::predicate::{compare_count, compare_many, compare_select};
     pub use gpudb_core::query::{
