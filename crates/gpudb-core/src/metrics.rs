@@ -80,6 +80,13 @@ pub(crate) struct Observation {
 }
 
 impl Observation {
+    /// Leave the modeled time of `nested`, a record taken while this
+    /// measurement is open, out of it, so each charged nanosecond is in
+    /// one record.
+    pub(crate) fn exclude(&mut self, nested: &MetricsRecord) {
+        self.modeled = self.modeled.plus(&nested.modeled_ns);
+    }
+
     /// Close the operator span and record the work done since [`begin`].
     pub(crate) fn end(self, gpu: &mut Gpu) -> MetricsRecord {
         gpu.span_end();
