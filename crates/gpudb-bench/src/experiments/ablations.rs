@@ -24,10 +24,12 @@ pub fn mipmap(scale: Scale) -> EngineResult<FigureResult> {
         let mut w = Workload::tcpip(records)?;
         let exact: u64 = w.dataset.columns[0].values.iter().map(|&v| v as u64).sum();
 
-        let (bitwise, acc_timing) = w.time(|gpu, table| sum(gpu, table, 0, None).unwrap());
+        let (bitwise, acc_timing) = w.time(|gpu, table| sum(gpu, table, 0, None));
+        let bitwise = bitwise?;
         assert_eq!(bitwise, exact, "the Accumulator must be exact");
 
-        let (reduction, _) = w.time(|gpu, table| mipmap_sum(gpu, table, 0).unwrap());
+        let (reduction, _) = w.time(|gpu, table| mipmap_sum(gpu, table, 0));
+        let reduction = reduction?;
         let error = (reduction.sum - exact as f64).abs();
         worst_error = worst_error.max(error);
 
@@ -65,15 +67,15 @@ pub fn range_vs_cnf(scale: Scale) -> EngineResult<FigureResult> {
         let values = w.dataset.columns[0].values.clone();
         let (low, high, _) = range_for_selectivity(&values, 0.6).expect("non-empty");
 
-        let ((_, count_a), bounds_timing) =
-            w.time(|gpu, table| range_select(gpu, table, 0, low, high).unwrap());
+        let (bounds, bounds_timing) = w.time(|gpu, table| range_select(gpu, table, 0, low, high));
+        let (_, count_a) = bounds?;
 
         let cnf = GpuCnf::all_of(vec![
             GpuPredicate::new(0, CompareFunc::GreaterEqual, low),
             GpuPredicate::new(0, CompareFunc::LessEqual, high),
         ]);
-        let ((_, count_b), cnf_timing) =
-            w.time(|gpu, table| eval_cnf_general_select(gpu, table, &cnf).unwrap());
+        let (general, cnf_timing) = w.time(|gpu, table| eval_cnf_general_select(gpu, table, &cnf));
+        let (_, count_b) = general?;
         assert_eq!(count_a, count_b, "the two protocols must agree");
 
         bounds_series.push(records as f64, ms(bounds_timing.total()));
@@ -110,9 +112,10 @@ pub fn sync_overhead(scale: Scale) -> EngineResult<FigureResult> {
         let height = records.div_ceil(width).max(1);
         let mut gpu = gpudb_sim::Gpu::new(profile, width, height);
         let table = GpuTable::upload(&mut gpu, "t", &[("a", &values)])?;
-        let (_, record) = observe(&mut gpu, "kth_largest", records as u64, |gpu| {
-            kth_largest(gpu, &table, 0, records / 2, None).unwrap()
+        let (kth, record) = observe(&mut gpu, "kth_largest", records as u64, |gpu| {
+            kth_largest(gpu, &table, 0, records / 2, None)
         });
+        kth?;
         Ok(ms(record.modeled_ns.compute_only()))
     };
 
@@ -248,10 +251,11 @@ pub fn wishlist(scale: Scale) -> EngineResult<FigureResult> {
 
         let n = records as u64;
         let (standard, standard_record) =
-            observe(&mut gpu, "sum", n, |gpu| sum(gpu, &table, 0, None).unwrap());
+            observe(&mut gpu, "sum", n, |gpu| sum(gpu, &table, 0, None));
         let (masked, masked_record) = observe(&mut gpu, "sum_with_depth_mask", n, |gpu| {
-            gpudb_core::aggregate::sum_with_depth_mask(gpu, &table, 0, None).unwrap()
+            gpudb_core::aggregate::sum_with_depth_mask(gpu, &table, 0, None)
         });
+        let (standard, masked) = (standard?, masked?);
         assert_eq!(standard, expected);
         assert_eq!(masked, expected);
 
@@ -322,8 +326,9 @@ pub fn data_independence(scale: Scale) -> EngineResult<FigureResult> {
         let mut gpu = gpudb_sim::Gpu::geforce_fx_5900(width, height);
         let table = GpuTable::upload(&mut gpu, "t", &[("a", values)])?;
         let (gpu_value, record) = observe(&mut gpu, "kth_largest", records as u64, |gpu| {
-            kth_largest(gpu, &table, 0, records / 2, None).unwrap()
+            kth_largest(gpu, &table, 0, records / 2, None)
         });
+        let gpu_value = gpu_value?;
 
         let (cpu_value, stats) =
             gpudb_cpu::quickselect::kth_largest_instrumented(values, records / 2);

@@ -29,12 +29,13 @@ fn factors_for(dataset: gpudb_data::Dataset, column: usize) -> EngineResult<Fact
     let mut w = Workload::from_dataset(dataset)?;
 
     let (threshold, _) = threshold_for_ge(&values, 0.6).expect("non-empty");
-    let (_, pred_timing) = w.time(|gpu, table| {
-        compare_select(gpu, table, column, CompareFunc::GreaterEqual, threshold).unwrap()
+    let (selected, pred_timing) = w.time(|gpu, table| {
+        compare_select(gpu, table, column, CompareFunc::GreaterEqual, threshold)
     });
+    selected?;
     let (low, high, _) = range_for_selectivity(&values, 0.6).expect("non-empty");
-    let (_, range_timing) =
-        w.time(|gpu, table| range_select(gpu, table, column, low, high).unwrap());
+    let (selected, range_timing) = w.time(|gpu, table| range_select(gpu, table, column, low, high));
+    selected?;
 
     Ok(Factors {
         predicate_total: speedup(cpu.scan_seconds(records) * 1e3, ms(pred_timing.total())),

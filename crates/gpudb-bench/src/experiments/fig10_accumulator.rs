@@ -20,7 +20,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let mut w = Workload::tcpip(records)?;
         let values = w.dataset.columns[0].values.clone();
 
-        let (gpu_sum, timing) = w.time(|gpu, table| sum(gpu, table, 0, None).unwrap());
+        let (gpu_sum, timing) = w.time(|gpu, table| sum(gpu, table, 0, None));
+        let gpu_sum = gpu_sum?;
         let (cpu_sum, cpu_secs) = wall_seconds(3, || gpudb_cpu::aggregate::sum(&values));
         assert_eq!(gpu_sum, cpu_sum, "SUM mismatch at {records} records");
 

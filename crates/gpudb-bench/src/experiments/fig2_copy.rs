@@ -16,9 +16,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
     for records in scale.sweep() {
         let mut w = Workload::tcpip(records)?;
         let wall_before = w.gpu.stats().wall.total();
-        let ((), timing) = w.time(|gpu, table| {
-            copy_to_depth(gpu, table, 0).unwrap();
-        });
+        let (copied, timing) = w.time(|gpu, table| copy_to_depth(gpu, table, 0));
+        copied?;
         modeled.push(records as f64, ms(timing.copy_to_depth));
         wall.push(
             records as f64,

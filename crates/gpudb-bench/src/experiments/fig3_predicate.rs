@@ -26,9 +26,9 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let (threshold, achieved) = threshold_for_ge(&values, 0.6).expect("non-empty");
         debug_assert!((achieved - 0.6).abs() < 0.05, "selectivity {achieved}");
 
-        let ((_, count), timing) = w.time(|gpu, table| {
-            compare_select(gpu, table, 0, CompareFunc::GreaterEqual, threshold).unwrap()
-        });
+        let (selected, timing) = w
+            .time(|gpu, table| compare_select(gpu, table, 0, CompareFunc::GreaterEqual, threshold));
+        let (_, count) = selected?;
         // Cross-check against the real CPU baseline.
         let (bm, cpu_secs) = wall_seconds(3, || {
             gpudb_cpu::scan::scan_u32(&values, gpudb_cpu::CmpOp::Ge, threshold)

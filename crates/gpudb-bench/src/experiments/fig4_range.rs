@@ -24,8 +24,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         // percentile and 80th percentile of the data values".
         let (low, high, _) = range_for_selectivity(&values, 0.6).expect("non-empty");
 
-        let ((_, count), timing) =
-            w.time(|gpu, table| range_select(gpu, table, 0, low, high).unwrap());
+        let (selected, timing) = w.time(|gpu, table| range_select(gpu, table, 0, low, high));
+        let (_, count) = selected?;
         let (bm, cpu_secs) = wall_seconds(3, || gpudb_cpu::cnf::eval_range(&values, low, high));
         assert_eq!(bm.count_ones() as u64, count, "GPU/CPU result mismatch");
 

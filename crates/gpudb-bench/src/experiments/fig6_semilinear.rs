@@ -32,9 +32,10 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         dots.sort_by(f32::total_cmp);
         let b = dots[records / 2];
 
-        let ((_, count), timing) = w.time(|gpu, table| {
-            semilinear_select(gpu, table, &COEFFS, CompareFunc::GreaterEqual, b).unwrap()
+        let (selected, timing) = w.time(|gpu, table| {
+            semilinear_select(gpu, table, &COEFFS, CompareFunc::GreaterEqual, b)
         });
+        let (_, count) = selected?;
         let (bm, cpu_secs) = wall_seconds(3, || {
             gpudb_cpu::semilinear::semilinear_scan(&refs, &COEFFS, gpudb_cpu::CmpOp::Ge, b)
         });

@@ -29,7 +29,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
     let mut cpu_wall = Series::new("CPU QuickSelect wall-clock (this host)");
 
     for &k in &ks {
-        let (gpu_value, timing) = w.time(|gpu, table| kth_largest(gpu, table, 0, k, None).unwrap());
+        let (gpu_value, timing) = w.time(|gpu, table| kth_largest(gpu, table, 0, k, None));
+        let gpu_value = gpu_value?;
         let ((cpu_value, stats), cpu_secs) =
             wall_seconds(3, || quickselect::kth_largest_instrumented(&values, k));
         assert_eq!(Some(gpu_value), cpu_value, "k = {k}: GPU/CPU disagree");

@@ -21,7 +21,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let mut w = Workload::tcpip(records)?;
         let values = w.dataset.columns[0].values.clone();
 
-        let (gpu_value, timing) = w.time(|gpu, table| median(gpu, table, 0, None).unwrap());
+        let (gpu_value, timing) = w.time(|gpu, table| median(gpu, table, 0, None));
+        let gpu_value = gpu_value?;
         let k_smallest = records.div_ceil(2);
         let ((cpu_value, stats), cpu_secs) = wall_seconds(3, || {
             quickselect::kth_largest_instrumented(&values, records + 1 - k_smallest)

@@ -38,8 +38,10 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         };
 
         let (gpu_value, masked_timing) =
-            w.time(|gpu, table| median(gpu, table, 0, Some(&selection)).unwrap());
-        let (_, full_timing) = w.time(|gpu, table| median(gpu, table, 0, None).unwrap());
+            w.time(|gpu, table| median(gpu, table, 0, Some(&selection)));
+        let gpu_value = gpu_value?;
+        let (full, full_timing) = w.time(|gpu, table| median(gpu, table, 0, None));
+        full?;
 
         // CPU: copy the selected values out, then QuickSelect (§5.9).
         let mask = gpudb_cpu::scan::scan_u32(&values, gpudb_cpu::CmpOp::Ge, threshold);

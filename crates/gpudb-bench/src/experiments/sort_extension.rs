@@ -36,9 +36,8 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let height = n.next_power_of_two().div_ceil(width).max(1);
         let mut gpu = Gpu::geforce_fx_5900(width, height);
 
-        let (outcome, record) = observe(&mut gpu, "sort", n as u64, |gpu| {
-            sort_values(gpu, values).unwrap()
-        });
+        let (outcome, record) = observe(&mut gpu, "sort", n as u64, |gpu| sort_values(gpu, values));
+        let outcome = outcome?;
         let (mut expected, cpu_secs) = wall_seconds(3, || values.to_vec());
         let (_, sort_secs) = wall_seconds(1, || expected.sort_unstable());
         assert_eq!(outcome.sorted, expected, "GPU sort mismatch at n = {n}");

@@ -9,6 +9,10 @@
 //! timings come from the matching Xeon-2004 model in `gpudb-cpu`, with the
 //! baselines also executed for real to verify every result value.
 
+// Experiments surface the library's typed errors instead of panicking:
+// unwrap is banned in library code (tests may unwrap freely).
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod chaos;
 pub mod experiments;
 pub mod harness;

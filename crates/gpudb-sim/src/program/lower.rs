@@ -34,7 +34,8 @@
 //!   unnegated, `k` constant, and `t` dead after the `DP4`, becomes one
 //!   texel-dot step reading the interleaved texels directly. The
 //!   copy-to-depth program lowers to a texel dot and a `MUL` into the
-//!   depth.
+//!   depth, which [`LoweredProgram::depth_copy`] hands to the span kernel
+//!   as one loop from texels to stored depth ([`DepthCopy`]).
 //!
 //! Exactness: the kernel must reproduce the interpreter bit for bit.
 //!
@@ -51,6 +52,7 @@
 //!   depth and color, and color channels the draw does not read.
 
 use super::isa::{DstReg, FragmentProgram, Instruction, Opcode, SrcOperand, SrcReg};
+use crate::buffers::quantize_depth_f32;
 use crate::texture::Texture;
 use std::sync::Arc;
 
@@ -650,6 +652,51 @@ impl LoweredProgram {
         self.depth_forwarded
     }
 
+    /// The program as a [`DepthCopy`], when it lowered to exactly a texel
+    /// dot of a bound four-channel texture and a `MUL` of that dot by a
+    /// constant into the depth. Only RGBA, the layout of every full
+    /// four-column group a table uploads, takes the one loop, so it is
+    /// compiled once; narrower textures keep the general path.
+    pub fn depth_copy(&self) -> Option<DepthCopy> {
+        let [Step::TexDot {
+            dst: Dst::Reg { slot, mask },
+            texture: Some(texture),
+            k,
+        }, Step::Alu {
+            op: Opcode::Mul,
+            dst: Dst::Depth { comp },
+            srcs,
+            ..
+        }] = self.steps.as_slice()
+        else {
+            return None;
+        };
+        let Src {
+            col:
+                Col::Reg {
+                    slot: dot_slot,
+                    comp: dot_comp,
+                },
+            sign: 0,
+        } = srcs[0][*comp]
+        else {
+            return None;
+        };
+        let Src {
+            col: Col::Const(scale),
+            sign: 0,
+        } = srcs[1][*comp]
+        else {
+            return None;
+        };
+        let reads_dot = dot_slot == *slot && mask & (1 << dot_comp) != 0;
+        (reads_dot && texture.format().channels() == 4).then(|| DepthCopy {
+            texture: Arc::clone(texture),
+            k: *k,
+            scale: self.consts[scale],
+        })
+    }
+
     /// The output color columns after [`LoweredProgram::run`]. Components
     /// the draw does not read may hold stale values.
     pub fn color<'l>(&self, lanes: &'l Lanes) -> [&'l Column; 4] {
@@ -733,11 +780,18 @@ fn dot(t: [f32; 4], k: [f32; 4]) -> f32 {
     t[0] * k[0] + t[1] * k[1] + t[2] * k[2] + t[3] * k[3]
 }
 
-/// [`Lanes::tex_dot`] for a texture of `CH` channels: lanes past the right
-/// edge read the edge texel, rows past the bottom the last row, and missing
-/// channels expand to 0 (alpha to 1), as [`Texture::fetch`].
+/// `f` of each texel `(x0 + l, y)` of a texture of `CH` channels into
+/// `out[l]`: lanes past the right edge read the edge texel, rows past the
+/// bottom the last row, and missing channels expand to 0 (alpha to 1), as
+/// [`Texture::fetch`].
 #[inline(always)]
-fn dot_texels<const CH: usize>(out: &mut [f32], t: &Texture, k: [f32; 4], x0: usize, y: usize) {
+fn map_texels<const CH: usize, T: Copy>(
+    out: &mut [T],
+    t: &Texture,
+    x0: usize,
+    y: usize,
+    f: impl Fn([f32; 4]) -> T,
+) {
     let (w, h, data) = (t.width(), t.height(), t.data());
     let texel = |i: usize| {
         let mut v = [0.0, 0.0, 0.0, 1.0];
@@ -751,10 +805,32 @@ fn dot_texels<const CH: usize>(out: &mut [f32], t: &Texture, k: [f32; 4], x0: us
         for (o, i) in out[..inside].iter_mut().zip(texels.chunks_exact(CH)) {
             let mut v = [0.0, 0.0, 0.0, 1.0];
             v[..CH].copy_from_slice(i);
-            *o = dot(v, k);
+            *o = f(v);
         }
     }
-    out[inside..].fill(dot(texel(row + w - 1), k));
+    out[inside..].fill(f(texel(row + w - 1)));
+}
+
+/// The copy-to-depth program as it lowers for a draw: one texel dot of a
+/// bound RGBA texture, scaled into the depth (`TEXDOT r, k; MUL depth, r,
+/// c`). [`DepthCopy::run`] computes each fragment's stored depth in one
+/// loop, with no span registers.
+#[derive(Debug)]
+pub(crate) struct DepthCopy {
+    texture: Arc<Texture>,
+    k: [f32; 4],
+    scale: f32,
+}
+
+impl DepthCopy {
+    /// Write the quantized depth of each fragment `(x0 + l, y)` to
+    /// `depth[l]`: the texel dot then the scale, in the program's order.
+    pub fn run(&self, depth: &mut [u32], x0: usize, y: usize) {
+        let (k, scale) = (self.k, self.scale);
+        map_texels::<4, _>(depth, &self.texture, x0, y, |v| {
+            quantize_depth_f32(dot(v, k) * scale)
+        });
+    }
 }
 
 /// A column read together with its sign mask.
@@ -939,10 +1015,10 @@ impl Lanes {
             return;
         };
         match t.format().channels() {
-            1 => dot_texels::<1>(out, t, k, x0, y),
-            2 => dot_texels::<2>(out, t, k, x0, y),
-            3 => dot_texels::<3>(out, t, k, x0, y),
-            _ => dot_texels::<4>(out, t, k, x0, y),
+            1 => map_texels::<1, _>(out, t, x0, y, |v| dot(v, k)),
+            2 => map_texels::<2, _>(out, t, x0, y, |v| dot(v, k)),
+            3 => map_texels::<3, _>(out, t, x0, y, |v| dot(v, k)),
+            _ => map_texels::<4, _>(out, t, x0, y, |v| dot(v, k)),
         }
     }
 

@@ -128,6 +128,13 @@ pub struct KernelShape {
     pub mask_free: bool,
     /// Whether no test can fail, so none is evaluated.
     pub unfailing: bool,
+    /// Whether the tests run in two widths: a stencil-writing draw whose
+    /// tests can fail tests depth in `u32` lanes and updates the stencil
+    /// in byte lanes.
+    pub two_width: bool,
+    /// Whether the draw is the copy-to-depth pass run as one loop from the
+    /// texels straight into the stored depth.
+    pub depth_copy: bool,
     /// `TEX; DP4` pairs fused into one texel-dot step.
     pub texel_dots: usize,
     /// Whether a trailing `MOV result.depth` was folded into the
@@ -149,23 +156,25 @@ pub fn kernel_shape(inputs: &DrawInputs<'_>, fb_size: (usize, usize)) -> KernelS
 /// stencil selection, 256 pixels wide at 16k and 64k fragments and 1000
 /// wide at 1M, 401 interleaved draws per cell, median µs per draw. "One
 /// tile" is a framebuffer cut into a single tile, which the calling thread
-/// runs alone:
+/// runs alone. The copy is the one-loop copy-to-depth; the stencil select
+/// (stencil `Equal`, `op_zfail` `Zero`, depth `GEqual`) runs in two widths;
+/// compare-and-count is the same pass with all ops `Keep`:
 ///
 /// | fragments | draw | one tile | 2k tiles | 4k tiles | 8k tiles | 16k tiles |
 /// |-----------|-------------------|------|------|------|------|------|
-/// | 16k | copy-to-depth         | 44   | 38   | 33   | 33   | 45   |
-/// | 16k | compare-and-count     | 13.0 | 11.8 | 10.9 | 10.5 | 13.2 |
-/// | 16k | stencil select        | 46   | 39   | 36   | 34   | 46   |
-/// | 64k | copy-to-depth         | 224  | 140  | 124  | 121  | 121  |
-/// | 64k | compare-and-count     | 64   | 46   | 38   | 37   | 35   |
-/// | 64k | stencil select        | 182  | 119  | 101  | 98   | 95   |
-/// | 1M  | copy-to-depth         | 3636 | 2301 | 2082 | 1976 | 1922 |
-/// | 1M  | compare-and-count     | 1199 | 958  | 764  | 707  | 668  |
-/// | 1M  | stencil select        | 4223 | 2767 | 2306 | 2163 | 2112 |
+/// | 16k | copy-to-depth         | 21.5 | 13.3 | 12.5 | 12.1 | 21.5 |
+/// | 16k | compare-and-count     | 8.2  | 9.2  | 6.2  | 5.5  | 8.4  |
+/// | 16k | stencil select        | 12.7 | 12.3 | 8.7  | 7.8  | 13.0 |
+/// | 64k | copy-to-depth         | 83   | 51   | 45   | 43   | 43   |
+/// | 64k | compare-and-count     | 31   | 24   | 20   | 19   | 17   |
+/// | 64k | stencil select        | 49   | 38   | 31   | 29   | 27   |
+/// | 1M  | copy-to-depth         | 1246 | 765  | 663  | 646  | 634  |
+/// | 1M  | compare-and-count     | 466  | 408  | 296  | 270  | 252  |
+/// | 1M  | stencil select        | 707  | 583  | 434  | 401  | 380  |
 ///
-/// Smaller tiles pay more hand-offs; 16k tiles gain 2–5% over 8k on the
+/// Smaller tiles pay more hand-offs; 16k tiles gain 1–7% over 8k on the
 /// larger draws but leave a 16k-fragment draw (a sharded partition) on
-/// one thread, where 8k tiles save 20–25%.
+/// one thread, where 8k tiles save 33–44%.
 pub(crate) const TILE_FRAGMENTS: usize = 1 << 13;
 
 fn check_rects(fb: &Framebuffer, rects: &[Rect]) -> GpuResult<()> {

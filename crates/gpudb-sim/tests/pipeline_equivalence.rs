@@ -580,7 +580,7 @@ const EARLY_PROGRAMS: [&str; 5] = [
 /// producer (forwarded) or not (another instruction between, another
 /// component written, a `MOV` after it), after a whole or a swizzled
 /// texel dot.
-const DEPTH_PROGRAMS: [&str; 4] = [
+const DEPTH_PROGRAMS: [&str; 5] = [
     "TEX R0, fragment.texcoord[0], texture[0], 2D;
      DP4 R1.x, R0.xzyw, program.env[1];
      MUL R1.x, R1.x, program.env[0].x;
@@ -594,6 +594,10 @@ const DEPTH_PROGRAMS: [&str; 4] = [
      MUL R2.x, R1.x, program.env[0].x;
      ADD R3.x, R1.x, R0.x;
      MOV result.depth, R2.x;",
+    "TEX R0, fragment.texcoord[0], texture[0], 2D;
+     DP4 R1.y, R0, program.env[1];
+     MUL R2.z, R1.y, program.env[0].x;
+     MOV result.depth, R2.z;",
     "TEX R0, fragment.texcoord[0], texture[0], 2D;
      DP4 R1, R0, program.env[1];
      MUL R1.yz, R1, program.env[0].x;
@@ -736,12 +740,14 @@ impl DatabaseDraw {
                 ColorMask::default()
             },
         };
-        if matches!(&program, Some(p) if p.writes_depth || p.has_kil) && rng.gen_bool(0.5) {
+        if matches!(&program, Some(p) if p.writes_depth || p.has_kil) && rng.gen_bool(0.75) {
             // The database layer's copy and semi-linear states: stencil
-            // off (copy) or `Always`/`Replace` (semi-linear), no bounds, no
-            // depth test, color off.
+            // off and depth written (copy) or `Always`/`Replace`
+            // (semi-linear), no bounds, no depth test, color off.
+            let writes_depth = program.as_ref().unwrap().writes_depth;
             state.stencil.func = CompareFunc::Always;
-            state.stencil.enabled = !program.as_ref().unwrap().writes_depth;
+            state.stencil.enabled = !writes_depth;
+            state.depth.write_enabled |= writes_depth;
             state.depth_bounds.enabled = false;
             state.depth.test_enabled = false;
             state.color_mask = ColorMask::NONE;
@@ -827,9 +833,10 @@ proptest! {
 /// In 1024 draws the database-state generator reaches every path at least
 /// 200 times, every test-stage specialization (stencil can change, depth
 /// is written) at least 150 times and each pairing of the two at least 30
-/// times. The mask-free and cannot-fail test forms, the texel-dot fusion
-/// and the depth `MOV` forwarding each compile at least 100 times, and at
-/// least 100 program draws keep every `TEX` unfused.
+/// times. The mask-free, cannot-fail and two-width test forms, the
+/// one-loop copy, the texel-dot fusion and the depth `MOV` forwarding each
+/// compile at least 100 times, and at least 100 program draws keep every
+/// `TEX` unfused.
 #[test]
 fn database_states_cover_every_path_and_specialization() {
     let shapes: Vec<KernelShape> = (0..1024)
@@ -857,6 +864,8 @@ fn database_states_cover_every_path_and_specialization() {
         ("cannot fail", count(&|s| s.unfailing)),
         ("texel dot", count(&|s| s.texel_dots > 0)),
         ("depth forwarded", count(&|s| s.depth_forwarded)),
+        ("two widths", count(&|s| s.two_width)),
+        ("one-loop copy", count(&|s| s.depth_copy)),
         (
             "unfused program",
             count(&|s| s.path != DrawPath::Fixed && s.texel_dots == 0),
@@ -920,6 +929,52 @@ fn builtin_programs_match_reference() {
             };
             assert_equivalent(&inputs, &fb, &rects, &|| {
                 format!("builtin {i}, early_z {early_z}, state {state:?}")
+            });
+        }
+    }
+
+    // The copy pass in the database layer's state, over textures narrower
+    // than the framebuffer (the rects reach past the right edge, so lanes
+    // read the edge texel) and over every channel count: only RGBA takes
+    // the one-loop copy.
+    let mut copy_state = PipelineState {
+        color_mask: ColorMask::NONE,
+        ..Default::default()
+    };
+    copy_state.depth.test_enabled = false;
+    copy_state.depth.write_enabled = true;
+    let copy = builtin::copy_to_depth();
+    let formats = [
+        TextureFormat::R,
+        TextureFormat::Rg,
+        TextureFormat::Rgb,
+        TextureFormat::Rgba,
+    ];
+    for format in formats {
+        for texture_width in [width, width - 70, 1] {
+            let ch = format.channels();
+            let data = (0..texture_width * height * ch)
+                .map(|_| rng.gen_range(0..1u32 << 24) as f32)
+                .collect();
+            let texture = Texture::from_data(texture_width, height, format, data).unwrap();
+            let bound = [Some(Arc::new(texture))];
+            env[builtin::ENV_SCALE] = [1.0 / (1u32 << 24) as f32, 0.0, 0.0, 0.0];
+            env[builtin::ENV_CHANNEL] = builtin::channel_selector(ch - 1);
+            let fb = random_framebuffer(&mut rng, width, height);
+            let rects = [Rect::new(0, 0, width, height - 1), Rect::new(3, 6, 190, 1)];
+            let inputs = DrawInputs {
+                state: &copy_state,
+                program: Some(&copy),
+                textures: &bound,
+                env: &env,
+                quad_depth: 0.0,
+                draw_color: [1.0; 4],
+                early_z: true,
+            };
+            let shape = kernel_shape(&inputs, (width, height));
+            assert_eq!(shape.depth_copy, ch == 4, "{format:?}: {shape:?}");
+            assert_equivalent(&inputs, &fb, &rects, &|| {
+                format!("copy over {format:?} {texture_width} wide")
             });
         }
     }
