@@ -56,7 +56,7 @@ fn bench_range_strategies(c: &mut Criterion) {
     group.bench_function("general_evalcnf", |b| {
         b.iter(|| {
             let table = &w.table;
-            eval_cnf_general_select(&mut w.gpu, table, &cnf).unwrap()
+            eval_cnf_general_select(&mut w.gpu, table, &cnf, false).unwrap()
         })
     });
     group.finish();
@@ -79,13 +79,13 @@ fn bench_conjunction_protocols(c: &mut Criterion) {
     group.bench_function("fast_path", |b| {
         b.iter(|| {
             let table = &w.table;
-            eval_conjunction_select(&mut w.gpu, table, &preds).unwrap()
+            eval_conjunction_select(&mut w.gpu, table, &preds, false).unwrap()
         })
     });
     group.bench_function("routine_4_3", |b| {
         b.iter(|| {
             let table = &w.table;
-            eval_cnf_general_select(&mut w.gpu, table, &cnf).unwrap()
+            eval_cnf_general_select(&mut w.gpu, table, &cnf, false).unwrap()
         })
     });
     group.finish();

@@ -104,7 +104,7 @@ fn bench_multiattr(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gpu_sim", attrs), &attrs, |b, _| {
             b.iter(|| {
                 let table = &w.table;
-                eval_cnf_select(&mut w.gpu, table, &cnf).unwrap()
+                eval_cnf_select(&mut w.gpu, table, &cnf, true).unwrap()
             })
         });
     }

@@ -74,7 +74,8 @@ pub fn range_vs_cnf(scale: Scale) -> EngineResult<FigureResult> {
             GpuPredicate::new(0, CompareFunc::GreaterEqual, low),
             GpuPredicate::new(0, CompareFunc::LessEqual, high),
         ]);
-        let (general, cnf_timing) = w.time(|gpu, table| eval_cnf_general_select(gpu, table, &cnf));
+        let (general, cnf_timing) =
+            w.time(|gpu, table| eval_cnf_general_select(gpu, table, &cnf, false));
         let (_, count_b) = general?;
         assert_eq!(count_a, count_b, "the two protocols must agree");
 

@@ -37,7 +37,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
             .map(|c| GpuPredicate::new(c, CompareFunc::GreaterEqual, thresholds[c]))
             .collect();
         let cnf = GpuCnf::all_of(preds);
-        let (selected, timing) = w.time(|gpu, table| eval_cnf_select(gpu, table, &cnf));
+        let (selected, timing) = w.time(|gpu, table| eval_cnf_select(gpu, table, &cnf, true));
         let (_, count) = selected?;
 
         let cpu_cnf = gpudb_cpu::Cnf::all_of(

@@ -265,7 +265,7 @@ fn range(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
         let low = max / 10 * lo_tenth;
         let high = max / 10 * hi_tenth;
         let count = out.observe(&mut w.gpu, "range/range_count", |gpu| {
-            gpudb_core::range::range_count(gpu, &w.table, 0, low, high)
+            gpudb_core::range::range_select(gpu, &w.table, 0, low, high).map(|(_, c)| c)
         })?;
         out.checksum.push_u64(count);
     }
@@ -283,7 +283,7 @@ fn multiattr(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for k in 1..=preds.len() {
         let cnf = GpuCnf::all_of(preds[..k].to_vec());
         let count = out.observe(&mut w.gpu, "boolean/eval_cnf_count", |gpu| {
-            gpudb_core::boolean::eval_cnf_count(gpu, &w.table, &cnf)
+            gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, true).map(|(_, c)| c)
         })?;
         out.checksum.push_u64(count);
     }
@@ -292,7 +292,7 @@ fn multiattr(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
         GpuTerm::single(GpuPredicate::new(2, CompareFunc::Greater, 50_000)),
     ]);
     let count = out.observe(&mut w.gpu, "boolean/eval_dnf_count", |gpu| {
-        gpudb_core::boolean::eval_dnf_count(gpu, &w.table, &dnf)
+        gpudb_core::boolean::eval_dnf_select(gpu, &w.table, &dnf).map(|(_, c)| c)
     })?;
     out.checksum.push_u64(count);
     Ok(())
@@ -307,7 +307,8 @@ fn semilinear(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     ];
     for (coefficients, op, constant) in cases {
         let count = out.observe(&mut w.gpu, "semilinear/semilinear_count", |gpu| {
-            gpudb_core::semilinear::semilinear_count(gpu, &w.table, coefficients, op, constant)
+            gpudb_core::semilinear::semilinear_select(gpu, &w.table, coefficients, op, constant)
+                .map(|(_, c)| c)
         })?;
         out.checksum.push_u64(count);
     }
@@ -398,11 +399,11 @@ fn cnf_fusion_ablation(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> 
         GpuPredicate::new(2, CompareFunc::Greater, 2_000),
     ]);
     let unfused = out.observe(&mut w.gpu, "boolean/eval_cnf_unfused", |gpu| {
-        gpudb_core::boolean::eval_cnf_select_unfused(gpu, &w.table, &cnf).map(|(_, c)| c)
+        gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, false).map(|(_, c)| c)
     })?;
     out.checksum.push_u64(unfused);
     let fused = out.observe(&mut w.gpu, "boolean/eval_cnf_count", |gpu| {
-        gpudb_core::boolean::eval_cnf_count(gpu, &w.table, &cnf)
+        gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, true).map(|(_, c)| c)
     })?;
     out.checksum.push_u64(fused);
     Ok(())

@@ -8,6 +8,12 @@
 //! disjunct promotes still-valid records to the other marker
 //! (`INCR`/`DECR`); a cleanup pass then zeroes records left at the old
 //! marker (they satisfied no disjunct).
+//!
+//! Each protocol has one body. Its `fuse` flag decides two things inside
+//! it: whether the first predicate pass establishes the stencil (in place
+//! of the opening clear), and whether a `Compare` depth copy is skipped
+//! when the depth buffer already holds the column. With `fuse == false`
+//! the routines issue the paper's literal passes.
 
 use crate::error::{EngineError, EngineResult};
 use crate::predicate::{comparison_pass, copy_to_depth, OcclusionMode};
@@ -119,40 +125,41 @@ impl GpuCnf {
 ///
 /// Dispatches to the one-pass-per-predicate conjunction fast path when
 /// every clause is a single predicate (the multi-attribute AND shape of
-/// Figure 5); general CNFs run the full Routine 4.3 protocol. Both
-/// paths run **pass-fused** (see [`eval_conjunction_select_fused`] and
-/// [`eval_cnf_general_select_fused`]): adjacent predicates over the same
-/// column share one `Compare` depth copy, and the opening stencil clear
-/// is folded into the first predicate pass. Fusion only removes passes —
-/// the selection and count are bit-identical to the unfused protocol
-/// ([`eval_cnf_select_unfused`]).
+/// Figure 5); general CNFs run the full Routine 4.3 protocol. With `fuse`
+/// set, both protocols run **pass-fused**: adjacent predicates over the
+/// same column share one `Compare` depth copy, and the opening stencil
+/// clear is folded into the first predicate pass where the protocol
+/// allows it. Fusion only removes passes: the selection and count are
+/// bit-identical to the literal protocols (`fuse == false`).
 pub fn eval_cnf_select(
     gpu: &mut Gpu,
     table: &GpuTable,
     cnf: &GpuCnf,
+    fuse: bool,
 ) -> EngineResult<(Selection, u64)> {
     if !cnf.clauses.is_empty() && cnf.clauses.iter().all(|c| c.predicates.len() == 1) {
-        cnf.validate(table)?;
         let predicates: Vec<GpuPredicate> = cnf.clauses.iter().map(|c| c.predicates[0]).collect();
-        return eval_conjunction_select_fused(gpu, table, &predicates);
+        return eval_conjunction_select(gpu, table, &predicates, fuse);
     }
-    eval_cnf_general_select_fused(gpu, table, cnf)
+    eval_cnf_general_select(gpu, table, cnf, fuse)
 }
 
-/// [`eval_cnf_select`] without pass fusion — the paper's literal
-/// protocols, kept callable so the differential tests and ablation
-/// benchmarks can compare fused against unfused execution.
-pub fn eval_cnf_select_unfused(
+/// Copy `column` into the depth buffer for a `Compare` pass, unless
+/// fusion is on and the depth buffer already holds it: comparison and
+/// cleanup passes never write depth, so the last copied column (`held`)
+/// survives until the next copy.
+fn depth_holds(
     gpu: &mut Gpu,
     table: &GpuTable,
-    cnf: &GpuCnf,
-) -> EngineResult<(Selection, u64)> {
-    if !cnf.clauses.is_empty() && cnf.clauses.iter().all(|c| c.predicates.len() == 1) {
-        cnf.validate(table)?;
-        let predicates: Vec<GpuPredicate> = cnf.clauses.iter().map(|c| c.predicates[0]).collect();
-        return eval_conjunction_select(gpu, table, &predicates);
+    held: &mut Option<usize>,
+    fuse: bool,
+    column: usize,
+) -> EngineResult<()> {
+    if !fuse || *held != Some(column) {
+        copy_to_depth(gpu, table, column)?;
+        *held = Some(column);
     }
-    eval_cnf_general_select(gpu, table, cnf)
+    Ok(())
 }
 
 /// Fast path for pure conjunctions `B1 ∧ B2 ∧ ... ∧ Bk` of simple
@@ -160,151 +167,42 @@ pub fn eval_cnf_select_unfused(
 /// failing records via the `op_zfail` stencil operation. This is the
 /// one-pass-per-attribute cost profile behind Figure 5's compute-only
 /// factor.
+///
+/// The literal protocol clears the stencil to [`SELECTED`] first. With
+/// `fuse` set, the first predicate instead runs as an *establishing
+/// pass* (stencil test `Always` with reference [`SELECTED`], `REPLACE`
+/// on depth-pass, `ZERO` on depth-fail), which gives every record a
+/// definite value without the clear, and adjacent predicates over one
+/// column share a depth copy.
 pub fn eval_conjunction_select(
     gpu: &mut Gpu,
     table: &GpuTable,
     predicates: &[GpuPredicate],
+    fuse: bool,
 ) -> EngineResult<(Selection, u64)> {
     for p in predicates {
         if p.column >= table.column_count() {
             return Err(EngineError::ColumnIndexOutOfRange(p.column));
         }
     }
+    // An empty conjunction has no pass to establish the stencil: it keeps
+    // the clear (and selects everything).
+    let establish = fuse && !predicates.is_empty();
     gpu.set_phase(Phase::Compute);
     gpu.reset_state();
-    gpu.clear_stencil(SELECTED);
-    for p in predicates {
-        copy_to_depth(gpu, table, p.column)?;
-        gpu.set_phase(Phase::Compute);
-        gpu.set_stencil_func(true, CompareFunc::Equal, SELECTED, 0xFF);
-        // Fragment fails the predicate's depth test → zero its stencil.
-        gpu.set_stencil_op(StencilOp::Keep, StencilOp::Zero, StencilOp::Keep);
-        comparison_pass(gpu, table, p.op, p.constant, OcclusionMode::None)?;
+    if !establish {
+        gpu.clear_stencil(SELECTED);
     }
-    // Count the survivors (asynchronously, §5.11).
-    gpu.set_color_mask(ColorMask::NONE);
-    gpu.set_depth_test(false, CompareFunc::Always);
-    gpu.set_depth_write(false);
-    gpu.set_stencil_func(true, CompareFunc::Equal, SELECTED, 0xFF);
-    gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Keep);
-    gpu.begin_occlusion_query()?;
-    gpu.draw_quad(table.rects(), 0.0)?;
-    let count = gpu.end_occlusion_query_async()?;
-    gpu.reset_state();
-    Ok((Selection::over_table(table), count))
-}
-
-/// The paper's full `EvalCNF` (Routine 4.3), without the conjunction fast
-/// path — exposed separately so the ablation benchmarks can compare the
-/// two protocols.
-pub fn eval_cnf_general_select(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    cnf: &GpuCnf,
-) -> EngineResult<(Selection, u64)> {
-    cnf.validate(table)?;
-    if cnf.clauses.is_empty() {
-        let sel = Selection::select_all(gpu, table)?;
-        let count = table.record_count() as u64;
-        return Ok((sel, count));
-    }
-
-    // Routine 4.3 line 1: Clear Stencil to 1.
-    gpu.set_phase(Phase::Compute);
-    gpu.reset_state();
-    gpu.clear_stencil(1);
-
-    for (index, clause) in cnf.clauses.iter().enumerate() {
-        let i = index + 1; // the paper's 1-based clause counter
-        let (valid, promote_op) = if i % 2 == 1 {
-            (1u8, StencilOp::Incr) // lines 4-6: valid == 1, INCR on pass
-        } else {
-            (2u8, StencilOp::Decr) // lines 7-9: valid == 2, DECR on pass
-        };
-
-        // Lines 11-14: evaluate each disjunct with Compare. The copy pass
-        // runs with the stencil test disabled; the comparison quad promotes
-        // still-valid records whose predicate holds.
-        for p in &clause.predicates {
-            copy_to_depth(gpu, table, p.column)?;
-            gpu.set_phase(Phase::Compute);
-            gpu.set_stencil_func(true, CompareFunc::Equal, valid, 0xFF);
-            gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, promote_op);
-            comparison_pass(gpu, table, p.op, p.constant, OcclusionMode::None)?;
-        }
-
-        // Lines 15-19: records still at the old valid value satisfied no
-        // disjunct of this clause — zero them. (ZERO as the pass operation
-        // sidesteps REPLACE's shared reference register.)
-        gpu.set_phase(Phase::Compute);
-        gpu.set_color_mask(ColorMask::NONE);
-        gpu.set_depth_test(false, CompareFunc::Always);
-        gpu.set_depth_write(false);
-        gpu.set_stencil_func(true, CompareFunc::Equal, valid, 0xFF);
-        gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Zero);
-        gpu.draw_quad(table.rects(), 0.0)?;
-    }
-
-    // Normalize the surviving marker to SELECTED (1) and count survivors in
-    // the same pass. After k clauses the valid value is 2 for odd k, 1 for
-    // even k.
-    let final_valid = if cnf.clauses.len() % 2 == 1 { 2u8 } else { 1u8 };
-    gpu.set_stencil_func(true, CompareFunc::Equal, final_valid, 0xFF);
-    let normalize_op = if final_valid == 2 {
-        StencilOp::Decr // 2 -> 1
-    } else {
-        StencilOp::Keep // already 1
-    };
-    gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, normalize_op);
-    gpu.begin_occlusion_query()?;
-    gpu.draw_quad(table.rects(), 0.0)?;
-    let count = gpu.end_occlusion_query_async()?;
-    gpu.reset_state();
-    debug_assert_eq!(SELECTED, 1);
-    Ok((Selection::over_table(table), count))
-}
-
-/// Pass-fused conjunction: identical results to
-/// [`eval_conjunction_select`], with two fusions applied:
-///
-/// * **clear collapse** — instead of `ClearStencil(1)` followed by
-///   `Equal`-tested comparison passes, the *first* predicate runs as an
-///   *establishing pass*: stencil test `Always` with reference
-///   [`SELECTED`], `REPLACE` on depth-pass and `ZERO` on depth-fail.
-///   Every record pixel gets a definite value from the pass itself, so
-///   no prior clear is needed;
-/// * **copy elision** — comparison passes never write depth, so when
-///   adjacent predicates test the same column the depth buffer already
-///   holds it and the redundant `Compare` depth copy is skipped.
-pub fn eval_conjunction_select_fused(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    predicates: &[GpuPredicate],
-) -> EngineResult<(Selection, u64)> {
-    if predicates.is_empty() {
-        // No establishing pass to define the stencil: fall back to the
-        // clear-based protocol (which selects everything).
-        return eval_conjunction_select(gpu, table, predicates);
-    }
-    for p in predicates {
-        if p.column >= table.column_count() {
-            return Err(EngineError::ColumnIndexOutOfRange(p.column));
-        }
-    }
-    gpu.set_phase(Phase::Compute);
-    gpu.reset_state();
-    let mut depth_holds: Option<usize> = None;
+    let mut held = None;
     for (i, p) in predicates.iter().enumerate() {
-        if depth_holds != Some(p.column) {
-            copy_to_depth(gpu, table, p.column)?;
-            depth_holds = Some(p.column);
-        }
+        depth_holds(gpu, table, &mut held, fuse, p.column)?;
         gpu.set_phase(Phase::Compute);
-        if i == 0 {
+        if establish && i == 0 {
             // Establishing pass: depth-pass → SELECTED, depth-fail → 0.
             gpu.set_stencil_func(true, CompareFunc::Always, SELECTED, 0xFF);
             gpu.set_stencil_op(StencilOp::Keep, StencilOp::Zero, StencilOp::Replace);
         } else {
+            // Fragment fails the predicate's depth test → zero its stencil.
             gpu.set_stencil_func(true, CompareFunc::Equal, SELECTED, 0xFF);
             gpu.set_stencil_op(StencilOp::Keep, StencilOp::Zero, StencilOp::Keep);
         }
@@ -323,23 +221,23 @@ pub fn eval_conjunction_select_fused(
     Ok((Selection::over_table(table), count))
 }
 
-/// Pass-fused Routine 4.3: identical results to
-/// [`eval_cnf_general_select`], with the same two fusions as the
-/// conjunction path where the protocol allows them:
+/// The paper's full `EvalCNF` (Routine 4.3), without the conjunction fast
+/// path — exposed separately so the ablation benchmarks can compare the
+/// two protocols.
 ///
-/// * the opening `ClearStencil(1)` collapses into the first clause's
-///   comparison pass **only when that clause is a single predicate** —
-///   the establishing pass writes 2 on depth-pass and 0 on depth-fail,
-///   exactly the post-cleanup state of clause 1, so the clause-1 cleanup
-///   pass is dropped too. A multi-disjunct first clause keeps the clear:
-///   no single stencil op can OR a disjunct into an unwritten buffer;
-/// * adjacent disjuncts over the same column share one depth copy
-///   (cleanup passes don't write depth, so elision crosses clause
-///   boundaries).
-pub fn eval_cnf_general_select_fused(
+/// With `fuse` set, the opening `ClearStencil(1)` collapses into the
+/// first clause's comparison pass **only when that clause is a single
+/// predicate**: the establishing pass writes 2 on depth-pass and 0 on
+/// depth-fail, exactly the post-cleanup state of clause 1, so the
+/// clause-1 cleanup pass is dropped too. A multi-disjunct first clause
+/// keeps the clear: no single stencil op can OR a disjunct into an
+/// unwritten buffer. Adjacent disjuncts over one column share a depth
+/// copy, across clause boundaries too.
+pub fn eval_cnf_general_select(
     gpu: &mut Gpu,
     table: &GpuTable,
     cnf: &GpuCnf,
+    fuse: bool,
 ) -> EngineResult<(Selection, u64)> {
     cnf.validate(table)?;
     if cnf.clauses.is_empty() {
@@ -348,47 +246,50 @@ pub fn eval_cnf_general_select_fused(
         return Ok((sel, count));
     }
 
+    let establish = fuse && cnf.clauses[0].predicates.len() == 1;
     gpu.set_phase(Phase::Compute);
     gpu.reset_state();
-    let mut depth_holds: Option<usize> = None;
-    let establish = cnf.clauses[0].predicates.len() == 1;
-    if establish {
-        // Clause 1 fused with the clear: records passing the predicate
-        // land directly on the even marker 2 (as Incr would have taken
-        // them), everything else on 0 (as the cleanup would have).
-        let p = cnf.clauses[0].predicates[0];
-        copy_to_depth(gpu, table, p.column)?;
-        depth_holds = Some(p.column);
-        gpu.set_phase(Phase::Compute);
-        gpu.set_stencil_func(true, CompareFunc::Always, 2, 0xFF);
-        gpu.set_stencil_op(StencilOp::Keep, StencilOp::Zero, StencilOp::Replace);
-        comparison_pass(gpu, table, p.op, p.constant, OcclusionMode::None)?;
-    } else {
+    if !establish {
         // Routine 4.3 line 1: Clear Stencil to 1.
         gpu.clear_stencil(1);
     }
 
-    let start = usize::from(establish);
-    for (index, clause) in cnf.clauses.iter().enumerate().skip(start) {
+    let mut held = None;
+    for (index, clause) in cnf.clauses.iter().enumerate() {
         let i = index + 1; // the paper's 1-based clause counter
         let (valid, promote_op) = if i % 2 == 1 {
-            (1u8, StencilOp::Incr)
+            (1u8, StencilOp::Incr) // lines 4-6: valid == 1, INCR on pass
         } else {
-            (2u8, StencilOp::Decr)
+            (2u8, StencilOp::Decr) // lines 7-9: valid == 2, DECR on pass
         };
+        let established = establish && index == 0;
 
+        // Lines 11-14: evaluate each disjunct with Compare. The copy pass
+        // runs with the stencil test disabled; the comparison quad promotes
+        // still-valid records whose predicate holds.
         for p in &clause.predicates {
-            if depth_holds != Some(p.column) {
-                copy_to_depth(gpu, table, p.column)?;
-                depth_holds = Some(p.column);
-            }
+            depth_holds(gpu, table, &mut held, fuse, p.column)?;
             gpu.set_phase(Phase::Compute);
-            gpu.set_stencil_func(true, CompareFunc::Equal, valid, 0xFF);
-            gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, promote_op);
+            if established {
+                // Clause 1 fused with the clear: records passing the
+                // predicate land directly on the even marker 2 (as Incr
+                // would have taken them), everything else on 0 (as the
+                // cleanup would have).
+                gpu.set_stencil_func(true, CompareFunc::Always, 2, 0xFF);
+                gpu.set_stencil_op(StencilOp::Keep, StencilOp::Zero, StencilOp::Replace);
+            } else {
+                gpu.set_stencil_func(true, CompareFunc::Equal, valid, 0xFF);
+                gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, promote_op);
+            }
             comparison_pass(gpu, table, p.op, p.constant, OcclusionMode::None)?;
         }
+        if established {
+            continue;
+        }
 
-        // Cleanup: zero records still at the old valid value.
+        // Lines 15-19: records still at the old valid value satisfied no
+        // disjunct of this clause — zero them. (ZERO as the pass operation
+        // sidesteps REPLACE's shared reference register.)
         gpu.set_phase(Phase::Compute);
         gpu.set_color_mask(ColorMask::NONE);
         gpu.set_depth_test(false, CompareFunc::Always);
@@ -398,18 +299,22 @@ pub fn eval_cnf_general_select_fused(
         gpu.draw_quad(table.rects(), 0.0)?;
     }
 
-    // Normalize the surviving marker to SELECTED (1) and count survivors
-    // in the same pass — identical to the unfused protocol, because the
-    // fused clause 1 leaves exactly the marker Incr would have.
+    // Normalize the surviving marker to SELECTED (1) and count survivors in
+    // the same pass. After k clauses the valid value is 2 for odd k, 1 for
+    // even k (the established clause 1 leaves the marker Incr would have).
+    // The fused protocol sets the count pass's state again: after a lone
+    // established clause no cleanup pass has set it.
+    if fuse {
+        gpu.set_color_mask(ColorMask::NONE);
+        gpu.set_depth_test(false, CompareFunc::Always);
+        gpu.set_depth_write(false);
+    }
     let final_valid = if cnf.clauses.len() % 2 == 1 { 2u8 } else { 1u8 };
-    gpu.set_color_mask(ColorMask::NONE);
-    gpu.set_depth_test(false, CompareFunc::Always);
-    gpu.set_depth_write(false);
     gpu.set_stencil_func(true, CompareFunc::Equal, final_valid, 0xFF);
     let normalize_op = if final_valid == 2 {
-        StencilOp::Decr
+        StencilOp::Decr // 2 -> 1
     } else {
-        StencilOp::Keep
+        StencilOp::Keep // already 1
     };
     gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, normalize_op);
     gpu.begin_occlusion_query()?;
@@ -418,12 +323,6 @@ pub fn eval_cnf_general_select_fused(
     gpu.reset_state();
     debug_assert_eq!(SELECTED, 1);
     Ok((Selection::over_table(table), count))
-}
-
-/// Evaluate a CNF and return only the match count.
-pub fn eval_cnf_count(gpu: &mut Gpu, table: &GpuTable, cnf: &GpuCnf) -> EngineResult<u64> {
-    let (_, count) = eval_cnf_select(gpu, table, cnf)?;
-    Ok(count)
 }
 
 /// A boolean expression in disjunctive normal form: `T1 ∨ T2 ∨ ... ∨ Tk`
@@ -567,12 +466,6 @@ pub fn eval_dnf_select(
     Ok((Selection::over_table(table), count))
 }
 
-/// Evaluate a DNF and return only the match count.
-pub fn eval_dnf_count(gpu: &mut Gpu, table: &GpuTable, dnf: &GpuDnf) -> EngineResult<u64> {
-    let (_, count) = eval_dnf_select(gpu, table, dnf)?;
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,14 +488,16 @@ mod tests {
     }
 
     fn check(cnf: &GpuCnf, columns: &[(&str, &[u32])]) {
-        let (mut gpu, t) = setup(columns);
-        let (sel, count) = eval_cnf_select(&mut gpu, &t, cnf).unwrap();
         let raw: Vec<&[u32]> = columns.iter().map(|(_, v)| *v).collect();
         let n = raw.first().map_or(0, |c| c.len());
         let expected: Vec<bool> = (0..n).map(|row| reference(cnf, &raw, row)).collect();
-        assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected);
-        assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
-        assert_eq!(sel.count(&mut gpu).unwrap(), count);
+        for fuse in [false, true] {
+            let (mut gpu, t) = setup(columns);
+            let (sel, count) = eval_cnf_select(&mut gpu, &t, cnf, fuse).unwrap();
+            assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected, "fuse {fuse}");
+            assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
+            assert_eq!(sel.count(&mut gpu).unwrap(), count);
+        }
     }
 
     #[test]
@@ -696,7 +591,7 @@ mod tests {
         let a: Vec<u32> = (0..30).collect();
         let cnf = GpuCnf::new(vec![GpuClause::default()]);
         let (mut gpu, t) = setup(&[("a", &a)]);
-        let (_, count) = eval_cnf_select(&mut gpu, &t, &cnf).unwrap();
+        let (_, count) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
         assert_eq!(count, 0);
     }
 
@@ -706,7 +601,7 @@ mod tests {
         let a: Vec<u32> = (0..30).collect();
         let (mut gpu, t) = setup(&[("a", &a)]);
         let (_, count_not) =
-            eval_cnf_select(&mut gpu, &t, &GpuCnf::all_of(vec![p.negated()])).unwrap();
+            eval_cnf_select(&mut gpu, &t, &GpuCnf::all_of(vec![p.negated()]), true).unwrap();
         assert_eq!(count_not, 20, "NOT(a < 10) == a >= 10");
     }
 
@@ -716,7 +611,7 @@ mod tests {
         let (mut gpu, t) = setup(&[("a", &a)]);
         let cnf = GpuCnf::all_of(vec![GpuPredicate::new(3, Less, 1)]);
         assert!(matches!(
-            eval_cnf_select(&mut gpu, &t, &cnf).unwrap_err(),
+            eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap_err(),
             EngineError::ColumnIndexOutOfRange(3)
         ));
     }
@@ -752,10 +647,10 @@ mod tests {
             let cnf = GpuCnf::all_of(preds.clone());
 
             let (mut gpu, t) = setup(&named);
-            let (sel_fast, c_fast) = eval_conjunction_select(&mut gpu, &t, &preds).unwrap();
+            let (sel_fast, c_fast) = eval_conjunction_select(&mut gpu, &t, &preds, false).unwrap();
             let mask_fast = sel_fast.read_mask(&mut gpu);
 
-            let (sel_gen, c_gen) = eval_cnf_general_select(&mut gpu, &t, &cnf).unwrap();
+            let (sel_gen, c_gen) = eval_cnf_general_select(&mut gpu, &t, &cnf, false).unwrap();
             assert_eq!(mask_fast, sel_gen.read_mask(&mut gpu), "k = {k}");
             assert_eq!(c_fast, c_gen);
         }
@@ -771,17 +666,17 @@ mod tests {
             GpuPredicate::new(1, Less, 40),
         ];
         gpu.reset_stats();
-        eval_conjunction_select(&mut gpu, &t, &preds).unwrap();
+        eval_conjunction_select(&mut gpu, &t, &preds, false).unwrap();
         // 2 copies + 2 comparisons + 1 count pass.
         assert_eq!(gpu.stats().draw_calls, 5);
 
         gpu.reset_stats();
-        eval_cnf_general_select(&mut gpu, &t, &GpuCnf::all_of(preds)).unwrap();
+        eval_cnf_general_select(&mut gpu, &t, &GpuCnf::all_of(preds), false).unwrap();
         // General protocol: per clause (copy + compare + cleanup) + count.
         assert_eq!(gpu.stats().draw_calls, 7);
     }
 
-    /// Every CNF shape the suite exercises, for fused/unfused parity.
+    /// Every CNF shape the suite exercises, for parity of the two modes.
     fn parity_cnfs() -> Vec<GpuCnf> {
         vec![
             GpuCnf::always_true(),
@@ -836,17 +731,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_dispatch_agree_byte_for_byte() {
+    fn both_modes_agree_byte_for_byte() {
         let a: Vec<u32> = (0..80).map(|i| (i * 13) % 64).collect();
         let b: Vec<u32> = (0..80).map(|i| (i * 17 + 5) % 64).collect();
         let cols: [(&str, &[u32]); 2] = [("a", &a), ("b", &b)];
         for cnf in parity_cnfs() {
             let (mut gpu, t) = setup(&cols);
-            let (sel_f, count_f) = eval_cnf_select(&mut gpu, &t, &cnf).unwrap();
+            let (sel_f, count_f) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
             let mask_f = sel_f.read_mask(&mut gpu).unwrap();
 
             let (mut gpu2, t2) = setup(&cols);
-            let (sel_u, count_u) = eval_cnf_select_unfused(&mut gpu2, &t2, &cnf).unwrap();
+            let (sel_u, count_u) = eval_cnf_select(&mut gpu2, &t2, &cnf, false).unwrap();
             let mask_u = sel_u.read_mask(&mut gpu2).unwrap();
 
             assert_eq!(mask_f, mask_u, "cnf {cnf:?}");
@@ -867,12 +762,12 @@ mod tests {
             GpuPredicate::new(1, Less, 45),
         ];
         gpu.reset_stats();
-        eval_conjunction_select_fused(&mut gpu, &t, &preds).unwrap();
+        eval_conjunction_select(&mut gpu, &t, &preds, true).unwrap();
         // 2 copies (a once, b once) + 3 comparisons + 1 count pass.
         assert_eq!(gpu.stats().draw_calls, 6);
 
         gpu.reset_stats();
-        eval_conjunction_select(&mut gpu, &t, &preds).unwrap();
+        eval_conjunction_select(&mut gpu, &t, &preds, false).unwrap();
         // 3 copies + 3 comparisons + 1 count pass.
         assert_eq!(gpu.stats().draw_calls, 7);
     }
@@ -890,14 +785,10 @@ mod tests {
                 .filter(|op| matches!(op, PassOp::ClearStencil { .. }))
                 .count()
         };
-        let run = |fused: bool, cnf: &GpuCnf| {
+        let run = |fuse: bool, cnf: &GpuCnf| {
             let (mut gpu, t) = setup(&[("a", &a), ("b", &b)]);
             gpu.attach_log(RecordMode::RecordAndExecute);
-            if fused {
-                eval_cnf_select(&mut gpu, &t, cnf).unwrap();
-            } else {
-                eval_cnf_select_unfused(&mut gpu, &t, cnf).unwrap();
-            }
+            eval_cnf_select(&mut gpu, &t, cnf, fuse).unwrap();
             let plans = gpu.take_log().unwrap().plans_since(0);
             plans.iter().map(|p| clears(&p.ops)).sum::<usize>()
         };
@@ -934,14 +825,10 @@ mod tests {
             GpuPredicate::new(0, GreaterEqual, 10),
             GpuPredicate::new(0, Less, 50),
         ]);
-        let modeled = |fused: bool| {
+        let modeled = |fuse: bool| {
             let (mut gpu, t) = setup(&[("a", &a)]);
             let (result, record) = crate::metrics::observe(&mut gpu, "cnf", 60, |gpu| {
-                if fused {
-                    eval_cnf_select(gpu, &t, &cnf)
-                } else {
-                    eval_cnf_select_unfused(gpu, &t, &cnf)
-                }
+                eval_cnf_select(gpu, &t, &cnf, fuse)
             });
             result.unwrap();
             record.modeled_total_ns()
@@ -960,7 +847,7 @@ mod tests {
         let a: Vec<u32> = (0..30).collect();
         let cnf = GpuCnf::new(vec![GpuClause::default()]);
         let (mut gpu, t) = setup(&[("a", &a)]);
-        let (sel, count) = eval_cnf_general_select_fused(&mut gpu, &t, &cnf).unwrap();
+        let (sel, count) = eval_cnf_general_select(&mut gpu, &t, &cnf, true).unwrap();
         assert_eq!(count, 0);
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), vec![false; 30]);
     }
@@ -969,7 +856,7 @@ mod tests {
     fn fused_empty_conjunction_selects_all() {
         let a: Vec<u32> = (0..25).collect();
         let (mut gpu, t) = setup(&[("a", &a)]);
-        let (sel, count) = eval_conjunction_select_fused(&mut gpu, &t, &[]).unwrap();
+        let (sel, count) = eval_conjunction_select(&mut gpu, &t, &[], true).unwrap();
         assert_eq!(count, 25);
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), vec![true; 25]);
     }
@@ -979,7 +866,7 @@ mod tests {
         let a: Vec<u32> = (0..10).collect();
         let (mut gpu, t) = setup(&[("a", &a)]);
         assert!(matches!(
-            eval_conjunction_select_fused(&mut gpu, &t, &[GpuPredicate::new(5, Less, 1)])
+            eval_conjunction_select(&mut gpu, &t, &[GpuPredicate::new(5, Less, 1)], true)
                 .unwrap_err(),
             EngineError::ColumnIndexOutOfRange(5)
         ));
@@ -988,7 +875,7 @@ mod tests {
             GpuPredicate::new(6, Less, 1),
         ])]);
         assert!(matches!(
-            eval_cnf_general_select_fused(&mut gpu, &t, &cnf).unwrap_err(),
+            eval_cnf_general_select(&mut gpu, &t, &cnf, true).unwrap_err(),
             EngineError::ColumnIndexOutOfRange(6)
         ));
     }
@@ -1079,7 +966,7 @@ mod tests {
             GpuTerm::single(GpuPredicate::new(0, Less, 20)),
             GpuTerm::single(GpuPredicate::new(0, GreaterEqual, 40)),
         ]);
-        let (sel_c, count_c) = eval_cnf_select(&mut gpu, &t, &cnf).unwrap();
+        let (sel_c, count_c) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
         let mask_c = sel_c.read_mask(&mut gpu);
         let (sel_d, count_d) = eval_dnf_select(&mut gpu, &t, &dnf).unwrap();
         assert_eq!(mask_c, sel_d.read_mask(&mut gpu));

@@ -189,7 +189,7 @@ mod tests {
     use super::*;
     use crate::aggregate;
     use crate::predicate::{compare_count, copy_to_depth};
-    use crate::range::range_count;
+    use crate::range::range_select;
     use crate::table::GpuTable;
     use gpudb_sim::CompareFunc;
 
@@ -229,7 +229,7 @@ mod tests {
                 compare_count(gpu, &t, 0, CompareFunc::Greater, 100).unwrap()
             });
             let (_, b) = observe(&mut gpu, "range/range_count", 300, |gpu| {
-                range_count(gpu, &t, 0, 50, 350).unwrap()
+                range_select(gpu, &t, 0, 50, 350).unwrap().1
             });
             let (_, c) = observe(&mut gpu, "aggregate/kth_largest", 300, |gpu| {
                 aggregate::kth_largest(gpu, &t, 0, 7, None).unwrap()
@@ -251,7 +251,7 @@ mod tests {
             compare_count(gpu, &t, 0, CompareFunc::Less, 100).unwrap()
         });
         let (_, r2) = observe(&mut gpu, "range/range_count", 200, |gpu| {
-            range_count(gpu, &t, 0, 10, 90).unwrap()
+            range_select(gpu, &t, 0, 10, 90).unwrap().1
         });
         let sum = r1.modeled_total_ns() + r2.modeled_total_ns();
         log.push(r1);
@@ -273,7 +273,7 @@ mod tests {
         });
         log.push(r);
         let (_, r) = observe(&mut gpu, "range/range_count", 200, |gpu| {
-            range_count(gpu, &t, 0, 10, 90).unwrap()
+            range_select(gpu, &t, 0, 10, 90).unwrap().1
         });
         log.push(r);
         let (_, r) = observe(&mut gpu, "predicate/compare_count", 200, |gpu| {

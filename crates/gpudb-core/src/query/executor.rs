@@ -6,7 +6,7 @@
 //! or tracing, the `query` span, the statement's `timing` and its trace.
 //! EXPLAIN and EXPLAIN ANALYZE render from here.
 
-use crate::boolean::{eval_cnf_select, eval_cnf_select_unfused, eval_dnf_select};
+use crate::boolean::{eval_cnf_select, eval_dnf_select};
 use crate::error::EngineResult;
 use crate::metrics::MetricsRecord;
 use crate::parallel;
@@ -69,11 +69,7 @@ pub(crate) fn execute_selection(
             Ok((Some(sel), count))
         }
         SelectionPlan::Cnf(cnf) => {
-            let (sel, count) = if fuse_passes {
-                eval_cnf_select(gpu, table, cnf)?
-            } else {
-                eval_cnf_select_unfused(gpu, table, cnf)?
-            };
+            let (sel, count) = eval_cnf_select(gpu, table, cnf, fuse_passes)?;
             Ok((Some(sel), count))
         }
         SelectionPlan::Dnf(dnf) => {

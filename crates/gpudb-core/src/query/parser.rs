@@ -10,9 +10,8 @@
 //!            | PERCENTILE '(' ident ',' float ')'
 //! orexpr    := andexpr (OR andexpr)*
 //! andexpr   := notexpr (AND notexpr)*
-//! notexpr   := NOT notexpr | atom
-//! atom      := '(' orexpr ')'
-//!            | ident BETWEEN int AND int
+//! notexpr   := NOT notexpr | '(' orexpr ')' | atom
+//! atom      := ident BETWEEN int AND int
 //!            | ident IN '(' int (',' int)* ')'
 //!            | ident cmp (int | ident)
 //! cmp       := '=' | '<>' | '!=' | '<' | '<=' | '>' | '>='
@@ -20,10 +19,22 @@
 //!
 //! `ident cmp ident` parses to a column–column comparison (the paper's
 //! `ai op aj` predicates, planned as semi-linear queries).
+//!
+//! A filter nests at most [`MAX_FILTER_DEPTH`] levels: each parenthesis,
+//! `NOT` and `AND`/`OR` step on a path from the root is one level. A
+//! deeper filter fails with [`EngineError::InvalidQuery`] rather than
+//! exhausting the stack of the recursive passes over the tree (parser,
+//! planner, oracle).
 
 use crate::error::{EngineError, EngineResult};
 use crate::query::ast::{Aggregate, BoolExpr, Query};
 use gpudb_sim::CompareFunc;
+
+/// Levels a filter may nest; see the module docs.
+pub const MAX_FILTER_DEPTH: usize = 256;
+
+/// A filter subexpression and the levels it nests.
+type Nested = (BoolExpr, usize);
 
 /// A parsed statement: the query plus the table name it targets.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +55,11 @@ pub struct Statement {
 /// Parse a SQL-ish statement.
 pub fn parse(input: &str) -> EngineResult<Statement> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+    };
     let stmt = p.statement()?;
     if p.pos != p.tokens.len() {
         return Err(err(format!("unexpected trailing input at {:?}", p.peek())));
@@ -154,6 +169,8 @@ fn tokenize(input: &str) -> EngineResult<Vec<Token>> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Filter levels open above the expression being parsed.
+    open: usize,
 }
 
 impl Parser {
@@ -232,7 +249,7 @@ impl Parser {
         let table = self.ident()?;
         let filter = if self.peek_keyword("WHERE") {
             self.pos += 1;
-            Some(self.or_expr()?)
+            Some(self.or_expr()?.0)
         } else {
             None
         };
@@ -286,39 +303,64 @@ impl Parser {
         Ok(agg)
     }
 
-    fn or_expr(&mut self) -> EngineResult<BoolExpr> {
-        let mut lhs = self.and_expr()?;
+    /// `levels` below the open ones, or the depth error past
+    /// [`MAX_FILTER_DEPTH`].
+    fn nest(&self, levels: usize) -> EngineResult<usize> {
+        if self.open + levels > MAX_FILTER_DEPTH {
+            return Err(err(format!(
+                "filter nests deeper than {MAX_FILTER_DEPTH} levels"
+            )));
+        }
+        Ok(levels)
+    }
+
+    /// Parse one level down: inside a parenthesis or a `NOT`.
+    fn nested(&mut self, parse: fn(&mut Parser) -> EngineResult<Nested>) -> EngineResult<Nested> {
+        self.nest(1)?;
+        self.open += 1;
+        let (expr, levels) = parse(self)?;
+        self.open -= 1;
+        Ok((expr, levels + 1))
+    }
+
+    fn or_expr(&mut self) -> EngineResult<Nested> {
+        let (mut lhs, mut levels) = self.and_expr()?;
         while self.peek_keyword("OR") {
             self.pos += 1;
-            lhs = lhs.or(self.and_expr()?);
+            let (rhs, right) = self.and_expr()?;
+            levels = self.nest(levels.max(right) + 1)?;
+            lhs = lhs.or(rhs);
         }
-        Ok(lhs)
+        Ok((lhs, levels))
     }
 
-    fn and_expr(&mut self) -> EngineResult<BoolExpr> {
-        let mut lhs = self.not_expr()?;
+    fn and_expr(&mut self) -> EngineResult<Nested> {
+        let (mut lhs, mut levels) = self.not_expr()?;
         while self.peek_keyword("AND") {
             self.pos += 1;
-            lhs = lhs.and(self.not_expr()?);
+            let (rhs, right) = self.not_expr()?;
+            levels = self.nest(levels.max(right) + 1)?;
+            lhs = lhs.and(rhs);
         }
-        Ok(lhs)
+        Ok((lhs, levels))
     }
 
-    fn not_expr(&mut self) -> EngineResult<BoolExpr> {
+    fn not_expr(&mut self) -> EngineResult<Nested> {
         if self.peek_keyword("NOT") {
             self.pos += 1;
-            return Ok(self.not_expr()?.not());
+            let (inner, levels) = self.nested(Parser::not_expr)?;
+            return Ok((inner.not(), levels));
         }
-        self.atom()
-    }
-
-    fn atom(&mut self) -> EngineResult<BoolExpr> {
         if self.peek() == Some(&Token::Symbol("(")) {
             self.pos += 1;
-            let inner = self.or_expr()?;
+            let inner = self.nested(Parser::or_expr)?;
             self.expect_symbol(")")?;
             return Ok(inner);
         }
+        Ok((self.atom()?, 0))
+    }
+
+    fn atom(&mut self) -> EngineResult<BoolExpr> {
         let column = self.ident()?;
         if self.peek_keyword("IN") {
             self.pos += 1;
@@ -569,6 +611,43 @@ mod tests {
         assert!(!stmt.explain);
         assert!(!stmt.analyze);
         assert!(parse("EXPLAIN EXPLAIN SELECT COUNT(*) FROM t").is_err());
+    }
+
+    /// A filter of `levels` nested parentheses, `NOT`s, `OR` steps or
+    /// `AND` steps around `a < 5`.
+    fn nested_filters(levels: usize) -> [String; 4] {
+        let chain = |op: &str| vec!["a < 5"; levels + 1].join(op);
+        [
+            format!("{}a < 5{}", "(".repeat(levels), ")".repeat(levels)),
+            format!("{}a < 5", "NOT ".repeat(levels)),
+            chain(" OR "),
+            chain(" AND "),
+        ]
+    }
+
+    #[test]
+    fn filter_depth_is_bounded() {
+        for filter in nested_filters(100_000)
+            .into_iter()
+            .chain(nested_filters(MAX_FILTER_DEPTH + 1))
+        {
+            match parse(&format!("SELECT COUNT(*) FROM t WHERE {filter}")) {
+                Err(EngineError::InvalidQuery(msg)) => {
+                    assert_eq!(msg, "filter nests deeper than 256 levels")
+                }
+                other => panic!("{}...: {other:?}", &filter[..40]),
+            }
+        }
+        for filter in nested_filters(MAX_FILTER_DEPTH) {
+            parse(&format!("SELECT COUNT(*) FROM t WHERE {filter}")).unwrap();
+        }
+        // Levels add up along a path: 200 parentheses around a 57-step chain.
+        let chain = vec!["a < 5"; 58].join(" OR ");
+        let deep = format!("{}{chain}{}", "(".repeat(200), ")".repeat(200));
+        assert!(parse(&format!("SELECT COUNT(*) FROM t WHERE {deep}")).is_err());
+        let chain = vec!["a < 5"; 57].join(" OR ");
+        let deep = format!("{}{chain}{}", "(".repeat(200), ")".repeat(200));
+        assert!(parse(&format!("SELECT COUNT(*) FROM t WHERE {deep}")).is_ok());
     }
 
     #[test]

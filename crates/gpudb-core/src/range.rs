@@ -116,22 +116,10 @@ fn range_select_two_pass(
     Ok((Selection::over_table(table), count))
 }
 
-/// Evaluate a range query and return only the match count.
-pub fn range_count(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    column: usize,
-    low: u32,
-    high: u32,
-) -> EngineResult<u64> {
-    let (_, count) = range_select(gpu, table, column, low, high)?;
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boolean::{eval_cnf_select, eval_cnf_select_unfused, GpuCnf, GpuPredicate};
+    use crate::boolean::{eval_cnf_select, GpuCnf, GpuPredicate};
     use gpudb_sim::CompareFunc::{GreaterEqual, LessEqual};
 
     fn setup(values: &[u32]) -> (Gpu, GpuTable) {
@@ -177,7 +165,7 @@ mod tests {
                 GpuPredicate::new(0, GreaterEqual, low),
                 GpuPredicate::new(0, LessEqual, high),
             ]);
-            let (sel_cnf, c_cnf) = eval_cnf_select(&mut gpu, &t, &cnf).unwrap();
+            let (sel_cnf, c_cnf) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
             assert_eq!(
                 mask_range,
                 sel_cnf.read_mask(&mut gpu).unwrap(),
@@ -203,7 +191,7 @@ mod tests {
             GpuPredicate::new(0, GreaterEqual, 10),
             GpuPredicate::new(0, LessEqual, 90),
         ]);
-        eval_cnf_select_unfused(&mut gpu, &t, &cnf).unwrap();
+        eval_cnf_select(&mut gpu, &t, &cnf, false).unwrap();
         let cnf_copies = gpu.stats().fragments_shaded;
         let cnf_modeled = gpu.stats().modeled_total();
 
@@ -214,7 +202,7 @@ mod tests {
         // same column), but the depth-bounds path still wins on modeled
         // cost: one quad versus two comparison quads plus the count pass.
         gpu.reset_stats();
-        eval_cnf_select(&mut gpu, &t, &cnf).unwrap();
+        eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
         assert_eq!(
             gpu.stats().fragments_shaded,
             range_copies,

@@ -116,18 +116,6 @@ pub fn semilinear_select(
     Ok((Selection::over_table(table), count))
 }
 
-/// Evaluate a semi-linear query and return only the match count.
-pub fn semilinear_count(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    s: &[f32],
-    op: CompareFunc,
-    b: f32,
-) -> EngineResult<u64> {
-    let (_, count) = semilinear_select(gpu, table, s, op, b)?;
-    Ok(count)
-}
-
 /// Evaluate the degree-2 polynomial query
 /// `Σ q_j·a_j² + Σ s_j·a_j  op  b` in a single kill pass — the extension
 /// §4.1.2 anticipates: "This algorithm can also be extended for evaluating
@@ -475,13 +463,5 @@ mod tests {
             polynomial_select(&mut gpu, &t, &[1.0, 1.0], &[], Less, 0.0).unwrap_err(),
             EngineError::ColumnIndexOutOfRange(1)
         ));
-    }
-
-    #[test]
-    fn count_variant_agrees() {
-        let a: Vec<u32> = (0..30).collect();
-        let (mut gpu, t) = setup(&[("a", &a)]);
-        let c1 = semilinear_count(&mut gpu, &t, &[2.0], Less, 30.0).unwrap();
-        assert_eq!(c1, 15);
     }
 }

@@ -61,7 +61,7 @@ fn main() -> EngineResult<()> {
         GpuPredicate::new(2, CompareFunc::GreaterEqual, 1000), // busy
     ]);
     let ((_, unhealthy), t) = observe(&mut gpu, "health", n, |gpu| {
-        gpudb::core::boolean::eval_cnf_select(gpu, &table, &cnf).unwrap()
+        gpudb::core::boolean::eval_cnf_select(gpu, &table, &cnf, true).unwrap()
     });
     let cpu_cnf = cpu::Cnf::all_of(vec![
         cpu::Predicate::new(1, cpu::CmpOp::Gt, 0),

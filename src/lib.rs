@@ -60,7 +60,7 @@ pub mod prelude {
         execute, execute_with_options, explain_analyze, explain_analyze_with_options, parse,
         Aggregate, BoolExpr, ExecuteOptions, Query, TraceLevel,
     };
-    pub use gpudb_core::range::{range_count, range_select};
+    pub use gpudb_core::range::range_select;
     pub use gpudb_core::resilience::{
         execute_resilient, ResiliencePath, ResilienceReport, ResilientOutput, RetryPolicy,
     };

@@ -79,7 +79,7 @@ fn range_and_cnf_agree_with_cpu() {
         gpudb::core::boolean::GpuClause::single(GpuPredicate::new(3, CompareFunc::LessEqual, 10)),
     ]);
     let (gpu_sel, gpu_count) =
-        gpudb::core::boolean::eval_cnf_select(&mut gpu, &table, &gpu_cnf).unwrap();
+        gpudb::core::boolean::eval_cnf_select(&mut gpu, &table, &gpu_cnf, true).unwrap();
     let cpu_cnf = cpu::Cnf::new(vec![
         cpu::Clause::any(vec![
             cpu::Predicate::new(0, cpu::CmpOp::Lt, 1000),
@@ -230,5 +230,38 @@ fn modeled_timings_are_monotone_in_record_count() {
             "modeled time must grow with n"
         );
         previous_total = record.modeled_total_ns();
+    }
+}
+
+#[test]
+fn filters_at_the_depth_limit_parse_and_run() {
+    use gpudb::core::query::parser::MAX_FILTER_DEPTH;
+    let values: Vec<u32> = (0..64).map(|i| (i * 37) % 50).collect();
+    let host = HostTable::new("t", vec![("a", values)]).unwrap();
+    let levels = MAX_FILTER_DEPTH;
+    let chain = |op: &str| {
+        (0..=levels)
+            .map(|i| format!("a <> {}", i % 50))
+            .collect::<Vec<_>>()
+            .join(op)
+    };
+    let filters = [
+        format!("{}a < 20{}", "(".repeat(levels), ")".repeat(levels)),
+        format!("{}a < 20", "NOT ".repeat(levels)),
+        chain(" OR "),
+        chain(" AND "),
+    ];
+    for filter in &filters {
+        let sql = format!("SELECT COUNT(*), SUM(a) FROM t WHERE {filter}");
+        let stmt = parse(&sql).unwrap();
+        let mut gpu = GpuTable::device_for(host.record_count(), 8);
+        let table = host.upload(&mut gpu).unwrap();
+        let output = execute(&mut gpu, &table, &stmt.query).unwrap();
+        let oracle = cpu_oracle::execute(&host, &stmt.query).unwrap();
+        assert!(
+            oracle.agrees_with(output.matched, &output.rows),
+            "{}...",
+            &filter[..40]
+        );
     }
 }

@@ -170,7 +170,9 @@ proptest! {
     }
 }
 
-// Random CNFs: build equivalent GPU and CPU CNFs and compare selections.
+// Random CNFs: build equivalent GPU and CPU CNFs and compare selections,
+// in both modes of the CNF protocols. Clauses may be empty (FALSE), and
+// fusion may only remove draws.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -179,7 +181,7 @@ proptest! {
         columns in prop::collection::vec(
             prop::collection::vec(0u32..500, 40..80), 1..4),
         clause_spec in prop::collection::vec(
-            prop::collection::vec((0usize..4, 0usize..6, 0u32..500), 1..3),
+            prop::collection::vec((0usize..4, 0usize..6, 0u32..500), 0..3),
             0..4),
     ) {
         let n = columns[0].len();
@@ -217,18 +219,24 @@ proptest! {
             cpu_clauses.push(cpu::Clause::any(c));
         }
 
-        let mut gpu = GpuTable::device_for(n, 16);
-        let table = GpuTable::upload(&mut gpu, "t", &named).unwrap();
-        let (sel, count) = gpudb::core::boolean::eval_cnf_select(
-            &mut gpu, &table, &GpuCnf::new(gpu_clauses)).unwrap();
-
         let refs: Vec<&[u32]> = columns.iter().map(|c| c.as_slice()).collect();
         let reference = cpu::cnf::eval_cnf(&refs, &cpu::Cnf::new(cpu_clauses));
-        prop_assert_eq!(count, reference.count_ones() as u64);
-        let mask = sel.read_mask(&mut gpu).unwrap();
-        for (i, &m) in mask.iter().enumerate() {
-            prop_assert_eq!(m, reference.get(i), "record {}", i);
+        let gpu_cnf = GpuCnf::new(gpu_clauses);
+        let mut draws = [0u64; 2];
+        for (slot, fuse) in [false, true].into_iter().enumerate() {
+            let mut gpu = GpuTable::device_for(n, 16);
+            let table = GpuTable::upload(&mut gpu, "t", &named).unwrap();
+            gpu.reset_stats();
+            let (sel, count) =
+                gpudb::core::boolean::eval_cnf_select(&mut gpu, &table, &gpu_cnf, fuse).unwrap();
+            draws[slot] = gpu.stats().draw_calls;
+            prop_assert_eq!(count, reference.count_ones() as u64, "fuse {}", fuse);
+            let mask = sel.read_mask(&mut gpu).unwrap();
+            for (i, &m) in mask.iter().enumerate() {
+                prop_assert_eq!(m, reference.get(i), "fuse {}, record {}", fuse, i);
+            }
         }
+        prop_assert!(draws[1] <= draws[0], "fused {} draws, literal {}", draws[1], draws[0]);
     }
 }
 
