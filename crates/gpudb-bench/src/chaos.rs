@@ -5,7 +5,9 @@
 //! its seed, so a failure replays byte-for-byte.
 
 use gpudb_core::cpu_oracle::HostTable;
+use gpudb_core::metrics::phase_sum;
 use gpudb_core::query::ast::{Aggregate, BoolExpr, Query};
+use gpudb_core::query::QueryOutput;
 use gpudb_sim::{CompareFunc, FaultInjector};
 
 /// SplitMix64, for deterministic workload and query generation
@@ -117,4 +119,39 @@ pub fn injector_for(seed: u64) -> FaultInjector {
     let horizon = if seed.is_multiple_of(2) { 0 } else { 2_000_000 };
     let events = 1 + (seed % 6) as usize;
     FaultInjector::from_seed(seed, events, horizon)
+}
+
+/// The records of a host-slice partition's data movement: its upload to
+/// the device and its selection mask's readback.
+pub const DATA_MOVEMENT: [&str; 2] = ["partition/upload", "partition/readback"];
+
+/// Check that a fault-free host-slice statement (resilient, or a one-shard
+/// placement less its `parallel/merge` marker) is the resident statement
+/// plus its data movement: its records without the [`DATA_MOVEMENT`]
+/// records equal the resident records byte for byte, and those records
+/// sum, per phase, to the difference in `timing`.
+pub fn host_is_resident_plus_data_movement(
+    host: &QueryOutput,
+    resident: &QueryOutput,
+) -> Result<(), String> {
+    let (moved, kept): (Vec<_>, Vec<_>) = host
+        .metrics
+        .iter()
+        .cloned()
+        .partition(|r| DATA_MOVEMENT.contains(&r.operator.as_str()));
+    if kept != resident.metrics {
+        return Err(format!(
+            "records less data movement {kept:?} differ from the resident records {:?}",
+            resident.metrics
+        ));
+    }
+    let timing = phase_sum(&moved).plus(&resident.timing);
+    if timing != host.timing {
+        return Err(format!(
+            "data movement {moved:?} plus the resident timing {:?} is {timing:?}, not the \
+             host-slice timing {:?}",
+            resident.timing, host.timing
+        ));
+    }
+    Ok(())
 }

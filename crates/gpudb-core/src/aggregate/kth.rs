@@ -38,6 +38,54 @@ fn domain_count(
     }
 }
 
+/// The rank of an order statistic. Routine 4.5 answers a rank counted
+/// from the largest, so every order statistic maps to one (§4.3.2: "The
+/// query to find the minimum or maximum value of an attribute is a
+/// special case of the kth largest number").
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rank {
+    /// The k-th largest (1-based).
+    Largest(usize),
+    /// The k-th smallest (1-based).
+    Smallest(usize),
+    /// The p-th percentile (0.0–1.0) by nearest rank.
+    Percentile(f64),
+}
+
+impl Rank {
+    /// The rank counted from the largest among `available` records, by the
+    /// identity `kth_smallest(k) = kth_largest(n + 1 - k)`; a k outside
+    /// `1..=n` is [`EngineError::InvalidK`], and a percentile (the median
+    /// included) of nothing is [`EngineError::EmptyInput`].
+    pub(crate) fn counted_from_largest(self, available: u64) -> EngineResult<usize> {
+        let n = available as usize;
+        let smallest = match self {
+            Rank::Percentile(_) if n == 0 => return Err(EngineError::EmptyInput),
+            Rank::Largest(k) | Rank::Smallest(k) if k == 0 || k > n => {
+                return Err(EngineError::InvalidK { k, available })
+            }
+            Rank::Largest(k) => return Ok(k),
+            Rank::Smallest(k) => k,
+            Rank::Percentile(p) => ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n),
+        };
+        Ok(n + 1 - smallest)
+    }
+}
+
+/// Routine 4.5's bit descent: fix the k-th largest value's bits MSB-first
+/// over `bits` bits. `count_ge(m)` counts the records `>= m`, and bit `i`
+/// is set when more than `k - 1` of them are `>= x + 2^i` (Lemma 1).
+pub(crate) fn descend(
+    bits: u32,
+    k: usize,
+    mut count_ge: impl FnMut(u32) -> EngineResult<u64>,
+) -> EngineResult<u32> {
+    (0..bits).rev().try_fold(0u32, |x, i| {
+        let m = x + (1 << i);
+        Ok(if count_ge(m)? > (k - 1) as u64 { m } else { x })
+    })
+}
+
 /// Compute the k-th largest value (1-based; `k = 1` is the maximum) of a
 /// column, optionally restricted to a selection.
 ///
@@ -52,18 +100,14 @@ pub fn kth_largest(
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
     let available = domain_count(gpu, table, selection)?;
-    if k == 0 || k as u64 > available {
-        return Err(EngineError::InvalidK { k, available });
-    }
+    let k = Rank::Largest(k).counted_from_largest(available)?;
     let bits = table.column(column)?.bits;
     copy_to_depth(gpu, table, column)?;
     gpu.set_phase(Phase::Compute);
     apply_selection_mask(gpu, selection);
-    let mut x = 0u32;
-    for i in (0..bits).rev() {
-        let m = x + (1 << i);
-        // Count values >= m among the (selected) records.
-        // Synchronous fetch: bit i+1's threshold depends on this count.
+    let x = descend(bits, k, |m| {
+        // Synchronous fetch: the next bit's threshold depends on this
+        // count.
         let count = comparison_pass(
             gpu,
             table,
@@ -71,15 +115,27 @@ pub fn kth_largest(
             m,
             OcclusionMode::Sync,
         )?;
-        if count > (k - 1) as u64 {
-            x = m;
-        }
         // Re-arm the selection mask (comparison_pass leaves stencil state
         // untouched, but keep the invariant explicit).
         apply_selection_mask(gpu, selection);
-    }
+        Ok(count)
+    })?;
     gpu.reset_state();
     Ok(x)
+}
+
+/// The order statistic at `rank`: count the (selected) domain, then run
+/// [`kth_largest`], which counts it again, at the rank counted from the
+/// largest.
+fn ranked(
+    gpu: &mut Gpu,
+    table: &GpuTable,
+    column: usize,
+    rank: Rank,
+    selection: Option<&Selection>,
+) -> EngineResult<u32> {
+    let k = rank.counted_from_largest(domain_count(gpu, table, selection)?)?;
+    kth_largest(gpu, table, column, k, selection)
 }
 
 /// The k-th smallest value (1-based), via the rank identity
@@ -91,16 +147,10 @@ pub fn kth_smallest(
     k: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    let available = domain_count(gpu, table, selection)?;
-    if k == 0 || k as u64 > available {
-        return Err(EngineError::InvalidK { k, available });
-    }
-    kth_largest(gpu, table, column, (available as usize) + 1 - k, selection)
+    ranked(gpu, table, column, Rank::Smallest(k), selection)
 }
 
-/// MAX: the 1st largest (§4.3.2 — "The query to find the minimum or
-/// maximum value of an attribute is a special case of the kth largest
-/// number").
+/// MAX: the 1st largest (§4.3.2).
 pub fn max(
     gpu: &mut Gpu,
     table: &GpuTable,
@@ -120,24 +170,15 @@ pub fn min(
     kth_smallest(gpu, table, column, 1, selection)
 }
 
-/// The (lower) median: the ⌈n/2⌉-th smallest value.
+/// The (lower) median: the ⌈n/2⌉-th smallest value, which is the 50th
+/// percentile by nearest rank.
 pub fn median(
     gpu: &mut Gpu,
     table: &GpuTable,
     column: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    let available = domain_count(gpu, table, selection)?;
-    if available == 0 {
-        return Err(EngineError::EmptyInput);
-    }
-    kth_smallest(
-        gpu,
-        table,
-        column,
-        (available as usize).div_ceil(2),
-        selection,
-    )
+    percentile(gpu, table, column, 0.5, selection)
 }
 
 /// The p-th percentile (0.0–1.0) by nearest rank.
@@ -149,12 +190,8 @@ pub fn percentile(
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
     let available = domain_count(gpu, table, selection)?;
-    if available == 0 {
-        return Err(EngineError::EmptyInput);
-    }
-    let rank =
-        ((p.clamp(0.0, 1.0) * available as f64).ceil() as usize).clamp(1, available as usize);
-    kth_smallest(gpu, table, column, rank, selection)
+    let k = Rank::Percentile(p).counted_from_largest(available)?;
+    ranked(gpu, table, column, Rank::Largest(k), selection)
 }
 
 #[cfg(test)]

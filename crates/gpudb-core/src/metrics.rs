@@ -1,16 +1,23 @@
 //! Structured per-operator metrics records.
 //!
-//! Every database operator can be run under [`observe`], which snapshots
-//! the device's architectural work counters and phase-attributed modeled
-//! clock around the operation and emits a [`MetricsRecord`] tagged with
-//! the operator name and input size. Records deliberately contain **no
-//! wall-clock** component: everything in them is a deterministic function
-//! of the input, so two runs of the same workload produce byte-identical
-//! records — the property the perf-regression harness in `gpudb-bench`
-//! is built on.
+//! A record is one window of a device's clock: the architectural work
+//! counters and the phase-attributed modeled time an operator charged,
+//! tagged with the operator name and input size. Records deliberately
+//! contain **no wall-clock** component: everything in them is a
+//! deterministic function of the input, so two runs of the same workload
+//! produce byte-identical records — the property the perf-regression
+//! harness in `gpudb-bench` is built on.
 //!
-//! The query executor emits one record per plan stage into
-//! [`crate::query::QueryOutput::metrics`].
+//! Records are cut from a clock cursor: the device's counters and clock
+//! at the end of the last record. Closing an operator span cuts one
+//! record from the cursor to "now" and moves the cursor there, so the
+//! records of a device tile its clock with no gaps and no overlaps, and
+//! every charged nanosecond is in exactly one record. The partition
+//! coordinator ([`crate::parallel`]) keeps one cursor per partition. A
+//! statement's records are its selection, each aggregate and each retry
+//! pause, plus, for a host slice, its upload and mask readback; per phase
+//! they sum to the statement's `timing` ([`phase_sum`]). [`observe`] is
+//! one operator on a cursor of its own, for library callers.
 
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::{Gpu, PhaseNanos, WorkCounters};
@@ -43,60 +50,79 @@ impl MetricsRecord {
     }
 }
 
-/// Run `op` against the device and capture a [`MetricsRecord`] for it.
+/// Run `op` against the device as one operator span and cut its
+/// [`MetricsRecord`]: the device's work from the start of the span to its
+/// end.
 pub fn observe<T>(
     gpu: &mut Gpu,
     operator: impl Into<String>,
     input_records: u64,
     op: impl FnOnce(&mut Gpu) -> T,
 ) -> (T, MetricsRecord) {
-    let observation = begin(gpu, operator, input_records);
-    let result = op(gpu);
-    (result, observation.end(gpu))
-}
-
-/// Open an operator measurement: [`observe`] split at the operation, for
-/// a caller that issues the operator's work in several steps.
-pub(crate) fn begin(gpu: &mut Gpu, operator: impl Into<String>, input_records: u64) -> Observation {
     let operator = operator.into();
-    // With a log attached, the operator span starts the operator's own
-    // pass plan, so validators attribute diagnostics to it, and the
-    // device's leaf spans (passes, readbacks) nest inside it.
+    let mut cursor = Cursor::at(gpu);
     gpu.span_begin(SpanKind::Operator, &operator);
-    Observation {
-        operator,
-        input_records,
-        counters: gpu.stats().counters(),
-        modeled: gpu.stats().modeled,
-    }
+    let result = op(gpu);
+    gpu.span_end();
+    (result, cursor.cut(gpu, operator, input_records))
 }
 
-/// An open operator measurement from [`begin`].
-pub(crate) struct Observation {
-    operator: String,
-    input_records: u64,
+/// Per phase, the modeled time of `records`: a statement's `timing` when
+/// they are its records.
+pub fn phase_sum(records: &[MetricsRecord]) -> PhaseNanos {
+    records
+        .iter()
+        .fold(PhaseNanos::default(), |sum, r| sum.plus(&r.modeled_ns))
+}
+
+/// A clock cursor on one device: its work counters and modeled clock at
+/// the end of the last record, and the operator span open since then.
+pub(crate) struct Cursor {
     counters: WorkCounters,
     modeled: PhaseNanos,
+    /// The open operator span: its name and input size.
+    open: Option<(String, u64)>,
 }
 
-impl Observation {
-    /// Leave the modeled time of `nested`, a record taken while this
-    /// measurement is open, out of it, so each charged nanosecond is in
-    /// one record.
-    pub(crate) fn exclude(&mut self, nested: &MetricsRecord) {
-        self.modeled = self.modeled.plus(&nested.modeled_ns);
+impl Cursor {
+    /// A cursor at `gpu`'s clock now, with no span open.
+    pub(crate) fn at(gpu: &Gpu) -> Cursor {
+        Cursor {
+            counters: gpu.stats().counters(),
+            modeled: gpu.stats().modeled,
+            open: None,
+        }
     }
 
-    /// Close the operator span and record the work done since [`begin`].
-    pub(crate) fn end(self, gpu: &mut Gpu) -> MetricsRecord {
+    /// Cut the record of the work from the cursor to now, and move the
+    /// cursor to now.
+    fn cut(&mut self, gpu: &Gpu, operator: String, input_records: u64) -> MetricsRecord {
+        let now = Cursor::at(gpu);
+        let record = MetricsRecord {
+            operator,
+            input_records,
+            counters: now.counters.since(&self.counters),
+            modeled_ns: now.modeled.since(&self.modeled),
+        };
+        *self = now;
+        record
+    }
+
+    /// Open an operator span at the cursor. With a log attached, the span
+    /// starts the operator's own pass plan, so validators attribute
+    /// diagnostics to it, and the device's leaf spans (passes, readbacks)
+    /// nest inside it.
+    pub(crate) fn open(&mut self, gpu: &mut Gpu, operator: impl Into<String>, input_records: u64) {
+        let operator = operator.into();
+        gpu.span_begin(SpanKind::Operator, &operator);
+        self.open = Some((operator, input_records));
+    }
+
+    /// Close the open operator span, if any, and cut its record.
+    pub(crate) fn close(&mut self, gpu: &mut Gpu) -> Option<MetricsRecord> {
+        let (operator, input_records) = self.open.take()?;
         gpu.span_end();
-        let stats = gpu.stats();
-        MetricsRecord {
-            operator: self.operator,
-            input_records: self.input_records,
-            counters: stats.counters().since(&self.counters),
-            modeled_ns: stats.modeled.since(&self.modeled),
-        }
+        Some(self.cut(gpu, operator, input_records))
     }
 }
 
@@ -135,10 +161,7 @@ impl MetricsLog {
 
     /// Total modeled nanoseconds across all records.
     pub fn modeled_total_ns(&self) -> u64 {
-        self.records
-            .iter()
-            .map(MetricsRecord::modeled_total_ns)
-            .sum()
+        phase_sum(&self.records).total()
     }
 
     /// Merge the log per operator name: counters, phase times and input

@@ -27,8 +27,20 @@
 //!
 //! The merged result is therefore byte-identical to single-device
 //! execution at every shard count, and one shard's metrics are
-//! single-device execution's plus the `parallel/merge` marker — the
-//! properties the `sharded_equivalence` differential suite pins down.
+//! single-device execution's plus its data movement (the
+//! `partition/upload` and `partition/readback` records) and the
+//! `parallel/merge` marker — the properties the `sharded_equivalence`
+//! differential suite pins down.
+//!
+//! ## Records
+//!
+//! Each partition cuts its metrics records from one clock cursor
+//! ([`crate::metrics`]), one record per operator span: a host slice's
+//! `partition/upload`, the selection (`filter/*`), its
+//! `partition/readback`, each `agg/*` and each
+//! `resilience/retry-backoff`. The records tile the partition's device
+//! clock, so per phase they sum to the statement's `timing`, and a
+//! partition's modeled time is the sum of its records.
 //!
 //! ## Determinism
 //!
@@ -45,7 +57,7 @@
 //! Every host-slice partition, whether a shard or the one partition of
 //! [`crate::resilience::execute_resilient`], runs the same recovery
 //! ladder (`docs/resilience.md`). Each device step of the partition — the
-//! upload, the selection (plan, select, mask readback) and every
+//! upload, the selection (plan and select), the mask readback and every
 //! aggregate op — goes through one ladder step with one rule per fault
 //! class, whatever the phase:
 //!
@@ -66,10 +78,13 @@
 //! partition has no host copy to answer from, so its errors surface
 //! unchanged.
 
-use crate::aggregate::{self, kth::apply_selection_mask};
+use crate::aggregate::{
+    self,
+    kth::{self, apply_selection_mask, Rank},
+};
 use crate::cpu_oracle::{self, HostTable};
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::{self, MetricsRecord, Observation};
+use crate::metrics::{self, Cursor, MetricsRecord};
 use crate::predicate::{comparison_pass, copy_to_depth, OcclusionMode};
 use crate::query::ast::{Aggregate, BoolExpr, Query};
 use crate::query::executor::{
@@ -188,6 +203,7 @@ pub fn execute_sharded_with_faults(
     let n = host.record_count();
     let ranges = plan_shards(n, opts.shards);
     faults.resize_with(ranges.len(), || None);
+    let filter = query.filter.as_ref();
     let mut partitions: Vec<Partition> = ranges
         .iter()
         .zip(faults)
@@ -197,13 +213,7 @@ pub fn execute_sharded_with_faults(
                 gpu.attach_fault_injector(injector);
             }
             let records = Records::host(Cow::Owned(host.slice(start, end)), &opts.policy);
-            Partition::new(
-                Device::Own(gpu),
-                records,
-                start,
-                query.filter.as_ref(),
-                opts.options,
-            )
+            Partition::new(Device::Own(gpu), records, start, filter, opts.options)
         })
         .collect();
     let (matched, rows) = run_phases(&mut partitions, query)?;
@@ -227,6 +237,8 @@ pub fn execute_sharded_with_faults(
         shards.push(partition.ledger);
     }
     all_metrics.push(marker_record("parallel/merge", n as u64));
+    // The records tile every device's clock.
+    debug_assert_eq!(metrics::phase_sum(&all_metrics), timing);
 
     let merge_ns = merge_cost_ns(shards.len(), query.aggregates.len());
     let merged_ns = shards.iter().map(|s| s.modeled_ns).max().unwrap_or(0) + merge_ns;
@@ -253,56 +265,20 @@ pub fn execute_sharded_with_faults(
     })
 }
 
-/// Execute `query` as one partition resident on the caller's device:
-/// `table` is already uploaded there and `plan` is its selection plan.
-/// The caller wraps the statement ([`crate::query::executor`]).
-pub(crate) fn execute_resident(
+/// Execute `query` as one partition of the caller's device — resident
+/// (the executor's table and plan) or a host slice riding the recovery
+/// ladder every shard rides — and close it on every exit path. The caller
+/// wraps the statement ([`crate::query::executor::run_statement`]): the
+/// output's `timing` and `trace` hold only what ran on out-of-core chunk
+/// devices.
+pub(crate) fn execute_on_caller(
     gpu: &mut Gpu,
-    table: &GpuTable,
-    plan: &SelectionPlan,
+    records: Records,
     query: &Query,
     options: ExecuteOptions,
-) -> EngineResult<QueryOutput> {
-    let records = Records::Resident(table, plan);
-    let partition = Partition::new(
-        Device::Caller(gpu),
-        records,
-        0,
-        query.filter.as_ref(),
-        options,
-    );
-    execute_one(partition, query).map(|(output, _)| output)
-}
-
-/// Execute `query` as one host-slice partition on the caller's device,
-/// riding the recovery ladder every shard rides. The caller wraps the
-/// statement ([`crate::resilience::execute_resilient`]).
-pub(crate) fn execute_host(
-    gpu: &mut Gpu,
-    host: &HostTable,
-    query: &Query,
-    options: ExecuteOptions,
-    policy: &RetryPolicy,
 ) -> EngineResult<(QueryOutput, ResilienceReport)> {
-    let records = Records::host(Cow::Borrowed(host), policy);
-    let partition = Partition::new(
-        Device::Caller(gpu),
-        records,
-        0,
-        query.filter.as_ref(),
-        options,
-    );
-    execute_one(partition, query).map(|(output, partition)| (output, partition.ledger))
-}
-
-/// Run `query` on one partition of the caller's device and close it on
-/// every exit path. The output's `timing` and `trace` hold only what ran
-/// on out-of-core chunk devices; the statement wrapper adds the caller's
-/// device.
-fn execute_one<'a>(
-    mut partition: Partition<'a>,
-    query: &Query,
-) -> EngineResult<(QueryOutput, Partition<'a>)> {
+    let filter = query.filter.as_ref();
+    let mut partition = Partition::new(Device::Caller(gpu), records, 0, filter, options);
     let phases = run_phases(std::slice::from_mut(&mut partition), query);
     let (timing, spans) = partition.close();
     let (matched, rows) = phases?;
@@ -311,10 +287,10 @@ fn execute_one<'a>(
         selectivity: selectivity(matched, partition.ledger.records),
         rows,
         timing,
-        metrics: std::mem::take(&mut partition.metrics),
+        metrics: partition.metrics,
         trace: (!spans.is_empty()).then_some(SpanTree { roots: spans }),
     };
-    Ok((output, partition))
+    Ok((output, partition.ledger))
 }
 
 /// `matched` as a share of `records` (0 for an empty table).
@@ -379,66 +355,44 @@ fn run_phases(
 /// Validate and compute one aggregate from per-partition partials. The
 /// merged `matched` count is the selections' own occlusion count, so no
 /// partition counts its selection again. Every order statistic is one
-/// descent at a rank counted from the largest: `MAX` at 1 and `MIN` at
-/// `matched` (§4.3.2).
+/// global Routine 4.5 descent at its rank counted from the largest
+/// ([`Rank`]); each partition contributes its partial `count >= m` per
+/// bit, and the counts add because the partitions partition the records.
 fn merge_aggregate(
     agg: &Aggregate,
     matched: u64,
     partitions: &mut [&mut Partition],
 ) -> EngineResult<AggValue> {
     // Every partition has the same columns.
-    let idx = match (agg.column(), partitions.first()) {
+    let column = match (agg.column(), partitions.first()) {
         (None, _) => return Ok(AggValue::Count(matched)),
         (Some(col), Some(first)) => first.column_index(col)?,
         (Some(col), None) => return Err(EngineError::ColumnNotFound(col.to_string())),
     };
-    let n = matched as usize;
-    let k = match agg {
+    let rank = match agg {
         Aggregate::Count => return Ok(AggValue::Count(matched)),
-        Aggregate::Avg(_) if n == 0 => return Err(EngineError::EmptyInput),
+        Aggregate::Avg(_) if matched == 0 => return Err(EngineError::EmptyInput),
         Aggregate::Sum(_) | Aggregate::Avg(_) => {
             let sum = partitions
                 .iter_mut()
-                .map(|p| p.op_sum(idx))
+                .map(|p| p.op_sum(column))
                 .sum::<EngineResult<u64>>()?;
             return Ok(match agg {
                 Aggregate::Sum(_) => AggValue::Sum(sum),
                 _ => AggValue::Avg(sum as f64 / matched as f64),
             });
         }
-        Aggregate::Min(_) | Aggregate::Max(_) if n == 0 => {
-            return Err(EngineError::InvalidK { k: 1, available: 0 })
-        }
-        Aggregate::Max(_) => 1,
-        Aggregate::Min(_) => n,
-        Aggregate::KthLargest(_, k) | Aggregate::KthSmallest(_, k) if *k == 0 || *k > n => {
-            return Err(EngineError::InvalidK {
-                k: *k,
-                available: matched,
-            })
-        }
-        Aggregate::KthLargest(_, k) => *k,
-        Aggregate::KthSmallest(_, k) => n + 1 - k,
-        Aggregate::Median(_) | Aggregate::Percentile(..) if n == 0 => {
-            return Err(EngineError::EmptyInput)
-        }
-        Aggregate::Median(_) => n + 1 - n.div_ceil(2),
-        Aggregate::Percentile(_, p) => {
-            n + 1 - ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n)
-        }
+        Aggregate::Max(_) => Rank::Largest(1),
+        Aggregate::Min(_) => Rank::Smallest(1),
+        Aggregate::KthLargest(_, k) => Rank::Largest(*k),
+        Aggregate::KthSmallest(_, k) => Rank::Smallest(*k),
+        Aggregate::Median(_) => Rank::Percentile(0.5),
+        Aggregate::Percentile(_, p) => Rank::Percentile(*p),
     };
-    Ok(AggValue::Value(descend(partitions, idx, k)?))
-}
-
-/// The global bit descent of Routine 4.5, distributed: the coordinator
-/// fixes one bit of the answer per round; every partition contributes
-/// its partial `count >= m` from its own comparison pass, and the counts
-/// add because the partitions partition the records.
-///
-/// The bit width is the widest partition's, which is the full column's
-/// `32 - leading_zeros(max)` that [`crate::table::ColumnMeta`] stores, so
-/// the descent runs the bit sequence one device would.
-fn descend(partitions: &mut [&mut Partition], column: usize, k: usize) -> EngineResult<u32> {
+    let k = rank.counted_from_largest(matched)?;
+    // The bit width is the widest partition's, which is the full column's
+    // `32 - leading_zeros(max)` that [`crate::table::ColumnMeta`] stores,
+    // so the descent runs the bit sequence one device would.
     let mut bits = 0;
     for partition in partitions.iter() {
         bits = bits.max(partition.column_bits(column)?);
@@ -446,21 +400,16 @@ fn descend(partitions: &mut [&mut Partition], column: usize, k: usize) -> Engine
     for partition in partitions.iter_mut() {
         partition.op_begin_descent(column)?;
     }
-    let mut x = 0u32;
-    for i in (0..bits).rev() {
-        let m = x + (1 << i);
-        let count = partitions
+    let value = kth::descend(bits, k, |m| {
+        partitions
             .iter_mut()
             .map(|p| p.op_count_ge(column, m))
-            .sum::<EngineResult<u64>>()?;
-        if count > (k - 1) as u64 {
-            x = m;
-        }
-    }
+            .sum()
+    })?;
     for partition in partitions.iter_mut() {
         partition.op_end_descent()?;
     }
-    Ok(x)
+    Ok(AggValue::Value(value))
 }
 
 /// Lint recorded pass plans; the first plan with an error-severity
@@ -516,7 +465,7 @@ impl DerefMut for Device<'_> {
 }
 
 /// Where a partition's records live.
-enum Records<'a> {
+pub(crate) enum Records<'a> {
     /// On the caller's device, with the executor's plan: no upload, no
     /// mask readback and no ladder, so every error surfaces unchanged.
     Resident(&'a GpuTable, &'a SelectionPlan),
@@ -534,7 +483,7 @@ enum Records<'a> {
 
 impl<'a> Records<'a> {
     /// A host slice that may go out of core.
-    fn host(slice: Cow<'a, HostTable>, policy: &'a RetryPolicy) -> Records<'a> {
+    pub(crate) fn host(slice: Cow<'a, HostTable>, policy: &'a RetryPolicy) -> Records<'a> {
         Records::Host {
             slice,
             policy,
@@ -563,9 +512,9 @@ impl<'a> Records<'a> {
     }
 }
 
-/// One partition: a device, its modeled clock and (for a host slice) its
-/// recovery ladder. The coordinator drives every partition directly, in
-/// partition order.
+/// One partition: a device, the clock cursor its records are cut from
+/// and (for a host slice) its recovery ladder. The coordinator drives
+/// every partition directly, in partition order.
 struct Partition<'a> {
     gpu: Device<'a>,
     records: Records<'a>,
@@ -578,12 +527,13 @@ struct Partition<'a> {
     matched: u64,
     /// The partition's ledger: its rung, retries, degradations and cost.
     ledger: ResilienceReport,
-    /// The device's clock when the partition opened.
-    clock: PhaseNanos,
+    /// The device's clock at the end of the last record.
+    cursor: Cursor,
+    /// The records cut from the cursor, in order, and the markers.
     metrics: Vec<MetricsRecord>,
-    /// The open aggregate window: its log mark, its measurement and the
-    /// retries made before it.
-    window: Option<(usize, Observation, u32)>,
+    /// The last aggregate window opened: its log mark and the retries
+    /// made before it.
+    window: (usize, u32),
     /// On the CPU, the selected values of the column an open descent
     /// counts, gathered once rather than on every bit.
     descent: Vec<u32>,
@@ -605,7 +555,7 @@ impl<'a> Partition<'a> {
             ..ResilienceReport::default()
         };
         Partition {
-            clock: gpu.stats().modeled,
+            cursor: Cursor::at(&gpu),
             gpu,
             records,
             filter,
@@ -615,7 +565,7 @@ impl<'a> Partition<'a> {
             matched: 0,
             ledger,
             metrics: Vec::new(),
-            window: None,
+            window: (0, 0),
             descent: Vec::new(),
             chunks: Vec::new(),
         }
@@ -667,10 +617,10 @@ impl<'a> Partition<'a> {
     }
 
     /// The ladder step: run `op`, one device step of the partition (the
-    /// upload, the selection or one aggregate op), under the one rule per
-    /// fault class. `Some` is the device's answer; `None` means the
-    /// partition answers on the CPU or, after a resource fault, through
-    /// its out-of-core chunks. A resident partition runs `op` once and
+    /// upload, the selection, the mask readback or one aggregate op), under
+    /// the one rule per fault class. `Some` is the device's answer; `None`
+    /// means the partition answers on the CPU or, after a resource fault,
+    /// through its out-of-core chunks. A resident partition runs `op` once and
     /// surfaces any error.
     fn step<T>(
         &mut self,
@@ -697,14 +647,22 @@ impl<'a> Partition<'a> {
             match error.fault_class() {
                 FaultClass::Logic => return Err(error),
                 FaultClass::Transient if tries < policy.max_attempts => {
-                    let step = RetryStep::charge(&mut self.gpu, policy, tries, records, &error);
-                    self.ledger.retries += 1;
-                    let pause_ns = step.record.modeled_total_ns();
-                    self.ledger.backoff_ns = self.ledger.backoff_ns.saturating_add(pause_ns);
-                    if let Some((_, aggregate, _)) = &mut self.window {
-                        aggregate.exclude(&step.record);
+                    // The struck try stays in the struck operator's record
+                    // and the pause gets its own: an open aggregate closes
+                    // around the pause and reopens after it.
+                    let struck = self.cursor.close(&mut self.gpu);
+                    self.cursor
+                        .open(&mut self.gpu, RetryStep::OPERATOR, records);
+                    let step = RetryStep::charge(&mut self.gpu, policy, tries, &error);
+                    let pause = self.cursor.close(&mut self.gpu);
+                    if let Some(struck) = &struck {
+                        let operator = struck.operator.clone();
+                        self.cursor
+                            .open(&mut self.gpu, operator, struck.input_records);
                     }
-                    self.metrics.push(step.record);
+                    self.metrics.extend(struck.into_iter().chain(pause));
+                    self.ledger.retries += 1;
+                    self.ledger.backoff_ns = self.ledger.backoff_ns.saturating_add(step.pause_ns);
                     self.ledger.degradations.push(step.degradation);
                 }
                 FaultClass::Transient => {
@@ -732,11 +690,18 @@ impl<'a> Partition<'a> {
         Ok(None)
     }
 
-    /// Phase 1: the upload and the selection, each a ladder step. When
-    /// the partition goes to the CPU before its mask is read back, the
-    /// CPU oracle evaluates the filter on the host slice.
+    /// Phase 1: a host slice's upload, selection and mask readback, each a
+    /// ladder step (a resident partition only selects). When the partition
+    /// goes to the CPU before its mask is read back, the CPU oracle
+    /// evaluates the filter on the host slice.
     fn run_selection(&mut self) -> EngineResult<()> {
-        if self.step(Partition::upload)?.is_some() && self.step(Partition::select)?.is_some() {
+        if let Records::Resident(..) = self.records {
+            return self.select();
+        }
+        if self.step(Partition::upload)?.is_some()
+            && self.step(Partition::select)?.is_some()
+            && self.step(Partition::read_back)?.is_some()
+        {
             return Ok(());
         }
         if let (ResiliencePath::Cpu, Records::Host { slice, .. }) =
@@ -749,20 +714,24 @@ impl<'a> Partition<'a> {
         Ok(())
     }
 
-    /// The upload step: a host slice goes to the device once per
-    /// statement (a resident table is there already).
+    /// The upload step: the host slice goes to the device once per
+    /// statement, as the `partition/upload` operator.
     fn upload(&mut self) -> EngineResult<()> {
-        if let Records::Host { slice, upload, .. } = &mut self.records {
-            *upload = Some(slice.upload(&mut self.gpu)?);
-        }
+        let Records::Host { slice, upload, .. } = &mut self.records else {
+            return Ok(());
+        };
+        let input = slice.record_count() as u64;
+        self.cursor.open(&mut self.gpu, "partition/upload", input);
+        let table = slice.upload(&mut self.gpu);
+        self.metrics.extend(self.cursor.close(&mut self.gpu));
+        *upload = Some(table?);
         Ok(())
     }
 
     /// The selection step: plan a host slice's upload (a resident table
-    /// comes with the executor's plan), run the plan under the
-    /// `selection` stage span, lint what it logged, and read a host
-    /// slice's mask back. The selection stays on the device for the
-    /// aggregates.
+    /// comes with the executor's plan), run the plan as one operator under
+    /// the `selection` stage span, and lint what it logged. The selection
+    /// stays on the device for the aggregates.
     fn select(&mut self) -> EngineResult<()> {
         self.ledger.attempts += 1;
         let table = self.records.table()?;
@@ -776,25 +745,31 @@ impl<'a> Partition<'a> {
         };
         let mark = self.log_mark();
         self.gpu.span_begin(SpanKind::Stage, "selection");
-        let fuse = self.options.fuse_passes;
-        let (result, record) = metrics::observe(
-            &mut self.gpu,
-            plan_operator(plan),
-            table.record_count() as u64,
-            |gpu| execute_selection(gpu, table, plan, fuse),
-        );
+        let input = table.record_count() as u64;
+        self.cursor.open(&mut self.gpu, plan_operator(plan), input);
+        let result = execute_selection(&mut self.gpu, table, plan, self.options.fuse_passes);
+        self.metrics.extend(self.cursor.close(&mut self.gpu));
         self.gpu.span_end();
         let (selection, matched) = result?;
         self.lint_since(mark)?;
-        if let Records::Host { .. } = self.records {
-            self.mask = match &selection {
-                Some(sel) => sel.read_mask(&mut self.gpu)?,
-                None => vec![true; table.record_count()],
-            };
-        }
-        self.metrics.push(record);
         self.selection = selection;
         self.matched = matched;
+        Ok(())
+    }
+
+    /// The readback step: read the host slice's selection mask back, as the
+    /// `partition/readback` operator. A corrupted readback retries only
+    /// this step: the stencil still holds the selection.
+    fn read_back(&mut self) -> EngineResult<()> {
+        let records = self.records.record_count();
+        self.cursor
+            .open(&mut self.gpu, "partition/readback", records as u64);
+        let mask = match &self.selection {
+            Some(selection) => selection.read_mask(&mut self.gpu),
+            None => Ok(vec![true; records]),
+        };
+        self.metrics.extend(self.cursor.close(&mut self.gpu));
+        self.mask = mask?;
         Ok(())
     }
 
@@ -842,8 +817,9 @@ impl<'a> Partition<'a> {
     /// End the statement: free the upload (best effort: a reset device
     /// has already lost it), fold an out-of-core partition's chunks into
     /// its ledger, metrics and degradations in chunk order, and set the
-    /// ledger's modeled time. Returns the chunk devices' modeled time
-    /// and, when tracing, their spans.
+    /// ledger's modeled time: the sum of the partition's records, its
+    /// chunks' included. Returns the chunk devices' modeled time and, when
+    /// tracing, their spans.
     fn close(&mut self) -> (PhaseNanos, Vec<Span>) {
         if let Records::Host { upload, .. } = &mut self.records {
             if let Some(table) = upload.take() {
@@ -868,34 +844,30 @@ impl<'a> Partition<'a> {
                     .map(|d| format!("chunk {i}: {d}")),
             );
         }
-        let own = self.gpu.stats().modeled.since(&self.clock);
-        self.ledger.modeled_ns = own.plus(&modeled).total();
+        self.ledger.modeled_ns = metrics::phase_sum(&self.metrics).total();
         (modeled, spans)
     }
 
-    /// Open an aggregate window (stage span and operator measurement);
-    /// `input` is the merged matched count, recorded as the aggregate's
-    /// input size.
+    /// Open an aggregate window (stage span and operator span); `input` is
+    /// the merged matched count, recorded as the aggregate's input size.
     fn begin_agg(&mut self, label: &str, input: u64) {
         self.gpu
             .span_begin(SpanKind::Stage, &format!("aggregate:{label}"));
-        let mark = self.log_mark();
-        let observation = metrics::begin(&mut self.gpu, format!("agg/{label}"), input);
-        self.window = Some((mark, observation, self.ledger.retries));
+        self.window = (self.log_mark(), self.ledger.retries);
+        self.cursor
+            .open(&mut self.gpu, format!("agg/{label}"), input);
     }
 
     /// Close the aggregate window and lint what it logged, unless a step
     /// in it was retried or the partition answers on the CPU.
     fn end_agg(&mut self) -> EngineResult<()> {
-        let mut lint = Ok(());
-        if let Some((mark, observation, retries)) = self.window.take() {
-            self.metrics.push(observation.end(&mut self.gpu));
-            if self.ledger.path != ResiliencePath::Cpu && self.ledger.retries == retries {
-                lint = self.lint_since(mark);
-            }
-        }
+        self.metrics.extend(self.cursor.close(&mut self.gpu));
         self.gpu.span_end(); // stage
-        lint
+        let (mark, retries) = self.window;
+        if self.ledger.path == ResiliencePath::Cpu || self.ledger.retries != retries {
+            return Ok(());
+        }
+        self.lint_since(mark)
     }
 
     /// One aggregate op as a ladder step on the partition's records and

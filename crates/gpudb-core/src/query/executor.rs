@@ -8,8 +8,8 @@
 
 use crate::boolean::{eval_cnf_select, eval_dnf_select};
 use crate::error::EngineResult;
-use crate::metrics::MetricsRecord;
-use crate::parallel;
+use crate::metrics::{self, MetricsRecord};
+use crate::parallel::{self, Records};
 use crate::query::ast::{Aggregate, Query};
 use crate::query::planner::{plan_selection, SelectionPlan};
 use crate::range::range_select;
@@ -161,10 +161,11 @@ fn execute_plan(
     query: &Query,
     options: ExecuteOptions,
 ) -> EngineResult<QueryOutput> {
+    let records = Records::Resident(table, plan);
     run_statement(gpu, options, |gpu| {
-        parallel::execute_resident(gpu, table, plan, query, options).map(|output| (output, ()))
+        parallel::execute_on_caller(gpu, records, query, options)
     })
-    .map(|(output, ())| output)
+    .map(|(output, _)| output)
 }
 
 /// Wrap one statement on the caller's device, the same way at every
@@ -192,6 +193,8 @@ pub(crate) fn run_statement<T>(
     let owned = if owns_log { gpu.take_log() } else { None };
     let (mut output, ledger) = result?;
     output.timing = timing.plus(&output.timing);
+    // The records tile every device's clock.
+    debug_assert_eq!(metrics::phase_sum(&output.metrics), output.timing);
     if let (Some(level), Some(log)) = (options.trace, owned.as_ref().or(gpu.log())) {
         let window = log.entries().get(mark..).unwrap_or_default();
         let mut tree = SpanTree::from_log(window, level);

@@ -6,8 +6,8 @@
 //! typed, classified ways — [`gpudb_sim::FaultClass`] — and the engine
 //! turns each class into a rung of one recovery ladder instead of a
 //! failed query. The ladder applies one rule per class to every device
-//! step of a partition — the upload, the selection, each aggregate op —
-//! whatever the phase:
+//! step of a partition — the upload, the selection, the mask readback,
+//! each aggregate op — whatever the phase:
 //!
 //! - **Transient** (lost occlusion query, corrupted readback): retry only
 //!   the struck step, on the upload the partition already holds, up to
@@ -39,18 +39,19 @@
 //! another; both report one [`ResilienceReport`] per partition. Every
 //! recovery step emits a `resilience/*` [`MetricsRecord`] into the output
 //! so EXPLAIN ANALYZE and the span timeline show what the engine actually
-//! did. With no injected faults, `execute_resilient` produces
-//! byte-identical rows and records to
-//! [`crate::query::execute_with_options`] — the perf harness's
-//! determinism gate stays intact.
+//! did. With no injected faults, `execute_resilient` produces the rows and
+//! records of [`crate::query::execute_with_options`], byte for byte, plus
+//! the `partition/upload` and `partition/readback` records of the data it
+//! moves, which account exactly for the extra modeled time.
 
 use crate::cpu_oracle::HostTable;
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::{self, MetricsRecord};
-use crate::parallel;
+use crate::metrics::MetricsRecord;
+use crate::parallel::{self, Records};
 use crate::query::ast::Query;
 use crate::query::executor::{self, ExecuteOptions, QueryOutput};
 use gpudb_sim::{Gpu, PhaseNanos, WorkCounters};
+use std::borrow::Cow;
 
 /// Knobs for the recovery ladder.
 #[derive(Debug, Clone)]
@@ -108,7 +109,9 @@ pub struct ResilienceReport {
     /// Rung that produced the result.
     pub path: ResiliencePath,
     /// Tries of the selection step (1 when the first try succeeded, 0
-    /// when the partition left the device before selecting).
+    /// when the partition left the device before selecting). The mask
+    /// readback is a step of its own: re-reading a corrupted mask is a
+    /// retry, not another selection try.
     pub attempts: u32,
     /// Retries after transient faults, over every step.
     pub retries: u32,
@@ -117,8 +120,9 @@ pub struct ResilienceReport {
     pub backoff_ns: u64,
     /// Human-readable ladder steps, in order.
     pub degradations: Vec<String>,
-    /// The partition's modeled time, nanoseconds: what its device's clock
-    /// advanced by plus, out of core, its chunk devices' clocks.
+    /// The partition's modeled time, nanoseconds: the sum of its metrics
+    /// records plus, out of core, its chunks' records — what its device's
+    /// clock advanced by plus its chunk devices' clocks.
     pub modeled_ns: u64,
 }
 
@@ -136,7 +140,7 @@ pub struct ResilientOutput {
 /// copy once and freed when the statement ends; the host copy answers on
 /// the CPU after a device reset. The output's `timing` covers everything
 /// charged to `gpu` (upload and mask readback included) plus any
-/// out-of-core chunk devices.
+/// out-of-core chunk devices, and its records sum to it, per phase.
 pub fn execute_resilient(
     gpu: &mut Gpu,
     host: &HostTable,
@@ -144,17 +148,19 @@ pub fn execute_resilient(
     options: ExecuteOptions,
     policy: &RetryPolicy,
 ) -> EngineResult<ResilientOutput> {
+    let records = Records::host(Cow::Borrowed(host), policy);
     let (output, report) = executor::run_statement(gpu, options, |gpu| {
-        parallel::execute_host(gpu, host, query, options, policy)
+        parallel::execute_on_caller(gpu, records, query, options)
     })?;
     Ok(ResilientOutput { output, report })
 }
 
-/// One transient-fault retry of the recovery ladder: the modeled pause,
-/// its metrics record and its log line.
+/// One transient-fault retry of the recovery ladder: the modeled pause and
+/// its log line. The caller cuts the pause's record, under
+/// [`RetryStep::OPERATOR`].
 pub(crate) struct RetryStep {
-    /// The [`RetryStep::OPERATOR`] record of the charged pause.
-    pub(crate) record: MetricsRecord,
+    /// The nanoseconds the pause charged.
+    pub(crate) pause_ns: u64,
     /// The ladder's log line for this retry.
     pub(crate) degradation: String,
 }
@@ -164,27 +170,23 @@ impl RetryStep {
     pub(crate) const OPERATOR: &'static str = "resilience/retry-backoff";
 
     /// Charge retry number `retry` (1-based) after `error` to `gpu`'s
-    /// modeled clock; `records` is the record's input size. The pause is
-    /// `base_backoff_ns · multiplier^(retry−1)` rounded once, 0 when that
-    /// is negative or NaN, and clamped where the clock saturates.
+    /// modeled clock. The pause is `base_backoff_ns · multiplier^(retry−1)`
+    /// rounded once, 0 when that is negative or NaN, and clamped where the
+    /// clock saturates.
     pub(crate) fn charge(
         gpu: &mut Gpu,
         policy: &RetryPolicy,
         retry: u32,
-        records: u64,
         error: &EngineError,
     ) -> RetryStep {
         let growth = policy
             .multiplier
             .powi(i32::try_from(retry.saturating_sub(1)).unwrap_or(i32::MAX));
         // The saturating cast charges nothing for a negative or NaN pause.
-        let pause = (policy.base_backoff_ns as f64 * growth).round() as u64;
-        let (pause_ns, record) = metrics::observe(gpu, Self::OPERATOR, records, |gpu| {
-            gpu.charge_backoff(pause)
-        });
+        let pause_ns = gpu.charge_backoff((policy.base_backoff_ns as f64 * growth).round() as u64);
         let pause_s = pause_ns as f64 * 1e-9;
         RetryStep {
-            record,
+            pause_ns,
             degradation: format!(
                 "transient fault ({error}); retry {retry} after {pause_s:.6}s modeled backoff"
             ),
@@ -286,7 +288,8 @@ mod tests {
         assert_eq!(resilient.report.retries, 0);
         assert!(resilient.report.degradations.is_empty());
 
-        // Byte-equal to the plain executor path (modulo wall clock).
+        // The plain executor's records, byte for byte, plus the upload and
+        // the mask readback, which account for the extra modeled time.
         let mut gpu2 = device(&host);
         let table = host.upload(&mut gpu2).unwrap();
         let plain =
@@ -294,7 +297,15 @@ mod tests {
                 .unwrap();
         assert_eq!(resilient.output.matched, plain.matched);
         assert_eq!(resilient.output.rows, plain.rows);
-        assert_eq!(resilient.output.metrics, plain.metrics);
+        let records = &resilient.output.metrics;
+        let (upload, readback) = (&records[0], &records[2]);
+        assert_eq!(upload.operator, "partition/upload");
+        assert_eq!(readback.operator, "partition/readback");
+        assert!(upload.modeled_ns.upload > 0 && readback.modeled_ns.readback > 0);
+        let without: Vec<_> = [&records[1..2], &records[3..]].concat();
+        assert_eq!(without, plain.metrics);
+        let moved = upload.modeled_ns.plus(&readback.modeled_ns);
+        assert_eq!(moved.plus(&plain.timing), resilient.output.timing);
     }
 
     #[test]
@@ -364,8 +375,7 @@ mod tests {
         // 1 ms · 2^99 overflows u64 ns; the last two find the clock full.
         for retry in [100, u32::MAX, 1] {
             let before = gpu.stats().modeled.total();
-            let step = RetryStep::charge(&mut gpu, &policy, retry, 64, &error);
-            let pause_ns = step.record.modeled_total_ns();
+            let pause_ns = RetryStep::charge(&mut gpu, &policy, retry, &error).pause_ns;
             assert_eq!(pause_ns, gpu.stats().modeled.total() - before);
             reported = reported.saturating_add(pause_ns);
         }

@@ -16,9 +16,19 @@
 
 mod common;
 
-use common::{injector_for, query_shapes, workload, SHAPES};
+use common::{assert_books_balance, injector_for, query_shapes, workload, DATA_MOVEMENT, SHAPES};
+use gpudb::core::metrics::phase_sum;
 use gpudb::prelude::*;
 use gpudb::sim::RecordMode;
+
+/// Default options with operator spans traced, so a run's books can be
+/// checked span by span.
+fn traced() -> ExecuteOptions {
+    ExecuteOptions {
+        trace: Some(TraceLevel::Operators),
+        ..ExecuteOptions::default()
+    }
+}
 
 /// Run one (seed, query) pair under the seed's fault schedule and check
 /// the contract. Returns which resilience path answered, for coverage
@@ -27,16 +37,11 @@ fn run_one(seed: u64, query: &Query) -> Option<ResiliencePath> {
     let host = workload(seed);
     let mut gpu = GpuTable::device_for(host.record_count(), 16);
     gpu.attach_fault_injector(injector_for(seed));
-    let resilient = execute_resilient(
-        &mut gpu,
-        &host,
-        query,
-        ExecuteOptions::default(),
-        &RetryPolicy::default(),
-    );
+    let resilient = execute_resilient(&mut gpu, &host, query, traced(), &RetryPolicy::default());
     let oracle = gpudb::core::cpu_oracle::execute(&host, query);
     match (resilient, oracle) {
         (Ok(r), Ok(o)) => {
+            assert_books_balance(&r.output, &format!("seed {seed}"));
             assert!(
                 o.agrees_with(r.output.matched, &r.output.rows),
                 "seed {seed}: silent divergence\n gpu path {:?}: matched {} rows {:?}\n oracle: {o:?}\n ladder: {:?}",
@@ -121,27 +126,27 @@ fn chaos_replay_is_byte_deterministic() {
 
 #[test]
 fn chaos_without_faults_is_plain_execution() {
-    // No injector attached: the resilient path must equal the plain
-    // executor byte-for-byte (metrics included) — the smoke-gate
-    // guarantee that resilience is free when the device is healthy.
+    // No injector attached: the resilient path must answer as the plain
+    // executor does, with the plain executor's records byte for byte plus
+    // the upload and mask readback records, which account exactly for the
+    // extra modeled time — the smoke-gate guarantee that resilience is
+    // free when the device is healthy.
     let host = workload(7);
-    for query in query_shapes(7) {
+    for (shape, query) in query_shapes(7).iter().enumerate() {
         let mut gpu = GpuTable::device_for(host.record_count(), 16);
-        let resilient = execute_resilient(
-            &mut gpu,
-            &host,
-            &query,
-            ExecuteOptions::default(),
-            &RetryPolicy::default(),
-        )
-        .map(|r| (r.output.matched, r.output.rows, r.output.metrics));
+        let resilient =
+            execute_resilient(&mut gpu, &host, query, traced(), &RetryPolicy::default());
 
         let mut gpu2 = GpuTable::device_for(host.record_count(), 16);
         let table = host.upload(&mut gpu2).expect("upload");
-        let plain = execute_with_options(&mut gpu2, &table, &query, ExecuteOptions::default())
-            .map(|o| (o.matched, o.rows, o.metrics));
+        let plain = execute_with_options(&mut gpu2, &table, query, ExecuteOptions::default());
         match (resilient, plain) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b),
+            (Ok(a), Ok(b)) => {
+                assert_eq!((a.output.matched, &a.output.rows), (b.matched, &b.rows));
+                assert_books_balance(&a.output, SHAPES[shape]);
+                let plus = common::host_is_resident_plus_data_movement(&a.output, &b);
+                plus.unwrap_or_else(|e| panic!("{}: {e}", SHAPES[shape]));
+            }
             (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
             (a, b) => panic!("resilient {a:?} vs plain {b:?}"),
         }
@@ -258,13 +263,11 @@ fn every_single_fault_matches_oracle() {
                         let mut gpu = GpuTable::device_for(host.record_count(), 16);
                         let event = FaultEvent { at_ns, kind };
                         gpu.attach_fault_injector(FaultInjector::with_schedule(vec![event]));
-                        execute_resilient(
-                            &mut gpu,
-                            &host,
-                            query,
-                            ExecuteOptions::default(),
-                            &policy,
-                        )
+                        let run = execute_resilient(&mut gpu, &host, query, traced(), &policy);
+                        if let Ok(r) = &run {
+                            assert_books_balance(&r.output, &case);
+                        }
+                        run
                     }));
                     let outcome = match (run, &oracle) {
                         (Err(_), _) => Err(format!("{case}: panicked")),
@@ -309,6 +312,52 @@ fn every_single_fault_matches_oracle() {
     common::assert_golden("single_faults.txt", &rendered);
 }
 
+#[test]
+fn readback_bit_flip_retries_cost_no_draw() {
+    // The mask readback is its own ladder step: a corrupted readback
+    // re-reads the stencil, which still holds the selection, so a run that
+    // retried after a `ReadbackBitFlip` draws exactly what the fault-free
+    // run draws. Every fault position of the single-fault sweep, chaos
+    // seeds 0-1.
+    let policy = RetryPolicy::default();
+    let mut retried = [0u32; SHAPES.len()];
+    for seed in 0..2u64 {
+        let host = workload(seed);
+        for (shape, query) in query_shapes(seed).iter().enumerate() {
+            let run = |schedule: Vec<FaultEvent>| {
+                let mut gpu = GpuTable::device_for(host.record_count(), 16);
+                gpu.attach_log(RecordMode::RecordAndExecute);
+                gpu.attach_fault_injector(FaultInjector::with_schedule(schedule));
+                let run =
+                    execute_resilient(&mut gpu, &host, query, ExecuteOptions::default(), &policy);
+                (run, gpu)
+            };
+            let (clean, gpu) = run(Vec::new());
+            if clean.is_err() {
+                continue;
+            }
+            let clean_draws = gpu.stats().draw_calls;
+            let log = gpu.log().expect("caller-attached log").entries();
+            let stamps: std::collections::BTreeSet<u64> = log.iter().map(|e| e.clock_ns).collect();
+            for at_ns in stamps {
+                let kind = FaultKind::ReadbackBitFlip;
+                let (struck, gpu) = run(vec![FaultEvent { at_ns, kind }]);
+                let case = format!("seed {seed}, shape {}, at_ns {at_ns}", SHAPES[shape]);
+                let report = struck.unwrap_or_else(|e| panic!("{case}: {e}")).report;
+                if report.retries > 0 && report.path == ResiliencePath::Gpu {
+                    retried[shape] += 1;
+                    assert_eq!(report.attempts, 1, "{case}: the selection ran again");
+                    assert_eq!(gpu.stats().draw_calls, clean_draws, "{case}: extra draws");
+                }
+            }
+        }
+    }
+    assert!(
+        retried.iter().all(|&n| n > 0),
+        "retried runs per shape: {retried:?}"
+    );
+}
+
 /// Build a fault vector targeting exactly one shard of `shards`.
 fn target_shard(
     shards: usize,
@@ -335,6 +384,7 @@ fn shard_chaos_seeded_schedules_match_oracle_or_error_typed() {
         for query in query_shapes(seed) {
             let opts = ShardOptions {
                 shards,
+                options: traced(),
                 ..ShardOptions::default()
             };
             let faults = target_shard(
@@ -346,6 +396,7 @@ fn shard_chaos_seeded_schedules_match_oracle_or_error_typed() {
             let oracle = gpudb::core::cpu_oracle::execute(&host, &query);
             match (sharded, oracle) {
                 (Ok(s), Ok(o)) => {
+                    assert_books_balance(&s.output, &format!("seed {seed}"));
                     assert!(
                         o.agrees_with(s.output.matched, &s.output.rows),
                         "seed {seed}: sharded divergence under fault on shard {target}\n \
@@ -399,6 +450,8 @@ fn shard_chaos_device_reset_degrades_only_the_struck_shard() {
         }]);
         let struck = execute_sharded_with_faults(&host, &query, &opts, target_shard(3, 1, reset))
             .expect("struck run");
+        assert_books_balance(&clean.output, "clean");
+        assert_books_balance(&struck.output, "struck");
         assert_eq!(struck.output.matched, clean.output.matched);
         assert_eq!(struck.output.rows, clean.output.rows);
         assert_eq!(struck.mask, clean.mask);
@@ -431,6 +484,7 @@ fn shard_chaos_hostile_policy_errors_stay_typed() {
         let faults = target_shard(4, (seed % 4) as usize, FaultInjector::from_seed(seed, 4, 0));
         match execute_sharded_with_faults(&host, query, &opts, faults) {
             Ok(s) => {
+                assert_books_balance(&s.output, &format!("seed {seed}"));
                 let oracle = gpudb::core::cpu_oracle::execute(&host, query).expect("oracle");
                 assert!(oracle.agrees_with(s.output.matched, &s.output.rows));
             }
@@ -527,6 +581,7 @@ fn shard_faults_lint_only_the_attempt_that_succeeded() {
     let oracle = gpudb::core::cpu_oracle::execute(&host, query).expect("oracle");
     assert!(oracle.agrees_with(struck.output.matched, &struck.output.rows));
     assert_eq!(struck.output.rows, clean.output.rows);
+    assert_books_balance(&struck.output, "struck");
 
     let shards = &struck.report.shards;
     assert_eq!(
@@ -552,7 +607,8 @@ fn resilient_retry_lints_only_the_attempt_that_succeeded() {
     // first attempt's selection, validation on, traced. The statement
     // keeps one log, so its trace holds both selection attempts, as a
     // shard's does, and the retry runs on the one upload the partition
-    // holds.
+    // holds. Less the upload, the mask readback and the struck attempt
+    // with its pause, its spans and records are a resident run's.
     let host = workload(11);
     let query = &query_shapes(11)[2];
     let mut gpu = GpuTable::device_for(host.record_count(), 16);
@@ -567,24 +623,45 @@ fn resilient_retry_lints_only_the_attempt_that_succeeded() {
     assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
     assert_eq!(resilient.report.path, ResiliencePath::Gpu);
     assert_eq!(resilient.report.degradations.len(), 1, "one retry");
-    let trace = resilient.output.trace.as_ref().expect("traced");
-    let spans: Vec<&str> = trace.roots[0]
-        .children
-        .iter()
-        .map(|s| s.name.as_str())
-        .collect();
+    assert_books_balance(&resilient.output, "resilient");
+    let root_spans = |output: &gpudb::core::query::QueryOutput| -> Vec<String> {
+        let trace = output.trace.as_ref().expect("traced");
+        trace.roots[0]
+            .children
+            .iter()
+            .map(|s| s.name.clone())
+            .collect()
+    };
+    let spans = root_spans(&resilient.output);
     assert_eq!(
         spans,
         [
-            "upload:texture",
+            "partition/upload",
             "selection",
             "resilience/retry-backoff",
             "selection",
-            "readback:stencil",
+            "partition/readback",
             "aggregate:COUNT(*)",
             "aggregate:MAX(a)"
         ]
     );
+
+    let mut gpu = GpuTable::device_for(host.record_count(), 16);
+    let table = host.upload(&mut gpu).expect("upload");
+    let resident = execute_with_options(&mut gpu, &table, query, options).expect("resident run");
+    // Less the struck attempt and its pause, the run is the resident run
+    // plus its data movement, span for span and record for record.
+    let mut retried = resilient.output.clone();
+    let struck: Vec<_> = retried.metrics.drain(1..3).collect();
+    let names: Vec<&str> = struck.iter().map(|r| r.operator.as_str()).collect();
+    assert_eq!(names, ["filter/cnf", "resilience/retry-backoff"]);
+    retried.timing = retried.timing.since(&phase_sum(&struck));
+    common::host_is_resident_plus_data_movement(&retried, &resident)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut spans = spans;
+    spans.drain(1..3);
+    spans.retain(|name| !DATA_MOVEMENT.contains(&name.as_str()));
+    assert_eq!(spans, root_spans(&resident));
 }
 
 #[test]
@@ -679,6 +756,22 @@ fn occlusion_loss_mid_aggregate_retries_only_the_struck_step() {
             struck.output.timing.total() - clean.output.timing.total(),
             "{stage}"
         );
+        // The pause closes the aggregate's record and reopens it after.
+        assert_books_balance(&struck.output, &stage);
+        let names: Vec<&str> = struck
+            .output
+            .metrics
+            .iter()
+            .map(|m| m.operator.as_str())
+            .collect();
+        let pause = names.iter().position(|&n| n == "resilience/retry-backoff");
+        let around = pause.map(|i| (names[i - 1], names[i + 1]));
+        let aggregate = format!("agg/{}", agg.label());
+        assert_eq!(
+            around,
+            Some((aggregate.as_str(), aggregate.as_str())),
+            "{stage}"
+        );
 
         let opts = validated_traced(3);
         let clean = execute_sharded(&host, &query, &opts).expect("clean");
@@ -696,5 +789,6 @@ fn occlusion_loss_mid_aggregate_retries_only_the_struck_step() {
         );
         assert_eq!(retry_records(&struck.output), 1, "{stage}");
         assert!(oracle.agrees_with(struck.output.matched, &struck.output.rows));
+        assert_books_balance(&struck.output, &stage);
     }
 }

@@ -6,9 +6,60 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
+use gpudb::core::metrics::{phase_sum, MetricsRecord};
+use gpudb::core::query::QueryOutput;
 use gpudb::prelude::*;
+use gpudb::sim::WorkCounters;
 #[allow(unused_imports)] // each test binary uses its own subset
-pub use gpudb_bench::chaos::{injector_for, query_shapes, workload, RECORDS, SHAPES};
+pub use gpudb_bench::chaos::{
+    host_is_resident_plus_data_movement, injector_for, query_shapes, workload, DATA_MOVEMENT,
+    RECORDS, SHAPES,
+};
+
+/// The zero-cost records that tag a ladder or merge decision rather than
+/// cut a window of a device clock, so they have no operator span.
+pub const MARKERS: [&str; 3] = [
+    "resilience/cpu-fallback",
+    "resilience/out-of-core",
+    "parallel/merge",
+];
+
+/// The books of a statement balance: per phase, its records sum to its
+/// `timing`, and, when it was traced, its operator spans are its records,
+/// in order — one span per record, with the record's name, work counters
+/// and modeled time. Markers ([`MARKERS`]) charge nothing.
+pub fn assert_books_balance(output: &QueryOutput, case: &str) {
+    assert_eq!(
+        phase_sum(&output.metrics),
+        output.timing,
+        "{case}: records do not sum to timing, per phase"
+    );
+    let (markers, records): (Vec<&MetricsRecord>, Vec<&MetricsRecord>) = output
+        .metrics
+        .iter()
+        .partition(|r| MARKERS.contains(&r.operator.as_str()));
+    for marker in markers {
+        assert_eq!(marker.modeled_total_ns(), 0, "{case}: {marker:?}");
+        assert_eq!(
+            marker.counters,
+            WorkCounters::default(),
+            "{case}: {marker:?}"
+        );
+    }
+    let Some(trace) = &output.trace else {
+        return;
+    };
+    let spans: Vec<_> = trace
+        .spans_of_kind(SpanKind::Operator)
+        .into_iter()
+        .map(|s| (s.name.as_str(), s.counters, s.duration_ns()))
+        .collect();
+    let records: Vec<_> = records
+        .into_iter()
+        .map(|r| (r.operator.as_str(), r.counters, r.modeled_total_ns()))
+        .collect();
+    assert_eq!(spans, records, "{case}: operator spans vs records");
+}
 
 /// The 120-record, two-column table the golden snapshots run on.
 pub fn golden_table() -> (Gpu, GpuTable) {

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{query_shapes, workload};
+use common::{assert_books_balance, query_shapes, workload};
 use gpudb::core::parallel::{merge_cost_ns, plan_shards};
 use gpudb::core::query::QueryOutput;
 use gpudb::prelude::*;
@@ -19,9 +19,15 @@ use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 6] = [1, 2, 3, 4, 7, 16];
 
+/// `shards` devices, with operator spans traced so every output's books
+/// can be checked span by span.
 fn shard_opts(shards: usize) -> ShardOptions {
     ShardOptions {
         shards,
+        options: ExecuteOptions {
+            trace: Some(TraceLevel::Operators),
+            ..ExecuteOptions::default()
+        },
         ..ShardOptions::default()
     }
 }
@@ -49,6 +55,8 @@ proptest! {
             let oracle = gpudb::core::cpu_oracle::execute(&host, &query).expect("oracle");
             let sharded = execute_sharded(&host, &query, &shard_opts(shards))
                 .expect("sharded execute");
+            assert_books_balance(&sharded.output, &format!("seed {seed} shape {shape} shards {shards}"));
+            assert_books_balance(&reference, &format!("seed {seed} shape {shape}"));
 
             prop_assert_eq!(
                 sharded.output.matched, reference.matched,
@@ -87,6 +95,7 @@ proptest! {
         let host = workload(seed);
         for query in query_shapes(seed) {
             let out = execute_sharded(&host, &query, &shard_opts(shards)).expect("sharded");
+            assert_books_balance(&out.output, &format!("seed {seed} shards {shards}"));
             let expected_shards = plan_shards(host.record_count(), shards).len();
             prop_assert_eq!(out.report.shards.len(), expected_shards);
             let critical = out.report.shards.iter().map(|s| s.modeled_ns).max().unwrap_or(0);
@@ -143,12 +152,15 @@ proptest! {
     }
 }
 
-/// One partition is single-device execution: at the same device width,
-/// `execute` and a 1-shard `execute_sharded` return the same rows and
-/// match count (or the same error), and the same metrics records up to
-/// the coordinator's trailing `parallel/merge` marker. Every divergence
-/// is collected, so one run names every (seed, shape) that drifts;
-/// shapes are numbered from 1 as in `tests/common`.
+/// One partition is single-device execution plus its data movement: at
+/// the same device width, `execute` and a 1-shard `execute_sharded`
+/// return the same rows and match count (or the same error), and the
+/// shard's records up to the coordinator's trailing `parallel/merge`
+/// marker are the single-device records, byte for byte, plus the upload
+/// and mask readback records, which sum exactly to the difference in
+/// `timing`. Every divergence is collected, so one run names every
+/// (seed, shape) that drifts; shapes are numbered from 1 as in
+/// `tests/common`.
 #[test]
 fn one_shard_equals_single_device_execution() {
     let mut divergences = Vec::new();
@@ -161,14 +173,17 @@ fn one_shard_equals_single_device_execution() {
                 execute_sharded(&host, query, &shard_opts(1)),
             ) {
                 (Ok(single), Ok(sharded)) => {
-                    let out = sharded.output;
+                    let mut out = sharded.output;
+                    assert_books_balance(&out, &format!("seed {seed} shape {shape}"));
                     if (single.matched, &single.rows) != (out.matched, &out.rows) {
                         divergences.push(format!("seed {seed} shape {shape}: results"));
                     }
-                    match out.metrics.split_last() {
-                        Some((merge, metrics))
-                            if merge.operator == "parallel/merge" && metrics == single.metrics => {}
-                        _ => divergences.push(format!("seed {seed} shape {shape}: metrics")),
+                    match out.metrics.pop() {
+                        Some(merge) if merge.operator == "parallel/merge" => {}
+                        _ => divergences.push(format!("seed {seed} shape {shape}: merge marker")),
+                    }
+                    if let Err(e) = common::host_is_resident_plus_data_movement(&out, &single) {
+                        divergences.push(format!("seed {seed} shape {shape}: {e}"));
                     }
                 }
                 (Err(single), Err(sharded)) if single.to_string() == sharded.to_string() => {}
