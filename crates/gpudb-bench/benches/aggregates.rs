@@ -62,7 +62,7 @@ fn bench_masked_median(c: &mut Criterion) {
     let mut w = Workload::tcpip(n).unwrap();
     let values = w.dataset.columns[0].values.clone();
     let (threshold, _) = threshold_for_ge(&values, 0.8).unwrap();
-    let (selection, _) = {
+    let selection = {
         let table = &w.table;
         compare_select(&mut w.gpu, table, 0, CompareFunc::GreaterEqual, threshold).unwrap()
     };
@@ -113,7 +113,7 @@ fn bench_selectivity_count(c: &mut Criterion) {
     let mut w = Workload::tcpip(n).unwrap();
     let values = w.dataset.columns[0].values.clone();
     let (threshold, _) = threshold_for_ge(&values, 0.6).unwrap();
-    let (selection, _) = {
+    let selection = {
         let table = &w.table;
         compare_select(&mut w.gpu, table, 0, CompareFunc::GreaterEqual, threshold).unwrap()
     };

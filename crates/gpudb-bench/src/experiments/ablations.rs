@@ -68,7 +68,7 @@ pub fn range_vs_cnf(scale: Scale) -> EngineResult<FigureResult> {
         let (low, high, _) = range_for_selectivity(&values, 0.6).expect("non-empty");
 
         let (bounds, bounds_timing) = w.time(|gpu, table| range_select(gpu, table, 0, low, high));
-        let (_, count_a) = bounds?;
+        let count_a = bounds?.matched();
 
         let cnf = GpuCnf::all_of(vec![
             GpuPredicate::new(0, CompareFunc::GreaterEqual, low),
@@ -76,7 +76,7 @@ pub fn range_vs_cnf(scale: Scale) -> EngineResult<FigureResult> {
         ]);
         let (general, cnf_timing) =
             w.time(|gpu, table| eval_cnf_general_select(gpu, table, &cnf, false));
-        let (_, count_b) = general?;
+        let count_b = general?.matched();
         assert_eq!(count_a, count_b, "the two protocols must agree");
 
         bounds_series.push(records as f64, ms(bounds_timing.total()));

@@ -28,7 +28,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
 
         let (selected, timing) = w
             .time(|gpu, table| compare_select(gpu, table, 0, CompareFunc::GreaterEqual, threshold));
-        let (_, count) = selected?;
+        let count = selected?.matched();
         // Cross-check against the real CPU baseline.
         let (bm, cpu_secs) = wall_seconds(3, || {
             gpudb_cpu::scan::scan_u32(&values, gpudb_cpu::CmpOp::Ge, threshold)

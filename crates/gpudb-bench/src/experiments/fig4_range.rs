@@ -25,7 +25,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let (low, high, _) = range_for_selectivity(&values, 0.6).expect("non-empty");
 
         let (selected, timing) = w.time(|gpu, table| range_select(gpu, table, 0, low, high));
-        let (_, count) = selected?;
+        let count = selected?.matched();
         let (bm, cpu_secs) = wall_seconds(3, || gpudb_cpu::cnf::eval_range(&values, low, high));
         assert_eq!(bm.count_ones() as u64, count, "GPU/CPU result mismatch");
 

@@ -38,7 +38,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
             .collect();
         let cnf = GpuCnf::all_of(preds);
         let (selected, timing) = w.time(|gpu, table| eval_cnf_select(gpu, table, &cnf, true));
-        let (_, count) = selected?;
+        let count = selected?.matched();
 
         let cpu_cnf = gpudb_cpu::Cnf::all_of(
             (0..attrs)

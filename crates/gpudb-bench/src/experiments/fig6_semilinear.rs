@@ -35,7 +35,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
         let (selected, timing) = w.time(|gpu, table| {
             semilinear_select(gpu, table, &COEFFS, CompareFunc::GreaterEqual, b)
         });
-        let (_, count) = selected?;
+        let count = selected?.matched();
         let (bm, cpu_secs) = wall_seconds(3, || {
             gpudb_cpu::semilinear::semilinear_scan(&refs, &COEFFS, gpudb_cpu::CmpOp::Ge, b)
         });

@@ -19,10 +19,13 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
 
     // (a) Count piggybacked on the selection pass: zero extra passes.
     w.gpu.reset_stats();
-    let (selection, piggyback_count) = {
-        let table = &w.table;
-        compare_select(&mut w.gpu, table, 0, CompareFunc::GreaterEqual, threshold)?
-    };
+    let selection = compare_select(
+        &mut w.gpu,
+        &w.table,
+        0,
+        CompareFunc::GreaterEqual,
+        threshold,
+    )?;
     let piggyback_draws = w.gpu.stats().draw_calls;
 
     // (b) Count retrieval from an existing (scattered) selection. The
@@ -33,7 +36,7 @@ pub fn run(scale: Scale) -> EngineResult<FigureResult> {
     // result fetch (readback phase) separately from the counting pass's
     // fill time.
     let (standalone_count, timing) = w.time(|gpu, _| selection.count(gpu));
-    assert_eq!(piggyback_count, standalone_count?);
+    assert_eq!(selection.matched(), standalone_count?);
     let retrieval_ms = ms(timing.readback);
     let full_pass_ms = ms(timing.total());
 

@@ -265,7 +265,7 @@ fn range(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
         let low = max / 10 * lo_tenth;
         let high = max / 10 * hi_tenth;
         let count = out.observe(&mut w.gpu, "range/range_count", |gpu| {
-            gpudb_core::range::range_select(gpu, &w.table, 0, low, high).map(|(_, c)| c)
+            gpudb_core::range::range_select(gpu, &w.table, 0, low, high).map(|sel| sel.matched())
         })?;
         out.checksum.push_u64(count);
     }
@@ -283,7 +283,7 @@ fn multiattr(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for k in 1..=preds.len() {
         let cnf = GpuCnf::all_of(preds[..k].to_vec());
         let count = out.observe(&mut w.gpu, "boolean/eval_cnf_count", |gpu| {
-            gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, true).map(|(_, c)| c)
+            gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, true).map(|sel| sel.matched())
         })?;
         out.checksum.push_u64(count);
     }
@@ -292,7 +292,7 @@ fn multiattr(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
         GpuTerm::single(GpuPredicate::new(2, CompareFunc::Greater, 50_000)),
     ]);
     let count = out.observe(&mut w.gpu, "boolean/eval_dnf_count", |gpu| {
-        gpudb_core::boolean::eval_dnf_select(gpu, &w.table, &dnf).map(|(_, c)| c)
+        gpudb_core::boolean::eval_dnf_select(gpu, &w.table, &dnf).map(|sel| sel.matched())
     })?;
     out.checksum.push_u64(count);
     Ok(())
@@ -308,7 +308,7 @@ fn semilinear(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     for (coefficients, op, constant) in cases {
         let count = out.observe(&mut w.gpu, "semilinear/semilinear_count", |gpu| {
             gpudb_core::semilinear::semilinear_select(gpu, &w.table, coefficients, op, constant)
-                .map(|(_, c)| c)
+                .map(|sel| sel.matched())
         })?;
         out.checksum.push_u64(count);
     }
@@ -340,9 +340,10 @@ fn median(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
 /// Figure 9: k-th largest within a range selection.
 fn kth_selective(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> {
     let max = (1u32 << 19) - 1;
-    let (selection, matched) = out.observe(&mut w.gpu, "range/range_select", |gpu| {
+    let selection = out.observe(&mut w.gpu, "range/range_select", |gpu| {
         gpudb_core::range::range_select(gpu, &w.table, 0, max / 10, max / 2)
     })?;
+    let matched = selection.matched();
     out.checksum.push_u64(matched);
     for k in [1usize, 25] {
         let value = out.observe(&mut w.gpu, "aggregate/kth_largest", |gpu| {
@@ -399,11 +400,11 @@ fn cnf_fusion_ablation(w: &mut Workload, out: &mut Outcome) -> EngineResult<()> 
         GpuPredicate::new(2, CompareFunc::Greater, 2_000),
     ]);
     let unfused = out.observe(&mut w.gpu, "boolean/eval_cnf_unfused", |gpu| {
-        gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, false).map(|(_, c)| c)
+        gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, false).map(|sel| sel.matched())
     })?;
     out.checksum.push_u64(unfused);
     let fused = out.observe(&mut w.gpu, "boolean/eval_cnf_count", |gpu| {
-        gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, true).map(|(_, c)| c)
+        gpudb_core::boolean::eval_cnf_select(gpu, &w.table, &cnf, true).map(|sel| sel.matched())
     })?;
     out.checksum.push_u64(fused);
     Ok(())

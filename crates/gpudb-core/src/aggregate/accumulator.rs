@@ -112,17 +112,15 @@ pub fn sum_with_depth_mask(
     Ok(total)
 }
 
-/// AVG = SUM / COUNT (§4.3.3). Errors on an empty domain.
+/// AVG = SUM / COUNT (§4.3.3), over the selection's carried count (or the
+/// table's records). Errors on an empty domain.
 pub fn avg(
     gpu: &mut Gpu,
     table: &GpuTable,
     column: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<f64> {
-    let count = match selection {
-        Some(sel) => sel.count(gpu)?,
-        None => table.record_count() as u64,
-    };
+    let count = selection.map_or(table.record_count() as u64, Selection::matched);
     if count == 0 {
         return Err(EngineError::EmptyInput);
     }
@@ -199,7 +197,7 @@ mod tests {
     fn masked_sum_restricted_to_selection() {
         let values: Vec<u32> = (0..100).collect();
         let (mut gpu, t) = setup(&values);
-        let (sel, _) = compare_select(&mut gpu, &t, 0, CompareFunc::GreaterEqual, 50).unwrap();
+        let sel = compare_select(&mut gpu, &t, 0, CompareFunc::GreaterEqual, 50).unwrap();
         let expected: u64 = (50..100).sum::<u64>();
         assert_eq!(sum(&mut gpu, &t, 0, Some(&sel)).unwrap(), expected);
     }
@@ -209,7 +207,7 @@ mod tests {
         let values = vec![10u32, 20, 30, 40];
         let (mut gpu, t) = setup(&values);
         assert_eq!(avg(&mut gpu, &t, 0, None).unwrap(), 25.0);
-        let (sel, _) = compare_select(&mut gpu, &t, 0, CompareFunc::Greater, 20).unwrap();
+        let sel = compare_select(&mut gpu, &t, 0, CompareFunc::Greater, 20).unwrap();
         assert_eq!(avg(&mut gpu, &t, 0, Some(&sel)).unwrap(), 35.0);
     }
 
@@ -223,8 +221,8 @@ mod tests {
         // Empty selection over a non-empty table.
         let values = vec![1u32, 2, 3];
         let (mut gpu, t) = setup(&values);
-        let (sel, count) = compare_select(&mut gpu, &t, 0, CompareFunc::Greater, 100).unwrap();
-        assert_eq!(count, 0);
+        let sel = compare_select(&mut gpu, &t, 0, CompareFunc::Greater, 100).unwrap();
+        assert_eq!(sel.matched(), 0);
         assert!(matches!(
             avg(&mut gpu, &t, 0, Some(&sel)).unwrap_err(),
             EngineError::EmptyInput
@@ -309,7 +307,7 @@ mod tests {
         let mut gpu =
             gpudb_sim::Gpu::new(HardwareProfile::geforce_fx_5900_with_depth_mask(), 10, 10);
         let t = GpuTable::upload(&mut gpu, "t", &[("a", &values)]).unwrap();
-        let (sel, _) = compare_select(&mut gpu, &t, 0, CompareFunc::Less, 50).unwrap();
+        let sel = compare_select(&mut gpu, &t, 0, CompareFunc::Less, 50).unwrap();
         assert_eq!(
             sum_with_depth_mask(&mut gpu, &t, 0, Some(&sel)).unwrap(),
             (0..50u64).sum::<u64>()

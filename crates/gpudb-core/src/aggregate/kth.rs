@@ -6,7 +6,9 @@
 //! utilizes the binary data representation for computing the k-th largest
 //! value in time that is linear in the number of bits"). It needs no data
 //! rearrangement and its running time is independent of `k` — both
-//! properties the paper verifies experimentally (Figure 7).
+//! properties the paper verifies experimentally (Figure 7). A masked run
+//! ranks among the selection's own count, so it issues exactly the passes
+//! of an unmasked one (§5.9 Test 3).
 
 use crate::error::{EngineError, EngineResult};
 use crate::predicate::{comparison_pass, copy_to_depth, OcclusionMode};
@@ -22,19 +24,6 @@ pub(crate) fn apply_selection_mask(gpu: &mut Gpu, selection: Option<&Selection>)
         gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Keep);
     } else {
         gpu.set_stencil_func(false, CompareFunc::Always, 0, 0xFF);
-    }
-}
-
-/// Number of records the k-th largest ranges over: the selection count if
-/// masked, the table's record count otherwise.
-fn domain_count(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    selection: Option<&Selection>,
-) -> EngineResult<u64> {
-    match selection {
-        Some(sel) => sel.count(gpu),
-        None => Ok(table.record_count() as u64),
     }
 }
 
@@ -86,12 +75,67 @@ pub(crate) fn descend(
     })
 }
 
-/// Compute the k-th largest value (1-based; `k = 1` is the maximum) of a
-/// column, optionally restricted to a selection.
-///
-/// Routine 4.5: one copy-to-depth, then `b_max` comparison passes, each
-/// counting values `>= x + 2^i` with an occlusion query and fixing bit `i`
-/// of the result by the paper's Lemma 1.
+/// Open Routine 4.5 on a device: copy the column to depth once, enter the
+/// compute phase and arm the selection mask.
+pub(crate) fn open_descent(
+    gpu: &mut Gpu,
+    table: &GpuTable,
+    column: usize,
+    selection: Option<&Selection>,
+) -> EngineResult<()> {
+    copy_to_depth(gpu, table, column)?;
+    gpu.set_phase(Phase::Compute);
+    apply_selection_mask(gpu, selection);
+    Ok(())
+}
+
+/// One descent step: count the (selected) records `>= m` with one
+/// comparison pass, fetched synchronously because the next bit's
+/// threshold depends on it, then re-arm the selection mask.
+pub(crate) fn count_ge(
+    gpu: &mut Gpu,
+    table: &GpuTable,
+    selection: Option<&Selection>,
+    m: u32,
+) -> EngineResult<u64> {
+    let count = comparison_pass(
+        gpu,
+        table,
+        CompareFunc::GreaterEqual,
+        m,
+        OcclusionMode::Sync,
+    )?;
+    apply_selection_mask(gpu, selection);
+    Ok(count)
+}
+
+/// Close a descent: restore the default pipeline state.
+pub(crate) fn close_descent(gpu: &mut Gpu) {
+    gpu.reset_state();
+}
+
+/// The order statistic at `rank` of a column, optionally restricted to a
+/// selection: rank among the selection's carried count (or the table's
+/// records), then one copy-to-depth and `b_max` comparison passes, each
+/// fixing one bit of the result by the paper's Lemma 1.
+pub(crate) fn order_statistic(
+    gpu: &mut Gpu,
+    table: &GpuTable,
+    column: usize,
+    rank: Rank,
+    selection: Option<&Selection>,
+) -> EngineResult<u32> {
+    let available = selection.map_or(table.record_count() as u64, Selection::matched);
+    let k = rank.counted_from_largest(available)?;
+    let bits = table.column(column)?.bits;
+    open_descent(gpu, table, column, selection)?;
+    let x = descend(bits, k, |m| count_ge(gpu, table, selection, m))?;
+    close_descent(gpu);
+    Ok(x)
+}
+
+/// The k-th largest value (1-based; `k = 1` is the maximum) of a column,
+/// optionally restricted to a selection (Routine 4.5).
 pub fn kth_largest(
     gpu: &mut Gpu,
     table: &GpuTable,
@@ -99,43 +143,7 @@ pub fn kth_largest(
     k: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    let available = domain_count(gpu, table, selection)?;
-    let k = Rank::Largest(k).counted_from_largest(available)?;
-    let bits = table.column(column)?.bits;
-    copy_to_depth(gpu, table, column)?;
-    gpu.set_phase(Phase::Compute);
-    apply_selection_mask(gpu, selection);
-    let x = descend(bits, k, |m| {
-        // Synchronous fetch: the next bit's threshold depends on this
-        // count.
-        let count = comparison_pass(
-            gpu,
-            table,
-            CompareFunc::GreaterEqual,
-            m,
-            OcclusionMode::Sync,
-        )?;
-        // Re-arm the selection mask (comparison_pass leaves stencil state
-        // untouched, but keep the invariant explicit).
-        apply_selection_mask(gpu, selection);
-        Ok(count)
-    })?;
-    gpu.reset_state();
-    Ok(x)
-}
-
-/// The order statistic at `rank`: count the (selected) domain, then run
-/// [`kth_largest`], which counts it again, at the rank counted from the
-/// largest.
-fn ranked(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    column: usize,
-    rank: Rank,
-    selection: Option<&Selection>,
-) -> EngineResult<u32> {
-    let k = rank.counted_from_largest(domain_count(gpu, table, selection)?)?;
-    kth_largest(gpu, table, column, k, selection)
+    order_statistic(gpu, table, column, Rank::Largest(k), selection)
 }
 
 /// The k-th smallest value (1-based), via the rank identity
@@ -147,7 +155,7 @@ pub fn kth_smallest(
     k: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    ranked(gpu, table, column, Rank::Smallest(k), selection)
+    order_statistic(gpu, table, column, Rank::Smallest(k), selection)
 }
 
 /// MAX: the 1st largest (§4.3.2).
@@ -157,7 +165,7 @@ pub fn max(
     column: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    kth_largest(gpu, table, column, 1, selection)
+    order_statistic(gpu, table, column, Rank::Largest(1), selection)
 }
 
 /// MIN: the 1st smallest.
@@ -167,7 +175,7 @@ pub fn min(
     column: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    kth_smallest(gpu, table, column, 1, selection)
+    order_statistic(gpu, table, column, Rank::Smallest(1), selection)
 }
 
 /// The (lower) median: the ⌈n/2⌉-th smallest value, which is the 50th
@@ -178,7 +186,7 @@ pub fn median(
     column: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    percentile(gpu, table, column, 0.5, selection)
+    order_statistic(gpu, table, column, Rank::Percentile(0.5), selection)
 }
 
 /// The p-th percentile (0.0–1.0) by nearest rank.
@@ -189,9 +197,7 @@ pub fn percentile(
     p: f64,
     selection: Option<&Selection>,
 ) -> EngineResult<u32> {
-    let available = domain_count(gpu, table, selection)?;
-    let k = Rank::Percentile(p).counted_from_largest(available)?;
-    ranked(gpu, table, column, Rank::Largest(k), selection)
+    order_statistic(gpu, table, column, Rank::Percentile(p), selection)
 }
 
 #[cfg(test)]
@@ -291,8 +297,8 @@ mod tests {
         // subset. Select values < 60, then take order statistics within.
         let values: Vec<u32> = (0..100).collect();
         let (mut gpu, t) = setup(&values);
-        let (sel, count) = compare_select(&mut gpu, &t, 0, CompareFunc::Less, 60).unwrap();
-        assert_eq!(count, 60);
+        let sel = compare_select(&mut gpu, &t, 0, CompareFunc::Less, 60).unwrap();
+        assert_eq!(sel.matched(), 60);
         assert_eq!(kth_largest(&mut gpu, &t, 0, 1, Some(&sel)).unwrap(), 59);
         assert_eq!(kth_largest(&mut gpu, &t, 0, 60, Some(&sel)).unwrap(), 0);
         assert_eq!(median(&mut gpu, &t, 0, Some(&sel)).unwrap(), 29);
@@ -324,21 +330,33 @@ mod tests {
     fn masked_run_costs_same_as_unmasked() {
         // §5.9 Test 3: "KthLargest with 80% selectivity requires exactly
         // the same amount of time as performing KthLargest with 100%
-        // selectivity" — same passes, same fragments.
+        // selectivity" — the masked run ranks among the selection's own
+        // count, so every order statistic and AVG issue the same passes,
+        // fragments and modeled time with or without the mask.
         let values: Vec<u32> = (0..100).collect();
         let (mut gpu, t) = setup(&values);
-        let (sel, _) = compare_select(&mut gpu, &t, 0, CompareFunc::Less, 80).unwrap();
-
-        gpu.reset_stats();
-        kth_largest(&mut gpu, &t, 0, 10, None).unwrap();
-        let unmasked_fragments = gpu.stats().fragments_generated;
-
-        gpu.reset_stats();
-        // Note: the masked call runs one extra counting pass for `available`.
-        kth_largest(&mut gpu, &t, 0, 10, Some(&sel)).unwrap();
-        let masked_fragments = gpu.stats().fragments_generated;
-        let per_pass = values.len() as u64;
-        assert_eq!(masked_fragments, unmasked_fragments + per_pass);
+        let sel = compare_select(&mut gpu, &t, 0, CompareFunc::Less, 80).unwrap();
+        type Op = fn(&mut Gpu, &GpuTable, Option<&Selection>) -> EngineResult<f64>;
+        let ops: [Op; 7] = [
+            |g, t, s| kth_largest(g, t, 0, 10, s).map(f64::from),
+            |g, t, s| kth_smallest(g, t, 0, 10, s).map(f64::from),
+            |g, t, s| min(g, t, 0, s).map(f64::from),
+            |g, t, s| max(g, t, 0, s).map(f64::from),
+            |g, t, s| median(g, t, 0, s).map(f64::from),
+            |g, t, s| percentile(g, t, 0, 0.9, s).map(f64::from),
+            |g, t, s| crate::aggregate::avg(g, t, 0, s),
+        ];
+        for (i, op) in ops.iter().enumerate() {
+            let mut cost = |selection: Option<&Selection>| {
+                gpu.reset_stats();
+                op(&mut gpu, &t, selection).unwrap();
+                let stats = gpu.stats();
+                let counters = (stats.draw_calls, stats.occlusion_readbacks);
+                (counters, stats.fragments_generated, stats.modeled)
+            };
+            let unmasked = cost(None);
+            assert_eq!(cost(Some(&sel)), unmasked, "op {i}");
+        }
     }
 
     #[test]

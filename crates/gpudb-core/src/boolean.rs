@@ -121,7 +121,7 @@ impl GpuCnf {
 }
 
 /// Evaluate a CNF over a table, materializing the result as a
-/// [`Selection`] and returning the matching-record count.
+/// [`Selection`] that carries the matching-record count.
 ///
 /// Dispatches to the one-pass-per-predicate conjunction fast path when
 /// every clause is a single predicate (the multi-attribute AND shape of
@@ -136,7 +136,7 @@ pub fn eval_cnf_select(
     table: &GpuTable,
     cnf: &GpuCnf,
     fuse: bool,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     if !cnf.clauses.is_empty() && cnf.clauses.iter().all(|c| c.predicates.len() == 1) {
         let predicates: Vec<GpuPredicate> = cnf.clauses.iter().map(|c| c.predicates[0]).collect();
         return eval_conjunction_select(gpu, table, &predicates, fuse);
@@ -179,7 +179,7 @@ pub fn eval_conjunction_select(
     table: &GpuTable,
     predicates: &[GpuPredicate],
     fuse: bool,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     for p in predicates {
         if p.column >= table.column_count() {
             return Err(EngineError::ColumnIndexOutOfRange(p.column));
@@ -218,7 +218,7 @@ pub fn eval_conjunction_select(
     gpu.draw_quad(table.rects(), 0.0)?;
     let count = gpu.end_occlusion_query_async()?;
     gpu.reset_state();
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 /// The paper's full `EvalCNF` (Routine 4.3), without the conjunction fast
@@ -238,12 +238,10 @@ pub fn eval_cnf_general_select(
     table: &GpuTable,
     cnf: &GpuCnf,
     fuse: bool,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     cnf.validate(table)?;
     if cnf.clauses.is_empty() {
-        let sel = Selection::select_all(gpu, table)?;
-        let count = table.record_count() as u64;
-        return Ok((sel, count));
+        return Selection::select_all(gpu, table);
     }
 
     let establish = fuse && cnf.clauses[0].predicates.len() == 1;
@@ -322,7 +320,7 @@ pub fn eval_cnf_general_select(
     let count = gpu.end_occlusion_query_async()?;
     gpu.reset_state();
     debug_assert_eq!(SELECTED, 1);
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 /// A boolean expression in disjunctive normal form: `T1 ∨ T2 ∨ ... ∨ Tk`
@@ -400,11 +398,7 @@ const DNF_SCRATCH_BIT: u8 = 0x02;
 ///    scratch-only write mask); survivors of all predicates get the result
 ///    bit OR-ed in;
 /// 3. a final pass clears the scratch bit and counts result-bit holders.
-pub fn eval_dnf_select(
-    gpu: &mut Gpu,
-    table: &GpuTable,
-    dnf: &GpuDnf,
-) -> EngineResult<(Selection, u64)> {
+pub fn eval_dnf_select(gpu: &mut Gpu, table: &GpuTable, dnf: &GpuDnf) -> EngineResult<Selection> {
     dnf.validate(table)?;
     gpu.set_phase(Phase::Compute);
     gpu.reset_state();
@@ -463,7 +457,7 @@ pub fn eval_dnf_select(
     let count = gpu.end_occlusion_query_async()?;
     gpu.reset_state();
     debug_assert_eq!(SELECTED, DNF_RESULT_BIT);
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 #[cfg(test)]
@@ -493,10 +487,13 @@ mod tests {
         let expected: Vec<bool> = (0..n).map(|row| reference(cnf, &raw, row)).collect();
         for fuse in [false, true] {
             let (mut gpu, t) = setup(columns);
-            let (sel, count) = eval_cnf_select(&mut gpu, &t, cnf, fuse).unwrap();
+            let sel = eval_cnf_select(&mut gpu, &t, cnf, fuse).unwrap();
             assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected, "fuse {fuse}");
-            assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
-            assert_eq!(sel.count(&mut gpu).unwrap(), count);
+            assert_eq!(
+                sel.matched(),
+                expected.iter().filter(|&&b| b).count() as u64
+            );
+            assert_eq!(sel.count(&mut gpu).unwrap(), sel.matched());
         }
     }
 
@@ -591,7 +588,7 @@ mod tests {
         let a: Vec<u32> = (0..30).collect();
         let cnf = GpuCnf::new(vec![GpuClause::default()]);
         let (mut gpu, t) = setup(&[("a", &a)]);
-        let (_, count) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
+        let count = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap().matched();
         assert_eq!(count, 0);
     }
 
@@ -600,9 +597,9 @@ mod tests {
         let p = GpuPredicate::new(0, Less, 10);
         let a: Vec<u32> = (0..30).collect();
         let (mut gpu, t) = setup(&[("a", &a)]);
-        let (_, count_not) =
+        let negated =
             eval_cnf_select(&mut gpu, &t, &GpuCnf::all_of(vec![p.negated()]), true).unwrap();
-        assert_eq!(count_not, 20, "NOT(a < 10) == a >= 10");
+        assert_eq!(negated.matched(), 20, "NOT(a < 10) == a >= 10");
     }
 
     #[test]
@@ -647,12 +644,12 @@ mod tests {
             let cnf = GpuCnf::all_of(preds.clone());
 
             let (mut gpu, t) = setup(&named);
-            let (sel_fast, c_fast) = eval_conjunction_select(&mut gpu, &t, &preds, false).unwrap();
+            let sel_fast = eval_conjunction_select(&mut gpu, &t, &preds, false).unwrap();
             let mask_fast = sel_fast.read_mask(&mut gpu);
 
-            let (sel_gen, c_gen) = eval_cnf_general_select(&mut gpu, &t, &cnf, false).unwrap();
+            let sel_gen = eval_cnf_general_select(&mut gpu, &t, &cnf, false).unwrap();
             assert_eq!(mask_fast, sel_gen.read_mask(&mut gpu), "k = {k}");
-            assert_eq!(c_fast, c_gen);
+            assert_eq!(sel_fast.matched(), sel_gen.matched());
         }
     }
 
@@ -737,15 +734,15 @@ mod tests {
         let cols: [(&str, &[u32]); 2] = [("a", &a), ("b", &b)];
         for cnf in parity_cnfs() {
             let (mut gpu, t) = setup(&cols);
-            let (sel_f, count_f) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
+            let sel_f = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
             let mask_f = sel_f.read_mask(&mut gpu).unwrap();
 
             let (mut gpu2, t2) = setup(&cols);
-            let (sel_u, count_u) = eval_cnf_select(&mut gpu2, &t2, &cnf, false).unwrap();
+            let sel_u = eval_cnf_select(&mut gpu2, &t2, &cnf, false).unwrap();
             let mask_u = sel_u.read_mask(&mut gpu2).unwrap();
 
             assert_eq!(mask_f, mask_u, "cnf {cnf:?}");
-            assert_eq!(count_f, count_u, "cnf {cnf:?}");
+            assert_eq!(sel_f.matched(), sel_u.matched(), "cnf {cnf:?}");
         }
     }
 
@@ -847,8 +844,8 @@ mod tests {
         let a: Vec<u32> = (0..30).collect();
         let cnf = GpuCnf::new(vec![GpuClause::default()]);
         let (mut gpu, t) = setup(&[("a", &a)]);
-        let (sel, count) = eval_cnf_general_select(&mut gpu, &t, &cnf, true).unwrap();
-        assert_eq!(count, 0);
+        let sel = eval_cnf_general_select(&mut gpu, &t, &cnf, true).unwrap();
+        assert_eq!(sel.matched(), 0);
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), vec![false; 30]);
     }
 
@@ -856,8 +853,8 @@ mod tests {
     fn fused_empty_conjunction_selects_all() {
         let a: Vec<u32> = (0..25).collect();
         let (mut gpu, t) = setup(&[("a", &a)]);
-        let (sel, count) = eval_conjunction_select(&mut gpu, &t, &[], true).unwrap();
-        assert_eq!(count, 25);
+        let sel = eval_conjunction_select(&mut gpu, &t, &[], true).unwrap();
+        assert_eq!(sel.matched(), 25);
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), vec![true; 25]);
     }
 
@@ -890,13 +887,16 @@ mod tests {
 
     fn check_dnf(dnf: &GpuDnf, columns: &[(&str, &[u32])]) {
         let (mut gpu, t) = setup(columns);
-        let (sel, count) = eval_dnf_select(&mut gpu, &t, dnf).unwrap();
+        let sel = eval_dnf_select(&mut gpu, &t, dnf).unwrap();
         let raw: Vec<&[u32]> = columns.iter().map(|(_, v)| *v).collect();
         let n = raw.first().map_or(0, |c| c.len());
         let expected: Vec<bool> = (0..n).map(|row| dnf_reference(dnf, &raw, row)).collect();
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected);
-        assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
-        assert_eq!(sel.count(&mut gpu).unwrap(), count);
+        assert_eq!(
+            sel.matched(),
+            expected.iter().filter(|&&b| b).count() as u64
+        );
+        assert_eq!(sel.count(&mut gpu).unwrap(), sel.matched());
     }
 
     #[test]
@@ -966,11 +966,11 @@ mod tests {
             GpuTerm::single(GpuPredicate::new(0, Less, 20)),
             GpuTerm::single(GpuPredicate::new(0, GreaterEqual, 40)),
         ]);
-        let (sel_c, count_c) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
+        let sel_c = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
         let mask_c = sel_c.read_mask(&mut gpu);
-        let (sel_d, count_d) = eval_dnf_select(&mut gpu, &t, &dnf).unwrap();
+        let sel_d = eval_dnf_select(&mut gpu, &t, &dnf).unwrap();
         assert_eq!(mask_c, sel_d.read_mask(&mut gpu));
-        assert_eq!(count_c, count_d);
+        assert_eq!(sel_c.matched(), sel_d.matched());
     }
 
     #[test]
@@ -993,8 +993,8 @@ mod tests {
             GpuTerm::single(GpuPredicate::new(0, Less, 10)),
             GpuTerm::single(GpuPredicate::new(0, GreaterEqual, 45)),
         ]);
-        let (sel, count) = eval_dnf_select(&mut gpu, &t, &dnf).unwrap();
-        assert_eq!(count, 15);
+        let sel = eval_dnf_select(&mut gpu, &t, &dnf).unwrap();
+        assert_eq!(sel.matched(), 15);
         let sum = crate::aggregate::sum(&mut gpu, &t, 0, Some(&sel)).unwrap();
         let expected: u64 = (0..10u64).sum::<u64>() + (45..50u64).sum::<u64>();
         assert_eq!(sum, expected);

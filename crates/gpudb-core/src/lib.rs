@@ -11,10 +11,11 @@
 //!   (Routine 4.3);
 //! * [`range`] — single-pass range queries via the depth-bounds test
 //!   (Routine 4.4);
-//! * [`aggregate`] — COUNT (occlusion queries), `KthLargest`
-//!   (Routine 4.5), the bitwise `Accumulator` (Routine 4.6), and the
-//!   rejected mipmap-SUM alternative;
-//! * [`selection`] — the stencil buffer as a composable record mask;
+//! * [`aggregate`] — `KthLargest` (Routine 4.5), the bitwise
+//!   `Accumulator` (Routine 4.6), and the rejected mipmap-SUM
+//!   alternative;
+//! * [`selection`] — the stencil buffer as a composable record mask that
+//!   carries its COUNT, the occlusion count of the pass that set it;
 //! * [`metrics`] — structured per-operator metrics records (work
 //!   counters + the device's integer-nanosecond phase times, with the
 //!   paper's "with copy" / "computation only" split) backing the
@@ -40,9 +41,10 @@
 //! let table = GpuTable::upload(&mut gpu, "flows", &[("rate", &flows)]).unwrap();
 //!
 //! // SELECT COUNT(*) FROM flows WHERE rate >= 2048
-//! let (sel, count) = compare_select(&mut gpu, &table, 0,
+//! let sel = compare_select(&mut gpu, &table, 0,
 //!     CompareFunc::GreaterEqual, 2048).unwrap();
-//! assert_eq!(count, flows.iter().filter(|&&v| v >= 2048).count() as u64);
+//! // The count comes from the selection's own pass (§5.11).
+//! assert_eq!(sel.matched(), flows.iter().filter(|&&v| v >= 2048).count() as u64);
 //!
 //! // SELECT MAX(rate) FROM flows WHERE rate >= 2048
 //! let max = aggregate::max(&mut gpu, &table, 0, Some(&sel)).unwrap();

@@ -252,7 +252,7 @@ mod tests {
                 compare_count(gpu, &t, 0, CompareFunc::Greater, 100).unwrap()
             });
             let (_, b) = observe(&mut gpu, "range/range_count", 300, |gpu| {
-                range_select(gpu, &t, 0, 50, 350).unwrap().1
+                range_select(gpu, &t, 0, 50, 350).unwrap().matched()
             });
             let (_, c) = observe(&mut gpu, "aggregate/kth_largest", 300, |gpu| {
                 aggregate::kth_largest(gpu, &t, 0, 7, None).unwrap()
@@ -274,7 +274,7 @@ mod tests {
             compare_count(gpu, &t, 0, CompareFunc::Less, 100).unwrap()
         });
         let (_, r2) = observe(&mut gpu, "range/range_count", 200, |gpu| {
-            range_select(gpu, &t, 0, 10, 90).unwrap().1
+            range_select(gpu, &t, 0, 10, 90).unwrap().matched()
         });
         let sum = r1.modeled_total_ns() + r2.modeled_total_ns();
         log.push(r1);
@@ -296,7 +296,7 @@ mod tests {
         });
         log.push(r);
         let (_, r) = observe(&mut gpu, "range/range_count", 200, |gpu| {
-            range_select(gpu, &t, 0, 10, 90).unwrap().1
+            range_select(gpu, &t, 0, 10, 90).unwrap().matched()
         });
         log.push(r);
         let (_, r) = observe(&mut gpu, "predicate/compare_count", 200, |gpu| {

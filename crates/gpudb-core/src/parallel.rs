@@ -80,12 +80,11 @@
 
 use crate::aggregate::{
     self,
-    kth::{self, apply_selection_mask, Rank},
+    kth::{self, Rank},
 };
 use crate::cpu_oracle::{self, HostTable};
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{self, Cursor, MetricsRecord};
-use crate::predicate::{comparison_pass, copy_to_depth, OcclusionMode};
 use crate::query::ast::{Aggregate, BoolExpr, Query};
 use crate::query::executor::{
     execute_selection, plan_operator, AggValue, ExecuteOptions, QueryOutput,
@@ -98,7 +97,7 @@ use gpudb_lint::{Linter, Severity};
 use gpudb_obs::{merge_shard_trees, Span, SpanTree};
 use gpudb_sim::span::SpanKind;
 use gpudb_sim::trace::PassPlan;
-use gpudb_sim::{CompareFunc, FaultClass, FaultInjector, Gpu, Phase, PhaseNanos, RecordMode};
+use gpudb_sim::{FaultClass, FaultInjector, Gpu, PhaseNanos, RecordMode};
 use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 
@@ -750,10 +749,10 @@ impl<'a> Partition<'a> {
         let result = execute_selection(&mut self.gpu, table, plan, self.options.fuse_passes);
         self.metrics.extend(self.cursor.close(&mut self.gpu));
         self.gpu.span_end();
-        let (selection, matched) = result?;
+        let selection = result?;
         self.lint_since(mark)?;
+        self.matched = selection.as_ref().map_or(input, Selection::matched);
         self.selection = selection;
-        self.matched = matched;
         Ok(())
     }
 
@@ -907,21 +906,16 @@ impl<'a> Partition<'a> {
         Ok(self.selected_values(column)?.map(u64::from).sum())
     }
 
-    /// Open a global bit descent: copy the column to depth and arm the
-    /// selection mask, as Routine 4.5 opens on one device.
+    /// Open a global bit descent as Routine 4.5 opens on one device
+    /// ([`kth::open_descent`]).
     fn op_begin_descent(&mut self, column: usize) -> EngineResult<()> {
         if self.matched == 0 {
             // A partition that selected nothing contributes zero to every
             // count; the copy-to-depth would be dead work.
             return Ok(());
         }
-        self.on_device(|gpu, table, sel| {
-            copy_to_depth(gpu, table, column)?;
-            gpu.set_phase(Phase::Compute);
-            apply_selection_mask(gpu, sel);
-            Ok(())
-        })
-        .map(drop)
+        self.on_device(|gpu, table, sel| kth::open_descent(gpu, table, column, sel))
+            .map(drop)
     }
 
     /// One descent step: count selected records of `column` (already in
@@ -930,18 +924,7 @@ impl<'a> Partition<'a> {
         if self.matched == 0 {
             return Ok(0);
         }
-        let on_device = self.on_device(|gpu, table, sel| {
-            let count = comparison_pass(
-                gpu,
-                table,
-                CompareFunc::GreaterEqual,
-                m,
-                OcclusionMode::Sync,
-            )?;
-            apply_selection_mask(gpu, sel);
-            Ok(count)
-        })?;
-        if let Some(count) = on_device {
+        if let Some(count) = self.on_device(|gpu, table, sel| kth::count_ge(gpu, table, sel, m))? {
             return Ok(count);
         }
         if self.descent.is_empty() {
@@ -958,7 +941,7 @@ impl<'a> Partition<'a> {
             return Ok(());
         }
         self.on_device(|gpu, _, _| {
-            gpu.reset_state();
+            kth::close_descent(gpu);
             Ok(())
         })
         .map(drop)
@@ -968,7 +951,7 @@ impl<'a> Partition<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpudb_sim::{FaultEvent, FaultKind};
+    use gpudb_sim::{CompareFunc, FaultEvent, FaultKind};
 
     fn host_table(records: usize) -> HostTable {
         let a: Vec<u32> = (0..records as u32).map(|i| (i * 37 + 11) % 2000).collect();

@@ -89,7 +89,7 @@ pub fn comparison_pass(
 }
 
 /// Evaluate `attribute op constant` and materialize the result as a
-/// [`Selection`] (stencil = 1 on matching records), returning the match
+/// [`Selection`] (stencil = 1 on matching records) that carries the match
 /// count from the same pass — the paper's observation in §5.11 that
 /// selectivity comes for free with the selection.
 pub fn compare_select(
@@ -98,7 +98,7 @@ pub fn compare_select(
     column: usize,
     op: CompareFunc,
     constant: u32,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     copy_to_depth(gpu, table, column)?;
     gpu.set_phase(Phase::Compute);
     gpu.clear_stencil(0);
@@ -106,7 +106,7 @@ pub fn compare_select(
     gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Replace);
     let count = comparison_pass(gpu, table, op, constant, OcclusionMode::Async)?;
     gpu.reset_state();
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 /// Evaluate `attribute op constant` and return only the match count —
@@ -166,7 +166,8 @@ mod tests {
         for op in [Less, LessEqual, Greater, GreaterEqual, Equal, NotEqual] {
             for c in [0u32, 3, 17, 42, 1000] {
                 let (mut gpu, t) = setup(&values);
-                let (sel, count) = compare_select(&mut gpu, &t, 0, op, c).unwrap();
+                let sel = compare_select(&mut gpu, &t, 0, op, c).unwrap();
+                let count = sel.matched();
                 let expected: Vec<bool> = values.iter().map(|&v| op.eval(v, c)).collect();
                 assert_eq!(
                     sel.read_mask(&mut gpu).unwrap(),
@@ -189,15 +190,15 @@ mod tests {
         let max = (1u32 << 24) - 1;
         let values = vec![0, 1, max - 1, max];
         let (mut gpu, t) = setup(&values);
-        let (_, count) = compare_select(&mut gpu, &t, 0, GreaterEqual, max).unwrap();
-        assert_eq!(count, 1);
-        let (_, count) = compare_select(&mut gpu, &t, 0, LessEqual, 0).unwrap();
-        assert_eq!(count, 1);
-        let (_, count) = compare_select(&mut gpu, &t, 0, Equal, max - 1).unwrap();
-        assert_eq!(count, 1);
+        let sel = compare_select(&mut gpu, &t, 0, GreaterEqual, max).unwrap();
+        assert_eq!(sel.matched(), 1);
+        let sel = compare_select(&mut gpu, &t, 0, LessEqual, 0).unwrap();
+        assert_eq!(sel.matched(), 1);
+        let sel = compare_select(&mut gpu, &t, 0, Equal, max - 1).unwrap();
+        assert_eq!(sel.matched(), 1);
         // Adjacent top-of-range values must not collapse.
-        let (_, count) = compare_select(&mut gpu, &t, 0, Greater, max - 1).unwrap();
-        assert_eq!(count, 1);
+        let sel = compare_select(&mut gpu, &t, 0, Greater, max - 1).unwrap();
+        assert_eq!(sel.matched(), 1);
     }
 
     #[test]
@@ -205,7 +206,7 @@ mod tests {
         let values: Vec<u32> = (0..100).map(|i| (i * 37) % 64).collect();
         let (mut gpu, t) = setup(&values);
         let c1 = compare_count(&mut gpu, &t, 0, Less, 32).unwrap();
-        let (_, c2) = compare_select(&mut gpu, &t, 0, Less, 32).unwrap();
+        let c2 = compare_select(&mut gpu, &t, 0, Less, 32).unwrap().matched();
         assert_eq!(c1, c2);
         assert_eq!(c1, values.iter().filter(|&&v| v < 32).count() as u64);
     }
@@ -216,8 +217,8 @@ mod tests {
         let b: Vec<u32> = (0..8).collect();
         let mut gpu = GpuTable::device_for(8, 4);
         let t = GpuTable::upload(&mut gpu, "t", &[("a", &a), ("b", &b)]).unwrap();
-        let (sel, count) = compare_select(&mut gpu, &t, 1, GreaterEqual, 5).unwrap();
-        assert_eq!(count, 3);
+        let sel = compare_select(&mut gpu, &t, 1, GreaterEqual, 5).unwrap();
+        assert_eq!(sel.matched(), 3);
         assert_eq!(
             sel.read_indices(&mut gpu).unwrap(),
             vec![5, 6, 7],
@@ -284,8 +285,8 @@ mod tests {
     #[test]
     fn empty_table_comparison() {
         let (mut gpu, t) = setup(&[]);
-        let (sel, count) = compare_select(&mut gpu, &t, 0, Less, 10).unwrap();
-        assert_eq!(count, 0);
+        let sel = compare_select(&mut gpu, &t, 0, Less, 10).unwrap();
+        assert_eq!(sel.matched(), 0);
         assert!(sel.read_mask(&mut gpu).unwrap().is_empty());
     }
 }

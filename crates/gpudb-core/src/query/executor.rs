@@ -54,37 +54,27 @@ pub struct QueryOutput {
 }
 
 /// Execute the selection plan, returning the selection (None = all
-/// records) and the match count. `fuse_passes` picks the fused or
-/// literal-paper CNF protocol (identical results either way).
+/// records), which carries its match count. `fuse_passes` picks the fused
+/// or literal-paper CNF protocol (identical results either way).
 pub(crate) fn execute_selection(
     gpu: &mut Gpu,
     table: &GpuTable,
     plan: &SelectionPlan,
     fuse_passes: bool,
-) -> EngineResult<(Option<Selection>, u64)> {
-    match plan {
-        SelectionPlan::All => Ok((None, table.record_count() as u64)),
+) -> EngineResult<Option<Selection>> {
+    Ok(Some(match plan {
+        SelectionPlan::All => return Ok(None),
         SelectionPlan::Range { column, low, high } => {
-            let (sel, count) = range_select(gpu, table, *column, *low, *high)?;
-            Ok((Some(sel), count))
+            range_select(gpu, table, *column, *low, *high)?
         }
-        SelectionPlan::Cnf(cnf) => {
-            let (sel, count) = eval_cnf_select(gpu, table, cnf, fuse_passes)?;
-            Ok((Some(sel), count))
-        }
-        SelectionPlan::Dnf(dnf) => {
-            let (sel, count) = eval_dnf_select(gpu, table, dnf)?;
-            Ok((Some(sel), count))
-        }
+        SelectionPlan::Cnf(cnf) => eval_cnf_select(gpu, table, cnf, fuse_passes)?,
+        SelectionPlan::Dnf(dnf) => eval_dnf_select(gpu, table, dnf)?,
         SelectionPlan::SemiLinear {
             coefficients,
             op,
             constant,
-        } => {
-            let (sel, count) = semilinear_select(gpu, table, coefficients, *op, *constant)?;
-            Ok((Some(sel), count))
-        }
-    }
+        } => semilinear_select(gpu, table, coefficients, *op, *constant)?,
+    }))
 }
 
 /// Short operator tag for a selection plan, used in metrics records.

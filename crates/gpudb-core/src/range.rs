@@ -16,7 +16,7 @@ use gpudb_sim::state::ColorMask;
 use gpudb_sim::{CompareFunc, Gpu, Phase, StencilOp};
 
 /// Evaluate `low <= column <= high` (inclusive), materializing a
-/// [`Selection`] and returning the match count from the same pass.
+/// [`Selection`] that carries the match count from the same pass.
 ///
 /// Routine 4.4: set up the stencil, copy the attribute into the depth
 /// buffer, set the depth bounds from `[low, high]`, and render one quad
@@ -28,14 +28,14 @@ pub fn range_select(
     column: usize,
     low: u32,
     high: u32,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     // An inverted range is empty by host arithmetic, and
     // EXT_depth_bounds_test rejects zmin > zmax (glDepthBoundsEXT raises
     // INVALID_VALUE). Decide *before* any device work: the answer is a
     // const-empty selection, so the stage is genuinely zero-cost yet
     // still emits its MetricsRecord from the executor.
     if low > high {
-        return Ok((Selection::const_empty(table), 0));
+        return Ok(Selection::const_empty(table));
     }
 
     // Line 1: SetupStencil.
@@ -67,7 +67,7 @@ pub fn range_select(
     gpu.draw_quad(table.rects(), encode_depth_f64(low) as f32)?;
     let count = gpu.end_occlusion_query_async()?;
     gpu.reset_state();
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 /// The paper's degraded Range for hardware without depth-bounds: two
@@ -85,7 +85,7 @@ fn range_select_two_pass(
     table: &GpuTable,
     low: u32,
     high: u32,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     gpu.set_phase(Phase::Compute);
     gpu.set_color_mask(ColorMask::NONE);
     gpu.set_depth_write(false);
@@ -113,7 +113,7 @@ fn range_select_two_pass(
         OcclusionMode::Async,
     )?;
     gpu.reset_state();
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 #[cfg(test)]
@@ -132,18 +132,21 @@ mod tests {
     fn range_matches_reference() {
         let values: Vec<u32> = (0..100).map(|i| (i * 37) % 90).collect();
         let (mut gpu, t) = setup(&values);
-        let (sel, count) = range_select(&mut gpu, &t, 0, 20, 60).unwrap();
+        let sel = range_select(&mut gpu, &t, 0, 20, 60).unwrap();
         let expected: Vec<bool> = values.iter().map(|&v| (20..=60).contains(&v)).collect();
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected);
-        assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
+        assert_eq!(
+            sel.matched(),
+            expected.iter().filter(|&&b| b).count() as u64
+        );
     }
 
     #[test]
     fn bounds_are_inclusive() {
         let values = vec![9u32, 10, 11, 49, 50, 51];
         let (mut gpu, t) = setup(&values);
-        let (sel, count) = range_select(&mut gpu, &t, 0, 10, 50).unwrap();
-        assert_eq!(count, 4);
+        let sel = range_select(&mut gpu, &t, 0, 10, 50).unwrap();
+        assert_eq!(sel.matched(), 4);
         assert_eq!(
             sel.read_mask(&mut gpu).unwrap(),
             vec![false, true, true, true, true, false]
@@ -158,20 +161,20 @@ mod tests {
         let values: Vec<u32> = (0..200).map(|i| (i * 7919) % 3000).collect();
         for (low, high) in [(0u32, 2999u32), (500, 1500), (100, 100), (2999, 2999)] {
             let (mut gpu, t) = setup(&values);
-            let (sel_range, c_range) = range_select(&mut gpu, &t, 0, low, high).unwrap();
+            let sel_range = range_select(&mut gpu, &t, 0, low, high).unwrap();
             let mask_range = sel_range.read_mask(&mut gpu).unwrap();
 
             let cnf = GpuCnf::all_of(vec![
                 GpuPredicate::new(0, GreaterEqual, low),
                 GpuPredicate::new(0, LessEqual, high),
             ]);
-            let (sel_cnf, c_cnf) = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
+            let sel_cnf = eval_cnf_select(&mut gpu, &t, &cnf, true).unwrap();
             assert_eq!(
                 mask_range,
                 sel_cnf.read_mask(&mut gpu).unwrap(),
                 "[{low}, {high}]"
             );
-            assert_eq!(c_range, c_cnf);
+            assert_eq!(sel_range.matched(), sel_cnf.matched());
         }
     }
 
@@ -219,14 +222,14 @@ mod tests {
         let rows = values.len().div_ceil(5);
         for (low, high) in [(0u32, 2999u32), (500, 1500), (100, 100), (2999, 2999)] {
             let (mut gpu, t) = setup(&values);
-            let (sel, count) = range_select(&mut gpu, &t, 0, low, high).unwrap();
+            let sel = range_select(&mut gpu, &t, 0, low, high).unwrap();
             let mask = sel.read_mask(&mut gpu).unwrap();
 
             let mut degraded =
                 Gpu::new(HardwareProfile::geforce_fx_5900_no_depth_bounds(), 5, rows);
             let t2 = GpuTable::upload(&mut degraded, "t", &[("a", &values)]).unwrap();
-            let (sel2, count2) = range_select(&mut degraded, &t2, 0, low, high).unwrap();
-            assert_eq!(count2, count, "[{low}, {high}]");
+            let sel2 = range_select(&mut degraded, &t2, 0, low, high).unwrap();
+            assert_eq!(sel2.matched(), sel.matched(), "[{low}, {high}]");
             assert_eq!(sel2.read_mask(&mut degraded).unwrap(), mask);
         }
     }
@@ -258,8 +261,8 @@ mod tests {
         gpu.clear_stencil(SELECTED);
         let counters = gpu.stats().counters();
         let modeled = gpu.stats().modeled_total();
-        let (sel, count) = range_select(&mut gpu, &t, 0, 7, 5).unwrap();
-        assert_eq!(count, 0);
+        let sel = range_select(&mut gpu, &t, 0, 7, 5).unwrap();
+        assert_eq!(sel.matched(), 0);
         assert!(sel.is_const_empty());
         assert_eq!(gpu.stats().counters(), counters, "no device work");
         assert_eq!(gpu.stats().modeled_total(), modeled, "no modeled cost");
@@ -271,10 +274,10 @@ mod tests {
         let values = vec![5u32, 6, 7];
         let (mut gpu, t) = setup(&values);
         // low > high selects nothing.
-        let (_, count) = range_select(&mut gpu, &t, 0, 7, 5).unwrap();
+        let count = range_select(&mut gpu, &t, 0, 7, 5).unwrap().matched();
         assert_eq!(count, 0);
         // Point range selects exact matches.
-        let (_, count) = range_select(&mut gpu, &t, 0, 6, 6).unwrap();
+        let count = range_select(&mut gpu, &t, 0, 6, 6).unwrap().matched();
         assert_eq!(count, 1);
     }
 
@@ -282,8 +285,8 @@ mod tests {
     fn full_domain_range_selects_all() {
         let values: Vec<u32> = (0..50).collect();
         let (mut gpu, t) = setup(&values);
-        let (_, count) = range_select(&mut gpu, &t, 0, 0, (1 << 24) - 1).unwrap();
-        assert_eq!(count, 50);
+        let sel = range_select(&mut gpu, &t, 0, 0, (1 << 24) - 1).unwrap();
+        assert_eq!(sel.matched(), 50);
     }
 
     #[test]
@@ -291,7 +294,7 @@ mod tests {
         let max = (1u32 << 24) - 1;
         let values = vec![max - 2, max - 1, max];
         let (mut gpu, t) = setup(&values);
-        let (_, count) = range_select(&mut gpu, &t, 0, max - 1, max).unwrap();
-        assert_eq!(count, 2);
+        let sel = range_select(&mut gpu, &t, 0, max - 1, max).unwrap();
+        assert_eq!(sel.matched(), 2);
     }
 }

@@ -22,6 +22,9 @@ pub struct Selection {
     record_count: usize,
     width: usize,
     rects: Vec<Rect>,
+    /// The exact number of selected records, from the pass that set the
+    /// stencil (§5.11: the count comes "with no additional overhead").
+    matched: u64,
     /// A constant-empty selection matches nothing *by construction* (e.g.
     /// an inverted range): no stencil was written for it, so every device
     /// consumer must — and does — short-circuit instead of testing
@@ -30,13 +33,15 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// Describe a selection over a table (does not touch the device; the
-    /// stencil contents are produced by the selection operations).
-    pub(crate) fn over_table(table: &GpuTable) -> Selection {
+    /// Describe a selection over a table that the pass just run set in
+    /// the stencil, matching `matched` records by that pass's occlusion
+    /// count (does not touch the device).
+    pub(crate) fn over_table(table: &GpuTable, matched: u64) -> Selection {
         Selection {
             record_count: table.record_count(),
             width: table.width(),
             rects: table.rects().to_vec(),
+            matched,
             const_empty: false,
         }
     }
@@ -51,6 +56,7 @@ impl Selection {
             record_count: table.record_count(),
             width: table.width(),
             rects: Vec::new(),
+            matched: 0,
             const_empty: true,
         }
     }
@@ -73,11 +79,11 @@ impl Selection {
         gpu.set_stencil_op(StencilOp::Keep, StencilOp::Keep, StencilOp::Replace);
         gpu.draw_quad(table.rects(), 0.0)?;
         gpu.reset_state();
-        Ok(Selection::over_table(table))
+        Ok(Selection::over_table(table, table.record_count() as u64))
     }
 
     /// Number of records the selection ranges over (not the number
-    /// selected — see [`Selection::count`]).
+    /// selected — see [`Selection::matched`]).
     pub fn record_count(&self) -> usize {
         self.record_count
     }
@@ -87,9 +93,17 @@ impl Selection {
         &self.rects
     }
 
-    /// Count the selected records with an occlusion-query pass (the
-    /// paper's COUNT, §4.3.1): render the record quad with a stencil test
-    /// for the selected value and read back the pixel pass count.
+    /// Number of selected records, carried from the pass that set the
+    /// stencil: no device work.
+    pub fn matched(&self) -> u64 {
+        self.matched
+    }
+
+    /// Count the selected records with a standalone occlusion-query pass
+    /// (the paper's COUNT, §4.3.1): render the record quad with a stencil
+    /// test for the selected value and read back the pixel pass count.
+    /// Equals [`Selection::matched`]; it re-reads the stencil for a cost
+    /// the selection already paid.
     pub fn count(&self, gpu: &mut Gpu) -> EngineResult<u64> {
         if self.const_empty {
             return Ok(0);
@@ -107,12 +121,14 @@ impl Selection {
         Ok(count)
     }
 
-    /// Selectivity of the selection in `[0, 1]`.
-    pub fn selectivity(&self, gpu: &mut Gpu) -> EngineResult<f64> {
-        if self.record_count == 0 || self.const_empty {
-            return Ok(0.0);
+    /// Selectivity of the selection in `[0, 1]` — the quantity
+    /// join-ordering optimizers consume (§5.11) — from the carried count,
+    /// on the host.
+    pub fn selectivity(&self) -> f64 {
+        if self.record_count == 0 {
+            return 0.0;
         }
-        Ok(self.count(gpu)? as f64 / self.record_count as f64)
+        self.matched as f64 / self.record_count as f64
     }
 
     /// Read the selection back to the host as one bool per record — the
@@ -156,8 +172,9 @@ mod tests {
         let mut gpu = GpuTable::device_for(10, 4);
         let t = table(&mut gpu, 10);
         let sel = Selection::select_all(&mut gpu, &t).unwrap();
+        assert_eq!(sel.matched(), 10);
         assert_eq!(sel.count(&mut gpu).unwrap(), 10);
-        assert_eq!(sel.selectivity(&mut gpu).unwrap(), 1.0);
+        assert_eq!(sel.selectivity(), 1.0);
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), vec![true; 10]);
     }
 
@@ -178,8 +195,9 @@ mod tests {
         let mut gpu = GpuTable::device_for(0, 4);
         let t = table(&mut gpu, 0);
         let sel = Selection::select_all(&mut gpu, &t).unwrap();
+        assert_eq!(sel.matched(), 0);
         assert_eq!(sel.count(&mut gpu).unwrap(), 0);
-        assert_eq!(sel.selectivity(&mut gpu).unwrap(), 0.0);
+        assert_eq!(sel.selectivity(), 0.0);
         assert!(sel.read_mask(&mut gpu).unwrap().is_empty());
     }
 
@@ -205,8 +223,9 @@ mod tests {
         let sel = Selection::const_empty(&t);
         assert!(sel.is_const_empty());
         assert_eq!(sel.record_count(), 10);
+        assert_eq!(sel.matched(), 0);
         assert_eq!(sel.count(&mut gpu).unwrap(), 0);
-        assert_eq!(sel.selectivity(&mut gpu).unwrap(), 0.0);
+        assert_eq!(sel.selectivity(), 0.0);
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), vec![false; 10]);
         assert!(sel.read_indices(&mut gpu).unwrap().is_empty());
         // count() issued no occlusion query, no draw — and read_mask no
@@ -215,12 +234,18 @@ mod tests {
     }
 
     #[test]
-    fn count_uses_one_occlusion_readback() {
-        let mut gpu = GpuTable::device_for(10, 4);
-        let t = table(&mut gpu, 10);
-        let sel = Selection::select_all(&mut gpu, &t).unwrap();
-        let before = gpu.stats().occlusion_readbacks;
-        sel.count(&mut gpu).unwrap();
-        assert_eq!(gpu.stats().occlusion_readbacks, before + 1);
+    fn count_pass_equals_carried_count_within_paper_bound() {
+        // §5.11: "we can obtain the number of selected values within
+        // 0.25 ms" on a 1000×1000 frame-buffer: one quad fill plus one
+        // synchronous occlusion fetch, agreeing with the carried count.
+        let mut gpu = GpuTable::device_for(200, 16);
+        let t = table(&mut gpu, 200);
+        let sel = crate::predicate::compare_select(&mut gpu, &t, 0, CompareFunc::Less, 50).unwrap();
+        assert_eq!((sel.matched(), sel.selectivity()), (50, 0.25));
+        gpu.reset_stats();
+        assert_eq!(sel.count(&mut gpu).unwrap(), 50);
+        assert_eq!(gpu.stats().occlusion_readbacks, 1);
+        let readback = gpu.stats().modeled.get(Phase::Readback);
+        assert!(readback <= 250_000, "readback {readback} ns");
     }
 }

@@ -66,7 +66,7 @@ pub fn build_semilinear_program(groups: usize, op: CompareFunc) -> FragmentProgr
 }
 
 /// Evaluate `sum_j s[j] * column_j op b` over the table's first
-/// `s.len()` columns, materializing a [`Selection`] and returning the
+/// `s.len()` columns, materializing a [`Selection`] that carries the
 /// match count from the same pass.
 ///
 /// The coefficients pair with columns in declaration order; columns beyond
@@ -77,7 +77,7 @@ pub fn semilinear_select(
     s: &[f32],
     op: CompareFunc,
     b: f32,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     if s.is_empty() || s.len() > MAX_SEMILINEAR_ATTRIBUTES {
         return Err(EngineError::TooManyAttributes(s.len()));
     }
@@ -113,7 +113,7 @@ pub fn semilinear_select(
     let count = gpu.end_occlusion_query_async()?;
     gpu.bind_program(None);
     gpu.reset_state();
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 /// Evaluate the degree-2 polynomial query
@@ -133,7 +133,7 @@ pub fn polynomial_select(
     linear: &[f32],
     op: CompareFunc,
     b: f32,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     let width = quadratic.len().max(linear.len());
     if width == 0 || width > 4 {
         // One texture group: the paper's 4-attribute experiments.
@@ -198,7 +198,7 @@ pub fn polynomial_select(
     let count = gpu.end_occlusion_query_async()?;
     gpu.bind_program(None);
     gpu.reset_state();
-    Ok((Selection::over_table(table), count))
+    Ok(Selection::over_table(table, count))
 }
 
 /// Compare two attributes (`a_i op a_j`) by rewriting as the semi-linear
@@ -209,7 +209,7 @@ pub fn compare_attributes(
     col_i: usize,
     col_j: usize,
     op: CompareFunc,
-) -> EngineResult<(Selection, u64)> {
+) -> EngineResult<Selection> {
     let n = table.column_count();
     if col_i >= n {
         return Err(EngineError::ColumnIndexOutOfRange(col_i));
@@ -272,12 +272,15 @@ mod tests {
         let s = [0.5f32, -1.25, 2.0, 0.3];
         for op in [Less, LessEqual, Greater, GreaterEqual, Equal, NotEqual] {
             let (mut gpu, t) = setup(&named);
-            let (sel, count) = semilinear_select(&mut gpu, &t, &s, op, 40.0).unwrap();
+            let sel = semilinear_select(&mut gpu, &t, &s, op, 40.0).unwrap();
             let expected: Vec<bool> = (0..100)
                 .map(|row| op.eval(gpu_order_dot(&refs, &s, row), 40.0))
                 .collect();
             assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected, "op {op:?}");
-            assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
+            assert_eq!(
+                sel.matched(),
+                expected.iter().filter(|&&b| b).count() as u64
+            );
         }
     }
 
@@ -295,12 +298,15 @@ mod tests {
         let refs: Vec<&[u32]> = cols.iter().map(|v| v.as_slice()).collect();
         let s: Vec<f32> = (0..8).map(|i| (i as f32 - 3.5) * 0.25).collect();
         let (mut gpu, t) = setup(&named);
-        let (sel, count) = semilinear_select(&mut gpu, &t, &s, GreaterEqual, 1.0).unwrap();
+        let sel = semilinear_select(&mut gpu, &t, &s, GreaterEqual, 1.0).unwrap();
         let expected: Vec<bool> = (0..50)
             .map(|row| gpu_order_dot(&refs, &s, row) >= 1.0)
             .collect();
         assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected);
-        assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
+        assert_eq!(
+            sel.matched(),
+            expected.iter().filter(|&&b| b).count() as u64
+        );
     }
 
     #[test]
@@ -310,8 +316,8 @@ mod tests {
         let a: Vec<u32> = (0..20).collect();
         let b: Vec<u32> = (0..20).map(|i| i * 1000).collect();
         let (mut gpu, t) = setup(&[("a", &a), ("b", &b)]);
-        let (_, count) = semilinear_select(&mut gpu, &t, &[1.0], GreaterEqual, 10.0).unwrap();
-        assert_eq!(count, 10, "only column a participates");
+        let sel = semilinear_select(&mut gpu, &t, &[1.0], GreaterEqual, 10.0).unwrap();
+        assert_eq!(sel.matched(), 10, "only column a participates");
     }
 
     #[test]
@@ -319,13 +325,13 @@ mod tests {
         let a: Vec<u32> = vec![5, 10, 15, 20, 25];
         let b: Vec<u32> = vec![7, 10, 12, 30, 25];
         let (mut gpu, t) = setup(&[("a", &a), ("b", &b)]);
-        let (sel, count) = compare_attributes(&mut gpu, &t, 0, 1, Greater).unwrap();
-        assert_eq!(count, 1);
+        let sel = compare_attributes(&mut gpu, &t, 0, 1, Greater).unwrap();
+        assert_eq!(sel.matched(), 1);
         assert_eq!(sel.read_indices(&mut gpu).unwrap(), vec![2]);
-        let (_, count) = compare_attributes(&mut gpu, &t, 0, 1, Equal).unwrap();
-        assert_eq!(count, 2);
-        let (_, count) = compare_attributes(&mut gpu, &t, 1, 0, Greater).unwrap();
-        assert_eq!(count, 2);
+        let sel = compare_attributes(&mut gpu, &t, 0, 1, Equal).unwrap();
+        assert_eq!(sel.matched(), 2);
+        let sel = compare_attributes(&mut gpu, &t, 1, 0, Greater).unwrap();
+        assert_eq!(sel.matched(), 2);
     }
 
     #[test]
@@ -333,10 +339,10 @@ mod tests {
         let a: Vec<u32> = (0..10).collect();
         let (mut gpu, t) = setup(&[("a", &a)]);
         // a - a == 0 for every record.
-        let (_, count) = compare_attributes(&mut gpu, &t, 0, 0, Equal).unwrap();
-        assert_eq!(count, 10);
-        let (_, count) = compare_attributes(&mut gpu, &t, 0, 0, NotEqual).unwrap();
-        assert_eq!(count, 0);
+        let sel = compare_attributes(&mut gpu, &t, 0, 0, Equal).unwrap();
+        assert_eq!(sel.matched(), 10);
+        let sel = compare_attributes(&mut gpu, &t, 0, 0, NotEqual).unwrap();
+        assert_eq!(sel.matched(), 0);
     }
 
     #[test]
@@ -406,12 +412,15 @@ mod tests {
         let s = [3.0f32, 1.0];
         for op in [Less, GreaterEqual, NotEqual] {
             let (mut gpu, t) = setup(&named);
-            let (sel, count) = polynomial_select(&mut gpu, &t, &q, &s, op, 5_000.0).unwrap();
+            let sel = polynomial_select(&mut gpu, &t, &q, &s, op, 5_000.0).unwrap();
             let expected: Vec<bool> = (0..120)
                 .map(|row| op.eval(gpu_order_poly(&refs, &q, &s, row), 5_000.0))
                 .collect();
             assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected, "op {op:?}");
-            assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
+            assert_eq!(
+                sel.matched(),
+                expected.iter().filter(|&&b| b).count() as u64
+            );
         }
     }
 
@@ -423,10 +432,9 @@ mod tests {
         let b: Vec<u32> = (0..50u32).map(|i| (i * 13) % 99).collect();
         let (mut gpu, t) = setup(&[("a", &a), ("b", &b)]);
         let s = [2.0f32, -1.0];
-        let (_, poly_count) =
-            polynomial_select(&mut gpu, &t, &[0.0, 0.0], &s, GreaterEqual, 10.0).unwrap();
-        let (_, lin_count) = semilinear_select(&mut gpu, &t, &s, GreaterEqual, 10.0).unwrap();
-        assert_eq!(poly_count, lin_count);
+        let poly = polynomial_select(&mut gpu, &t, &[0.0, 0.0], &s, GreaterEqual, 10.0).unwrap();
+        let lin = semilinear_select(&mut gpu, &t, &s, GreaterEqual, 10.0).unwrap();
+        assert_eq!(poly.matched(), lin.matched());
     }
 
     #[test]
@@ -437,14 +445,14 @@ mod tests {
         let y: Vec<u32> = (0..200u32).map(|i| (i * 37) % 100).collect();
         let (mut gpu, t) = setup(&[("x", &x), ("y", &y)]);
         let r2 = 50.0f32 * 50.0;
-        let (_, count) = polynomial_select(&mut gpu, &t, &[1.0, 1.0], &[], LessEqual, r2).unwrap();
+        let sel = polynomial_select(&mut gpu, &t, &[1.0, 1.0], &[], LessEqual, r2).unwrap();
         let expected = (0..200)
             .filter(|&i| {
                 let (fx, fy) = (x[i] as f32, y[i] as f32);
                 fx * fx + fy * fy <= r2
             })
             .count() as u64;
-        assert_eq!(count, expected);
+        assert_eq!(sel.matched(), expected);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! filter expression over simple predicates must select exactly the
 //! records a direct row-by-row evaluation of the expression selects —
 //! regardless of which physical plan (CNF, conjunction fast path, or
-//! depth-bounds range) the planner chooses.
+//! depth-bounds range) the planner chooses. And no text, however
+//! malformed, makes the parser or the CPU oracle panic.
 
-use gpudb_core::query::{execute, plan_selection, Aggregate, BoolExpr, Query, SelectionPlan};
+use gpudb_core::cpu_oracle::{self, HostTable};
+use gpudb_core::query::{
+    execute, parse, plan_selection, Aggregate, BoolExpr, Query, SelectionPlan,
+};
 use gpudb_core::table::GpuTable;
 use gpudb_sim::CompareFunc;
 use proptest::prelude::*;
@@ -129,5 +133,145 @@ proptest! {
                 other => prop_assert!(false, "expected Range plan, got {:?}", other),
             }
         }
+    }
+}
+
+/// The parser's own vocabulary: keywords, operators, punctuation, the
+/// host table's columns and numbers at the encoding's edges (2^24 - 1,
+/// 2^24, 2^32 - 1, 2^32), negatives and decimals.
+const TOKENS: [&str; 46] = [
+    "EXPLAIN",
+    "ANALYZE",
+    "SELECT",
+    "FROM",
+    "WHERE",
+    "COUNT",
+    "SUM",
+    "AVG",
+    "MIN",
+    "MAX",
+    "MEDIAN",
+    "PERCENTILE",
+    "KTH_LARGEST",
+    "KTH_SMALLEST",
+    "OR",
+    "AND",
+    "NOT",
+    "IN",
+    "BETWEEN",
+    "=",
+    "<>",
+    "!=",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "(",
+    ")",
+    ",",
+    "*",
+    "t",
+    "a",
+    "b",
+    "c",
+    "0",
+    "16777215",
+    "16777216",
+    "4294967295",
+    "4294967296",
+    "-1",
+    "-16777216",
+    "0.5",
+    "1.0",
+    "2.5",
+    "0.",
+    "1.2.3",
+];
+
+/// Aggregates over the host table's columns, ranks and fractions at the
+/// same edges.
+const AGGREGATES: [&str; 10] = [
+    "COUNT(*)",
+    "SUM(a)",
+    "AVG(b)",
+    "MIN(c)",
+    "MAX(a)",
+    "MEDIAN(b)",
+    "PERCENTILE(c, 0.5)",
+    "PERCENTILE(a, 4294967296)",
+    "KTH_LARGEST(a, 0)",
+    "KTH_SMALLEST(b, 4294967296)",
+];
+
+/// Whole filter atoms, so that soup often parses.
+const ATOMS: [&str; 7] = [
+    "a < 16777216",
+    "b >= 4294967295",
+    "c = 0",
+    "a <> b",
+    "b BETWEEN 16777215 AND 0",
+    "c IN (0, 16777215, 4294967295)",
+    "a != c",
+];
+
+/// A small three-column host table with values at both ends of the
+/// 24-bit encoding.
+fn host_table() -> HostTable {
+    let max = (1u32 << 24) - 1;
+    HostTable::new(
+        "t",
+        vec![
+            ("a", vec![0, 1, 2, 3, max, 7, 7, 100]),
+            ("b", vec![max, 0, 5, 5, 9, 1, 2, 3]),
+            ("c", vec![4, 4, 4, 0, 0, max, 8, 16]),
+        ],
+    )
+    .unwrap()
+}
+
+/// Parse `text`; a statement that parses must run on the CPU oracle.
+/// Either step may fail, but only with a typed error: a panic fails the
+/// test.
+fn parse_and_run(text: &str) {
+    if let Ok(statement) = parse(text) {
+        let _ = cpu_oracle::execute(&host_table(), &statement.query);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn parser_never_panics(input in "\\PC{0,200}") {
+        parse_and_run(&input);
+    }
+
+    #[test]
+    fn parser_never_panics_on_token_soup(
+        raw in prop::collection::vec(0usize..TOKENS.len(), 0..40),
+        aggregates in prop::collection::vec(0usize..AGGREGATES.len(), 1..4),
+        filter in prop::collection::vec((0usize..8, 0usize..ATOMS.len(), 0usize..TOKENS.len()), 1..8),
+    ) {
+        // Pure soup, then soup in a statement's skeleton: atoms joined by
+        // AND or OR, some negated or opening or closing a parenthesis,
+        // one in eight replaced by a raw token.
+        let words: Vec<&str> = raw.iter().map(|&i| TOKENS[i]).collect();
+        parse_and_run(&words.join(" "));
+        let aggregates: Vec<&str> = aggregates.iter().map(|&i| AGGREGATES[i]).collect();
+        let mut text = format!("SELECT {} FROM t WHERE", aggregates.join(", "));
+        for (n, &(kind, atom, token)) in filter.iter().enumerate() {
+            if n > 0 {
+                text.push_str(if token % 2 == 0 { " AND" } else { " OR" });
+            }
+            let atom = ATOMS[atom];
+            text.push_str(&match kind {
+                0 => format!(" {}", TOKENS[token]),
+                1 => format!(" NOT {atom}"),
+                2 => format!(" ({atom}"),
+                3 => format!(" {atom})"),
+                _ => format!(" {atom}"),
+            });
+        }
+        parse_and_run(&text);
     }
 }

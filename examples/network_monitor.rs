@@ -40,9 +40,10 @@ fn main() -> EngineResult<()> {
     // --- 1. Heavy-hitter flows: data_count above its 95th percentile ---
     let threshold = selectivity::percentile(raw[0], 0.95).unwrap();
     let n = records as u64;
-    let ((sel, count), t) = observe(&mut gpu, "heavy-hitters", n, |gpu| {
+    let (sel, t) = observe(&mut gpu, "heavy-hitters", n, |gpu| {
         compare_select(gpu, &table, 0, CompareFunc::GreaterEqual, threshold).unwrap()
     });
+    let count = sel.matched();
     let cpu_count = cpu::scan::count_u32(raw[0], cpu::CmpOp::Ge, threshold) as u64;
     assert_eq!(count, cpu_count);
     println!(
@@ -60,8 +61,10 @@ fn main() -> EngineResult<()> {
         GpuPredicate::new(3, CompareFunc::GreaterEqual, 4), // retransmitting
         GpuPredicate::new(2, CompareFunc::GreaterEqual, 1000), // busy
     ]);
-    let ((_, unhealthy), t) = observe(&mut gpu, "health", n, |gpu| {
-        gpudb::core::boolean::eval_cnf_select(gpu, &table, &cnf, true).unwrap()
+    let (unhealthy, t) = observe(&mut gpu, "health", n, |gpu| {
+        gpudb::core::boolean::eval_cnf_select(gpu, &table, &cnf, true)
+            .unwrap()
+            .matched()
     });
     let cpu_cnf = cpu::Cnf::all_of(vec![
         cpu::Predicate::new(1, cpu::CmpOp::Gt, 0),
@@ -79,8 +82,8 @@ fn main() -> EngineResult<()> {
 
     // --- 3. Range query on flow_rate at 60% selectivity (Figure 4 setup) ---
     let (low, high, achieved) = selectivity::range_for_selectivity(raw[2], 0.6).unwrap();
-    let ((_, in_range), t) = observe(&mut gpu, "range", n, |gpu| {
-        range_select(gpu, &table, 2, low, high).unwrap()
+    let (in_range, t) = observe(&mut gpu, "range", n, |gpu| {
+        range_select(gpu, &table, 2, low, high).unwrap().matched()
     });
     assert_eq!(
         in_range,

@@ -26,9 +26,10 @@ fn main() -> EngineResult<()> {
 
     // Predicate via the depth test (Routine 4.1): latency >= 15ms.
     let n = latencies.len() as u64;
-    let ((sel, count), timing) = observe(&mut gpu, "predicate", n, |gpu| {
+    let (sel, timing) = observe(&mut gpu, "predicate", n, |gpu| {
         compare_select(gpu, &table, 0, CompareFunc::GreaterEqual, 15_000).unwrap()
     });
+    let count = sel.matched();
     println!(
         "\nSELECT COUNT(*) WHERE latency_us >= 15000\n  -> {count} rows \
          ({:.1}% selectivity), modeled GPU time {:.3} ms ({:.3} ms compute-only)",
@@ -43,8 +44,10 @@ fn main() -> EngineResult<()> {
     println!("  p99 of the slow set: {p99_slow} us; mean {avg_slow:.1} us");
 
     // Range query in a single pass via the depth-bounds test (Routine 4.4).
-    let ((_, in_band), timing) = observe(&mut gpu, "range", n, |gpu| {
-        range_select(gpu, &table, 0, 1_000, 5_000).unwrap()
+    let (in_band, timing) = observe(&mut gpu, "range", n, |gpu| {
+        range_select(gpu, &table, 0, 1_000, 5_000)
+            .unwrap()
+            .matched()
     });
     println!(
         "\nSELECT COUNT(*) WHERE latency_us BETWEEN 1000 AND 5000\n  -> {in_band} rows, \

@@ -49,8 +49,10 @@ fn main() -> EngineResult<()> {
     // --- Half-plane query: which features lie north-east of the line
     //     x + y >= 80000? One fragment-program pass, no depth copy. ---
     let coeffs = [1.0f32, 1.0, 0.0, 0.0];
-    let ((_, count), t) = observe(&mut gpu, "semilinear", n as u64, |gpu| {
-        semilinear_select(gpu, &table, &coeffs, CompareFunc::GreaterEqual, 80_000.0).unwrap()
+    let (count, t) = observe(&mut gpu, "semilinear", n as u64, |gpu| {
+        semilinear_select(gpu, &table, &coeffs, CompareFunc::GreaterEqual, 80_000.0)
+            .unwrap()
+            .matched()
     });
     let cpu_count =
         cpu::semilinear::semilinear_count(&raw, &coeffs, cpu::CmpOp::Ge, 80_000.0) as u64;
@@ -65,20 +67,22 @@ fn main() -> EngineResult<()> {
     //     20000 <= 0.6x - 0.8y + 50000 <= 28000, expressed as two
     //     semi-linear passes intersected on the host counts. ---
     let band = [0.6f32, -0.8, 0.0, 0.0];
-    let (_, above) = semilinear_select(
+    let above = semilinear_select(
         &mut gpu,
         &table,
         &band,
         CompareFunc::GreaterEqual,
         20_000.0 - 50_000.0,
-    )?;
-    let (_, below) = semilinear_select(
+    )?
+    .matched();
+    let below = semilinear_select(
         &mut gpu,
         &table,
         &band,
         CompareFunc::Greater,
         28_000.0 - 50_000.0,
-    )?;
+    )?
+    .matched();
     println!(
         "[corridor] 20000 <= 0.6x - 0.8y + 50000 <= 28000: {} features",
         above - below
@@ -87,9 +91,10 @@ fn main() -> EngineResult<()> {
     // --- Weighted scoring: flood risk = 2*pop - 30*elevation > 0,
     //     a genuine 4-attribute linear combination. ---
     let risk = [0.0f32, 0.0, -30.0, 2.0];
-    let ((risk_sel, at_risk), t) = observe(&mut gpu, "risk", n as u64, |gpu| {
+    let (risk_sel, t) = observe(&mut gpu, "risk", n as u64, |gpu| {
         semilinear_select(gpu, &table, &risk, CompareFunc::Greater, 0.0).unwrap()
     });
+    let at_risk = risk_sel.matched();
     assert_eq!(
         at_risk,
         cpu::semilinear::semilinear_count(&raw, &risk, cpu::CmpOp::Gt, 0.0) as u64
@@ -105,8 +110,10 @@ fn main() -> EngineResult<()> {
 
     // --- Column-column comparison (the paper's a_i op a_j rewrite):
     //     features where x > y, i.e. south-east half of the grid. ---
-    let ((_, se_count), t) = observe(&mut gpu, "attribute-compare", n as u64, |gpu| {
-        compare_attributes(gpu, &table, 0, 1, CompareFunc::Greater).unwrap()
+    let (se_count, t) = observe(&mut gpu, "attribute-compare", n as u64, |gpu| {
+        compare_attributes(gpu, &table, 0, 1, CompareFunc::Greater)
+            .unwrap()
+            .matched()
     });
     let expected = (0..n).filter(|&i| x[i] > y[i]).count() as u64;
     assert_eq!(se_count, expected);

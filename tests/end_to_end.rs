@@ -27,10 +27,9 @@ fn tcpip_workload_full_pipeline() {
 
     // Predicate at the paper's 60% selectivity.
     let (threshold, _) = selectivity::threshold_for_ge(raw[0], 0.6).unwrap();
-    let (sel, count) =
-        compare_select(&mut gpu, &table, 0, CompareFunc::GreaterEqual, threshold).unwrap();
+    let sel = compare_select(&mut gpu, &table, 0, CompareFunc::GreaterEqual, threshold).unwrap();
     let cpu_bm = cpu::scan::scan_u32(raw[0], cpu::CmpOp::Ge, threshold);
-    assert_eq!(count, cpu_bm.count_ones() as u64);
+    assert_eq!(sel.matched(), cpu_bm.count_ones() as u64);
     let mask = sel.read_mask(&mut gpu).unwrap();
     for (i, &selected) in mask.iter().enumerate() {
         assert_eq!(selected, cpu_bm.get(i), "record {i}");
@@ -65,7 +64,9 @@ fn range_and_cnf_agree_with_cpu() {
     let raw = trace.column_slices();
 
     let (low, high, _) = selectivity::range_for_selectivity(raw[2], 0.6).unwrap();
-    let (_, range_count) = range_select(&mut gpu, &table, 2, low, high).unwrap();
+    let range_count = range_select(&mut gpu, &table, 2, low, high)
+        .unwrap()
+        .matched();
     assert_eq!(
         range_count,
         cpu::cnf::eval_range(raw[2], low, high).count_ones() as u64
@@ -78,8 +79,7 @@ fn range_and_cnf_agree_with_cpu() {
         ]),
         gpudb::core::boolean::GpuClause::single(GpuPredicate::new(3, CompareFunc::LessEqual, 10)),
     ]);
-    let (gpu_sel, gpu_count) =
-        gpudb::core::boolean::eval_cnf_select(&mut gpu, &table, &gpu_cnf, true).unwrap();
+    let gpu_sel = gpudb::core::boolean::eval_cnf_select(&mut gpu, &table, &gpu_cnf, true).unwrap();
     let cpu_cnf = cpu::Cnf::new(vec![
         cpu::Clause::any(vec![
             cpu::Predicate::new(0, cpu::CmpOp::Lt, 1000),
@@ -88,7 +88,7 @@ fn range_and_cnf_agree_with_cpu() {
         cpu::Clause::single(cpu::Predicate::new(3, cpu::CmpOp::Le, 10)),
     ]);
     let cpu_bm = cpu::cnf::eval_cnf(&raw, &cpu_cnf);
-    assert_eq!(gpu_count, cpu_bm.count_ones() as u64);
+    assert_eq!(gpu_sel.matched(), cpu_bm.count_ones() as u64);
     let mask = gpu_sel.read_mask(&mut gpu).unwrap();
     for (i, &m) in mask.iter().enumerate() {
         assert_eq!(m, cpu_bm.get(i), "record {i}");
@@ -138,21 +138,24 @@ fn semilinear_and_attribute_comparison() {
     let raw = trace.column_slices();
 
     let coeffs = [1.5f32, -0.5, 0.25, 2.0];
-    let (_, count) = gpudb::core::semilinear::semilinear_select(
+    let count = gpudb::core::semilinear::semilinear_select(
         &mut gpu,
         &table,
         &coeffs,
         CompareFunc::Less,
         50_000.0,
     )
-    .unwrap();
+    .unwrap()
+    .matched();
     assert_eq!(
         count,
         cpu::semilinear::semilinear_count(&raw, &coeffs, cpu::CmpOp::Lt, 50_000.0) as u64
     );
 
     // data_loss <= retransmissions via the a_i op a_j rewrite.
-    let (_, count) = compare_attributes(&mut gpu, &table, 1, 3, CompareFunc::LessEqual).unwrap();
+    let count = compare_attributes(&mut gpu, &table, 1, 3, CompareFunc::LessEqual)
+        .unwrap()
+        .matched();
     let expected = (0..trace.record_count())
         .filter(|&i| raw[1][i] <= raw[3][i])
         .count() as u64;
@@ -191,17 +194,15 @@ fn selection_composition_chains() {
     let (mut gpu, table) = upload(&trace, 100);
     let raw = trace.column_slices();
 
-    let (sel_a, count_a) =
-        compare_select(&mut gpu, &table, 0, CompareFunc::Greater, 10_000).unwrap();
+    let sel_a = compare_select(&mut gpu, &table, 0, CompareFunc::Greater, 10_000).unwrap();
     let sum_a = aggregate::sum(&mut gpu, &table, 0, Some(&sel_a)).unwrap();
 
-    let (sel_b, count_b) = range_select(&mut gpu, &table, 2, 100, 5_000).unwrap();
+    let sel_b = range_select(&mut gpu, &table, 2, 100, 5_000).unwrap();
     let sum_b = aggregate::sum(&mut gpu, &table, 2, Some(&sel_b)).unwrap();
 
     // Recompute the first selection: identical results after interleaving.
-    let (sel_a2, count_a2) =
-        compare_select(&mut gpu, &table, 0, CompareFunc::Greater, 10_000).unwrap();
-    assert_eq!(count_a, count_a2);
+    let sel_a2 = compare_select(&mut gpu, &table, 0, CompareFunc::Greater, 10_000).unwrap();
+    assert_eq!(sel_a.matched(), sel_a2.matched());
     assert_eq!(
         sum_a,
         aggregate::sum(&mut gpu, &table, 0, Some(&sel_a2)).unwrap()
@@ -209,10 +210,10 @@ fn selection_composition_chains() {
 
     // Host checks.
     let bm_a = cpu::scan::scan_u32(raw[0], cpu::CmpOp::Gt, 10_000);
-    assert_eq!(count_a, bm_a.count_ones() as u64);
+    assert_eq!(sel_a.matched(), bm_a.count_ones() as u64);
     assert_eq!(sum_a, cpu::aggregate::sum_masked(raw[0], &bm_a));
     let bm_b = cpu::cnf::eval_range(raw[2], 100, 5_000);
-    assert_eq!(count_b, bm_b.count_ones() as u64);
+    assert_eq!(sel_b.matched(), bm_b.count_ones() as u64);
     assert_eq!(sum_b, cpu::aggregate::sum_masked(raw[2], &bm_b));
 }
 

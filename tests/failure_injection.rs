@@ -40,8 +40,9 @@ fn out_of_core_fallback_pattern() {
     let mut matches = 0u64;
     for part in values.chunks(chunk) {
         let table = GpuTable::upload(&mut gpu, "part", &[("a", part)]).unwrap();
-        let (_, count) =
-            compare_select(&mut gpu, &table, 0, CompareFunc::GreaterEqual, 15_000).unwrap();
+        let count = compare_select(&mut gpu, &table, 0, CompareFunc::GreaterEqual, 15_000)
+            .unwrap()
+            .matched();
         matches += count;
         table.free(&mut gpu).unwrap();
     }
@@ -99,8 +100,8 @@ fn invalid_k_and_empty_domains() {
     ));
 
     // An empty selection turns every order statistic into an error.
-    let (sel, count) = compare_select(&mut gpu, &table, 0, CompareFunc::Greater, 100).unwrap();
-    assert_eq!(count, 0);
+    let sel = compare_select(&mut gpu, &table, 0, CompareFunc::Greater, 100).unwrap();
+    assert_eq!(sel.matched(), 0);
     assert!(matches!(
         aggregate::median(&mut gpu, &table, 0, Some(&sel)).unwrap_err(),
         EngineError::EmptyInput
@@ -178,8 +179,8 @@ fn empty_table_operations_are_total() {
     let mut gpu = GpuTable::device_for(0, 4);
     let empty: Vec<u32> = vec![];
     let table = GpuTable::upload(&mut gpu, "t", &[("a", &empty)]).unwrap();
-    let (sel, count) = compare_select(&mut gpu, &table, 0, CompareFunc::Less, 5).unwrap();
-    assert_eq!(count, 0);
+    let sel = compare_select(&mut gpu, &table, 0, CompareFunc::Less, 5).unwrap();
+    assert_eq!(sel.matched(), 0);
     assert_eq!(sel.read_mask(&mut gpu).unwrap().len(), 0);
     assert_eq!(aggregate::sum(&mut gpu, &table, 0, None).unwrap(), 0);
     assert!(aggregate::median(&mut gpu, &table, 0, None).is_err());
@@ -197,7 +198,9 @@ fn device_survives_interleaved_errors() {
     for _ in 0..3 {
         let _ = aggregate::kth_largest(&mut gpu, &table, 0, 999, None).unwrap_err();
         let _ = gpu.bind_program_source("BROKEN").unwrap_err();
-        let (_, count) = compare_select(&mut gpu, &table, 0, CompareFunc::Less, 25).unwrap();
+        let count = compare_select(&mut gpu, &table, 0, CompareFunc::Less, 25)
+            .unwrap()
+            .matched();
         assert_eq!(count, 25);
     }
 }

@@ -48,9 +48,11 @@ proptest! {
         constant in 0u32..=MAX_VALUE,
     ) {
         let (mut gpu, table) = upload(&values);
-        let (sel, count) = compare_select(&mut gpu, &table, 0, gpu_op, constant).unwrap();
+        let sel = compare_select(&mut gpu, &table, 0, gpu_op, constant).unwrap();
         let reference = cpu::scan::scan_u32(&values, cpu_op, constant);
-        prop_assert_eq!(count, reference.count_ones() as u64);
+        // The carried count, the standalone COUNT pass and the CPU agree.
+        prop_assert_eq!(sel.matched(), reference.count_ones() as u64);
+        prop_assert_eq!(sel.count(&mut gpu).unwrap(), sel.matched());
         let mask = sel.read_mask(&mut gpu).unwrap();
         for (i, &m) in mask.iter().enumerate() {
             prop_assert_eq!(m, reference.get(i), "record {}", i);
@@ -61,12 +63,17 @@ proptest! {
     fn range_matches_cpu_range(
         values in values_strategy(),
         bounds in (0u32..=MAX_VALUE, 0u32..=MAX_VALUE),
+        inverted in any::<bool>(),
     ) {
+        // An inverted range (low > high) selects nothing, decided on the
+        // host: a const-empty selection that carries 0.
         let (low, high) = (bounds.0.min(bounds.1), bounds.0.max(bounds.1));
+        let (low, high) = if inverted { (high, low) } else { (low, high) };
         let (mut gpu, table) = upload(&values);
-        let (sel, count) = range_select(&mut gpu, &table, 0, low, high).unwrap();
+        let sel = range_select(&mut gpu, &table, 0, low, high).unwrap();
         let reference = cpu::cnf::eval_range(&values, low, high);
-        prop_assert_eq!(count, reference.count_ones() as u64);
+        prop_assert_eq!(sel.matched(), reference.count_ones() as u64);
+        prop_assert_eq!(sel.count(&mut gpu).unwrap(), sel.matched());
         let mask = sel.read_mask(&mut gpu).unwrap();
         for (i, &m) in mask.iter().enumerate() {
             prop_assert_eq!(m, reference.get(i), "record {}", i);
@@ -100,7 +107,7 @@ proptest! {
         threshold in 0u32..=MAX_VALUE,
     ) {
         let (mut gpu, table) = upload(&values);
-        let (sel, _) = compare_select(
+        let sel = compare_select(
             &mut gpu, &table, 0, CompareFunc::GreaterEqual, threshold).unwrap();
         let gpu_sum = aggregate::sum(&mut gpu, &table, 0, Some(&sel)).unwrap();
         let expected: u64 = values.iter()
@@ -162,11 +169,12 @@ proptest! {
         let mut gpu = GpuTable::device_for(a.len(), width.max(1));
         let table = GpuTable::upload(&mut gpu, "t", &[("a", &a), ("c", &c)]).unwrap();
         let s = [coeffs.0, coeffs.1];
-        let (_, count) = gpudb::core::semilinear::semilinear_select(
+        let sel = gpudb::core::semilinear::semilinear_select(
             &mut gpu, &table, &s, gpu_op, b).unwrap();
         let refs: Vec<&[u32]> = vec![&a, &c];
         let expected = cpu::semilinear::semilinear_count(&refs, &s, cpu_op, b);
-        prop_assert_eq!(count, expected as u64);
+        prop_assert_eq!(sel.matched(), expected as u64);
+        prop_assert_eq!(sel.count(&mut gpu).unwrap(), sel.matched());
     }
 }
 
@@ -227,10 +235,10 @@ proptest! {
             let mut gpu = GpuTable::device_for(n, 16);
             let table = GpuTable::upload(&mut gpu, "t", &named).unwrap();
             gpu.reset_stats();
-            let (sel, count) =
-                gpudb::core::boolean::eval_cnf_select(&mut gpu, &table, &gpu_cnf, fuse).unwrap();
+            let sel = gpudb::core::boolean::eval_cnf_select(&mut gpu, &table, &gpu_cnf, fuse).unwrap();
             draws[slot] = gpu.stats().draw_calls;
-            prop_assert_eq!(count, reference.count_ones() as u64, "fuse {}", fuse);
+            prop_assert_eq!(sel.matched(), reference.count_ones() as u64, "fuse {}", fuse);
+            prop_assert_eq!(sel.count(&mut gpu).unwrap(), sel.matched(), "fuse {}", fuse);
             let mask = sel.read_mask(&mut gpu).unwrap();
             for (i, &m) in mask.iter().enumerate() {
                 prop_assert_eq!(m, reference.get(i), "fuse {}, record {}", fuse, i);
@@ -271,7 +279,7 @@ proptest! {
                 ))
                 .collect(),
         );
-        let (sel, count) = eval_dnf_select(&mut gpu, &table, &dnf).unwrap();
+        let sel = eval_dnf_select(&mut gpu, &table, &dnf).unwrap();
         let reference = |v: u32| -> bool {
             term_spec.iter().any(|term| {
                 term.iter().all(|&(op_idx, c)| ops[op_idx].1.eval(v, c))
@@ -279,7 +287,8 @@ proptest! {
         };
         let expected: Vec<bool> = col_a.iter().map(|&v| reference(v)).collect();
         prop_assert_eq!(sel.read_mask(&mut gpu).unwrap(), expected.clone());
-        prop_assert_eq!(count, expected.iter().filter(|&&b| b).count() as u64);
+        prop_assert_eq!(sel.matched(), expected.iter().filter(|&&b| b).count() as u64);
+        prop_assert_eq!(sel.count(&mut gpu).unwrap(), sel.matched());
     }
 
     #[test]
@@ -295,7 +304,7 @@ proptest! {
         let width = (a.len() as f64).sqrt().ceil() as usize;
         let mut gpu = GpuTable::device_for(a.len(), width.max(1));
         let table = GpuTable::upload(&mut gpu, "t", &[("a", &a), ("c", &c)]).unwrap();
-        let (_, count) = polynomial_select(
+        let sel = polynomial_select(
             &mut gpu, &table, &[q.0, q.1], &[s.0, s.1], CompareFunc::Less, b).unwrap();
         // Mirror the program's f32 evaluation order exactly.
         let expected = (0..a.len())
@@ -306,6 +315,7 @@ proptest! {
                 (qdot + sdot) - b < 0.0
             })
             .count() as u64;
-        prop_assert_eq!(count, expected);
+        prop_assert_eq!(sel.matched(), expected);
+        prop_assert_eq!(sel.count(&mut gpu).unwrap(), expected);
     }
 }
