@@ -1,15 +1,14 @@
 //! Criterion benchmarks for the ablation comparisons: mipmap vs bitwise
-//! SUM, depth-bounds range vs general EvalCNF, the conjunction fast path
-//! vs Routine 4.3, and the bitonic sort extension.
+//! SUM, depth-bounds range vs general EvalCNF, and the conjunction fast
+//! path vs Routine 4.3.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gpudb_bench::harness::Workload;
 use gpudb_core::aggregate::{mipmap_sum, sum};
 use gpudb_core::boolean::{eval_cnf_general_select, eval_conjunction_select, GpuCnf, GpuPredicate};
 use gpudb_core::range::range_select;
-use gpudb_core::sort::sort_values;
 use gpudb_data::selectivity::{range_for_selectivity, threshold_for_ge};
-use gpudb_sim::{CompareFunc, Gpu};
+use gpudb_sim::CompareFunc;
 use std::time::Duration;
 
 fn bench_sum_strategies(c: &mut Criterion) {
@@ -91,37 +90,10 @@ fn bench_conjunction_protocols(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sort(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ext_bitonic_sort");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(2));
-    for n in [1_024usize, 4_096] {
-        let values: Vec<u32> = (0..n as u32)
-            .map(|i| i.wrapping_mul(2654435761) % (1 << 20))
-            .collect();
-        group.bench_with_input(BenchmarkId::new("gpu_sim", n), &n, |b, _| {
-            let width = (n as f64).sqrt() as usize;
-            let width = width.next_power_of_two();
-            let mut gpu = Gpu::geforce_fx_5900(width, n.next_power_of_two() / width);
-            b.iter(|| sort_values(&mut gpu, &values).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("cpu_sort", n), &n, |b, _| {
-            b.iter(|| {
-                let mut v = values.clone();
-                v.sort_unstable();
-                v
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_sum_strategies,
     bench_range_strategies,
-    bench_conjunction_protocols,
-    bench_sort
+    bench_conjunction_protocols
 );
 criterion_main!(benches);

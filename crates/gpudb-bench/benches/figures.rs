@@ -30,15 +30,7 @@ fn bench_heavy_figures(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
-    for id in [
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "abl_mipmap",
-        "abl_range",
-        "ext_sort",
-    ] {
+    for id in ["fig7", "fig8", "fig9", "fig10", "abl_mipmap", "abl_range"] {
         group.bench_function(id, |b| {
             b.iter(|| {
                 let result = experiments::run(id, Scale::Small).unwrap();

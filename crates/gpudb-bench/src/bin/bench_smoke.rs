@@ -3,12 +3,12 @@
 //! Runs reduced-scale fixed-seed versions of the paper's figure
 //! experiments, writes `BENCH_smoke.json` (modeled costs + exact result
 //! checksums + per-operator metrics), prints a summary table, and — when
-//! a baseline exists — fails with a readable diff on any cost regression
-//! beyond tolerance or any checksum change.
+//! a baseline exists — fails with a readable diff on any modeled-cost
+//! change or any checksum change.
 //!
 //! ```text
-//! bench-smoke [--out PATH] [--baseline PATH] [--tolerance FRACTION]
-//!             [--bless] [--no-gate] [--trace-out DIR] [--shards LIST]
+//! bench-smoke [--out PATH] [--baseline PATH] [--bless] [--no-gate]
+//!             [--trace-out DIR] [--shards LIST]
 //! ```
 //!
 //! `--trace-out DIR` runs every experiment with the device logged
@@ -25,7 +25,7 @@
 //! count also writes merged span trees (one `shard-i` stage per device)
 //! under `DIR/shards-<n>/`.
 
-use gpudb_bench::regress::{self, DEFAULT_TOLERANCE};
+use gpudb_bench::regress;
 use gpudb_bench::smoke::{self, SmokeReport};
 use gpudb_bench::traceout;
 use std::path::PathBuf;
@@ -34,7 +34,6 @@ use std::process::ExitCode;
 struct Args {
     out: PathBuf,
     baseline: PathBuf,
-    tolerance: f64,
     bless: bool,
     gate: bool,
     trace_out: Option<PathBuf>,
@@ -50,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         out: PathBuf::from("BENCH_smoke.json"),
         baseline: default_baseline(),
-        tolerance: DEFAULT_TOLERANCE,
         bless: false,
         gate: true,
         trace_out: None,
@@ -65,17 +63,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--baseline" => args.baseline = PathBuf::from(value("--baseline")?),
-            "--tolerance" => {
-                let raw = value("--tolerance")?;
-                args.tolerance = raw
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --tolerance {raw:?}: {e}"))?;
-                if !(args.tolerance >= 0.0 && args.tolerance.is_finite()) {
-                    return Err(format!(
-                        "--tolerance must be a finite non-negative fraction, got {raw}"
-                    ));
-                }
-            }
             "--bless" => args.bless = true,
             "--no-gate" => args.gate = false,
             "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
@@ -99,8 +86,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "bench-smoke [--out PATH] [--baseline PATH] [--tolerance FRACTION] \
-                     [--bless] [--no-gate] [--trace-out DIR] [--shards LIST]"
+                    "bench-smoke [--out PATH] [--baseline PATH] [--bless] [--no-gate] \
+                     [--trace-out DIR] [--shards LIST]"
                 );
                 std::process::exit(0);
             }
@@ -252,22 +239,21 @@ fn run() -> Result<ExitCode, String> {
         });
     };
 
-    let comparison = regress::compare(&baseline, &report, args.tolerance);
+    let comparison = regress::compare(&baseline, &report);
     let rendered = comparison.render();
     if !rendered.is_empty() {
         println!("{rendered}");
     }
     if comparison.passed() {
         println!(
-            "gate PASSED ({} experiments, tolerance {:.1}%)",
-            report.experiments.len(),
-            args.tolerance * 100.0
+            "gate PASSED ({} experiments, modeled costs and checksums exact)",
+            report.experiments.len()
         );
         Ok(ExitCode::SUCCESS)
     } else {
         println!(
-            "gate FAILED: {} fatal issue(s); if intentional, refresh with --bless",
-            comparison.fatal().len()
+            "gate FAILED: {} issue(s); if intentional, refresh with --bless",
+            comparison.issues.len()
         );
         Ok(if args.gate {
             ExitCode::FAILURE

@@ -139,18 +139,19 @@ fn run_faulted(seed: u64, shape: usize, query: &Query) -> Result<String, String>
     let oracle = cpu_oracle::execute(&host, query);
     match (resilient, oracle) {
         (Ok(r), Ok(o)) => {
+            let ledger = &r.report.shards[0];
             if o.agrees_with(r.output.matched, &r.output.rows) {
-                Ok(format!("{:?}", r.report.path))
+                Ok(format!("{:?}", ledger.path))
             } else {
                 Err(format!(
                     "silent divergence on {} path {:?}: gpu matched {} rows {:?}, oracle {:?}; \
                      ladder {:?}",
                     SHAPES[shape],
-                    r.report.path,
+                    ledger.path,
                     r.output.matched,
                     r.output.rows,
                     o.rows,
-                    r.report.degradations
+                    ledger.degradations
                 ))
             }
         }

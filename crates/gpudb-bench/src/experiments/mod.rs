@@ -12,13 +12,12 @@ pub mod fig7_kth;
 pub mod fig8_median;
 pub mod fig9_kth_selective;
 pub mod selectivity_analysis;
-pub mod sort_extension;
 
 use crate::report::{FigureResult, Scale};
 use gpudb_core::EngineResult;
 
 /// All experiment ids, in paper order.
-pub const ALL_EXPERIMENTS: [&str; 18] = [
+pub const ALL_EXPERIMENTS: [&str; 17] = [
     "fig2",
     "fig3",
     "fig4",
@@ -36,7 +35,6 @@ pub const ALL_EXPERIMENTS: [&str; 18] = [
     "abl_earlyz",
     "abl_wishlist",
     "abl_skew",
-    "ext_sort",
 ];
 
 /// Run one experiment by id.
@@ -59,7 +57,6 @@ pub fn run(id: &str, scale: Scale) -> EngineResult<FigureResult> {
         "abl_earlyz" => ablations::early_z(scale),
         "abl_wishlist" => ablations::wishlist(scale),
         "abl_skew" => ablations::data_independence(scale),
-        "ext_sort" => sort_extension::run(scale),
         other => Err(gpudb_core::EngineError::InvalidQuery(format!(
             "unknown experiment {other:?}; known: {ALL_EXPERIMENTS:?}"
         ))),

@@ -1,25 +1,18 @@
 //! Baseline comparison for the perf-regression gate.
 //!
 //! Compares a freshly produced [`SmokeReport`] against the checked-in
-//! baseline and reports every discrepancy:
+//! baseline and reports every discrepancy, each of which fails the gate:
 //!
-//! * **checksum changes are always fatal** — the operators' exact results
-//!   moved, which is a correctness change, never noise;
-//! * **modeled-cost regressions** beyond the relative tolerance fail the
-//!   gate (the modeled cost is deterministic, so the tolerance only
-//!   absorbs intentional small cost-model adjustments, not jitter);
-//! * missing/new experiments and schema drift are flagged so baselines
-//!   can't silently rot.
-//!
-//! Cost *improvements* beyond tolerance are reported as notes, not
-//! failures — but should be blessed into the baseline so the gate keeps
-//! a tight bound.
+//! * **checksum changes** — the operators' exact results moved, which is
+//!   a correctness change, never noise;
+//! * **modeled-cost changes**, in either direction — the modeled cost is
+//!   a deterministic integer, so any change is a change to the engine or
+//!   the cost model and is blessed into the baseline on purpose;
+//! * missing/new experiments and schema drift, so baselines can't
+//!   silently rot.
 
 use crate::smoke::{SmokeExperiment, SmokeReport};
 use serde::{Deserialize, Serialize};
-
-/// Default relative tolerance on modeled cost (0.02 = 2 %).
-pub const DEFAULT_TOLERANCE: f64 = 0.02;
 
 /// One discrepancy between the current report and the baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,27 +39,14 @@ pub enum Issue {
         /// Experiment id.
         id: String,
     },
-    /// Modeled cost grew beyond tolerance.
-    CostRegression {
+    /// The modeled cost changed.
+    CostChange {
         /// Experiment id.
         id: String,
         /// Baseline modeled cost, ns.
         baseline_ns: u64,
         /// Current modeled cost, ns.
         current_ns: u64,
-        /// Relative growth (`current/baseline - 1`).
-        ratio: f64,
-    },
-    /// Modeled cost shrank beyond tolerance (informational).
-    CostImprovement {
-        /// Experiment id.
-        id: String,
-        /// Baseline modeled cost, ns.
-        baseline_ns: u64,
-        /// Current modeled cost, ns.
-        current_ns: u64,
-        /// Relative change (`current/baseline - 1`, negative).
-        ratio: f64,
     },
     /// The exact-result checksum changed.
     ChecksumMismatch {
@@ -80,11 +60,6 @@ pub enum Issue {
 }
 
 impl Issue {
-    /// Whether this issue fails the gate (vs. informational).
-    pub fn is_fatal(&self) -> bool {
-        !matches!(self, Issue::CostImprovement { .. })
-    }
-
     /// One-line human-readable description.
     pub fn describe(&self) -> String {
         match self {
@@ -99,29 +74,11 @@ impl Issue {
             Issue::NewExperiment { id } => {
                 format!("{id}: no baseline entry — add one with --bless")
             }
-            Issue::CostRegression {
+            Issue::CostChange {
                 id,
                 baseline_ns,
                 current_ns,
-                ratio,
-            } => format!(
-                "{id}: modeled cost regressed {:+.2}% ({:.3} ms -> {:.3} ms)",
-                ratio * 100.0,
-                *baseline_ns as f64 / 1e6,
-                *current_ns as f64 / 1e6
-            ),
-            Issue::CostImprovement {
-                id,
-                baseline_ns,
-                current_ns,
-                ratio,
-            } => format!(
-                "{id}: modeled cost improved {:+.2}% ({:.3} ms -> {:.3} ms) — consider \
-                 re-blessing the baseline",
-                ratio * 100.0,
-                *baseline_ns as f64 / 1e6,
-                *current_ns as f64 / 1e6
-            ),
+            } => format!("{id}: modeled cost changed ({baseline_ns} ns -> {current_ns} ns)"),
             Issue::ChecksumMismatch {
                 id,
                 baseline,
@@ -142,24 +99,16 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Whether the gate passes (no fatal issues).
+    /// Whether the gate passes (no discrepancy).
     pub fn passed(&self) -> bool {
-        !self.issues.iter().any(Issue::is_fatal)
-    }
-
-    /// The fatal issues only.
-    pub fn fatal(&self) -> Vec<&Issue> {
-        self.issues.iter().filter(|i| i.is_fatal()).collect()
+        self.issues.is_empty()
     }
 
     /// Multi-line report of every issue (empty string when clean).
     pub fn render(&self) -> String {
         self.issues
             .iter()
-            .map(|i| {
-                let tag = if i.is_fatal() { "FAIL" } else { "note" };
-                format!("{tag}: {}", i.describe())
-            })
+            .map(|i| format!("FAIL: {}", i.describe()))
             .collect::<Vec<_>>()
             .join("\n")
     }
@@ -168,7 +117,6 @@ impl Comparison {
 fn compare_experiment(
     baseline: &SmokeExperiment,
     current: &SmokeExperiment,
-    tolerance: f64,
     issues: &mut Vec<Issue>,
 ) {
     if baseline.checksum != current.checksum {
@@ -178,46 +126,18 @@ fn compare_experiment(
             current: current.checksum.clone(),
         });
     }
-    if baseline.modeled_ns == 0 {
-        // Degenerate baseline: any nonzero cost counts as a regression.
-        if current.modeled_ns > 0 {
-            issues.push(Issue::CostRegression {
-                id: current.id.clone(),
-                baseline_ns: 0,
-                current_ns: current.modeled_ns,
-                ratio: f64::INFINITY,
-            });
-        }
-        return;
-    }
-    // The bound is inclusive (growth of exactly `tolerance` fails), but
-    // only actual movement counts: equal costs always pass, even at
-    // tolerance zero.
-    let ratio = current.modeled_ns as f64 / baseline.modeled_ns as f64 - 1.0;
-    if current.modeled_ns > baseline.modeled_ns && ratio >= tolerance {
-        issues.push(Issue::CostRegression {
+    if baseline.modeled_ns != current.modeled_ns {
+        issues.push(Issue::CostChange {
             id: current.id.clone(),
             baseline_ns: baseline.modeled_ns,
             current_ns: current.modeled_ns,
-            ratio,
-        });
-    } else if current.modeled_ns < baseline.modeled_ns && ratio <= -tolerance {
-        issues.push(Issue::CostImprovement {
-            id: current.id.clone(),
-            baseline_ns: baseline.modeled_ns,
-            current_ns: current.modeled_ns,
-            ratio,
         });
     }
 }
 
-/// Compare `current` against `baseline` with the given relative cost
-/// tolerance.
-pub fn compare(baseline: &SmokeReport, current: &SmokeReport, tolerance: f64) -> Comparison {
-    assert!(
-        tolerance >= 0.0 && tolerance.is_finite(),
-        "tolerance must be a finite non-negative fraction, got {tolerance}"
-    );
+/// Compare `current` against `baseline`: the gate passes only when every
+/// experiment's checksum and modeled cost are exactly the baseline's.
+pub fn compare(baseline: &SmokeReport, current: &SmokeReport) -> Comparison {
     let mut issues = Vec::new();
     if baseline.schema_version != current.schema_version {
         issues.push(Issue::SchemaMismatch {
@@ -237,7 +157,7 @@ pub fn compare(baseline: &SmokeReport, current: &SmokeReport, tolerance: f64) ->
     }
     for base_exp in &baseline.experiments {
         match current.experiments.iter().find(|e| e.id == base_exp.id) {
-            Some(cur_exp) => compare_experiment(base_exp, cur_exp, tolerance, &mut issues),
+            Some(cur_exp) => compare_experiment(base_exp, cur_exp, &mut issues),
             None => issues.push(Issue::MissingExperiment {
                 id: base_exp.id.clone(),
             }),
@@ -283,56 +203,43 @@ mod tests {
             experiment("a", 1_000_000, "aa"),
             experiment("b", 5, "bb"),
         ]);
-        let cmp = compare(&r, &r.clone(), DEFAULT_TOLERANCE);
+        let cmp = compare(&r, &r.clone());
         assert!(cmp.passed());
         assert!(cmp.issues.is_empty());
         assert_eq!(cmp.render(), "");
     }
 
     #[test]
-    fn regression_just_under_tolerance_passes() {
-        let base = report(vec![experiment("a", 1_000_000, "aa")]);
-        // +1.9999% with 2% tolerance: passes.
-        let cur = report(vec![experiment("a", 1_019_999, "aa")]);
-        assert!(compare(&base, &cur, 0.02).passed());
-    }
-
-    #[test]
-    fn regression_at_tolerance_fails() {
-        let base = report(vec![experiment("a", 1_000_000, "aa")]);
-        // Exactly +2% with 2% tolerance: the bound is inclusive, fails.
-        let cur = report(vec![experiment("a", 1_020_000, "aa")]);
-        let cmp = compare(&base, &cur, 0.02);
-        assert!(!cmp.passed());
-        assert!(matches!(cmp.issues[0], Issue::CostRegression { .. }));
-        assert!(cmp.render().contains("regressed"));
-    }
-
-    #[test]
-    fn zero_tolerance_fails_any_growth() {
-        let base = report(vec![experiment("a", 1_000_000, "aa")]);
-        let cur = report(vec![experiment("a", 1_000_001, "aa")]);
-        assert!(!compare(&base, &cur, 0.0).passed());
-        assert!(compare(&base, &base.clone(), 0.0).passed());
-    }
-
-    #[test]
-    fn improvement_is_note_not_failure() {
-        let base = report(vec![experiment("a", 1_000_000, "aa")]);
-        let cur = report(vec![experiment("a", 500_000, "aa")]);
-        let cmp = compare(&base, &cur, 0.02);
-        assert!(cmp.passed());
-        assert_eq!(cmp.issues.len(), 1);
-        assert!(matches!(cmp.issues[0], Issue::CostImprovement { .. }));
-        assert!(cmp.fatal().is_empty());
-        assert!(cmp.render().contains("note"));
+    fn any_cost_change_fails_in_either_direction() {
+        let base = report(vec![
+            experiment("a", 1_000_000, "aa"),
+            experiment("z", 0, "zz"),
+        ]);
+        for (a, z, line) in [
+            (
+                1_000_001,
+                0,
+                "a: modeled cost changed (1000000 ns -> 1000001 ns)",
+            ),
+            (
+                999_999,
+                0,
+                "a: modeled cost changed (1000000 ns -> 999999 ns)",
+            ),
+            (1_000_000, 1, "z: modeled cost changed (0 ns -> 1 ns)"),
+        ] {
+            let cur = report(vec![experiment("a", a, "aa"), experiment("z", z, "zz")]);
+            let cmp = compare(&base, &cur);
+            assert!(!cmp.passed(), "{line}");
+            assert_eq!(cmp.render(), format!("FAIL: {line}"));
+        }
     }
 
     #[test]
     fn checksum_change_always_fails_even_when_faster() {
         let base = report(vec![experiment("a", 1_000_000, "aa")]);
         let cur = report(vec![experiment("a", 900_000, "XX")]);
-        let cmp = compare(&base, &cur, 0.5);
+        let cmp = compare(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .issues
@@ -345,7 +252,7 @@ mod tests {
     fn missing_and_new_experiments_flagged() {
         let base = report(vec![experiment("a", 10, "aa"), experiment("b", 10, "bb")]);
         let cur = report(vec![experiment("b", 10, "bb"), experiment("c", 10, "cc")]);
-        let cmp = compare(&base, &cur, DEFAULT_TOLERANCE);
+        let cmp = compare(&base, &cur);
         assert!(!cmp.passed());
         assert!(cmp
             .issues
@@ -362,24 +269,15 @@ mod tests {
         let base = report(vec![experiment("a", 10, "aa")]);
         let mut cur = base.clone();
         cur.schema_version += 1;
-        let cmp = compare(&base, &cur, DEFAULT_TOLERANCE);
+        let cmp = compare(&base, &cur);
         assert_eq!(cmp.issues.len(), 1);
         assert!(matches!(cmp.issues[0], Issue::SchemaMismatch { .. }));
 
         let mut cur = base.clone();
         cur.seed = 8;
-        let cmp = compare(&base, &cur, DEFAULT_TOLERANCE);
+        let cmp = compare(&base, &cur);
         assert_eq!(cmp.issues.len(), 1);
         assert!(matches!(cmp.issues[0], Issue::WorkloadMismatch { .. }));
         assert!(!cmp.passed());
-    }
-
-    #[test]
-    fn zero_baseline_cost_regresses_on_any_cost() {
-        let base = report(vec![experiment("a", 0, "aa")]);
-        let cur = report(vec![experiment("a", 1, "aa")]);
-        assert!(!compare(&base, &cur, DEFAULT_TOLERANCE).passed());
-        let cur = report(vec![experiment("a", 0, "aa")]);
-        assert!(compare(&base, &cur, DEFAULT_TOLERANCE).passed());
     }
 }

@@ -24,9 +24,9 @@ pub fn sum(
     column: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u64> {
-    // A constant-empty selection has no stencil backing: testing the
-    // stencil buffer would read pixels that were never established.
-    if selection.is_some_and(Selection::is_const_empty) {
+    // A selection that matched nothing sums to zero: its carried count
+    // says so, and a constant-empty one has no stencil to test.
+    if selection.is_some_and(|s| s.matched() == 0) {
         return Ok(0);
     }
     let meta = table.column(column)?;
@@ -82,7 +82,7 @@ pub fn sum_with_depth_mask(
     column: usize,
     selection: Option<&Selection>,
 ) -> EngineResult<u64> {
-    if selection.is_some_and(Selection::is_const_empty) {
+    if selection.is_some_and(|s| s.matched() == 0) {
         return Ok(0);
     }
     let bits = table.column(column)?.bits;
@@ -243,6 +243,16 @@ mod tests {
             avg(&mut gpu, &t, 0, Some(&sel)).unwrap_err(),
             EngineError::EmptyInput
         ));
+        // A predicate selection that matched nothing carries its count of
+        // 0: the sum draws no bit plane and reads back no occlusion count.
+        let values: Vec<u32> = (0..100).collect();
+        let (mut gpu, t) = setup(&values);
+        let none = compare_select(&mut gpu, &t, 0, CompareFunc::Greater, 1000).unwrap();
+        assert_eq!(none.matched(), 0);
+        let counters = gpu.stats().counters();
+        assert_eq!(sum(&mut gpu, &t, 0, Some(&none)).unwrap(), 0);
+        let work = gpu.stats().counters().since(&counters);
+        assert_eq!((work.draw_calls, work.occlusion_readbacks), (0, 0));
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub mod range;
 pub mod resilience;
 pub mod selection;
 pub mod semilinear;
-pub mod sort;
 pub mod table;
 
 pub use boolean::{GpuClause, GpuCnf, GpuDnf, GpuPredicate, GpuTerm};
@@ -80,7 +79,7 @@ pub use metrics::{MetricsLog, MetricsRecord};
 pub use parallel::{
     execute_sharded, execute_sharded_with_faults, ShardOptions, ShardReport, ShardedOutput,
 };
-pub use resilience::{ResiliencePath, ResilienceReport, ResilientOutput, RetryPolicy};
+pub use resilience::{ResiliencePath, ResilienceReport, RetryPolicy};
 pub use selection::Selection;
 pub use table::GpuTable;
 

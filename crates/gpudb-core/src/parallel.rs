@@ -42,6 +42,11 @@
 //! clock, so per phase they sum to the statement's `timing`, and a
 //! partition's modeled time is the sum of its records.
 //!
+//! Every placement closes the same way: each partition closes itself
+//! (`Partition::close`: the clock and spans of every device it owns,
+//! its chunks' included, and its records, mask and ledger), and one
+//! `fold` concatenates the closes into the statement's output.
+//!
 //! ## Determinism
 //!
 //! The coordinator calls each partition directly on the calling thread,
@@ -199,8 +204,7 @@ pub fn execute_sharded_with_faults(
     opts: &ShardOptions,
     mut faults: Vec<Option<FaultInjector>>,
 ) -> EngineResult<ShardedOutput> {
-    let n = host.record_count();
-    let ranges = plan_shards(n, opts.shards);
+    let ranges = plan_shards(host.record_count(), opts.shards);
     faults.resize_with(ranges.len(), || None);
     let filter = query.filter.as_ref();
     let mut partitions: Vec<Partition> = ranges
@@ -215,44 +219,87 @@ pub fn execute_sharded_with_faults(
             Partition::new(Device::Own(gpu), records, start, filter, opts.options)
         })
         .collect();
-    let (matched, rows) = run_phases(&mut partitions, query)?;
+    let phases = run_phases(&mut partitions, query)?;
+    let closes = partitions.into_iter().map(Partition::close).collect();
+    Ok(fold(phases, closes, Some(query.aggregates.len())))
+}
 
-    // Finish: collect per-shard ledgers in shard order.
-    let mut all_metrics: Vec<MetricsRecord> = Vec::new();
-    let mut mask = Vec::with_capacity(n);
-    let mut timing = PhaseNanos::default();
-    let mut shards = Vec::with_capacity(partitions.len());
-    let mut traces = Vec::new();
-    for mut partition in partitions {
-        let (chunk_ns, chunk_spans) = partition.close();
-        if let (Some(level), Some(log)) = (opts.options.trace, partition.gpu.log()) {
-            let mut tree = SpanTree::from_log(log.entries(), level);
-            tree.roots.extend(chunk_spans);
-            traces.push(tree);
-        }
-        timing = timing.plus(&partition.gpu.stats().modeled.plus(&chunk_ns));
-        mask.extend(partition.mask);
-        all_metrics.extend(partition.metrics);
-        shards.push(partition.ledger);
+/// Execute `query` as one partition of the caller's device — resident
+/// (the executor's table and plan) or a host slice riding the recovery
+/// ladder every shard rides — and close it on every exit path. The
+/// statement is wrapped the same way at every placement: the device is
+/// logged when validating or tracing, unless the caller already logs it (a
+/// harness logging a whole workload keeps its log), the `query` span is
+/// opened, and the statement's window of the device's clock and log joins
+/// the partition's close.
+pub(crate) fn execute_on_caller(
+    gpu: &mut Gpu,
+    records: Records,
+    query: &Query,
+    options: ExecuteOptions,
+) -> EngineResult<ShardedOutput> {
+    let owns_log = log_statement(gpu, options);
+    let mark = gpu.log().map_or(0, |log| log.entries().len());
+    gpu.span_begin(SpanKind::Query, "query");
+    let before = gpu.stats().modeled;
+    let filter = query.filter.as_ref();
+    let mut partition = Partition::new(Device::Caller(gpu), records, 0, filter, options);
+    let phases = run_phases(std::slice::from_mut(&mut partition), query);
+    let mut closed = partition.close();
+    closed.timing = gpu.stats().modeled.since(&before).plus(&closed.timing);
+    gpu.span_end();
+    let owned = if owns_log { gpu.take_log() } else { None };
+    if let (Some(level), Some(log)) = (options.trace, owned.as_ref().or(gpu.log())) {
+        let window = log.entries().get(mark..).unwrap_or_default();
+        let mut roots = SpanTree::from_log(window, level).roots;
+        roots.extend(closed.spans.take().into_iter().flatten());
+        closed.spans = Some(roots);
     }
-    all_metrics.push(marker_record("parallel/merge", n as u64));
-    // The records tile every device's clock.
-    debug_assert_eq!(metrics::phase_sum(&all_metrics), timing);
+    Ok(fold(phases?, vec![closed], None))
+}
 
-    let merge_ns = merge_cost_ns(shards.len(), query.aggregates.len());
-    let merged_ns = shards.iter().map(|s| s.modeled_ns).max().unwrap_or(0) + merge_ns;
-    let trace = if traces.is_empty() {
-        None
-    } else {
-        Some(merge_shard_trees(traces))
+/// The merged match count and the rows of a statement.
+type Phases = (u64, Vec<(String, AggValue)>);
+
+/// Fold the closed partitions, in partition order, into the statement's
+/// output: records, masks and ledgers concatenate, clocks add, and, when
+/// tracing, each partition's span roots form one tree. `merge` is a
+/// sharded statement's aggregate count: it adds the `parallel/merge`
+/// marker and the merge cost, and nests each shard's tree under the merged
+/// `query` span. Here, once for every placement, the statement's records
+/// must tile every device's clock.
+fn fold((matched, rows): Phases, closes: Vec<Closed>, merge: Option<usize>) -> ShardedOutput {
+    let records = closes.iter().map(|c| c.ledger.records).sum();
+    let mut timing = PhaseNanos::default();
+    let mut metrics = Vec::new();
+    let mut mask = Vec::with_capacity(records);
+    let mut trees = Vec::new();
+    let mut shards = Vec::with_capacity(closes.len());
+    for closed in closes {
+        timing = timing.plus(&closed.timing);
+        metrics.extend(closed.metrics);
+        mask.extend(closed.mask);
+        trees.extend(closed.spans.map(|roots| SpanTree { roots }));
+        shards.push(closed.ledger);
+    }
+    let (merge_ns, trace) = match merge {
+        Some(aggregates) => {
+            metrics.push(marker_record("parallel/merge", records as u64));
+            let trace = (!trees.is_empty()).then(|| merge_shard_trees(trees));
+            (merge_cost_ns(shards.len(), aggregates), trace)
+        }
+        None => (0, trees.pop()),
     };
-    Ok(ShardedOutput {
+    debug_assert_eq!(metrics::phase_sum(&metrics), timing);
+    let merged_ns = shards.iter().map(|s| s.modeled_ns).max().unwrap_or(0) + merge_ns;
+    ShardedOutput {
         output: QueryOutput {
             matched,
-            selectivity: selectivity(matched, n),
+            // The share of the records selected; 0 for an empty table.
+            selectivity: matched as f64 / records.max(1) as f64,
             rows,
             timing,
-            metrics: all_metrics,
+            metrics,
             trace,
         },
         mask,
@@ -261,55 +308,26 @@ pub fn execute_sharded_with_faults(
             merge_ns,
             merged_ns,
         },
-    })
-}
-
-/// Execute `query` as one partition of the caller's device — resident
-/// (the executor's table and plan) or a host slice riding the recovery
-/// ladder every shard rides — and close it on every exit path. The caller
-/// wraps the statement ([`crate::query::executor::run_statement`]): the
-/// output's `timing` and `trace` hold only what ran on out-of-core chunk
-/// devices.
-pub(crate) fn execute_on_caller(
-    gpu: &mut Gpu,
-    records: Records,
-    query: &Query,
-    options: ExecuteOptions,
-) -> EngineResult<(QueryOutput, ResilienceReport)> {
-    let filter = query.filter.as_ref();
-    let mut partition = Partition::new(Device::Caller(gpu), records, 0, filter, options);
-    let phases = run_phases(std::slice::from_mut(&mut partition), query);
-    let (timing, spans) = partition.close();
-    let (matched, rows) = phases?;
-    let output = QueryOutput {
-        matched,
-        selectivity: selectivity(matched, partition.ledger.records),
-        rows,
-        timing,
-        metrics: partition.metrics,
-        trace: (!spans.is_empty()).then_some(SpanTree { roots: spans }),
-    };
-    Ok((output, partition.ledger))
-}
-
-/// `matched` as a share of `records` (0 for an empty table).
-fn selectivity(matched: u64, records: usize) -> f64 {
-    if records == 0 {
-        0.0
-    } else {
-        matched as f64 / records as f64
     }
 }
 
-/// A fresh device for `records` records, `width` records per row. It
-/// keeps one log for the whole statement when validating or tracing:
-/// validation lints the windows of the attempts that succeeded, and
-/// tracing renders all of it.
-fn fresh_device(records: usize, width: usize, options: ExecuteOptions) -> Box<Gpu> {
-    let mut gpu = GpuTable::device_for(records, width);
-    if options.validate_plans || options.trace.is_some() {
+/// Log `gpu` for the statement when validating or tracing, unless it
+/// already keeps a log: validation lints the windows of the attempts that
+/// succeeded, and tracing renders all of it. Returns whether it attached
+/// one.
+fn log_statement(gpu: &mut Gpu, options: ExecuteOptions) -> bool {
+    let attach = (options.validate_plans || options.trace.is_some()) && gpu.log().is_none();
+    if attach {
         gpu.attach_log(RecordMode::RecordAndExecute);
     }
+    attach
+}
+
+/// A fresh device for `records` records, `width` records per row, logged
+/// for the statement ([`log_statement`]).
+fn fresh_device(records: usize, width: usize, options: ExecuteOptions) -> Box<Gpu> {
+    let mut gpu = GpuTable::device_for(records, width);
+    log_statement(&mut gpu, options);
     Box::new(gpu)
 }
 
@@ -322,10 +340,7 @@ fn fresh_device(records: usize, width: usize, options: ExecuteOptions) -> Box<Gp
 /// column, invalid k, empty input) surface in the same order on every
 /// placement. An out-of-core partition answers phase 2 through its
 /// chunks.
-fn run_phases(
-    partitions: &mut [Partition],
-    query: &Query,
-) -> EngineResult<(u64, Vec<(String, AggValue)>)> {
+fn run_phases(partitions: &mut [Partition], query: &Query) -> EngineResult<Phases> {
     let mut matched = 0u64;
     for partition in partitions.iter_mut() {
         partition.run_selection()?;
@@ -511,6 +526,18 @@ impl<'a> Records<'a> {
     }
 }
 
+/// A closed partition ([`Partition::close`]): what the statement's fold
+/// reads of it.
+struct Closed {
+    /// Modeled time of the devices the partition owns.
+    timing: PhaseNanos,
+    /// When tracing, the span roots of those devices' logs.
+    spans: Option<Vec<Span>>,
+    metrics: Vec<MetricsRecord>,
+    mask: Vec<bool>,
+    ledger: ResilienceReport,
+}
+
 /// One partition: a device, the clock cursor its records are cut from
 /// and (for a host slice) its recovery ladder. The coordinator drives
 /// every partition directly, in partition order.
@@ -652,7 +679,7 @@ impl<'a> Partition<'a> {
                     let struck = self.cursor.close(&mut self.gpu);
                     self.cursor
                         .open(&mut self.gpu, RetryStep::OPERATOR, records);
-                    let step = RetryStep::charge(&mut self.gpu, policy, tries, &error);
+                    let step = RetryStep::charge(&mut self.gpu, tries, &error);
                     let pause = self.cursor.close(&mut self.gpu);
                     if let Some(struck) = &struck {
                         let operator = struck.operator.clone();
@@ -808,43 +835,58 @@ impl<'a> Partition<'a> {
         for chunk in &mut self.chunks {
             chunk.run_selection()?;
             self.matched += chunk.matched;
-            self.mask.extend_from_slice(&chunk.mask);
         }
         Ok(())
     }
 
-    /// End the statement: free the upload (best effort: a reset device
-    /// has already lost it), fold an out-of-core partition's chunks into
-    /// its ledger, metrics and degradations in chunk order, and set the
-    /// ledger's modeled time: the sum of the partition's records, its
-    /// chunks' included. Returns the chunk devices' modeled time and, when
-    /// tracing, their spans.
-    fn close(&mut self) -> (PhaseNanos, Vec<Span>) {
+    /// Close the partition when its statement ends: free a host slice's
+    /// upload (best effort: a reset device has already lost it) and fold in
+    /// its chunks, in chunk order, each closed the same way. The close holds
+    /// the modeled time and, when tracing, the span roots of every device
+    /// the partition owns — its own (a shard or a chunk; the caller's
+    /// device is measured by [`execute_on_caller`]) and its chunks' — and
+    /// its records, mask and ledger. The ledger's modeled time is the sum
+    /// of its records, its chunks' included.
+    fn close(mut self) -> Closed {
         if let Records::Host { upload, .. } = &mut self.records {
             if let Some(table) = upload.take() {
                 let _ = table.free(&mut self.gpu);
             }
         }
-        let mut modeled = PhaseNanos::default();
-        let mut spans = Vec::new();
-        for (i, chunk) in std::mem::take(&mut self.chunks).into_iter().enumerate() {
-            modeled = modeled.plus(&chunk.gpu.stats().modeled);
-            if let (Some(level), Some(log)) = (self.options.trace, chunk.gpu.log()) {
-                spans.extend(SpanTree::from_log(log.entries(), level).roots);
+        let (timing, log) = match &self.gpu {
+            Device::Own(gpu) => (gpu.stats().modeled, gpu.log()),
+            Device::Caller(_) => (PhaseNanos::default(), None),
+        };
+        let spans = self.options.trace.map(|level| {
+            log.map_or_else(Vec::new, |log| {
+                SpanTree::from_log(log.entries(), level).roots
+            })
+        });
+        let mut closed = Closed {
+            timing,
+            spans,
+            metrics: self.metrics,
+            mask: self.mask,
+            ledger: self.ledger,
+        };
+        for (i, chunk) in self.chunks.into_iter().enumerate() {
+            let chunk = chunk.close();
+            closed.timing = closed.timing.plus(&chunk.timing);
+            if let (Some(spans), Some(roots)) = (&mut closed.spans, chunk.spans) {
+                spans.extend(roots);
             }
-            self.metrics.extend(chunk.metrics);
-            self.ledger.retries += chunk.ledger.retries;
-            self.ledger.backoff_ns += chunk.ledger.backoff_ns;
-            self.ledger.degradations.extend(
-                chunk
-                    .ledger
-                    .degradations
-                    .into_iter()
-                    .map(|d| format!("chunk {i}: {d}")),
-            );
+            closed.metrics.extend(chunk.metrics);
+            closed.mask.extend(chunk.mask);
+            let ledger = &mut closed.ledger;
+            ledger.retries += chunk.ledger.retries;
+            ledger.backoff_ns += chunk.ledger.backoff_ns;
+            let degradations = chunk.ledger.degradations.into_iter();
+            ledger
+                .degradations
+                .extend(degradations.map(|d| format!("chunk {i}: {d}")));
         }
-        self.ledger.modeled_ns = metrics::phase_sum(&self.metrics).total();
-        (modeled, spans)
+        closed.ledger.modeled_ns = metrics::phase_sum(&closed.metrics).total();
+        closed
     }
 
     /// Open an aggregate window (stage span and operator span); `input` is
@@ -894,10 +936,6 @@ impl<'a> Partition<'a> {
 
     /// Partial sum of a column over the partition's selection.
     fn op_sum(&mut self, column: usize) -> EngineResult<u64> {
-        if self.matched == 0 && self.selection.is_some() {
-            // A selection that matched nothing sums to zero.
-            return Ok(0);
-        }
         if let Some(sum) =
             self.on_device(|gpu, table, sel| aggregate::sum(gpu, table, column, sel))?
         {

@@ -1,14 +1,12 @@
 //! Query execution on one device. The executor plans the statement and
 //! runs it on the partition coordinator ([`crate::parallel`]) as one
 //! partition resident on the caller's device, so single-device and
-//! sharded execution share one phase loop and one aggregate algebra. The
-//! executor owns what wraps a statement: the device log when validating
-//! or tracing, the `query` span, the statement's `timing` and its trace.
-//! EXPLAIN and EXPLAIN ANALYZE render from here.
+//! sharded execution share one phase loop, one aggregate algebra and one
+//! statement close. EXPLAIN and EXPLAIN ANALYZE render from here.
 
 use crate::boolean::{eval_cnf_select, eval_dnf_select};
 use crate::error::EngineResult;
-use crate::metrics::{self, MetricsRecord};
+use crate::metrics::MetricsRecord;
 use crate::parallel::{self, Records};
 use crate::query::ast::{Aggregate, Query};
 use crate::query::planner::{plan_selection, SelectionPlan};
@@ -152,57 +150,11 @@ fn execute_plan(
     options: ExecuteOptions,
 ) -> EngineResult<QueryOutput> {
     let records = Records::Resident(table, plan);
-    run_statement(gpu, options, |gpu| {
-        parallel::execute_on_caller(gpu, records, query, options)
-    })
-    .map(|(output, _)| output)
+    parallel::execute_on_caller(gpu, records, query, options).map(|sharded| sharded.output)
 }
 
-/// Wrap one statement on the caller's device, the same way at every
-/// placement: log the device when validating or tracing, unless the
-/// caller already does (a harness logging a whole workload keeps its
-/// log), open the `query` span, and measure the statement's `timing` and
-/// trace on this statement's window of the log. `run` returns the output,
-/// whose `timing` and `trace` hold only what ran on other devices
-/// (out-of-core chunks), and a placement's own ledger.
-pub(crate) fn run_statement<T>(
-    gpu: &mut Gpu,
-    options: ExecuteOptions,
-    run: impl FnOnce(&mut Gpu) -> EngineResult<(QueryOutput, T)>,
-) -> EngineResult<(QueryOutput, T)> {
-    let owns_log = (options.validate_plans || options.trace.is_some()) && gpu.log().is_none();
-    if owns_log {
-        gpu.attach_log(RecordMode::RecordAndExecute);
-    }
-    let mark = gpu.log().map_or(0, |log| log.entries().len());
-    gpu.span_begin(SpanKind::Query, "query");
-    let before = gpu.stats().modeled;
-    let result = run(gpu);
-    let timing = gpu.stats().modeled.since(&before);
-    gpu.span_end();
-    let owned = if owns_log { gpu.take_log() } else { None };
-    let (mut output, ledger) = result?;
-    output.timing = timing.plus(&output.timing);
-    // The records tile every device's clock.
-    debug_assert_eq!(metrics::phase_sum(&output.metrics), output.timing);
-    if let (Some(level), Some(log)) = (options.trace, owned.as_ref().or(gpu.log())) {
-        let window = log.entries().get(mark..).unwrap_or_default();
-        let mut tree = SpanTree::from_log(window, level);
-        tree.roots
-            .extend(output.trace.take().into_iter().flat_map(|t| t.roots));
-        output.trace = Some(tree);
-    }
-    Ok((output, ledger))
-}
-
-/// EXPLAIN: describe the physical plan the planner would choose, without
-/// executing anything on the device.
-pub fn explain(table: &GpuTable, query: &Query) -> EngineResult<String> {
-    let plan = plan_selection(table, query.filter.as_ref())?;
-    Ok(describe_plan(table, &plan, query))
-}
-
-/// [`explain`]'s text for a statement whose selection plan is made.
+/// The plan description EXPLAIN prints: the selection plan, then how each
+/// aggregate maps onto the paper's primitives.
 fn describe_plan(table: &GpuTable, plan: &SelectionPlan, query: &Query) -> String {
     let mut out = String::new();
     out.push_str("SELECTION: ");
@@ -238,14 +190,14 @@ fn describe_aggregate(agg: &Aggregate) -> String {
     }
 }
 
-/// EXPLAIN with per-pass device state: on top of [`explain`]'s plan
-/// description, dry-run the selection in record-only mode — no fragment
-/// is shaded, no cost is modeled and the framebuffer is untouched — and
-/// append one line per recorded pass showing the depth/stencil/alpha
-/// configuration it would run under.
+/// EXPLAIN: describe the physical plan the planner chooses, then dry-run
+/// the selection in record-only mode — no fragment is shaded, no cost is
+/// modeled and the framebuffer is untouched — and append one line per
+/// recorded pass showing the depth/stencil/alpha configuration it would
+/// run under.
 ///
 /// If a log is already attached (a harness logging a workload owns it),
-/// the dry run is skipped and the output matches [`explain`].
+/// the dry run is skipped and only the plan is described.
 pub fn explain_with_device(gpu: &mut Gpu, table: &GpuTable, query: &Query) -> EngineResult<String> {
     let plan = plan_selection(table, query.filter.as_ref())?;
     let mut out = describe_plan(table, &plan, query);
@@ -625,7 +577,7 @@ mod tests {
 
     #[test]
     fn explain_describes_plans() {
-        let (_gpu, t, _, _) = setup();
+        let (mut gpu, t, _, _) = setup();
         let q = Query::filtered(
             vec![Aggregate::Count, Aggregate::Sum("a".into())],
             BoolExpr::Between {
@@ -634,7 +586,7 @@ mod tests {
                 high: 50,
             },
         );
-        let text = explain(&t, &q).unwrap();
+        let text = explain_with_device(&mut gpu, &t, &q).unwrap();
         assert!(text.contains("RANGE depth-bounds"), "{text}");
         assert!(text.contains("Accumulator"), "{text}");
 
@@ -642,7 +594,7 @@ mod tests {
             vec![Aggregate::Count],
             BoolExpr::pred("a", GreaterEqual, 1).and(BoolExpr::pred("b", Less, 9)),
         );
-        let text = explain(&t, &q).unwrap();
+        let text = explain_with_device(&mut gpu, &t, &q).unwrap();
         assert!(text.contains("CONJUNCTION fast path"), "{text}");
 
         let q = Query::filtered(
@@ -653,7 +605,7 @@ mod tests {
                 right: "b".into(),
             },
         );
-        let text = explain(&t, &q).unwrap();
+        let text = explain_with_device(&mut gpu, &t, &q).unwrap();
         assert!(text.contains("SEMILINEAR"), "{text}");
     }
 

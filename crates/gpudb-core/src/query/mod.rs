@@ -14,7 +14,7 @@ pub mod planner;
 
 pub use ast::{Aggregate, BoolExpr, Query};
 pub use executor::{
-    execute, execute_with_options, explain, explain_analyze, explain_analyze_with_options,
+    execute, execute_with_options, explain_analyze, explain_analyze_with_options,
     explain_with_device, AggValue, ExecuteOptions, QueryOutput,
 };
 pub use gpudb_obs::TraceLevel;

@@ -47,9 +47,9 @@
 use crate::cpu_oracle::HostTable;
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::MetricsRecord;
-use crate::parallel::{self, Records};
+use crate::parallel::{self, Records, ShardedOutput};
 use crate::query::ast::Query;
-use crate::query::executor::{self, ExecuteOptions, QueryOutput};
+use crate::query::executor::ExecuteOptions;
 use gpudb_sim::{Gpu, PhaseNanos, WorkCounters};
 use std::borrow::Cow;
 
@@ -59,10 +59,6 @@ pub struct RetryPolicy {
     /// Maximum GPU attempts for transient faults (including the first);
     /// clamped to at least 1.
     pub max_attempts: u32,
-    /// Modeled backoff before the first retry, in nanoseconds.
-    pub base_backoff_ns: u64,
-    /// Backoff growth factor per retry.
-    pub multiplier: f64,
     /// Number of row partitions for the out-of-core degradation rung.
     pub oom_chunks: usize,
     /// Whether Device-class faults and exhausted retries may fall back
@@ -76,8 +72,6 @@ impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
-            base_backoff_ns: 1_000_000,
-            multiplier: 2.0,
             oom_chunks: 4,
             cpu_fallback: true,
         }
@@ -100,7 +94,7 @@ pub enum ResiliencePath {
 /// on, what the ladder did, and what the partition cost. A shard's entry
 /// in [`crate::parallel::ShardReport`] and a resilient statement's report
 /// are this same ledger.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceReport {
     /// First row of the partition's range (0 for a whole table).
     pub start: usize,
@@ -126,19 +120,12 @@ pub struct ResilienceReport {
     pub modeled_ns: u64,
 }
 
-/// A query answer plus the story of how it was obtained.
-#[derive(Debug, Clone)]
-pub struct ResilientOutput {
-    /// The query result (GPU-parity regardless of rung).
-    pub output: QueryOutput,
-    /// Recovery ledger.
-    pub report: ResilienceReport,
-}
-
 /// Execute `query` against `host`'s data on `gpu`, riding the recovery
 /// ladder as faults demand. The device table is uploaded from the host
 /// copy once and freed when the statement ends; the host copy answers on
-/// the CPU after a device reset. The output's `timing` covers everything
+/// the CPU after a device reset. The output is a one-partition placement:
+/// `report.shards` holds the one ledger, `mask` the selection mask the
+/// ladder read back, and there is no merge. Its `timing` covers everything
 /// charged to `gpu` (upload and mask readback included) plus any
 /// out-of-core chunk devices, and its records sum to it, per phase.
 pub fn execute_resilient(
@@ -147,12 +134,9 @@ pub fn execute_resilient(
     query: &Query,
     options: ExecuteOptions,
     policy: &RetryPolicy,
-) -> EngineResult<ResilientOutput> {
+) -> EngineResult<ShardedOutput> {
     let records = Records::host(Cow::Borrowed(host), policy);
-    let (output, report) = executor::run_statement(gpu, options, |gpu| {
-        parallel::execute_on_caller(gpu, records, query, options)
-    })?;
-    Ok(ResilientOutput { output, report })
+    parallel::execute_on_caller(gpu, records, query, options)
 }
 
 /// One transient-fault retry of the recovery ladder: the modeled pause and
@@ -169,21 +153,17 @@ impl RetryStep {
     /// The operator name of a retry's metrics record.
     pub(crate) const OPERATOR: &'static str = "resilience/retry-backoff";
 
+    /// The pause before the first retry: 1 ms of modeled time.
+    const BASE_NS: u64 = 1_000_000;
+
     /// Charge retry number `retry` (1-based) after `error` to `gpu`'s
-    /// modeled clock. The pause is `base_backoff_ns · multiplier^(retry−1)`
-    /// rounded once, 0 when that is negative or NaN, and clamped where the
-    /// clock saturates.
-    pub(crate) fn charge(
-        gpu: &mut Gpu,
-        policy: &RetryPolicy,
-        retry: u32,
-        error: &EngineError,
-    ) -> RetryStep {
-        let growth = policy
-            .multiplier
-            .powi(i32::try_from(retry.saturating_sub(1)).unwrap_or(i32::MAX));
-        // The saturating cast charges nothing for a negative or NaN pause.
-        let pause_ns = gpu.charge_backoff((policy.base_backoff_ns as f64 * growth).round() as u64);
+    /// modeled clock. The pause is `1 ms · 2^(retry−1)`, saturating in
+    /// `u64` and clamped where the clock saturates.
+    pub(crate) fn charge(gpu: &mut Gpu, retry: u32, error: &EngineError) -> RetryStep {
+        let growth = 1u64
+            .checked_shl(retry.saturating_sub(1))
+            .unwrap_or(u64::MAX);
+        let pause_ns = gpu.charge_backoff(Self::BASE_NS.saturating_mul(growth));
         let pause_s = pause_ns as f64 * 1e-9;
         RetryStep {
             pause_ns,
@@ -212,6 +192,7 @@ mod tests {
     use crate::cpu_oracle;
     use crate::parallel::{execute_sharded, ShardOptions};
     use crate::query::ast::{Aggregate, BoolExpr};
+    use crate::query::executor;
     use crate::table::GpuTable;
     use gpudb_sim::CompareFunc;
     use gpudb_sim::{FaultEvent, FaultInjector, FaultKind, GpuError};
@@ -255,7 +236,7 @@ mod tests {
         query: &Query,
         faults: &[FaultKind],
         policy: &RetryPolicy,
-    ) -> (EngineResult<ResilientOutput>, Gpu) {
+    ) -> (EngineResult<ShardedOutput>, Gpu) {
         let mut gpu = device(host);
         let schedule = faults.iter().map(|&kind| FaultEvent { at_ns: 0, kind });
         gpu.attach_fault_injector(FaultInjector::with_schedule(schedule.collect()));
@@ -264,13 +245,13 @@ mod tests {
     }
 
     /// [`run_struck`] under the default policy, expecting an answer.
-    fn answer_struck(host: &HostTable, query: &Query, faults: &[FaultKind]) -> ResilientOutput {
+    fn answer_struck(host: &HostTable, query: &Query, faults: &[FaultKind]) -> ShardedOutput {
         run_struck(host, query, faults, &RetryPolicy::default())
             .0
             .unwrap()
     }
 
-    fn has_record(resilient: &ResilientOutput, operator: &str) -> bool {
+    fn has_record(resilient: &ShardedOutput, operator: &str) -> bool {
         resilient
             .output
             .metrics
@@ -283,10 +264,10 @@ mod tests {
         let host = host();
         let query = count_sum_query();
         let resilient = answer_struck(&host, &query, &[]);
-        assert_eq!(resilient.report.path, ResiliencePath::Gpu);
-        assert_eq!(resilient.report.attempts, 1);
-        assert_eq!(resilient.report.retries, 0);
-        assert!(resilient.report.degradations.is_empty());
+        assert_eq!(resilient.report.shards[0].path, ResiliencePath::Gpu);
+        assert_eq!(resilient.report.shards[0].attempts, 1);
+        assert_eq!(resilient.report.shards[0].retries, 0);
+        assert!(resilient.report.shards[0].degradations.is_empty());
 
         // The plain executor's records, byte for byte, plus the upload and
         // the mask readback, which account for the extra modeled time.
@@ -313,53 +294,13 @@ mod tests {
         let host = host();
         let query = count_sum_query();
         let resilient = answer_struck(&host, &query, &[FaultKind::OcclusionLoss]);
-        assert_eq!(resilient.report.path, ResiliencePath::Gpu);
-        assert_eq!(resilient.report.retries, 1);
-        assert!(resilient.report.backoff_ns > 0);
+        assert_eq!(resilient.report.shards[0].path, ResiliencePath::Gpu);
+        assert_eq!(resilient.report.shards[0].retries, 1);
+        assert!(resilient.report.shards[0].backoff_ns > 0);
         assert!(has_record(&resilient, RetryStep::OPERATOR));
 
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
-    }
-
-    /// Two lost occlusion queries under `multiplier`: the query recovers
-    /// on its third attempt, and the reported backoff is exactly what the
-    /// `resilience/retry-backoff` records (clock deltas) charged.
-    fn two_retries_with_multiplier(multiplier: f64) -> ResilienceReport {
-        let policy = RetryPolicy {
-            multiplier,
-            ..RetryPolicy::default()
-        };
-        let lost = [FaultKind::OcclusionLoss; 2];
-        let resilient = run_struck(&host(), &count_sum_query(), &lost, &policy)
-            .0
-            .unwrap();
-        assert_eq!(resilient.report.retries, 2);
-        let charged: u64 = resilient
-            .output
-            .metrics
-            .iter()
-            .filter(|m| m.operator == RetryStep::OPERATOR)
-            .map(MetricsRecord::modeled_total_ns)
-            .sum();
-        assert_eq!(resilient.report.backoff_ns, charged);
-        resilient.report
-    }
-
-    #[test]
-    fn negative_backoff_is_charged_and_reported_as_zero() {
-        // 1 ms, then 1 ms · (−1): the second pause charges nothing, and
-        // the report agrees with the clock instead of netting to zero.
-        let report = two_retries_with_multiplier(-1.0);
-        assert_eq!(report.backoff_ns, 1_000_000);
-        assert!(report.degradations[0].ends_with("retry 1 after 0.001000s modeled backoff"));
-        assert!(report.degradations[1].ends_with("retry 2 after 0.000000s modeled backoff"));
-    }
-
-    #[test]
-    fn nan_backoff_is_charged_and_reported_alike() {
-        let report = two_retries_with_multiplier(f64::NAN);
-        assert!(report.backoff_ns <= 1_000_000, "{}", report.backoff_ns);
     }
 
     #[test]
@@ -370,12 +311,11 @@ mod tests {
         let start = gpu.stats().modeled.total();
         assert!(start > 0);
         let error = EngineError::Gpu(GpuError::OcclusionQueryLost);
-        let policy = RetryPolicy::default();
         let mut reported = 0u64;
         // 1 ms · 2^99 overflows u64 ns; the last two find the clock full.
         for retry in [100, u32::MAX, 1] {
             let before = gpu.stats().modeled.total();
-            let pause_ns = RetryStep::charge(&mut gpu, &policy, retry, &error).pause_ns;
+            let pause_ns = RetryStep::charge(&mut gpu, retry, &error).pause_ns;
             assert_eq!(pause_ns, gpu.stats().modeled.total() - before);
             reported = reported.saturating_add(pause_ns);
         }
@@ -411,7 +351,7 @@ mod tests {
         let host = host();
         let query = count_sum_query();
         let resilient = answer_struck(&host, &query, &[FaultKind::OcclusionLoss; 64]);
-        assert_eq!(resilient.report.path, ResiliencePath::Cpu);
+        assert_eq!(resilient.report.shards[0].path, ResiliencePath::Cpu);
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
         assert!(has_record(&resilient, "resilience/cpu-fallback"));
@@ -422,7 +362,7 @@ mod tests {
         let host = host();
         let query = count_sum_query();
         let resilient = answer_struck(&host, &query, &[FaultKind::AllocationFail]);
-        assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
+        assert_eq!(resilient.report.shards[0].path, ResiliencePath::OutOfCore);
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
         assert!(has_record(&resilient, "resilience/out-of-core"));
@@ -436,7 +376,11 @@ mod tests {
             cpu_oracle::execute(host, query),
         ) {
             (Ok(r), Ok(o)) => {
-                assert_eq!(r.report.path, ResiliencePath::OutOfCore, "{query:?}");
+                assert_eq!(
+                    r.report.shards[0].path,
+                    ResiliencePath::OutOfCore,
+                    "{query:?}"
+                );
                 assert!(
                     o.agrees_with(r.output.matched, &r.output.rows),
                     "{query:?}: {:?} vs oracle {:?}",
@@ -467,7 +411,7 @@ mod tests {
             ] {
                 let resilient = answer_struck(&host, &query, &[FaultKind::AllocationFail]);
                 // The distributed descent answers on the device.
-                assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
+                assert_eq!(resilient.report.shards[0].path, ResiliencePath::OutOfCore);
                 assert!(!has_record(&resilient, "resilience/cpu-fallback"));
                 let oracle = cpu_oracle::execute(&host, &query).unwrap();
                 assert!(
@@ -542,7 +486,7 @@ mod tests {
         let policy = RetryPolicy::default();
         let (resilient, gpu) = run_struck(&host, &query, &[FaultKind::AllocationFail], &policy);
         let resilient = resilient.unwrap();
-        assert_eq!(resilient.report.path, ResiliencePath::OutOfCore);
+        assert_eq!(resilient.report.shards[0].path, ResiliencePath::OutOfCore);
         // The same partitions on the same chunk-sized devices, after what
         // the struck attempt charged to the caller's device.
         let partitions = execute_sharded(
@@ -568,7 +512,7 @@ mod tests {
         let host = host();
         let query = count_sum_query();
         let resilient = answer_struck(&host, &query, &[FaultKind::DeviceReset]);
-        assert_eq!(resilient.report.path, ResiliencePath::Cpu);
+        assert_eq!(resilient.report.shards[0].path, ResiliencePath::Cpu);
         let oracle = cpu_oracle::execute(&host, &query).unwrap();
         assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
     }

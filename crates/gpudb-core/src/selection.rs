@@ -20,7 +20,6 @@ pub const SELECTED: u8 = 1;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selection {
     record_count: usize,
-    width: usize,
     rects: Vec<Rect>,
     /// The exact number of selected records, from the pass that set the
     /// stencil (§5.11: the count comes "with no additional overhead").
@@ -39,7 +38,6 @@ impl Selection {
     pub(crate) fn over_table(table: &GpuTable, matched: u64) -> Selection {
         Selection {
             record_count: table.record_count(),
-            width: table.width(),
             rects: table.rects().to_vec(),
             matched,
             const_empty: false,
@@ -54,7 +52,6 @@ impl Selection {
     pub(crate) fn const_empty(table: &GpuTable) -> Selection {
         Selection {
             record_count: table.record_count(),
-            width: table.width(),
             rects: Vec::new(),
             matched: 0,
             const_empty: true,

@@ -9,8 +9,8 @@ use gpudb_sim::trace::PassPlan;
 /// Each draw in the paper's routines produces its result through one of
 /// four channels: an active occlusion query (the counting routines), a
 /// depth write (`CopyToDepth` §5.4), a stencil write (the selection
-/// protocol of §4.3), or a color write (the mipmap/sort feedback
-/// paths). A draw with the occlusion query inactive and every write
+/// protocol of §4.3), or a color write (the mipmap feedback path). A
+/// draw with the occlusion query inactive and every write
 /// masked off renders fragments nothing can ever consume — it burns a
 /// full pass of modeled fill rate for no observable effect, usually
 /// because a query begin or a write-enable was dropped. Severity is

@@ -816,66 +816,6 @@ impl Gpu {
         }
     }
 
-    /// Copy a region of the color buffer into a texture — the
-    /// `glCopyTexSubImage2D` path multipass algorithms (e.g. bitonic sort)
-    /// use to feed one pass's output to the next. The copy stays on-card,
-    /// so it is costed at fill rate rather than bus bandwidth.
-    ///
-    /// For an R-format texture the red channel is taken; RG/RGB/RGBA take
-    /// the leading channels.
-    pub fn copy_color_to_texture(
-        &mut self,
-        id: TextureId,
-        x: usize,
-        y: usize,
-        width: usize,
-        height: usize,
-    ) -> GpuResult<()> {
-        if x + width > self.fb.width() || y + height > self.fb.height() {
-            return Err(GpuError::RectOutOfBounds {
-                rect: Rect::new(x, y, width, height),
-                width: self.fb.width(),
-                height: self.fb.height(),
-            });
-        }
-        let fb_width = self.fb.width();
-        {
-            let tex = self
-                .textures
-                .get(id.0 as usize)
-                .and_then(Option::as_ref)
-                .ok_or(GpuError::InvalidTexture(id.0))?;
-            if width > tex.width() || height > tex.height() {
-                return Err(GpuError::InvalidTextureSize { width, height });
-            }
-        }
-        if self.dry_run(PassOp::CopyColorToTexture) {
-            return Ok(());
-        }
-        let tex = self
-            .textures
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
-            .ok_or(GpuError::InvalidTexture(id.0))?;
-        let channels = tex.format().channels();
-        let tex_width = tex.width();
-        let data = Arc::make_mut(tex).data_mut();
-        for row in 0..height {
-            for col in 0..width {
-                let pixel = self.fb.color.get((y + row) * fb_width + (x + col));
-                let base = (row * tex_width + col) * channels;
-                data[base..base + channels].copy_from_slice(&pixel[..channels]);
-            }
-        }
-        let fragments = (width * height) as u64;
-        self.span_begin(SpanKind::Pass, "copy:color-to-texture");
-        self.stats
-            .modeled
-            .add(self.phase, self.profile.raster_ns(fragments, 0, 0));
-        self.span_end();
-        Ok(())
-    }
-
     fn account_readback(&mut self, bytes: u64) {
         self.stats.bytes_read_back += bytes;
         self.stats
@@ -1138,83 +1078,6 @@ mod tests {
             .iter()
             .all(|&c| c == [0.5; 4]));
         assert!(gpu.read_stencil_buffer().unwrap().iter().all(|&s| s == 7));
-    }
-
-    #[test]
-    fn copy_color_to_texture_roundtrip() {
-        let mut gpu = Gpu::geforce_fx_5900(4, 2);
-        gpu.set_draw_color([0.25, 0.5, 0.75, 1.0]);
-        gpu.draw_full_quad(0.0).unwrap();
-        let tex = Texture::zeroed(4, 2, TextureFormat::R).unwrap();
-        let id = gpu.create_texture(tex).unwrap();
-        gpu.copy_color_to_texture(id, 0, 0, 4, 2).unwrap();
-        // R format takes the red channel.
-        assert!(gpu.texture(id).unwrap().data().iter().all(|&v| v == 0.25));
-        // RGBA format takes all channels.
-        let tex4 = Texture::zeroed(4, 2, TextureFormat::Rgba).unwrap();
-        let id4 = gpu.create_texture(tex4).unwrap();
-        gpu.copy_color_to_texture(id4, 0, 0, 4, 2).unwrap();
-        assert_eq!(
-            gpu.texture(id4).unwrap().fetch(3, 1),
-            [0.25, 0.5, 0.75, 1.0]
-        );
-    }
-
-    #[test]
-    fn texture_updates_after_a_draw_write_in_place_and_reach_the_next_draw() {
-        use crate::program::builtin;
-        // Two row tiles, so the draw's kernel is shared with the pool.
-        let (w, h) = (256, 64);
-        let mut gpu = Gpu::geforce_fx_5900(w, h);
-        let id = gpu
-            .create_texture(Texture::zeroed(w, h, TextureFormat::R).unwrap())
-            .unwrap();
-        gpu.bind_texture(0, Some(id)).unwrap();
-        gpu.bind_program(Some(builtin::copy_to_depth()));
-        let scale = 1.0 / crate::buffers::DEPTH_SCALE as f32;
-        gpu.set_program_env(builtin::ENV_SCALE, [scale, 0.0, 0.0, 0.0])
-            .unwrap();
-        gpu.set_program_env(builtin::ENV_CHANNEL, builtin::channel_selector(0))
-            .unwrap();
-        gpu.set_depth_test(true, CompareFunc::Always);
-        gpu.set_depth_write(true);
-        gpu.draw_full_quad(0.0).unwrap();
-        // A finished draw keeps no reference, so the copy below writes the
-        // texture in place.
-        let slot = gpu.textures[id.0 as usize].as_ref().unwrap();
-        assert_eq!(Arc::strong_count(slot), 1);
-        // Stage two texels in the color buffer with fixed-function quads,
-        // then copy the whole framebuffer over the texture.
-        gpu.bind_program(None);
-        gpu.set_depth_write(false);
-        gpu.clear_color([0.0; 4]);
-        for (x, value) in [(3, 5.0), (4, 7.0)] {
-            gpu.set_draw_color([value, 0.0, 0.0, 1.0]);
-            gpu.draw_quad(&[Rect::new(x, 40, 1, 1)], 0.0).unwrap();
-        }
-        gpu.copy_color_to_texture(id, 0, 0, w, h).unwrap();
-        gpu.bind_program(Some(builtin::copy_to_depth()));
-        gpu.set_depth_write(true);
-        gpu.draw_full_quad(0.0).unwrap();
-        let depth = gpu.read_depth_buffer_raw().unwrap();
-        assert_eq!(&depth[40 * w + 2..40 * w + 6], &[0, 5, 7, 0]);
-        assert_eq!(depth.iter().filter(|&&d| d != 0).count(), 2);
-    }
-
-    #[test]
-    fn copy_color_to_texture_validates_bounds() {
-        let mut gpu = Gpu::geforce_fx_5900(4, 2);
-        let id = gpu
-            .create_texture(Texture::zeroed(2, 2, TextureFormat::R).unwrap())
-            .unwrap();
-        // Region larger than the texture.
-        assert!(gpu.copy_color_to_texture(id, 0, 0, 4, 2).is_err());
-        // Region outside the framebuffer.
-        assert!(gpu.copy_color_to_texture(id, 3, 1, 2, 2).is_err());
-        // Bad id.
-        assert!(gpu
-            .copy_color_to_texture(TextureId(99), 0, 0, 1, 1)
-            .is_err());
     }
 
     #[test]

@@ -175,12 +175,6 @@ impl Texture {
     pub fn data(&self) -> &[f32] {
         &self.data
     }
-
-    /// Mutable raw texel storage, used by color-to-texture copies.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
 }
 
 /// Encode an unsigned integer attribute value into the f32 texel domain.

@@ -192,8 +192,6 @@ pub enum PassOp {
     ReadStencilBuffer,
     /// `read_color_buffer`.
     ReadColorBuffer,
-    /// `copy_color_to_texture`.
-    CopyColorToTexture,
 }
 
 /// Device capabilities relevant to plan validation, captured from the

@@ -232,27 +232,6 @@ proptest! {
         let expected = values.iter().filter(|&&v| op.eval(constant, v)).count() as u64;
         prop_assert_eq!(count, expected);
     }
-
-    #[test]
-    fn color_buffer_copy_roundtrip(
-        w in 1usize..16,
-        h in 1usize..16,
-        r in 0.0f32..1.0,
-    ) {
-        let mut gpu = Gpu::geforce_fx_5900(w, h);
-        gpu.set_draw_color([r, 1.0 - r, 0.5, 1.0]);
-        gpu.draw_full_quad(0.0).unwrap();
-        let id = gpu
-            .create_texture(Texture::zeroed(w, h, TextureFormat::Rgba).unwrap())
-            .unwrap();
-        gpu.copy_color_to_texture(id, 0, 0, w, h).unwrap();
-        let tex = gpu.texture(id).unwrap();
-        for y in 0..h {
-            for x in 0..w {
-                prop_assert_eq!(tex.fetch(x, y), [r, 1.0 - r, 0.5, 1.0]);
-            }
-        }
-    }
 }
 
 proptest! {

@@ -10,8 +10,8 @@
 //! * [`sim`] — the GPU substrate (textures, depth/stencil/alpha tests,
 //!   fragment-program ISA, occlusion queries, calibrated cost model);
 //! * [`core`] — the paper's algorithms (predicates, CNF, range queries,
-//!   semi-linear queries, k-th largest, bitwise accumulator, bitonic
-//!   sort) plus a declarative query layer;
+//!   semi-linear queries, k-th largest, bitwise accumulator) plus a
+//!   declarative query layer;
 //! * [`cpu`] — the optimized CPU baselines the paper compares against;
 //! * [`data`] — synthetic TCP/IP-trace and census workload generators;
 //! * [`obs`] — hierarchical span tracing on the modeled clock, with
@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use gpudb_core::range::range_select;
     pub use gpudb_core::resilience::{
-        execute_resilient, ResiliencePath, ResilienceReport, ResilientOutput, RetryPolicy,
+        execute_resilient, ResiliencePath, ResilienceReport, RetryPolicy,
     };
     pub use gpudb_core::semilinear::{compare_attributes, semilinear_select};
     pub use gpudb_core::table::GpuTable;

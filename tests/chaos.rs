@@ -45,12 +45,12 @@ fn run_one(seed: u64, query: &Query) -> Option<ResiliencePath> {
             assert!(
                 o.agrees_with(r.output.matched, &r.output.rows),
                 "seed {seed}: silent divergence\n gpu path {:?}: matched {} rows {:?}\n oracle: {o:?}\n ladder: {:?}",
-                r.report.path,
+                r.report.shards[0].path,
                 r.output.matched,
                 r.output.rows,
-                r.report.degradations,
+                r.report.shards[0].degradations,
             );
-            Some(r.report.path)
+            Some(r.report.shards[0].path)
         }
         (Err(e), Err(oe)) => {
             assert_eq!(e.to_string(), oe.to_string(), "seed {seed}: error mismatch");
@@ -58,7 +58,7 @@ fn run_one(seed: u64, query: &Query) -> Option<ResiliencePath> {
         }
         (Ok(r), Err(oe)) => panic!(
             "seed {seed}: GPU path {:?} answered {:?} but oracle errors with {oe}",
-            r.report.path, r.output.rows
+            r.report.shards[0].path, r.output.rows
         ),
         (Err(e), Ok(_)) => panic!(
             "seed {seed}: query failed with {e} (class {:?}) but the oracle answers",
@@ -117,8 +117,8 @@ fn chaos_replay_is_byte_deterministic() {
             r.output.matched,
             r.output.rows.clone(),
             r.output.metrics.clone(),
-            r.report.retries,
-            r.report.degradations.clone(),
+            r.report.shards[0].retries,
+            r.report.shards[0].degradations.clone(),
         )
     };
     assert_eq!(run(()), run(()));
@@ -189,22 +189,24 @@ fn resilient_equals_one_shard_placement() {
                 (Ok(r), Ok(s)) => {
                     assert_eq!(r.output.matched, s.output.matched, "{case}");
                     assert_eq!(r.output.rows, s.output.rows, "{case}");
-                    let shard = &s.report.shards[0];
-                    assert_eq!(
-                        (r.report.path, r.report.attempts, r.report.retries),
-                        (shard.path, shard.attempts, shard.retries),
-                        "{case}"
-                    );
-                    assert_eq!(r.report.degradations, shard.degradations, "{case}");
+                    assert_eq!(r.output.timing, s.output.timing, "{case}");
+                    assert_eq!(r.report.shards, s.report.shards, "{case}");
+                    assert_eq!(r.mask, s.mask, "{case}");
                     let (merge, shard_metrics) =
                         s.output.metrics.split_last().expect("merge marker");
                     assert_eq!(merge.operator, "parallel/merge", "{case}");
                     assert_eq!(r.output.metrics.as_slice(), shard_metrics, "{case}");
+                    assert_eq!(r.report.merge_ns, 0, "{case}");
+                    assert_eq!(
+                        r.report.merged_ns + s.report.merge_ns,
+                        s.report.merged_ns,
+                        "{case}"
+                    );
                 }
                 (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{case}"),
                 (a, b) => panic!(
                     "{case}: resilient {:?} vs one shard {:?}",
-                    a.map(|r| r.report.path),
+                    a.map(|r| r.report.shards[0].path),
                     b.map(|s| s.report.shards[0].path)
                 ),
             }
@@ -238,7 +240,7 @@ fn every_single_fault_matches_oracle() {
             assert_eq!(
                 clean
                     .as_ref()
-                    .map(|r| r.report.path)
+                    .map(|r| r.report.shards[0].path)
                     .map_err(|e| e.to_string()),
                 oracle
                     .as_ref()
@@ -272,7 +274,7 @@ fn every_single_fault_matches_oracle() {
                     let outcome = match (run, &oracle) {
                         (Err(_), _) => Err(format!("{case}: panicked")),
                         (Ok(Ok(r)), Ok(o)) if o.agrees_with(r.output.matched, &r.output.rows) => {
-                            Ok(match r.report.path {
+                            Ok(match r.report.shards[0].path {
                                 ResiliencePath::Gpu => 0,
                                 ResiliencePath::OutOfCore => 1,
                                 ResiliencePath::Cpu => 2,
@@ -281,7 +283,7 @@ fn every_single_fault_matches_oracle() {
                         (Ok(Err(e)), Err(oe)) if e.to_string() == *oe => Ok(3),
                         (Ok(r), o) => Err(format!(
                             "{case}: got {:?}, oracle {o:?}",
-                            r.map(|r| (r.report.path, r.output.rows))
+                            r.map(|r| (r.report.shards[0].path, r.output.rows))
                         )),
                     };
                     match outcome {
@@ -343,7 +345,8 @@ fn readback_bit_flip_retries_cost_no_draw() {
                 let kind = FaultKind::ReadbackBitFlip;
                 let (struck, gpu) = run(vec![FaultEvent { at_ns, kind }]);
                 let case = format!("seed {seed}, shape {}, at_ns {at_ns}", SHAPES[shape]);
-                let report = struck.unwrap_or_else(|e| panic!("{case}: {e}")).report;
+                let struck = struck.unwrap_or_else(|e| panic!("{case}: {e}"));
+                let report = &struck.report.shards[0];
                 if report.retries > 0 && report.path == ResiliencePath::Gpu {
                     retried[shape] += 1;
                     assert_eq!(report.attempts, 1, "{case}: the selection ran again");
@@ -621,8 +624,12 @@ fn resilient_retry_lints_only_the_attempt_that_succeeded() {
         .unwrap_or_else(|e| panic!("resilient run failed: {e}"));
     let oracle = gpudb::core::cpu_oracle::execute(&host, query).expect("oracle");
     assert!(oracle.agrees_with(resilient.output.matched, &resilient.output.rows));
-    assert_eq!(resilient.report.path, ResiliencePath::Gpu);
-    assert_eq!(resilient.report.degradations.len(), 1, "one retry");
+    assert_eq!(resilient.report.shards[0].path, ResiliencePath::Gpu);
+    assert_eq!(
+        resilient.report.shards[0].degradations.len(),
+        1,
+        "one retry"
+    );
     assert_books_balance(&resilient.output, "resilient");
     let root_spans = |output: &gpudb::core::query::QueryOutput| -> Vec<String> {
         let trace = output.trace.as_ref().expect("traced");
@@ -678,7 +685,7 @@ fn transient_selection_fault_charges_the_upload_once() {
             .unwrap_or_else(|e| panic!("resilient run failed: {e}"));
         let stats = gpu.stats();
         (
-            resilient.report.retries,
+            resilient.report.shards[0].retries,
             stats.bytes_uploaded,
             stats.modeled.upload,
         )
@@ -737,7 +744,7 @@ fn occlusion_loss_mid_aggregate_retries_only_the_struck_step() {
         let struck = execute_resilient(&mut gpu, &host, &query, options, &policy)
             .unwrap_or_else(|e| panic!("{stage}: {e}"));
         assert_eq!(gpu.fault_stats().occlusion_losses, 1, "{stage}");
-        let report = &struck.report;
+        let report = &struck.report.shards[0];
         assert_eq!(
             (report.path, report.retries),
             (ResiliencePath::Gpu, 1),

@@ -177,16 +177,6 @@ fn kth_largest_sweep_against_quickselect() {
 }
 
 #[test]
-fn gpu_sort_matches_cpu_sort() {
-    let trace = tcpip::generate(4_096, 17);
-    let mut gpu = Gpu::geforce_fx_5900(64, 64);
-    let outcome = gpudb::core::sort::sort_values(&mut gpu, &trace.columns[0].values).unwrap();
-    let mut expected = trace.columns[0].values.clone();
-    expected.sort_unstable();
-    assert_eq!(outcome.sorted, expected);
-}
-
-#[test]
 fn selection_composition_chains() {
     // Build a selection, aggregate over it, rebuild another selection, and
     // confirm the device state machine never leaks between operations.

@@ -16,10 +16,6 @@ fn values_strategy() -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0u32..=MAX_VALUE, 1..200)
 }
 
-fn small_values_strategy() -> impl Strategy<Value = Vec<u32>> {
-    prop::collection::vec(0u32..1024, 1..200)
-}
-
 fn op_strategy() -> impl Strategy<Value = (CompareFunc, cpu::CmpOp)> {
     prop::sample::select(vec![
         (CompareFunc::Less, cpu::CmpOp::Lt),
@@ -143,17 +139,6 @@ proptest! {
             aggregate::median(&mut gpu, &table, 0, None).unwrap(),
             cpu::quickselect::median(&values).unwrap()
         );
-    }
-
-    #[test]
-    fn gpu_sort_is_a_sort(values in small_values_strategy()) {
-        let padded = values.len().next_power_of_two();
-        let width = ((padded as f64).sqrt() as usize).next_power_of_two();
-        let mut gpu = Gpu::geforce_fx_5900(width, (padded / width).max(1));
-        let outcome = gpudb::core::sort::sort_values(&mut gpu, &values).unwrap();
-        let mut expected = values.clone();
-        expected.sort_unstable();
-        prop_assert_eq!(outcome.sorted, expected);
     }
 
     #[test]
